@@ -65,10 +65,17 @@ class Parameter(Tensor):
 
 
 class Tape:
-    """Wengert list: result nodes in execution (= topological) order."""
+    """Wengert list: result nodes in execution (= topological) order.
+
+    Leaving the ``with`` block drops the node list. Each node points back at
+    its tape, so the list would otherwise hold the whole graph in a reference
+    cycle until the cyclic collector ran; without it the graph is freed as
+    soon as the caller lets go of its outputs. Call ``backward`` inside the
+    block.
+    """
 
     def __init__(self):
-        self.nodes: list[Tensor] = []
+        self.nodes: list[Tensor] | None = []
 
     def __enter__(self) -> "Tape":
         _tape_stack.append(self)
@@ -77,6 +84,7 @@ class Tape:
     def __exit__(self, exc_type, exc, tb):
         popped = _tape_stack.pop()
         assert popped is self
+        self.nodes = None
         return False
 
 
@@ -85,9 +93,12 @@ def _active_tape() -> Tape | None:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    # the first gradient is copied, never kept: an op may hand the same
+    # array to two parents, and the copy is later summed into in place
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        t.grad = np.broadcast_to(g, t.values.shape).copy()
+    else:
+        t.grad += g
 
 
 def _record(values: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -105,17 +116,21 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every tensor that contributed to ``loss``.
 
     Tensors off the path keep ``grad is None``. Each tape node is visited
-    exactly once.
+    exactly once, and its own ``grad`` is released once it has been passed
+    on to its parents; leaves keep theirs.
     """
     if loss.values.ndim != 0:
         raise NonScalarLossError(f"loss must be scalar, got shape {loss.shape}")
     if loss.tape is None:
         raise ConfigurationError("loss was not recorded on a tape; run the forward pass inside `with Tape():`")
+    if loss.tape.nodes is None:
+        raise ConfigurationError("the loss's tape is closed; call backward inside its `with Tape():` block")
     loss.grad = np.ones((), dtype=DTYPE)
     for node in reversed(loss.tape.nodes):
         if node.grad is None or node.backward_fn is None:
             continue
         node.backward_fn(node.grad)
+        node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +186,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(a.values * b.values, (a, b), bwd)
 
 
-def add_const(a: Tensor, c) -> Tensor:
-    c = np.asarray(c, dtype=DTYPE)
-    values = a.values + c
-    if values.shape != a.shape:
-        raise ShapeMismatchError(f"add_const: constant {c.shape} broadcasts {a.shape} to {values.shape}")
-    return _record(values, (a,), lambda g: _accum(a, g))
-
-
 def mul_const(a: Tensor, c) -> Tensor:
     c = np.asarray(c, dtype=DTYPE)
     values = a.values * c
@@ -187,25 +194,21 @@ def mul_const(a: Tensor, c) -> Tensor:
     return _record(values, (a,), lambda g: _accum(a, g * c))
 
 
-def neg(a: Tensor) -> Tensor:
-    return _record(-a.values, (a,), lambda g: _accum(a, -g))
-
-
 def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.values)
     return _record(t, (a,), lambda g: _accum(a, g * (1.0 - t * t)))
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    # numerically safe: exp only ever sees non-positive arguments
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    # numerically safe logistic: exp only ever sees non-positive arguments
-    x = a.values
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    s = _logistic(a.values)
     return _record(s, (a,), lambda g: _accum(a, g * s * (1.0 - s)))
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.values > 0
-    return _record(np.where(mask, a.values, 0.0), (a,), lambda g: _accum(a, g * mask))
 
 
 def abs_(a: Tensor) -> Tensor:
@@ -308,15 +311,6 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
     return _record(values, (a,), bwd)
 
 
-def sum_axis(a: Tensor, axis: int) -> Tensor:
-    values = a.values.sum(axis=axis)
-
-    def bwd(g):
-        _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.shape))
-
-    return _record(values, (a,), bwd)
-
-
 def sum_all(a: Tensor) -> Tensor:
     return _record(a.values.sum(), (a,), lambda g: _accum(a, np.broadcast_to(g, a.shape)))
 
@@ -350,6 +344,108 @@ def weighted_sum(h: Tensor, alpha: Tensor) -> Tensor:
         _accum(alpha, np.einsum("btd,bd->bt", h.values, g))
 
     return _record(values, (h, alpha), bwd)
+
+
+def lstm_sequence(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Tensor,
+                  mask: np.ndarray, reverse: bool = False) -> Tensor:
+    """One direction of an LSTM over a whole sequence: xs [B,T,D] -> states [B,T,H].
+
+    Weights are stored transposed, w_ih [D,4H] and w_hh [H,4H]. Gate order
+    along the 4H axis: input, forget, cell, output. A step computes
+    gates = (x @ w_ih + b_ih) + (h @ w_hh + b_hh); the first term is
+    projected for all T steps in one GEMM. The state starts at zero and the
+    steps run over positions 0..T-1, or T-1..0 with ``reverse``.
+
+    mask [B,T] gates each update as new * m + old * (1 - m) for both h and c:
+    where it is 1 the step runs, where it is 0 the row carries its state
+    through unchanged and its output repeats the carried h. The final state
+    of a row is therefore its output at position T-1 (or 0 when reversed).
+
+    On a tape the op is one node. For backward it saves only the
+    post-activation gates [B,T,4H], tanh of the updated cell [B,T,H] and the
+    cell states after each step [B,T,H]; the hidden states are its output.
+    The backward-through-time does one GEMM per step, for the gradient
+    through w_hh into the previous state, and one GEMM each for the
+    gradients of xs, w_ih and w_hh over all steps. Without a tape only the
+    running state is kept.
+    """
+    if xs.ndim != 3:
+        raise ShapeMismatchError(f"lstm_sequence: input must be [B,T,D], got {xs.shape}")
+    b, t, d = xs.shape
+    n = w_hh.shape[0]
+    if (w_ih.shape != (d, 4 * n) or w_hh.shape != (n, 4 * n)
+            or b_ih.shape != (4 * n,) or b_hh.shape != (4 * n,)):
+        raise ShapeMismatchError(
+            f"lstm_sequence: input {xs.shape} vs weights {w_ih.shape}, {w_hh.shape}, "
+            f"biases {b_ih.shape}, {b_hh.shape}")
+    m = np.asarray(mask, dtype=DTYPE)
+    if m.shape != (b, t):
+        raise ShapeMismatchError(f"lstm_sequence: mask {m.shape} vs input {xs.shape}")
+    keep = 1.0 - m
+    steps = range(t - 1, -1, -1) if reverse else range(t)
+    x_flat = xs.values.reshape(b * t, d)
+    proj = (x_flat @ w_ih.values + b_ih.values).reshape(b, t, 4 * n)
+
+    tape = _active_tape()
+    states = np.empty((b, t, n))
+    if tape is not None:
+        acts = np.empty((b, t, 4 * n))
+        tanh_c = np.empty((b, t, n))
+        cells = np.empty((b, t, n))
+    h = c = np.zeros((b, n))
+    for i in steps:
+        gates = proj[:, i] + (h @ w_hh.values + b_hh.values)
+        act = _logistic(gates)
+        act[:, 2 * n:3 * n] = np.tanh(gates[:, 2 * n:3 * n])
+        c_new = act[:, n:2 * n] * c + act[:, :n] * act[:, 2 * n:3 * n]
+        tc = np.tanh(c_new)
+        mi, ki = m[:, i:i + 1], keep[:, i:i + 1]
+        c = c_new * mi + c * ki
+        h = (act[:, 3 * n:] * tc) * mi + h * ki
+        states[:, i] = h
+        if tape is not None:
+            acts[:, i] = act
+            tanh_c[:, i] = tc
+            cells[:, i] = c
+    if tape is None:
+        return Tensor(states)
+    prev = 1 if reverse else -1
+
+    def bwd(g):
+        d_gates = np.empty((b, t, 4 * n))
+        w_hh_t = w_hh.values.T
+        zeros = np.zeros((b, n))
+        dh = dc = zeros
+        for i in reversed(steps):
+            act = acts[:, i]
+            in_g, forget, cell, out = act[:, :n], act[:, n:2 * n], act[:, 2 * n:3 * n], act[:, 3 * n:]
+            tc = tanh_c[:, i]
+            c_prev = zeros if i == steps[0] else cells[:, i + prev]
+            mi, ki = m[:, i:i + 1], keep[:, i:i + 1]
+            dh = dh + g[:, i]
+            dh_new = dh * mi
+            dc_new = dc * mi + dh_new * out * (1.0 - tc * tc)
+            dg = d_gates[:, i]
+            dg[:, :n] = dc_new * cell * in_g * (1.0 - in_g)
+            dg[:, n:2 * n] = dc_new * c_prev * forget * (1.0 - forget)
+            dg[:, 2 * n:3 * n] = dc_new * in_g * (1.0 - cell * cell)
+            dg[:, 3 * n:] = dh_new * tc * out * (1.0 - out)
+            dc = dc * ki + dc_new * forget
+            dh = dh * ki + dg @ w_hh_t
+        h_prev = np.zeros((b, t, n))
+        if reverse:
+            h_prev[:, :-1] = states[:, 1:]
+        else:
+            h_prev[:, 1:] = states[:, :-1]
+        flat = d_gates.reshape(b * t, 4 * n)
+        _accum(xs, (flat @ w_ih.values.T).reshape(b, t, d))
+        _accum(w_ih, x_flat.T @ flat)
+        _accum(w_hh, h_prev.reshape(b * t, n).T @ flat)
+        d_bias = flat.sum(axis=0)
+        _accum(b_ih, d_bias)
+        _accum(b_hh, d_bias)
+
+    return _record(states, (xs, w_ih, w_hh, b_ih, b_hh), bwd)
 
 
 def cross_entropy(logits: Tensor, golds: np.ndarray) -> Tensor:

@@ -97,9 +97,9 @@ def pad_batch(docs: list[TaggedDocument], labels=None) -> Batch:
 # ---------------------------------------------------------------------------
 
 class LstmCell:
-    """Single-direction LSTM cell with input and hidden biases.
+    """Parameters of one LSTM direction, with input and hidden biases.
 
-    Weights are stored transposed ([input, 4h] / [hidden, 4h]) so the step is
+    Weights are stored transposed ([input, 4h] / [hidden, 4h]) so a step is
     x @ w. Gate order along the 4h axis: input, forget, cell, output.
     """
 
@@ -110,21 +110,6 @@ class LstmCell:
         self.w_hh = _add(params, f"{prefix}.w_hh", ad.xavier_init((hidden, 4 * hidden), "normal", rng))
         self.b_ih = _add(params, f"{prefix}.b_ih", ad.zeros_init(4 * hidden))
         self.b_hh = _add(params, f"{prefix}.b_hh", ad.zeros_init(4 * hidden))
-
-    def step(self, x: ad.Tensor, h: ad.Tensor, c: ad.Tensor, m: np.ndarray):
-        """One update, gated by mask column m [B,1]: masked rows keep state."""
-        gates = ad.add(ad.add(ad.matmul(x, self.w_ih), self.b_ih),
-                       ad.add(ad.matmul(h, self.w_hh), self.b_hh))
-        n = self.hidden
-        i = ad.sigmoid(ad.slice_last(gates, 0, n))
-        f = ad.sigmoid(ad.slice_last(gates, n, 2 * n))
-        g = ad.tanh(ad.slice_last(gates, 2 * n, 3 * n))
-        o = ad.sigmoid(ad.slice_last(gates, 3 * n, 4 * n))
-        c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h_new = ad.mul(o, ad.tanh(c_new))
-        c_out = ad.add(ad.mul_const(c_new, m), ad.mul_const(c, 1.0 - m))
-        h_out = ad.add(ad.mul_const(h_new, m), ad.mul_const(h, 1.0 - m))
-        return h_out, c_out
 
 
 class BiLstmLayer:
@@ -142,26 +127,11 @@ class BiLstmLayer:
         Mask gating carries state through padded positions, so outputs match
         a run over the unpadded sequence.
         """
-        b, t, _ = xs.shape
-        steps = [ad.index_axis(xs, i, axis=1) for i in range(t)]
-        cols = [mask[:, i: i + 1] for i in range(t)]
-
-        h = c = ad.Tensor(np.zeros((b, self.hidden)))
-        fw_states = []
-        for i in range(t):
-            h, c = self.fw.step(steps[i], h, c, cols[i])
-            fw_states.append(h)
-        final_fw = h
-
-        h = c = ad.Tensor(np.zeros((b, self.hidden)))
-        bw_states = [None] * t
-        for i in reversed(range(t)):
-            h, c = self.bw.step(steps[i], h, c, cols[i])
-            bw_states[i] = h
-        final_bw = h
-
-        per_pos = [ad.concat([fw_states[i], bw_states[i]], axis=1) for i in range(t)]
-        return ad.stack(per_pos, axis=1), final_fw, final_bw
+        fw, bw = (ad.lstm_sequence(xs, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask, reverse=reverse)
+                  for cell, reverse in ((self.fw, False), (self.bw, True)))
+        final_fw = ad.index_axis(fw, xs.shape[1] - 1, axis=1)
+        final_bw = ad.index_axis(bw, 0, axis=1)
+        return ad.concat([fw, bw], axis=2), final_fw, final_bw
 
 
 class AttentionPool:

@@ -169,6 +169,8 @@ def train_epoch(model: md.Model, batches: list[md.Batch], optimizer: ad.Adam,
                     epoch=epoch, batch_index=index)
             ad.backward(loss)
         optimizer.step()
+        # drop this step's graph before the next forward pass builds another
+        del result, loss
         losses.append(value)
     return float(np.mean(losses)) if losses else 0.0
 

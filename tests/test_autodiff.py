@@ -83,14 +83,12 @@ class TestElementwise:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(-3, 3), min_size=1, max_size=6))
     def test_unary_gradients(self, xs):
-        # keep relu inputs away from its kink at 0
+        # keep abs inputs away from its kink at 0
         x = np.asarray(xs)
         scalar_loss(ad.tanh, x)
         scalar_loss(ad.sigmoid, x)
         safe = np.where(np.abs(x) < 1e-2, 0.5, x)
-        scalar_loss(ad.relu, safe)
         scalar_loss(ad.abs_, safe)
-        scalar_loss(ad.neg, x)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
@@ -112,10 +110,9 @@ class TestElementwise:
     def test_const_ops(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(2, 3))
-        scalar_loss(lambda t: ad.add_const(t, 1.5), a)
         scalar_loss(lambda t: ad.mul_const(t, -2.0), a)
         with pytest.raises(ShapeMismatchError):
-            ad.add_const(ad.Tensor(np.ones(3)), np.ones((2, 3)))
+            ad.mul_const(ad.Tensor(np.ones(3)), np.ones((2, 3)))
 
 
 class TestSoftmax:
@@ -345,9 +342,37 @@ class TestBackward:
             x = ad.Tensor(np.array(0.5))
             y = x
             for _ in range(5000):
-                y = ad.add_const(y, 0.0)
+                y = ad.mul_const(y, 1.0)
             ad.backward(ad.sum_all(y))
         assert float(x.grad) == 1.0
+
+    def test_shared_gradient_is_not_aliased(self):
+        # add hands one array to both parents; later gradient into `a` must
+        # not show up in `b`
+        with ad.Tape():
+            a = ad.Tensor(np.array([1.0, 2.0]))
+            b = ad.Tensor(np.array([3.0, 4.0]))
+            scaled = ad.mul_const(a, 3.0)
+            ad.backward(ad.sum_all(ad.add(ad.add(a, b), scaled)))
+        np.testing.assert_array_equal(a.grad, [4.0, 4.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+    def test_intermediate_grads_released_leaves_kept(self):
+        with ad.Tape() as tape:
+            w = ad.Tensor(np.array([1.0, -2.0]))
+            hidden = ad.tanh(w)
+            loss = ad.sum_all(ad.mul(hidden, hidden))
+            ad.backward(loss)
+            assert all(node.grad is None for node in tape.nodes)
+        assert w.grad is not None
+
+    def test_closed_tape_drops_graph(self):
+        with ad.Tape() as tape:
+            w = ad.Tensor(np.array(2.0))
+            loss = ad.sum_all(ad.mul(w, w))
+        assert tape.nodes is None
+        with pytest.raises(ConfigurationError, match="closed"):
+            ad.backward(loss)
 
 
 class TestStructuralOps:
@@ -391,12 +416,9 @@ class TestStructuralOps:
         scalar_loss(lambda t: ad.mul(ad.slice_last(t, 2, 4), w),
                     rng.normal(size=(3, 6)))
 
-    def test_sum_axis_and_means(self):
+    def test_mean_all_gradient(self):
         rng = np.random.default_rng(9)
-        x = rng.normal(size=(3, 4))
-        w = ad.Tensor(rng.normal(size=4))
-        scalar_loss(lambda t: ad.mul(ad.sum_axis(t, 0), w), x)
-        scalar_loss(ad.mean_all, x)
+        scalar_loss(ad.mean_all, rng.normal(size=(3, 4)))
 
     def test_rows_gather_scatter(self):
         # repeated ids must accumulate into the same row

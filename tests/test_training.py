@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +187,31 @@ class TestTrainEpoch:
             tr.train_epoch(model, batches, optimizer, "cross-entropy", rng, epoch=3)
         assert exc_info.value.epoch == 3
         assert exc_info.value.batch_index == 0
+
+    def test_paper_size_steps_free_their_graphs_without_gc(self):
+        # paper-default HAN, 2 steps of 4 documents of 20 sentences x 25 tokens;
+        # with the cyclic collector off, each step's graph must be freed by
+        # reference counting alone
+        config = md.default_model_config("han", "classify", vocab_size=10002)
+        rng = np.random.default_rng(0)
+        model = md.build_model(config, rng)
+        optimizer = Adam(model.params)
+        docs = [tagged_doc(f"d{i}", [[int(t) for t in rng.integers(2, 10002, size=25)]
+                                     for _ in range(20)], {"accepted": i % 2 == 0})
+                for i in range(8)]
+        batches = tr.make_batches(docs, "classify", 4)
+        mib = 1024.0 * 1024.0
+        gc.disable()
+        tracemalloc.start()
+        try:
+            tr.train_epoch(model, batches, optimizer, "cross-entropy", rng)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        # what stays is the parameter gradients (about 25 MiB)
+        assert peak / mib < 400
+        assert held / mib < 64
 
 
 class TestSelectBest:
