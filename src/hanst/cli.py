@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from . import models as md
 from . import training as tr
-from .corpus import RawDocument, load_corpus, split_corpus
+from .corpus import SPLITS, RawDocument, load_corpus
 from .errors import (AlignmentError, CheckpointMismatchError, ConfigurationError,
                      CorpusFormatError, DegenerateInputError, HanstError,
                      OutputExistsError, TrainingAbortedError)
@@ -31,9 +31,10 @@ from .evalstats import (CitationStats, PredictionRecord, accuracy, build_report,
                         inverse_citation_score, load_predictions, mae,
                         mcnemar_exact, save_predictions, vote_aggregate,
                         wilcoxon_signed_rank)
-from .textprep import (CharacterLimit, TaggedDocument, Vocabulary, apply_cutoff,
-                       build_vocabulary, encode_document, inject_tags,
-                       load_embeddings, tag_tokens, tokenize)
+from .textprep import (CharacterLimit, TaggedDocument, Vocabulary, encode_document,
+                       load_embeddings, prepare_corpus, tag_tokens)
+# not called here; perfbench/probe.py traces them under these names on this module
+from .textprep import build_vocabulary, tokenize  # noqa: F401
 
 DATA_DIR_ENV = "HANST_DATA_DIR"
 PREPARED_NAME = "prepared.jsonl"
@@ -182,22 +183,55 @@ def write_prepared(path: str, meta: dict, docs: list[TaggedDocument],
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+_META_KEYS = {"kind", "format_version", "tagset", "max_chars", "vocab_size",
+              "corpus_sha256", "vocab_sha256", "n_docs"}
+_DOC_KEYS = {"id", "split", "label", "roles", "sentences"}
+
+
+def _prepared_line(path: str, n: int, line: str, keys: set[str]) -> dict:
+    """Parse line n of a prepared dataset: a JSON object with `keys`."""
+    def error(message: str) -> ConfigurationError:
+        return ConfigurationError(f"{path}: line {n}: {message}")
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON: {exc.msg}") from None
+    if not isinstance(obj, dict):
+        raise error("expected a JSON object")
+    if n == 1 and obj.get("kind") != PREPARED_KIND:
+        raise ConfigurationError(f"{path}: not a prepared dataset")
+    if n == 1 and obj.get("format_version") != FORMAT_VERSION:
+        raise error(f"format_version {obj.get('format_version')!r} is not {FORMAT_VERSION}")
+    missing = sorted(keys - set(obj))
+    if missing:
+        raise error(f"missing keys {missing}")
+    return obj
+
+
+def _read_prepared_meta(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return _prepared_line(path, 1, fh.readline(), _META_KEYS)
+
+
 def load_prepared(data_dir: str) -> tuple[dict, dict[str, list[TaggedDocument]]]:
     path = os.path.join(data_dir, PREPARED_NAME)
     if not os.path.exists(path):
         raise ConfigurationError(f"no prepared dataset at {path}; run the prepare command first")
-    by_split: dict[str, list[TaggedDocument]] = {"train": [], "valid": [], "test": []}
+    by_split: dict[str, list[TaggedDocument]] = {name: [] for name in SPLITS}
     with open(path, encoding="utf-8") as fh:
-        meta = json.loads(fh.readline())
-        if meta.get("kind") != PREPARED_KIND:
-            raise ConfigurationError(f"{path}: not a prepared dataset")
-        for line in fh:
+        meta = _prepared_line(path, 1, fh.readline(), _META_KEYS)
+        for n, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            by_split[obj["split"]].append(TaggedDocument(
-                id=obj["id"], sentences=obj["sentences"],
-                roles=obj["roles"], label=obj["label"]))
+            obj = _prepared_line(path, n, line, _DOC_KEYS)
+            if obj["split"] not in SPLITS:
+                raise ConfigurationError(f"{path}: line {n}: unknown split {obj['split']!r}")
+            try:
+                doc = TaggedDocument(id=obj["id"], sentences=obj["sentences"],
+                                     roles=obj["roles"], label=obj["label"])
+            except (ConfigurationError, TypeError) as exc:
+                raise ConfigurationError(f"{path}: line {n}: {exc}") from None
+            by_split[obj["split"]].append(doc)
     return meta, by_split
 
 
@@ -211,20 +245,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     docs = load_corpus(args.corpus)
     tagset = raw.get("tagset", "none")
     cutoff = CharacterLimit(int(raw.get("max_chars", 20000)))
-    by_split = split_corpus(docs)
-
-    # vocabulary from train-split surface text; tag tokens forced in
-    token_lists = []
-    for doc in by_split["train"]:
-        sentences = [sent for _, sent in inject_tags(doc, "none")]
-        for sent in apply_cutoff(sentences, cutoff):
-            token_lists.append(tokenize(sent))
-    if not token_lists:
-        raise DegenerateInputError("train split has no text to build a vocabulary from")
-    vocab = build_vocabulary(token_lists, max_size=int(raw.get("vocab_size", 10000)),
-                             forced_tokens=tag_tokens(tagset))
-
-    encoded = [encode_document(doc, vocab, tagset, cutoff) for doc in docs]
+    vocab, encoded = prepare_corpus(docs, tagset, cutoff, int(raw.get("vocab_size", 10000)))
     meta = {"kind": PREPARED_KIND, "format_version": FORMAT_VERSION,
             "tagset": tagset, "max_chars": cutoff.limit, "vocab_size": len(vocab),
             "corpus_sha256": file_sha256(args.corpus),
@@ -447,8 +468,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     max_chars = 20000
     prepared_path = os.path.join(data_dir, PREPARED_NAME)
     if os.path.exists(prepared_path):
-        with open(prepared_path, encoding="utf-8") as fh:
-            max_chars = int(json.loads(fh.readline())["max_chars"])
+        max_chars = int(_read_prepared_meta(prepared_path)["max_chars"])
     cutoff = CharacterLimit(max_chars)
 
     docs = _load_predict_docs(args.docs)
@@ -567,8 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="JSON experiment config file")
     shared.add_argument("--seed-list", help="comma-separated seeds overriding the config")
-    shared.add_argument("--threads", type=int, default=1,
-                        help="advisory thread budget (work currently runs on one core)")
     shared.add_argument("--out", help=f"data directory (default ${DATA_DIR_ENV} or ./hanst-data)")
     shared.add_argument("--force", action="store_true",
                         help="overwrite an existing experiment manifest")

@@ -348,8 +348,14 @@ def _read_header(fh, path) -> dict:
     magic = fh.read(len(CHECKPOINT_MAGIC))
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointMismatchError(f"{path}: not a model checkpoint")
-    (length,) = struct.unpack("<Q", fh.read(8))
-    return json.loads(fh.read(length).decode("utf-8"))
+    size = fh.read(8)
+    if len(size) != 8:
+        raise CheckpointMismatchError(f"{path}: truncated header")
+    (length,) = struct.unpack("<Q", size)
+    try:
+        return json.loads(fh.read(length).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise CheckpointMismatchError(f"{path}: unreadable header") from None
 
 
 def read_checkpoint_header(path) -> dict:
@@ -372,15 +378,23 @@ def load_checkpoint(path, expected_vocab_sha256: str | None = None,
                 f"checkpoint vocabulary hash {header['vocab_sha256'][:12]}... does not match "
                 f"session vocabulary {expected_vocab_sha256[:12]}...")
         model = build_model(config, np.random.default_rng(0))
+        missing = set(model.params)
         for entry in header["params"]:
             name, shape = entry["name"], tuple(entry["shape"])
-            if name not in model.params:
-                raise CheckpointMismatchError(f"checkpoint has unknown parameter {name!r}")
+            if name not in missing:
+                raise CheckpointMismatchError(f"checkpoint has unknown or repeated parameter {name!r}")
+            missing.discard(name)
             param = model.params[name]
             if param.shape != shape:
                 raise CheckpointMismatchError(
                     f"parameter {name!r}: checkpoint shape {shape} != model shape {param.shape}")
             count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
-            param.values = data.reshape(shape).astype(np.float64)
+            raw = fh.read(count * 8)
+            if len(raw) != count * 8:
+                raise CheckpointMismatchError(f"{path}: truncated in parameter {name!r}")
+            param.values = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        if missing:
+            raise CheckpointMismatchError(f"checkpoint lacks parameters {sorted(missing)}")
+        if fh.read(1):
+            raise CheckpointMismatchError(f"{path}: trailing bytes after the last parameter")
     return model, header["vocab_sha256"]

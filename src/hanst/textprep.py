@@ -13,7 +13,7 @@ import numpy as np
 
 from .autodiff import xavier_init
 from .corpus import RawDocument
-from .errors import ConfigurationError, EmbeddingFormatError
+from .errors import ConfigurationError, DegenerateInputError, EmbeddingFormatError
 
 PAD_TOKEN = "<PAD>"
 UNK_TOKEN = "<UNK>"
@@ -55,6 +55,7 @@ _ABBREVIATIONS = {
 }
 
 _BOUNDARY_RE = re.compile(r"[.!?]+")
+_NON_SPACE_RE = re.compile(r"\S")
 
 
 def _is_abbreviation(text: str, end: int) -> bool:
@@ -72,41 +73,71 @@ def _is_abbreviation(text: str, end: int) -> bool:
     return False
 
 
-def segment_sentences(text: str) -> list[str]:
+def segment_sentences(text: str, max_chars: int | None = None) -> list[str]:
     """Split on sentence-final punctuation followed by whitespace and a
     capital letter or digit, honoring an abbreviation stop-list.
 
     The outputs are slices of the input, so their concatenation (modulo the
-    whitespace separators between them) reconstructs the input.
+    whitespace separators between them) reconstructs the input. With
+    ``max_chars``, return after the first sentence whose running length (one
+    separator counted between sentences) passes it: a CharacterLimit of
+    ``max_chars`` keeps nothing after that sentence.
     """
-    boundaries = []
+    pieces = []
+    reach = -1
+    start = 0
     for m in _BOUNDARY_RE.finditer(text):
         end = m.end()
-        rest = text[end:]
-        if not rest or not rest[0].isspace():
+        if end == len(text) or not text[end].isspace():
             continue
-        stripped = rest.lstrip()
-        if not stripped:
-            continue
-        first = stripped[0]
+        following = _NON_SPACE_RE.search(text, end)
+        if following is None:
+            break
+        first = following.group()
         if not (first.isupper() or first.isdigit()):
             continue
         if "." in m.group() and _is_abbreviation(text, end):
             continue
-        boundaries.append(end)
-    pieces = []
-    start = 0
-    for end in boundaries + [len(text)]:
+        # never empty: the slice holds the punctuation that ends it
         piece = text[start:end].strip()
-        if piece:
-            pieces.append(piece)
+        pieces.append(piece)
         start = end
+        reach += 1 + len(piece)
+        if max_chars is not None and reach > max_chars:
+            return pieces
+    piece = text[start:].strip()
+    if piece:
+        pieces.append(piece)
     return pieces
 
 
 # ---------------------------------------------------------------------------
 # tags
 # ---------------------------------------------------------------------------
+
+def _check_tagset(tagset: str) -> None:
+    if tagset not in TAGSETS:
+        raise ConfigurationError(f"tagset must be one of {TAGSETS}, got {tagset!r}")
+
+
+def _segment_fields(doc: RawDocument, limit: int | None) -> list[tuple[str, str]]:
+    """(role, raw sentence) pairs of title, abstract and body, in order.
+
+    The title is one sentence regardless of punctuation. With ``limit``, no
+    field is segmented further than a CharacterLimit of ``limit`` can reach.
+    """
+    title = doc.title.strip()
+    parts = [("TITLE", title)] if title else []
+    # running length of the pairs so far, counted as apply_cutoff counts it
+    reach = len(title) if title else -1
+    for role, text in (("ABSTRACT", doc.abstract), ("BODY_TEXT", doc.body_text)):
+        if limit is not None and reach > limit:
+            break
+        sentences = segment_sentences(text, None if limit is None else limit - reach - 1)
+        parts.extend((role, sent) for sent in sentences)
+        reach += sum(1 + len(sent) for sent in sentences)
+    return parts
+
 
 def inject_tags(doc: RawDocument, tagset: str) -> list[tuple[str, str]]:
     """Segment a document into (role, sentence) pairs, wrapping sentences in
@@ -115,18 +146,10 @@ def inject_tags(doc: RawDocument, tagset: str) -> list[tuple[str, str]]:
     The title is one sentence regardless of punctuation. The reduced tagset
     merges TITLE and ABSTRACT into one role.
     """
-    if tagset not in TAGSETS:
-        raise ConfigurationError(f"tagset must be one of {TAGSETS}, got {tagset!r}")
-    parts: list[tuple[str, str]] = []
-    title = doc.title.strip()
-    if title:
-        parts.append(("TITLE", title))
-    for role, text in (("ABSTRACT", doc.abstract), ("BODY_TEXT", doc.body_text)):
-        for sent in segment_sentences(text):
-            parts.append((role, sent))
+    _check_tagset(tagset)
     merge = _ROLE_MERGE.get(tagset, {})
     out = []
-    for role, sent in parts:
+    for role, sent in _segment_fields(doc, None):
         role = merge.get(role, role)
         if tagset == "none":
             out.append((role, sent))
@@ -346,26 +369,43 @@ class TaggedDocument:
             raise ConfigurationError(f"document {self.id!r}: empty sentence after encoding")
 
 
-def encode_document(doc: RawDocument, vocab: Vocabulary, tagset: str, cutoff) -> TaggedDocument:
-    """Segment, truncate, tag, tokenize, and map to ids.
+def kept_sentences(doc: RawDocument, cutoff) -> list[tuple[str, str]]:
+    """The (role, raw sentence) pairs of a document that the cutoff keeps,
+    untagged and before roles are merged.
 
     The cutoff is measured on raw untagged sentences so every tagset sees the
-    same underlying content. Documents with no text at all yield a single
-    UNK sentence so downstream batching never sees an empty document.
+    same underlying content. Under a CharacterLimit no field is segmented
+    further than the cutoff can reach; apply_cutoff alone decides what is kept.
     """
-    parts = inject_tags(doc, "none")
-    raw_sentences = [sent for _, sent in parts]
-    kept = apply_cutoff(raw_sentences, cutoff)
-    parts = parts[: len(kept)]
+    limit = cutoff.limit if isinstance(cutoff, CharacterLimit) else None
+    parts = _segment_fields(doc, limit)
+    kept = apply_cutoff([sent for _, sent in parts], cutoff)
+    return parts[: len(kept)]
+
+
+def _tokenized(doc: RawDocument, cutoff) -> list[tuple[str, list[str]]]:
+    return [(role, tokenize(sent)) for role, sent in kept_sentences(doc, cutoff)]
+
+
+def _encode_tokens(doc: RawDocument, parts: list[tuple[str, list[str]]], vocab: Vocabulary,
+                   tagset: str) -> TaggedDocument:
+    """Map each kept sentence's untagged tokens to ids, with its role's tag ids
+    around them unless tagset is "none".
+
+    Tags are atomic under tokenize, so this equals tokenizing the tagged
+    sentence. Documents with no text at all yield a single UNK sentence so
+    downstream batching never sees an empty document.
+    """
+    lookup = vocab.token_to_id.get
     merge = _ROLE_MERGE.get(tagset, {})
     sentences: list[list[int]] = []
     roles: list[str] = []
-    for role, sent in parts:
+    for role, tokens in parts:
         role = merge.get(role, role)
+        ids = [lookup(t, UNK_ID) for t in tokens]
         if tagset != "none":
-            sent = f"{open_tag(role)} {sent} {close_tag(role)}"
-        ids = [vocab.encode(t) for t in tokenize(sent)]
-        if not ids:
+            ids = [vocab.encode(open_tag(role))] + ids + [vocab.encode(close_tag(role))]
+        elif not ids:
             continue
         sentences.append(ids)
         roles.append(role)
@@ -373,3 +413,35 @@ def encode_document(doc: RawDocument, vocab: Vocabulary, tagset: str, cutoff) ->
         sentences = [[UNK_ID]]
         roles = ["BODY_TEXT"]
     return TaggedDocument(id=doc.id, sentences=sentences, roles=roles, label=dict(doc.label))
+
+
+def encode_document(doc: RawDocument, vocab: Vocabulary, tagset: str, cutoff) -> TaggedDocument:
+    """Segment as far as the cutoff reaches, truncate, tokenize, tag, and map
+    to ids."""
+    _check_tagset(tagset)
+    return _encode_tokens(doc, _tokenized(doc, cutoff), vocab, tagset)
+
+
+def prepare_corpus(docs: list[RawDocument], tagset: str, cutoff,
+                   vocab_size: int) -> tuple[Vocabulary, list[TaggedDocument]]:
+    """Build the vocabulary from the train documents, then encode every
+    document.
+
+    The result equals build_vocabulary over the untagged tokens of the train
+    documents' kept sentences, tags forced in, followed by encode_document on
+    each document; but each kept sentence is segmented and tokenized once.
+    Only train documents' tokens are held until the vocabulary is built, and
+    each list is dropped as soon as its document is encoded.
+    """
+    _check_tagset(tagset)
+    held = {i: _tokenized(doc, cutoff) for i, doc in enumerate(docs) if doc.split == "train"}
+    token_lists = [tokens for parts in held.values() for _, tokens in parts]
+    if not token_lists:
+        raise DegenerateInputError("train split has no text to build a vocabulary from")
+    vocab = build_vocabulary(token_lists, max_size=vocab_size, forced_tokens=tag_tokens(tagset))
+    del token_lists
+    encoded = []
+    for i, doc in enumerate(docs):
+        parts = held.pop(i) if doc.split == "train" else _tokenized(doc, cutoff)
+        encoded.append(_encode_tokens(doc, parts, vocab, tagset))
+    return vocab, encoded

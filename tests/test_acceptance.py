@@ -22,10 +22,10 @@ from hanst import evalstats as es
 from hanst import models as md
 from hanst import synth
 from hanst import training as tr
-from hanst.corpus import save_corpus, split_corpus
+from hanst.corpus import SPLITS, save_corpus
 from hanst.textprep import (CharacterLimit, SentenceLimit, TaggedDocument,
-                            apply_cutoff, build_vocabulary, encode_document,
-                            inject_tags, strip_tags, tag_tokens, tokenize)
+                            apply_cutoff, encode_document, inject_tags,
+                            prepare_corpus, strip_tags, tokenize)
 
 
 def report(num: int, ok: bool, text: str) -> bool:
@@ -38,17 +38,9 @@ def report(num: int, ok: bool, text: str) -> bool:
 # ---------------------------------------------------------------------------
 
 def encode_splits(docs, tagset, vocab_cap=200):
-    by_split = split_corpus(docs)
-    cutoff = CharacterLimit(20000)
-    token_lists = []
-    for doc in by_split["train"]:
-        for sent in apply_cutoff([s for _, s in inject_tags(doc, "none")], cutoff):
-            token_lists.append(tokenize(sent))
-    vocab = build_vocabulary(token_lists, max_size=vocab_cap,
-                             forced_tokens=tag_tokens(tagset))
-    encoded = {name: [encode_document(d, vocab, tagset, cutoff) for d in docs_]
-               for name, docs_ in by_split.items()}
-    return vocab, encoded
+    vocab, encoded = prepare_corpus(docs, tagset, CharacterLimit(20000), vocab_cap)
+    return vocab, {name: [enc for enc, doc in zip(encoded, docs) if doc.split == name]
+                   for name in SPLITS}
 
 
 def run_classifier(encoded, vocab, *, model_kind, tagset, dim, hidden, dropout,

@@ -196,6 +196,53 @@ def test_train_tagset_mismatch_rejected(tmp_path, capsys, probe_corpus):
     assert "rerun prepare" in err
 
 
+def _bad_json(lines):
+    lines[2] = lines[2][:-5]
+    return 3
+
+
+def _unknown_split(lines):
+    doc = json.loads(lines[1])
+    doc["split"] = "dev"
+    lines[1] = json.dumps(doc)
+    return 2
+
+
+def _missing_keys(lines):
+    doc = json.loads(lines[1])
+    del doc["roles"]
+    lines[1] = json.dumps(doc)
+    return 2
+
+
+def _other_format_version(lines):
+    meta = json.loads(lines[0])
+    meta["format_version"] = cli.FORMAT_VERSION + 1
+    lines[0] = json.dumps(meta)
+    return 1
+
+
+@pytest.mark.parametrize("corrupt", [_bad_json, _unknown_split, _missing_keys,
+                                     _other_format_version])
+def test_malformed_prepared_file_one_line_error(tmp_path, capsys, probe_corpus, corrupt):
+    data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
+    path = os.path.join(data, "prepared.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    line = corrupt(lines)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    rc, _, err = run_cli(capsys, "train", "--config", cfg, "--out", data)
+    assert rc == 1
+    assert err.startswith(f"error: config-error: {path}: line {line}: ")
+    assert err.count("\n") == 1
+
+
+def test_threads_flag_removed():
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["train", "--threads", "2"])
+
+
 def test_manifest_lists_required_fields(tmp_path, capsys, probe_corpus):
     data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
     assert run_cli(capsys, "train", "--config", cfg, "--out", data)[0] == 0

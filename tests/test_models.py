@@ -420,6 +420,26 @@ class TestCheckpoints:
         with pytest.raises(CheckpointMismatchError, match="not a model checkpoint"):
             md.load_checkpoint(path)
 
+    def test_header_missing_parameter_rejected(self, tmp_path):
+        model = md.build_model(tiny_config(), np.random.default_rng(0))
+        del model.params["head.w"]
+        path = tmp_path / "partial.ckpt"
+        md.save_checkpoint(model, "hash-abc", path)
+        with pytest.raises(CheckpointMismatchError, match="head.w"):
+            md.load_checkpoint(path)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        _, path = self.roundtrip(tmp_path, tiny_config())
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(CheckpointMismatchError, match="truncated"):
+            md.load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        _, path = self.roundtrip(tmp_path, tiny_config())
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(CheckpointMismatchError, match="trailing"):
+            md.load_checkpoint(path)
+
     def test_forward_identical_after_reload(self, tmp_path):
         model, path = self.roundtrip(tmp_path, tiny_config("han"))
         loaded, _ = md.load_checkpoint(path)
