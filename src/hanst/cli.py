@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import pathlib
 import sys
 import tempfile
 import time
@@ -22,13 +23,12 @@ import numpy as np
 from . import __version__
 from . import models as md
 from . import training as tr
-from .corpus import SPLITS, RawDocument, load_corpus
+from .corpus import SPLITS, RawDocument, check_fields, json_object, load_corpus
 from .errors import (AlignmentError, CheckpointMismatchError, ConfigurationError,
                      CorpusFormatError, DegenerateInputError, HanstError,
                      OutputExistsError, TrainingAbortedError)
-from .evalstats import (CitationStats, PredictionRecord, accuracy, build_report,
-                        corpus_citation_stats, histogram_csv_lines,
-                        inverse_citation_score, load_predictions, mae,
+from .evalstats import (PredictionRecord, build_report, corpus_citation_stats,
+                        histogram_csv_lines, inverse_citation_score, load_predictions,
                         mcnemar_exact, save_predictions, vote_aggregate,
                         wilcoxon_signed_rank)
 from .textprep import (CharacterLimit, TaggedDocument, Vocabulary, encode_document,
@@ -53,22 +53,12 @@ PREDICT_BATCH = 32
 # ---------------------------------------------------------------------------
 
 def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_via(path, lambda tmp: pathlib.Path(tmp).write_text(text, encoding="utf-8"))
 
 
 def _atomic_via(path: str, write_fn) -> None:
     """Run a path-taking writer against a temp file, then rename over path."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
     os.close(fd)
     try:
         write_fn(tmp)
@@ -101,11 +91,26 @@ def _one_line(message: str) -> str:
 # experiment configuration files
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {"task", "model_kind", "tagset", "embedding_dim", "bilstm_hidden",
-                "dropout_p", "epochs", "batch_size", "lr", "loss", "resample",
-                "seeds", "max_chars", "vocab_size", "embeddings"}
-_MODEL_OVERRIDES = ("embedding_dim", "bilstm_hidden", "dropout_p")
-_TRAIN_OVERRIDES = ("epochs", "batch_size", "lr", "loss", "resample", "max_chars")
+# The config schema: each key with its JSON type. Model keys are ModelConfig
+# fields and train keys TrainConfig fields of the same name; `vocab_size` caps
+# the vocabulary at prepare time and records its size in a manifest.
+_MODEL_OVERRIDES = {"model_kind": "str", "tagset": "str", "vocab_size": "int",
+                    "embedding_dim": "int", "bilstm_hidden": "int", "dropout_p": "float"}
+_TRAIN_OVERRIDES = {"task": "str", "epochs": "int", "batch_size": "int", "lr": "float",
+                    "loss": "str", "resample": "bool", "seeds": "list[int]", "max_chars": "int"}
+_CONFIG_KEYS = {**_MODEL_OVERRIDES, **_TRAIN_OVERRIDES, "embeddings": "str | None"}
+
+
+def _check_config(where: str, raw) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{where}: config must be a JSON object")
+    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ConfigurationError(f"{where}: unknown config keys: {unknown}")
+    for key in ("task", "model_kind"):
+        if key not in raw:
+            raise ConfigurationError(f"{where}: missing required key {key!r}")
+    return check_fields(raw, _CONFIG_KEYS, where, optional=True)
 
 
 def load_config_file(path: str) -> dict:
@@ -114,15 +119,7 @@ def load_config_file(path: str) -> dict:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
-    if unknown:
-        raise ConfigurationError(f"{path}: unknown config keys: {unknown}")
-    for key in ("task", "model_kind"):
-        if key not in raw:
-            raise ConfigurationError(f"{path}: missing required key {key!r}")
-    return raw
+    return _check_config(path, raw)
 
 
 def _parse_seed_list(text: str) -> tuple[int, ...]:
@@ -138,29 +135,21 @@ def _parse_seed_list(text: str) -> tuple[int, ...]:
 def make_train_config(raw: dict, vocab_size: int,
                       seed_list: str | None = None) -> tr.TrainConfig:
     """Resolve a config dict against task defaults into a TrainConfig."""
-    model = md.default_model_config(raw["model_kind"], raw["task"], vocab_size,
-                                    tagset=raw.get("tagset", "none"))
     model_over = {k: raw[k] for k in _MODEL_OVERRIDES if k in raw}
-    if model_over:
-        model = dataclasses.replace(model, **model_over)
+    model_over["vocab_size"] = vocab_size   # the prepared size, not the config's cap
+    model = dataclasses.replace(
+        md.default_model_config(raw["model_kind"], raw["task"], vocab_size), **model_over)
     train_over = {k: raw[k] for k in _TRAIN_OVERRIDES if k in raw}
-    if "seeds" in raw:
-        train_over["seeds"] = tuple(raw["seeds"])
     if seed_list:
         train_over["seeds"] = _parse_seed_list(seed_list)
-    return tr.default_train_config(raw["task"], model, **train_over)
+    return tr.default_train_config(model=model, **train_over)
 
 
 def resolved_config(config: tr.TrainConfig, embeddings_path: str | None) -> dict:
     """Fully explicit snapshot; feeding it back rebuilds the same configs."""
-    model = config.model
-    return {"task": config.task, "model_kind": model.model_kind,
-            "tagset": model.tagset, "embedding_dim": model.embedding_dim,
-            "bilstm_hidden": model.bilstm_hidden, "dropout_p": model.dropout_p,
-            "epochs": config.epochs, "batch_size": config.batch_size,
-            "lr": config.lr, "loss": config.loss, "resample": config.resample,
-            "seeds": list(config.seeds), "max_chars": config.max_chars,
-            "vocab_size": model.vocab_size, "embeddings": embeddings_path}
+    return {**{k: getattr(config.model, k) for k in _MODEL_OVERRIDES},
+            **{k: getattr(config, k) for k in _TRAIN_OVERRIDES},
+            "embeddings": embeddings_path}
 
 
 def _require_config(args: argparse.Namespace) -> str:
@@ -183,34 +172,20 @@ def write_prepared(path: str, meta: dict, docs: list[TaggedDocument],
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-_META_KEYS = {"kind", "format_version", "tagset", "max_chars", "vocab_size",
-              "corpus_sha256", "vocab_sha256", "n_docs"}
-_DOC_KEYS = {"id", "split", "label", "roles", "sentences"}
+_META_KEYS = {"kind": "str", "format_version": "int", "tagset": "str", "max_chars": "int",
+              "vocab_size": "int", "corpus_sha256": "str", "vocab_sha256": "str", "n_docs": "int"}
+_DOC_KEYS = {"id": "str", "split": "str", "label": "dict", "roles": "list", "sentences": "list"}
 
 
-def _prepared_line(path: str, n: int, line: str, keys: set[str]) -> dict:
+def _prepared_line(path: str, n: int, line: str, keys: dict[str, str]) -> dict:
     """Parse line n of a prepared dataset: a JSON object with `keys`."""
-    def error(message: str) -> ConfigurationError:
-        return ConfigurationError(f"{path}: line {n}: {message}")
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise error(f"invalid JSON: {exc.msg}") from None
-    if not isinstance(obj, dict):
-        raise error("expected a JSON object")
+    where = f"{path}: line {n}"
+    obj = json_object(line, where)
     if n == 1 and obj.get("kind") != PREPARED_KIND:
         raise ConfigurationError(f"{path}: not a prepared dataset")
     if n == 1 and obj.get("format_version") != FORMAT_VERSION:
-        raise error(f"format_version {obj.get('format_version')!r} is not {FORMAT_VERSION}")
-    missing = sorted(keys - set(obj))
-    if missing:
-        raise error(f"missing keys {missing}")
-    return obj
-
-
-def _read_prepared_meta(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return _prepared_line(path, 1, fh.readline(), _META_KEYS)
+        raise ConfigurationError(f"{where}: format_version {obj.get('format_version')!r} is not {FORMAT_VERSION}")
+    return check_fields(obj, keys, where)
 
 
 def load_prepared(data_dir: str) -> tuple[dict, dict[str, list[TaggedDocument]]]:
@@ -229,6 +204,9 @@ def load_prepared(data_dir: str) -> tuple[dict, dict[str, list[TaggedDocument]]]
             try:
                 doc = TaggedDocument(id=obj["id"], sentences=obj["sentences"],
                                      roles=obj["roles"], label=obj["label"])
+                if not all(type(t) is int and 0 <= t < meta["vocab_size"]
+                           for sent in doc.sentences for t in sent):
+                    raise ConfigurationError(f"token ids must be ints in [0, {meta['vocab_size']})")
             except (ConfigurationError, TypeError) as exc:
                 raise ConfigurationError(f"{path}: line {n}: {exc}") from None
             by_split[obj["split"]].append(doc)
@@ -269,11 +247,20 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 # train
 # ---------------------------------------------------------------------------
 
+_MANIFEST_KEYS = {"config": "dict", "corpus_sha256": "str", "vocab_sha256": "str",
+                  "seeds": "list[int]", "checkpoints": "dict"}
+
+
 def _load_manifest(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        manifest = json_object(fh.read(), path)
     if manifest.get("kind") != MANIFEST_KIND:
         raise ConfigurationError(f"{path}: not an experiment manifest")
+    check_fields(manifest, _MANIFEST_KEYS, path)
+    _check_config(f"{path}: config", manifest["config"])
+    for seed in manifest["seeds"]:
+        if type(manifest["checkpoints"].get(str(seed))) is not str:
+            raise ConfigurationError(f"{path}: no checkpoint for seed {seed}")
     return manifest
 
 
@@ -281,7 +268,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     data_dir = data_dir_from(args)
     meta, by_split = load_prepared(data_dir)
     vocab = Vocabulary.load(os.path.join(data_dir, VOCAB_NAME))
-    if vocab.sha256() != meta["vocab_sha256"]:
+    if vocab.sha256() != meta["vocab_sha256"] or len(vocab) != meta["vocab_size"]:
         raise CheckpointMismatchError("vocabulary file does not match the prepared dataset")
 
     if args.from_manifest:
@@ -293,26 +280,23 @@ def cmd_train(args: argparse.Namespace) -> int:
         raw = manifest_in["config"]
     else:
         raw = load_config_file(_require_config(args))
-    if raw.get("tagset", "none") != meta["tagset"]:
+    config = make_train_config(raw, len(vocab), seed_list=args.seed_list)
+    if config.model.tagset != meta["tagset"]:
         raise ConfigurationError(
             f"prepared dataset uses tagset {meta['tagset']!r} but the config wants "
-            f"{raw.get('tagset', 'none')!r}; rerun prepare")
-    if int(raw.get("max_chars", 20000)) != meta["max_chars"]:
+            f"{config.model.tagset!r}; rerun prepare")
+    if config.max_chars != meta["max_chars"]:
         raise ConfigurationError(
             f"prepared dataset used max_chars={meta['max_chars']} but the config wants "
-            f"{raw.get('max_chars', 20000)}; rerun prepare")
-    config = make_train_config(raw, len(vocab), seed_list=args.seed_list)
+            f"{config.max_chars}; rerun prepare")
 
     manifest_path = os.path.join(data_dir, MANIFEST_NAME)
     if os.path.exists(manifest_path) and not args.force:
         raise OutputExistsError(f"{manifest_path} exists; pass --force to overwrite")
 
-    embeddings = None
     embeddings_path = raw.get("embeddings")
-    if embeddings_path:
-        embeddings = load_embeddings(embeddings_path, vocab,
-                                     config.model.embedding_dim,
-                                     np.random.default_rng(0))
+    embeddings = load_embeddings(embeddings_path, vocab, config.model.embedding_dim,
+                                 np.random.default_rng(0)) if embeddings_path else None
 
     events: dict[int, list[dict]] = {}
 
@@ -382,18 +366,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ConfigurationError("pass exactly one of --manifest or --checkpoint")
     data_dir = data_dir_from(args)
     meta, by_split = load_prepared(data_dir)
-    vocab_hash = Vocabulary.load(os.path.join(data_dir, VOCAB_NAME)).sha256()
+    vocab = Vocabulary.load(os.path.join(data_dir, VOCAB_NAME))
+    vocab_hash = vocab.sha256()
     docs = by_split[args.split]
     if not docs:
         raise DegenerateInputError(f"split {args.split!r} has no documents")
 
-    per_run: dict[str, list[float]] = {}
     if args.manifest:
         manifest = _load_manifest(args.manifest)
         if manifest["vocab_sha256"] != vocab_hash:
             raise CheckpointMismatchError("manifest vocabulary hash does not match the data directory")
-        task = manifest["config"]["task"]
-        batch_size = int(manifest["config"]["batch_size"])
+        config = make_train_config(manifest["config"], len(vocab))
+        task, batch_size = config.task, config.batch_size
         base = os.path.dirname(os.path.abspath(args.manifest))
         runs = []
         for seed in manifest["seeds"]:
@@ -402,24 +386,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             model, _ = md.load_checkpoint(path, expected_vocab_sha256=vocab_hash)
             _check_tagset(model, meta)
             runs.append(tr.predict(model, docs, task, batch_size, seed=int(seed)))
-        for records in runs:
-            for name, value in tr.run_metrics(records, task).items():
-                per_run.setdefault(name, []).append(value)
-        if task == "regress" or len(runs) % 2 == 1:
-            vote = vote_aggregate(runs, task)
-            golds = [r.gold for r in vote]
-            preds = [r.pred for r in vote]
-            if task == "classify":
-                per_run["vote_accuracy"] = [accuracy(golds, preds)]
-            else:
-                per_run["run_mean_mae"] = [mae(golds, preds)]
+        per_run, _ = tr.summarize_runs(runs, task)
     else:
         model, _ = md.load_checkpoint(args.checkpoint, expected_vocab_sha256=vocab_hash)
         _check_tagset(model, meta)
-        task = "classify" if model.config.head_kind == "classify-2" else "regress"
+        task = model.config.task
         records = tr.predict(model, docs, task, PREDICT_BATCH)
-        for name, value in tr.run_metrics(records, task).items():
-            per_run[name] = [value]
+        per_run = {name: [value] for name, value in tr.run_metrics(records, task).items()}
 
     print(json.dumps(build_report(task, per_run), indent=2, sort_keys=True))
     return 0
@@ -460,7 +433,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"no vocabulary at {vocab_path}; run the prepare command first")
     vocab = Vocabulary.load(vocab_path)
     model, _ = md.load_checkpoint(args.checkpoint, expected_vocab_sha256=vocab.sha256())
-    task = "classify" if model.config.head_kind == "classify-2" else "regress"
+    task = model.config.task
     if args.attention and model.config.model_kind != "han":
         raise ConfigurationError(
             f"model kind {model.config.model_kind!r} produces no attention maps")
@@ -468,7 +441,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     max_chars = 20000
     prepared_path = os.path.join(data_dir, PREPARED_NAME)
     if os.path.exists(prepared_path):
-        max_chars = int(_read_prepared_meta(prepared_path)["max_chars"])
+        with open(prepared_path, encoding="utf-8") as fh:
+            max_chars = _prepared_line(prepared_path, 1, fh.readline(), _META_KEYS)["max_chars"]
     cutoff = CharacterLimit(max_chars)
 
     docs = _load_predict_docs(args.docs)
@@ -478,14 +452,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
         result = model.forward(md.pad_batch(chunk), training=False)
         out = result.output.values
         for i, doc in enumerate(chunk):
-            if task == "classify":
-                probs = tr.class_probabilities(out[i:i + 1])[0]
-                row = {"id": doc.id, "class": int(np.argmax(out[i])),
-                       "prob": float(probs[1])}
-            else:
-                score = float(out[i, 0])
-                row = {"id": doc.id, "score": score,
-                       "citations": inverse_citation_score(score)}
+            pred, prob = tr.prediction(out[i], task)
+            row = ({"id": doc.id, "class": int(pred), "prob": prob} if task == "classify"
+                   else {"id": doc.id, "score": pred, "citations": inverse_citation_score(pred)})
             if args.attention:
                 row["sentence_attention"] = [
                     float(v) for v in result.sent_attention[i, :len(doc.sentences)]]
@@ -502,32 +471,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     data_dir = data_dir_from(args)
-    docs = load_corpus(args.corpus)
-    have_both = all("accepted" in d.label and "citation_count" in d.label for d in docs)
-    have_citations = all("citation_count" in d.label for d in docs)
-    if have_both:
-        stats = corpus_citation_stats(docs, truncate_at=args.truncate_at,
-                                      bin_width=args.bin_width)
-        for group in sorted(stats.group_means):
-            print(f"{group}: mean citations {stats.group_means[group]:.2f} "
-                  f"± {stats.group_stds[group]:.2f} (n={stats.group_sizes[group]})")
-        print(f"spearman rho {stats.rho:.4f}, p {stats.p_value:.6g}")
-    elif have_citations:
-        counts = [d.citation_count for d in docs]
-        mean = float(np.mean(counts))
-        std = float(np.std(counts))
-        histogram = []
-        for startv in range(0, args.truncate_at, args.bin_width):
-            end = min(startv + args.bin_width, args.truncate_at)
-            hits = sum(1 for c in counts if startv <= c < end)
-            histogram.append((startv, end, hits, "all"))
-        stats = CitationStats(group_means={"all": mean}, group_stds={"all": std},
-                              group_sizes={"all": len(counts)}, rho=float("nan"),
-                              p_value=float("nan"), histogram=histogram)
-        print(f"all: mean citations {mean:.2f} ± {std:.2f} (n={len(counts)})")
+    stats = corpus_citation_stats(load_corpus(args.corpus), truncate_at=args.truncate_at,
+                                  bin_width=args.bin_width)
+    for group in sorted(stats.group_means):
+        print(f"{group}: mean citations {stats.group_means[group]:.2f} "
+              f"± {stats.group_stds[group]:.2f} (n={stats.group_sizes[group]})")
+    if "all" in stats.group_means:
         print("group statistics skipped: no acceptance labels")
     else:
-        raise DegenerateInputError("citation statistics need a citation count on every document")
+        print(f"spearman rho {stats.rho:.4f}, p {stats.p_value:.6g}")
     csv_path = os.path.join(data_dir, HISTOGRAM_NAME)
     _atomic_write_text(csv_path, "\n".join(histogram_csv_lines(stats)) + "\n")
     print(f"histogram: {csv_path}")
@@ -644,7 +596,7 @@ def main(argv: list[str] | None = None) -> int:
     except HanstError as exc:
         print(f"error: {exc.code}: {_one_line(str(exc))}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: io-error: {_one_line(str(exc))}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,4 @@
-"""Document records and JSONL corpus I/O."""
+"""Document records, JSONL corpus I/O, and checks for hand-editable JSON."""
 
 from __future__ import annotations
 
@@ -6,10 +6,40 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import CorpusFormatError
+from .errors import ConfigurationError, CorpusFormatError
 
 SPLITS = ("train", "valid", "test")
 LABEL_KEYS = ("accepted", "citation_count")
+
+# value checks by the type name a schema gives: a bool is no int, an int is a float
+JSON_TYPES = {"int": lambda v: type(v) is int, "float": lambda v: type(v) in (int, float),
+              "str": lambda v: type(v) is str, "bool": lambda v: type(v) is bool,
+              "dict": lambda v: type(v) is dict, "list": lambda v: type(v) is list,
+              "list[int]": lambda v: type(v) is list and all(type(x) is int for x in v),
+              "str | None": lambda v: v is None or type(v) is str}
+
+
+def check_fields(obj, schema: dict[str, str], where: str, optional: bool = False,
+                 error=ConfigurationError) -> dict:
+    """`obj` if it is a JSON object whose `schema` keys (all, unless `optional`) hold the named types."""
+    if not isinstance(obj, dict):
+        raise error(f"{where}: expected a JSON object")
+    missing = [] if optional else sorted(set(schema) - set(obj))
+    if missing:
+        raise error(f"{where}: missing keys {missing}")
+    for key, type_name in schema.items():
+        if key in obj and not JSON_TYPES[type_name](obj[key]):
+            raise error(f"{where}: {key!r} must be {type_name}, got {obj[key]!r}")
+    return obj
+
+
+def json_object(text: str, where: str, schema: dict[str, str] | None = None) -> dict:
+    """Parse one JSON object; errors start with `where`, e.g. "<path>: line 3"."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{where}: invalid JSON: {exc.msg}") from None
+    return check_fields(obj, schema or {}, where)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from itertools import permutations
 import numpy as np
 from scipy.special import betainc
 
-from .corpus import RawDocument
+from .corpus import RawDocument, json_object
 from .errors import (
     AlignmentError,
     ConfigurationError,
@@ -59,10 +59,10 @@ def save_predictions(records: list[PredictionRecord], path) -> None:
 def load_predictions(path) -> list[PredictionRecord]:
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(PredictionRecord.from_json(json.loads(line)))
+        for n, line in enumerate(fh, start=1):
+            if line.strip():
+                obj = json_object(line, f"{path}: line {n}", {"id": "str", "gold": "float", "pred": "float"})
+                records.append(PredictionRecord.from_json(obj))
     return records
 
 
@@ -380,22 +380,25 @@ def corpus_citation_stats(docs: list[RawDocument], truncate_at: int = 100,
     """Group citation means/stds, right-truncated histograms, and the rank
     correlation between acceptance and citation count.
 
-    Every document must carry both the acceptance flag and a citation count.
+    Every document must carry a citation count. When every document also
+    carries the acceptance flag the groups are accepted and rejected;
+    otherwise there is one group, "all", and rho and p are NaN.
     """
-    for doc in docs:
-        if "accepted" not in doc.label or "citation_count" not in doc.label:
-            raise DegenerateInputError(f"document {doc.id!r} lacks either label kind")
-    groups = {"accepted": [d.citation_count for d in docs if d.accepted],
-              "rejected": [d.citation_count for d in docs if not d.accepted]}
-    for name, counts in groups.items():
-        if not counts:
-            raise DegenerateInputError(f"no documents in group {name!r}")
+    if not all("citation_count" in d.label for d in docs):
+        raise DegenerateInputError("citation statistics need a citation count on every document")
+    if all("accepted" in d.label for d in docs):
+        groups = {"accepted": [d.citation_count for d in docs if d.accepted],
+                  "rejected": [d.citation_count for d in docs if not d.accepted]}
+        for name, counts in groups.items():
+            if not counts:
+                raise DegenerateInputError(f"no documents in group {name!r}")
+        rho, p = spearman_rho([float(d.accepted) for d in docs], [float(d.citation_count) for d in docs])
+    else:
+        groups = {"all": [d.citation_count for d in docs]}
+        rho = p = float("nan")
     means = {g: float(np.mean(v)) for g, v in groups.items()}
     stds = {g: float(np.std(v)) for g, v in groups.items()}
     sizes = {g: len(v) for g, v in groups.items()}
-    flags = [1.0 if d.accepted else 0.0 for d in docs]
-    cites = [float(d.citation_count) for d in docs]
-    rho, p = spearman_rho(flags, cites)
     histogram = []
     for group, counts in groups.items():
         for start in range(0, truncate_at, bin_width):

@@ -4,12 +4,14 @@ hierarchical attention network (tagged input turns HAN into HAN-ST)."""
 from __future__ import annotations
 
 import json
+import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
+from .corpus import check_fields
 from .errors import (
     CheckpointMismatchError,
     ConfigurationError,
@@ -19,10 +21,13 @@ from .errors import (
 from .textprep import PAD_ID, TaggedDocument
 
 MODEL_KINDS = ("awe", "sent_avg_bilstm", "han")
-HEAD_KINDS = ("classify-2", "regress-1")
+# each head kind and the task it serves
+HEAD_TASKS = {"classify-2": "classify", "regress-1": "regress"}
+HEAD_KINDS = tuple(HEAD_TASKS)
 
 CHECKPOINT_MAGIC = b"HANSTCKPT1\n"
 CHECKPOINT_VERSION = 1
+_HEADER_KEYS = {"model_config": "dict", "vocab_sha256": "str", "params": "list"}
 
 
 @dataclass(frozen=True)
@@ -50,8 +55,12 @@ class ModelConfig:
             raise ConfigurationError(f"unknown tagset {self.tagset!r}")
 
     @property
+    def task(self) -> str:
+        return HEAD_TASKS[self.head_kind]
+
+    @property
     def n_outputs(self) -> int:
-        return 2 if self.head_kind == "classify-2" else 1
+        return 2 if self.task == "classify" else 1
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +306,10 @@ class HanModel(Model):
 
 _MODEL_CLASSES = {"awe": AweModel, "sent_avg_bilstm": SentAvgBilstmModel, "han": HanModel}
 
-# per-task defaults: (embedding_dim, bilstm_hidden, dropout_p, head_kind)
+# per-task defaults: (embedding_dim, bilstm_hidden, dropout_p)
 TASK_DEFAULTS = {
-    "classify": (50, 256, 0.5, "classify-2"),
-    "regress": (300, 100, 0.2, "regress-1"),
+    "classify": (50, 256, 0.5),
+    "regress": (300, 100, 0.2),
 }
 
 
@@ -308,7 +317,8 @@ def default_model_config(model_kind: str, task: str, vocab_size: int,
                          tagset: str = "none") -> ModelConfig:
     if task not in TASK_DEFAULTS:
         raise ConfigurationError(f"task must be one of {sorted(TASK_DEFAULTS)}, got {task!r}")
-    dim, hidden, p, head = TASK_DEFAULTS[task]
+    dim, hidden, p = TASK_DEFAULTS[task]
+    head = next(h for h, t in HEAD_TASKS.items() if t == task)
     return ModelConfig(model_kind=model_kind, head_kind=head, vocab_size=vocab_size,
                        embedding_dim=dim, bilstm_hidden=hidden, dropout_p=p, tagset=tagset)
 
@@ -349,28 +359,30 @@ def _read_header(fh, path) -> dict:
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointMismatchError(f"{path}: not a model checkpoint")
     size = fh.read(8)
-    if len(size) != 8:
+    length = struct.unpack("<Q", size)[0] if len(size) == 8 else -1
+    # a damaged length must not make the read below allocate more than the file
+    if not 0 <= length <= os.fstat(fh.fileno()).st_size:
         raise CheckpointMismatchError(f"{path}: truncated header")
-    (length,) = struct.unpack("<Q", size)
     try:
         return json.loads(fh.read(length).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise CheckpointMismatchError(f"{path}: unreadable header") from None
 
 
-def read_checkpoint_header(path) -> dict:
-    with open(path, "rb") as fh:
-        return _read_header(fh, path)
-
-
 def load_checkpoint(path, expected_vocab_sha256: str | None = None,
                     expected_config: ModelConfig | None = None) -> tuple[Model, str]:
     """Rebuild a model from a checkpoint, verifying config and vocab hash."""
     with open(path, "rb") as fh:
-        header = _read_header(fh, path)
+        header = check_fields(_read_header(fh, path), _HEADER_KEYS, str(path),
+                              error=CheckpointMismatchError)
         if header.get("format_version") != CHECKPOINT_VERSION:
             raise CheckpointMismatchError(f"unsupported checkpoint version {header.get('format_version')!r}")
-        config = ModelConfig(**header["model_config"])
+        schema = {f.name: f.type for f in fields(ModelConfig)}   # "int", "float" or "str"
+        unknown = sorted(set(header["model_config"]) - set(schema))
+        if unknown:
+            raise CheckpointMismatchError(f"{path}: model_config has unknown keys {unknown}")
+        config = ModelConfig(**check_fields(header["model_config"], schema, f"{path}: model_config",
+                                            error=CheckpointMismatchError))
         if expected_config is not None and config != expected_config:
             raise CheckpointMismatchError(f"checkpoint config {config} != session config {expected_config}")
         if expected_vocab_sha256 is not None and header["vocab_sha256"] != expected_vocab_sha256:
@@ -380,6 +392,8 @@ def load_checkpoint(path, expected_vocab_sha256: str | None = None,
         model = build_model(config, np.random.default_rng(0))
         missing = set(model.params)
         for entry in header["params"]:
+            check_fields(entry, {"name": "str", "shape": "list[int]"}, f"{path}: params",
+                         error=CheckpointMismatchError)
             name, shape = entry["name"], tuple(entry["shape"])
             if name not in missing:
                 raise CheckpointMismatchError(f"checkpoint has unknown or repeated parameter {name!r}")

@@ -287,7 +287,10 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json_array(json.load(fh))
+            try:
+                return cls.from_json_array(json.load(fh))
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(f"{path}: invalid JSON: {exc.msg}") from None
 
     def sha256(self) -> str:
         payload = json.dumps(self.to_json_array(), ensure_ascii=False).encode("utf-8")

@@ -58,10 +58,9 @@ class TrainConfig:
             raise ConfigurationError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
         if self.loss != _TASK_LOSS[self.task]:
             raise ConfigurationError(f"loss {self.loss!r} does not match task {self.task!r}")
-        expected_head = "classify-2" if self.task == "classify" else "regress-1"
-        if self.model.head_kind != expected_head:
+        if self.model.task != self.task:
             raise ConfigurationError(
-                f"task {self.task!r} needs head {expected_head!r}, model has {self.model.head_kind!r}")
+                f"task {self.task!r} does not match the model's {self.model.head_kind!r} head")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -89,9 +88,10 @@ def default_train_config(task: str, model: md.ModelConfig, **overrides) -> Train
 
 def gold_value(label: dict, task: str) -> float:
     """Class index (1 = accepted) or citation-score target."""
-    if task == "classify":
-        return float(int(label["accepted"]))
-    return citation_score(label["citation_count"])
+    key = "accepted" if task == "classify" else "citation_count"
+    if key not in label:
+        raise ConfigurationError(f"task {task!r} needs the label {key!r} on every document")
+    return float(int(label[key])) if task == "classify" else citation_score(label[key])
 
 
 def class_probabilities(logits: np.ndarray) -> np.ndarray:
@@ -99,6 +99,13 @@ def class_probabilities(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def prediction(row: np.ndarray, task: str) -> tuple[float, float | None]:
+    """(class index or score, probability of class 1 or None) from one output row."""
+    if task == "classify":
+        return float(np.argmax(row)), float(class_probabilities(row[None, :])[0, 1])
+    return float(row[0]), None
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +190,9 @@ def predict(model: md.Model, docs: list[TaggedDocument], task: str,
         result = model.forward(batch, training=False)
         out = result.output.values
         for i, doc_id in enumerate(batch.doc_ids):
-            if task == "classify":
-                probs = class_probabilities(out[i: i + 1])[0]
-                records.append(PredictionRecord(
-                    id=doc_id, gold=float(batch.labels[i]),
-                    pred=float(np.argmax(out[i])), prob=float(probs[1]), seed=seed))
-            else:
-                records.append(PredictionRecord(
-                    id=doc_id, gold=float(batch.labels[i]),
-                    pred=float(out[i, 0]), prob=None, seed=seed))
+            pred, prob = prediction(out[i], task)
+            records.append(PredictionRecord(id=doc_id, gold=float(batch.labels[i]),
+                                            pred=pred, prob=prob, seed=seed))
     return records
 
 
@@ -224,10 +225,6 @@ class RunRecord:
     selected_epoch: int
     test_predictions: list[PredictionRecord]
     parameters: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
-
-    def to_log_events(self) -> list[dict]:
-        return [{"epoch": e, "train_loss": tl, "valid_metric": vm}
-                for e, (tl, vm) in enumerate(zip(self.train_losses, self.valid_metrics))]
 
 
 def train_single_run(config: TrainConfig, train_docs: list[TaggedDocument],
@@ -306,6 +303,21 @@ def run_metrics(records: list[PredictionRecord], task: str) -> dict[str, float]:
             "mae": mae(golds, preds)}
 
 
+def summarize_runs(runs: list[list[PredictionRecord]], task: str
+                   ) -> tuple[dict[str, list[float]], list[PredictionRecord]]:
+    """Per-run metrics, plus the vote and its metric if the runs can vote (regression or odd count)."""
+    per_run: dict[str, list[float]] = {}
+    for records in runs:
+        for name, value in run_metrics(records, task).items():
+            per_run.setdefault(name, []).append(value)
+    vote: list[PredictionRecord] = []
+    if runs and (task == "regress" or len(runs) % 2 == 1):
+        vote = vote_aggregate(runs, task)
+        name, metric = ("vote_accuracy", accuracy) if task == "classify" else ("run_mean_mae", mae)
+        per_run[name] = [metric([r.gold for r in vote], [r.pred for r in vote])]
+    return per_run, vote
+
+
 def run_experiment(config: TrainConfig, train_docs, valid_docs, test_docs,
                    embeddings: np.ndarray | None = None, log_fn=None) -> ExperimentResult:
     """Train once per seed; aggregate test metrics and vote predictions.
@@ -320,21 +332,7 @@ def run_experiment(config: TrainConfig, train_docs, valid_docs, test_docs,
         except TrainingAbortedError as exc:
             return ExperimentResult(config=config, runs=runs, per_run_metrics={},
                                     vote_predictions=[], failed=True, failure=str(exc))
-    per_run: dict[str, list[float]] = {}
-    for record in runs:
-        if not record.test_predictions:
-            continue
-        for name, value in run_metrics(record.test_predictions, config.task).items():
-            per_run.setdefault(name, []).append(value)
-    vote: list[PredictionRecord] = []
-    can_vote = runs and runs[0].test_predictions and (
-        config.task == "regress" or len(runs) % 2 == 1)
-    if can_vote:
-        vote = vote_aggregate([r.test_predictions for r in runs], config.task)
-        vote_name = "vote_accuracy" if config.task == "classify" else "run_mean_mae"
-        golds = [r.gold for r in vote]
-        preds = [r.pred for r in vote]
-        per_run[vote_name] = [accuracy(golds, preds) if config.task == "classify"
-                              else mae(golds, preds)]
+    per_run, vote = summarize_runs(
+        [r.test_predictions for r in runs if r.test_predictions], config.task)
     return ExperimentResult(config=config, runs=runs, per_run_metrics=per_run,
                             vote_predictions=vote)

@@ -238,6 +238,124 @@ def test_malformed_prepared_file_one_line_error(tmp_path, capsys, probe_corpus, 
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("token_id, ok", [("a", False), (10 ** 6, False), (-3, False),
+                                          (True, False), ("size", False), ("size-1", True)])
+def test_prepared_token_ids_checked(tmp_path, capsys, probe_corpus, token_id, ok):
+    # unchecked, "a" and 10**6 crashed inside training and -3 trained
+    # silently on a wrapped-around embedding row
+    data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
+    path = os.path.join(data, "prepared.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    size = json.loads(lines[0])["vocab_size"]
+    doc = json.loads(lines[1])
+    doc["sentences"][0][0] = {"size": size, "size-1": size - 1}.get(token_id, token_id)
+    lines[1] = json.dumps(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    rc, _, err = run_cli(capsys, "train", "--config", cfg, "--out", data)
+    if ok:
+        assert rc == 0, err
+    else:
+        assert rc == 1
+        assert err == f"error: config-error: {path}: line 2: token ids must be ints in [0, {size})\n"
+
+
+@pytest.mark.parametrize("key, value", [("epochs", "x"), ("max_chars", "x"), ("epochs", 1.5),
+                                        ("seeds", [1, "2"]), ("resample", 1), ("lr", None),
+                                        ("dropout_p", True), ("embeddings", 3)])
+def test_config_value_types_checked(tmp_path, capsys, probe_corpus, key, value):
+    data, _ = prepared_dir(tmp_path, capsys, probe_corpus)
+    cfg = write_config(tmp_path / "bad.json", **{key: value})
+    for argv in (["prepare", probe_corpus], ["train"]):
+        rc, _, err = run_cli(capsys, *argv, "--config", cfg, "--out", data)
+        assert rc == 1
+        assert err.startswith(f"error: config-error: {cfg}: {key!r} must be ")
+        assert err.count("\n") == 1
+
+
+def test_task_label_missing_is_one_line(tmp_path, capsys, cites_corpus):
+    # a classification config over a corpus that only has citation counts
+    data, cfg = prepared_dir(tmp_path, capsys, cites_corpus)
+    rc, _, err = run_cli(capsys, "train", "--config", cfg, "--out", data)
+    assert rc == 1
+    assert err == "error: config-error: task 'classify' needs the label 'accepted' on every document\n"
+
+
+def _trained_dir(tmp_path, capsys, corpus, **cfg):
+    data, cfg_path = prepared_dir(tmp_path, capsys, corpus, **cfg)
+    assert run_cli(capsys, "train", "--config", cfg_path, "--out", data)[0] == 0
+    return data
+
+
+def _manifest_bad_json(manifest, text):
+    return text[:-10], "invalid JSON"
+
+
+def _manifest_missing_keys(manifest, text):
+    del manifest["checkpoints"]
+    return json.dumps(manifest), "missing keys ['checkpoints']"
+
+
+def _manifest_seed_without_checkpoint(manifest, text):
+    manifest["seeds"] = [1, 2]
+    return json.dumps(manifest), "no checkpoint for seed 2"
+
+
+def _manifest_config_type(manifest, text):
+    manifest["config"]["batch_size"] = "8"
+    return json.dumps(manifest), "config: 'batch_size' must be int"
+
+
+def _manifest_config_unknown_key(manifest, text):
+    manifest["config"]["bogus"] = 1
+    return json.dumps(manifest), "config: unknown config keys: ['bogus']"
+
+
+@pytest.mark.parametrize("corrupt", [_manifest_bad_json, _manifest_missing_keys,
+                                     _manifest_seed_without_checkpoint, _manifest_config_type,
+                                     _manifest_config_unknown_key])
+def test_malformed_manifest_one_line_error(tmp_path, capsys, probe_corpus, corrupt):
+    data = _trained_dir(tmp_path, capsys, probe_corpus)
+    path = os.path.join(data, "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    text, message = corrupt(json.loads(text), text)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    for argv in (["evaluate", "--manifest", path], ["train", "--from-manifest", path, "--force"]):
+        rc, _, err = run_cli(capsys, *argv, "--out", data)
+        assert rc == 1
+        assert err.startswith(f"error: config-error: {path}: {message}")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, command", [
+    ("corpus.jsonl", ["prepare", "{corpus}", "--config", "{cfg}"]),
+    ("cfg.json", ["prepare", "{corpus}", "--config", "{cfg}"]),
+    ("prepared.jsonl", ["train", "--config", "{cfg}", "--force"]),
+    ("vocab.json", ["evaluate", "--checkpoint", "{data}/run-1.ckpt"]),
+    ("manifest.json", ["evaluate", "--manifest", "{data}/manifest.json"]),
+    ("predictions-1.jsonl", ["significance", "{data}/predictions-1.jsonl",
+                             "{data}/predictions-1.jsonl", "--test", "mcnemar"]),
+])
+def test_invalid_utf8_is_one_line(tmp_path, capsys, probe_corpus, name, command):
+    corpus = str(tmp_path / "corpus.jsonl")
+    with open(probe_corpus, "rb") as src, open(corpus, "wb") as dst:
+        dst.write(src.read())
+    data = _trained_dir(tmp_path, capsys, corpus)
+    cfg = str(tmp_path / "cfg.json")
+    target = {"corpus.jsonl": corpus, "cfg.json": cfg}.get(name, os.path.join(data, name))
+    raw = open(target, "rb").read()
+    with open(target, "wb") as fh:
+        fh.write(raw[:20] + b"\xff\xfe" + raw[20:])
+    argv = [part.format(corpus=corpus, cfg=cfg, data=data) for part in command]
+    rc, _, err = run_cli(capsys, *argv, "--out", data)
+    assert rc == 1
+    assert err.startswith("error: io-error: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
 def test_threads_flag_removed():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["train", "--threads", "2"])
@@ -321,6 +439,26 @@ def test_evaluate_regression_reports_table_columns(tmp_path, capsys, cites_corpu
     assert rc == 0
     metrics = json.loads(out)["metrics"]
     assert {"r2", "mse", "mae", "run_mean_mae"} <= set(metrics)
+
+
+@pytest.mark.parametrize("corpus_name, cfg", [
+    ("probe_corpus", {}),
+    ("probe_corpus", {"model_kind": "sent_avg_bilstm", "tagset": "reduced", "seeds": [1, 2],
+                      "bilstm_hidden": 6}),
+    ("probe_corpus", {"model_kind": "han", "tagset": "full", "seeds": [1, 2, 3],
+                      "bilstm_hidden": 6}),
+    ("cites_corpus", {"task": "regress", "seeds": [1, 2], "batch_size": 16}),
+    ("cites_corpus", {"task": "regress", "model_kind": "han", "seeds": [1, 2, 3],
+                      "bilstm_hidden": 6}),
+])
+def test_evaluate_manifest_prints_train_report_bytes(tmp_path, capsys, request, corpus_name, cfg):
+    # train and evaluate --manifest summarise the runs with the same function
+    data = _trained_dir(tmp_path, capsys, request.getfixturevalue(corpus_name), **cfg)
+    rc, out, err = run_cli(capsys, "evaluate", "--manifest", os.path.join(data, "manifest.json"),
+                           "--split", "test", "--out", data)
+    assert rc == 0, err
+    with open(os.path.join(data, "report.json"), encoding="utf-8") as fh:
+        assert out == fh.read()
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +631,25 @@ def test_significance_votes_across_seeds(tmp_path, capsys):
     assert rc == 0
     result = json.loads(out)
     assert result["n"] == 1 and result["p_value"] == 1.0
+
+
+@pytest.mark.parametrize("row, message", [
+    ('{"id": "d1", "gold": 1.0', "invalid JSON"),
+    ('[1, 2]', "expected a JSON object"),
+    ('{"gold": 1.0, "pred": 1.0}', "missing keys ['id']"),
+    ('{"id": "d1", "pred": 1.0}', "missing keys ['gold']"),
+    ('{"id": "d1", "gold": 1.0}', "missing keys ['pred']"),
+    ('{"id": "d1", "gold": 1.0, "pred": "1"}', "'pred' must be float"),
+])
+def test_significance_malformed_predictions_name_the_line(tmp_path, capsys, row, message):
+    good = [{"id": f"d{i}", "gold": 1.0, "pred": 1.0, "seed": 1} for i in range(3)]
+    a = write_predictions(tmp_path / "a.jsonl", good)
+    b = tmp_path / "b.jsonl"
+    b.write_text("".join(json.dumps(r) + "\n" for r in good[:2]) + "\n" + row + "\n")
+    rc, _, err = run_cli(capsys, "significance", a, str(b), "--test", "mcnemar")
+    assert rc == 1
+    assert err.startswith(f"error: config-error: {b}: line 4: {message}")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

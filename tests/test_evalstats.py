@@ -474,6 +474,21 @@ class TestCorpusCitationStats:
         assert rejected_counts[(0, 5)] == 1
         assert rejected_counts[(5, 10)] == 1
 
+    def test_citation_counts_only_give_one_all_group(self):
+        counts = [0, 3, 4, 9, 12, 250]
+        docs = [RawDocument(id=f"c{i}", title="t", abstract="", body_text="",
+                            label={"citation_count": c}) for i, c in enumerate(counts)]
+        # acceptance flags on only some documents still give the single group
+        docs[0].label["accepted"] = True
+        stats = es.corpus_citation_stats(docs, truncate_at=10, bin_width=4)
+        assert stats.group_sizes == {"all": 6}
+        assert stats.group_means == {"all": float(np.mean(counts))}
+        assert stats.group_stds == {"all": float(np.std(counts))}
+        assert math.isnan(stats.rho) and math.isnan(stats.p_value)
+        assert stats.histogram == [(0, 4, 2, "all"), (4, 8, 1, "all"), (8, 10, 1, "all")]
+        assert es.histogram_csv_lines(stats) == [
+            "bin_start,bin_end,count,group", "0,4,2,all", "4,8,1,all", "8,10,1,all"]
+
     def test_truncated_docs_still_in_group_stats(self):
         docs = [stats_doc(0, True, 2), stats_doc(1, True, 250),
                 stats_doc(2, False, 0), stats_doc(3, False, 4)]

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -82,6 +85,12 @@ class TestModelConfig:
             tiny_config(dropout=1.0)
         with pytest.raises(ConfigurationError):
             tiny_config(tagset="positional")
+
+    def test_task_follows_head(self):
+        assert tiny_config(head="classify-2").task == "classify"
+        assert tiny_config(head="regress-1").task == "regress"
+        for task in ("classify", "regress"):
+            assert md.default_model_config("awe", task, 10).task == task
 
     def test_task_defaults(self):
         c = md.default_model_config("han", "classify", 10002, tagset="full")
@@ -438,6 +447,36 @@ class TestCheckpoints:
         _, path = self.roundtrip(tmp_path, tiny_config())
         path.write_bytes(path.read_bytes() + bytes(8))
         with pytest.raises(CheckpointMismatchError, match="trailing"):
+            md.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, match", [
+        pytest.param(lambda cfg: cfg.update(extra=1), "unknown keys \\['extra'\\]", id="unknown"),
+        pytest.param(lambda cfg: cfg.pop("dropout_p"), "missing keys \\['dropout_p'\\]", id="missing"),
+        pytest.param(lambda cfg: cfg.update(embedding_dim="4"), "'embedding_dim' must be int",
+                     id="str-for-int"),
+        pytest.param(lambda cfg: cfg.update(vocab_size=True), "'vocab_size' must be int",
+                     id="bool-for-int"),
+    ])
+    def test_header_model_config_checked(self, tmp_path, edit, match):
+        _, path = self.roundtrip(tmp_path, tiny_config())
+        raw = path.read_bytes()
+        start = len(md.CHECKPOINT_MAGIC)
+        (length,) = struct.unpack("<Q", raw[start:start + 8])
+        header = json.loads(raw[start + 8:start + 8 + length])
+        edit(header["model_config"])
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:start] + struct.pack("<Q", len(blob)) + blob
+                         + raw[start + 8 + length:])
+        with pytest.raises(CheckpointMismatchError, match=match):
+            md.load_checkpoint(path)
+
+    def test_header_length_past_end_of_file_rejected(self, tmp_path):
+        # a damaged high byte in the length must not become a huge read
+        _, path = self.roundtrip(tmp_path, tiny_config())
+        raw = bytearray(path.read_bytes())
+        raw[len(md.CHECKPOINT_MAGIC) + 7] = 0x02
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointMismatchError, match="truncated header"):
             md.load_checkpoint(path)
 
     def test_forward_identical_after_reload(self, tmp_path):

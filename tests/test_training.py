@@ -9,6 +9,7 @@ from hanst import models as md
 from hanst import training as tr
 from hanst.autodiff import Adam, Tensor
 from hanst.errors import ConfigurationError, DegenerateInputError, TrainingAbortedError
+from hanst.evalstats import PredictionRecord
 from hanst.textprep import TaggedDocument
 
 
@@ -85,6 +86,12 @@ class TestGoldValue:
     def test_regression_target_is_log_citation_score(self):
         assert tr.gold_value({"citation_count": 0}, "regress") == 0.0
         assert tr.gold_value({"citation_count": 1}, "regress") == pytest.approx(math.log(2))
+
+    def test_label_the_task_needs_is_required(self):
+        with pytest.raises(ConfigurationError, match="'accepted'"):
+            tr.gold_value({"citation_count": 3}, "classify")
+        with pytest.raises(ConfigurationError, match="'citation_count'"):
+            tr.gold_value({"accepted": True}, "regress")
 
     def test_uniform_logits_give_half_probabilities(self):
         probs = tr.class_probabilities(np.zeros((3, 2)))
@@ -321,3 +328,42 @@ class TestRunExperiment:
         assert result.failed
         assert result.failure is not None
         assert len(result.runs) < 3
+
+
+class TestSummarizeRuns:
+    def records(self, preds, golds=(1.0, 0.0, 1.0, 0.0), probs=None):
+        return [PredictionRecord(id=f"d{i}", gold=g, pred=p,
+                                 prob=None if probs is None else probs[i], seed=None)
+                for i, (g, p) in enumerate(zip(golds, preds))]
+
+    def test_odd_classification_run_count_votes(self):
+        runs = [self.records([1.0, 0.0, 0.0, 0.0]), self.records([1.0, 1.0, 1.0, 0.0]),
+                self.records([0.0, 0.0, 1.0, 0.0])]
+        per_run, vote = tr.summarize_runs(runs, "classify")
+        assert per_run["accuracy"] == [0.75, 0.75, 0.75]
+        assert [r.pred for r in vote] == [1.0, 0.0, 1.0, 0.0]
+        assert per_run["vote_accuracy"] == [1.0]
+
+    def test_even_classification_run_count_does_not_vote(self):
+        runs = [self.records([1.0, 0.0, 0.0, 0.0]), self.records([1.0, 1.0, 1.0, 0.0])]
+        per_run, vote = tr.summarize_runs(runs, "classify")
+        assert set(per_run) == {"accuracy"} and vote == []
+
+    def test_regression_always_averages(self):
+        golds = (1.0, 2.0, 3.0, 4.0)
+        runs = [self.records([1.0, 2.0, 3.0, 5.0], golds), self.records([1.0, 2.0, 4.0, 5.0], golds)]
+        per_run, vote = tr.summarize_runs(runs, "regress")
+        assert [r.pred for r in vote] == [1.0, 2.0, 3.5, 5.0]
+        assert per_run["run_mean_mae"] == [0.375]
+        assert per_run["mae"] == [0.25, 0.5]
+
+    def test_probabilities_give_auc(self):
+        runs = [self.records([1.0, 0.0, 1.0, 0.0], probs=[0.9, 0.2, 0.6, 0.4])]
+        per_run, _ = tr.summarize_runs(runs, "classify")
+        assert per_run["auc"] == [1.0]
+
+    def test_prediction_row(self):
+        assert tr.prediction(np.array([0.0, 0.0]), "classify") == (0.0, 0.5)
+        pred, prob = tr.prediction(np.array([-1.0, 2.0]), "classify")
+        assert pred == 1.0 and prob == pytest.approx(1.0 / (1.0 + math.exp(-3.0)))
+        assert tr.prediction(np.array([2.5]), "regress") == (2.5, None)
