@@ -50,7 +50,7 @@ def main() -> int:
         with open(cfg_path, "w", encoding="utf-8") as fh:
             json.dump(config, fh, indent=2)
         data_dir = os.path.join(args.workdir, tagset)
-        run(["prepare", corpus, "--config", cfg_path, "--out", data_dir, "--force"])
+        run(["prepare", corpus, "--config", cfg_path, "--out", data_dir])
         run(["train", "--config", cfg_path, "--out", data_dir, "--force"])
 
     run(["significance",

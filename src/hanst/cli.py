@@ -97,7 +97,7 @@ def _one_line(message: str) -> str:
 _MODEL_OVERRIDES = {"model_kind": "str", "tagset": "str", "vocab_size": "int",
                     "embedding_dim": "int", "bilstm_hidden": "int", "dropout_p": "float"}
 _TRAIN_OVERRIDES = {"task": "str", "epochs": "int", "batch_size": "int", "lr": "float",
-                    "loss": "str", "resample": "bool", "seeds": "list[int]", "max_chars": "int"}
+                    "resample": "bool", "seeds": "list[int]", "max_chars": "int"}
 _CONFIG_KEYS = {**_MODEL_OVERRIDES, **_TRAIN_OVERRIDES, "embeddings": "str | None"}
 
 
@@ -150,12 +150,6 @@ def resolved_config(config: tr.TrainConfig, embeddings_path: str | None) -> dict
     return {**{k: getattr(config.model, k) for k in _MODEL_OVERRIDES},
             **{k: getattr(config, k) for k in _TRAIN_OVERRIDES},
             "embeddings": embeddings_path}
-
-
-def _require_config(args: argparse.Namespace) -> str:
-    if not args.config:
-        raise ConfigurationError("--config is required for this command")
-    return args.config
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +212,14 @@ def load_prepared(data_dir: str) -> tuple[dict, dict[str, list[TaggedDocument]]]
 # ---------------------------------------------------------------------------
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    raw = load_config_file(_require_config(args))
+    if not args.config:
+        raise ConfigurationError("--config is required for this command")
+    raw = load_config_file(args.config)
     data_dir = data_dir_from(args)
     docs = load_corpus(args.corpus)
-    tagset = raw.get("tagset", "none")
-    cutoff = CharacterLimit(int(raw.get("max_chars", 20000)))
-    vocab, encoded = prepare_corpus(docs, tagset, cutoff, int(raw.get("vocab_size", 10000)))
+    tagset = raw.get("tagset", md.ModelConfig.tagset)
+    cutoff = CharacterLimit(raw.get("max_chars", tr.TrainConfig.max_chars))
+    vocab, encoded = prepare_corpus(docs, tagset, cutoff, raw.get("vocab_size", 10000))
     meta = {"kind": PREPARED_KIND, "format_version": FORMAT_VERSION,
             "tagset": tagset, "max_chars": cutoff.limit, "vocab_size": len(vocab),
             "corpus_sha256": file_sha256(args.corpus),
@@ -257,6 +253,7 @@ def _load_manifest(path: str) -> dict:
     if manifest.get("kind") != MANIFEST_KIND:
         raise ConfigurationError(f"{path}: not an experiment manifest")
     check_fields(manifest, _MANIFEST_KEYS, path)
+    manifest["config"].pop("loss", None)   # manifests written before loss followed the task
     _check_config(f"{path}: config", manifest["config"])
     for seed in manifest["seeds"]:
         if type(manifest["checkpoints"].get(str(seed))) is not str:
@@ -265,6 +262,8 @@ def _load_manifest(path: str) -> dict:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if bool(args.config) == bool(args.from_manifest):
+        raise ConfigurationError("pass exactly one of --config or --from-manifest")
     data_dir = data_dir_from(args)
     meta, by_split = load_prepared(data_dir)
     vocab = Vocabulary.load(os.path.join(data_dir, VOCAB_NAME))
@@ -279,7 +278,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise ConfigurationError("manifest vocabulary hash does not match the prepared dataset")
         raw = manifest_in["config"]
     else:
-        raw = load_config_file(_require_config(args))
+        raw = load_config_file(args.config)
     config = make_train_config(raw, len(vocab), seed_list=args.seed_list)
     if config.model.tagset != meta["tagset"]:
         raise ConfigurationError(
@@ -438,7 +437,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"model kind {model.config.model_kind!r} produces no attention maps")
 
-    max_chars = 20000
+    max_chars = tr.TrainConfig.max_chars
     prepared_path = os.path.join(data_dir, PREPARED_NAME)
     if os.path.exists(prepared_path):
         with open(prepared_path, encoding="utf-8") as fh:
@@ -536,12 +535,8 @@ def cmd_significance(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON experiment config file")
-    shared.add_argument("--seed-list", help="comma-separated seeds overriding the config")
-    shared.add_argument("--out", help=f"data directory (default ${DATA_DIR_ENV} or ./hanst-data)")
-    shared.add_argument("--force", action="store_true",
-                        help="overwrite an existing experiment manifest")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help=f"data directory (default ${DATA_DIR_ENV} or ./hanst-data)")
 
     parser = argparse.ArgumentParser(
         prog="hanst",
@@ -549,36 +544,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hanst {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prepare", parents=[shared],
+    p = sub.add_parser("prepare", parents=[out],
                        help="segment, tag, encode a corpus and build its vocabulary")
     p.add_argument("corpus", help="corpus JSONL file")
+    p.add_argument("--config", help="JSON experiment config file")
     p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("train", parents=[shared], help="run the multi-seed training recipe")
+    p = sub.add_parser("train", parents=[out], help="run the multi-seed training recipe")
+    p.add_argument("--config", help="JSON experiment config file")
     p.add_argument("--from-manifest", help="re-run an experiment from its manifest")
+    p.add_argument("--seed-list", help="comma-separated seeds overriding the config")
+    p.add_argument("--force", action="store_true",
+                   help="overwrite an existing experiment manifest")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", parents=[shared], help="score checkpoints on a split")
+    p = sub.add_parser("evaluate", parents=[out], help="score checkpoints on a split")
     p.add_argument("--manifest", help="experiment manifest (evaluates every run)")
     p.add_argument("--checkpoint", help="single checkpoint file")
     p.add_argument("--split", choices=("train", "valid", "test"), default="test")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("predict", parents=[shared], help="label raw documents with a checkpoint")
+    p = sub.add_parser("predict", parents=[out], help="label raw documents with a checkpoint")
     p.add_argument("docs", help="JSONL documents (labels optional)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--attention", action="store_true",
                    help="include per-document attention maps")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("stats", parents=[shared], help="corpus citation/acceptance statistics")
+    p = sub.add_parser("stats", parents=[out], help="corpus citation/acceptance statistics")
     p.add_argument("corpus", help="corpus JSONL file")
     p.add_argument("--truncate-at", type=int, default=100,
                    help="histogram upper bound (excluded counts still enter the stats)")
     p.add_argument("--bin-width", type=int, default=5)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("significance", parents=[shared],
+    p = sub.add_parser("significance",
                        help="paired significance test between two prediction files")
     p.add_argument("predictions_a")
     p.add_argument("predictions_b")

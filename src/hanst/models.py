@@ -407,6 +407,8 @@ def load_checkpoint(path, expected_vocab_sha256: str | None = None,
             if len(raw) != count * 8:
                 raise CheckpointMismatchError(f"{path}: truncated in parameter {name!r}")
             param.values = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+            if not np.isfinite(param.values).all():
+                raise CheckpointMismatchError(f"{path}: parameter {name!r} holds NaN or inf")
         if missing:
             raise CheckpointMismatchError(f"checkpoint lacks parameters {sorted(missing)}")
         if fh.read(1):

@@ -211,21 +211,10 @@ def apply_cutoff(sentences: list[str], policy) -> list[str]:
 # tokenization
 # ---------------------------------------------------------------------------
 
-def _split_word(chunk: str) -> list[str]:
-    """Peel punctuation off both edges of a whitespace-delimited chunk."""
-    lead = []
-    while chunk and not chunk[0].isalnum():
-        lead.append(chunk[0])
-        chunk = chunk[1:]
-    trail = []
-    while chunk and not chunk[-1].isalnum():
-        trail.append(chunk[-1])
-        chunk = chunk[:-1]
-    tokens = lead
-    if chunk:
-        tokens.append(chunk)
-    tokens.extend(reversed(trail))
-    return tokens
+# a token is a whitespace-delimited chunk trimmed to its first and last
+# alphanumeric character, or one character of the punctuation trimmed off;
+# in `re`, [^\W_] is exactly str.isalnum and \S is exactly not str.isspace
+_TOKEN_RE = re.compile(r"[^\W_](?:\S*[^\W_])?|\S")
 
 
 def tokenize(sentence: str) -> list[str]:
@@ -237,12 +226,10 @@ def tokenize(sentence: str) -> list[str]:
     tokens: list[str] = []
     pos = 0
     for m in TAG_RE.finditer(sentence):
-        for chunk in sentence[pos:m.start()].lower().split():
-            tokens.extend(_split_word(chunk))
+        tokens.extend(_TOKEN_RE.findall(sentence[pos:m.start()].lower()))
         tokens.append(m.group())
         pos = m.end()
-    for chunk in sentence[pos:].lower().split():
-        tokens.extend(_split_word(chunk))
+    tokens.extend(_TOKEN_RE.findall(sentence[pos:].lower()))
     return tokens
 
 

@@ -28,7 +28,6 @@ from .evalstats import (
 from .textprep import TaggedDocument
 
 TASKS = ("classify", "regress")
-LOSS_KINDS = ("cross-entropy", "mae")
 _TASK_LOSS = {"classify": "cross-entropy", "regress": "mae"}
 
 # per-task defaults: (epochs, batch_size)
@@ -44,7 +43,6 @@ class TrainConfig:
     epochs: int
     batch_size: int
     lr: float = 0.005
-    loss: str = ""
     resample: bool = True
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     max_chars: int = 20000
@@ -52,12 +50,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigurationError(f"task must be one of {TASKS}, got {self.task!r}")
-        if not self.loss:
-            object.__setattr__(self, "loss", _TASK_LOSS[self.task])
-        if self.loss not in LOSS_KINDS:
-            raise ConfigurationError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
-        if self.loss != _TASK_LOSS[self.task]:
-            raise ConfigurationError(f"loss {self.loss!r} does not match task {self.task!r}")
         if self.model.task != self.task:
             raise ConfigurationError(
                 f"task {self.task!r} does not match the model's {self.model.head_kind!r} head")
@@ -71,11 +63,17 @@ class TrainConfig:
             raise ConfigurationError(f"max_chars must be >= 1, got {self.max_chars}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
+    @property
+    def loss(self) -> str:
+        return _TASK_LOSS[self.task]
+
 
 def default_train_config(task: str, model: md.ModelConfig, **overrides) -> TrainConfig:
     if task not in _TASK_SCHEDULE:
         raise ConfigurationError(f"task must be one of {TASKS}, got {task!r}")
     epochs, batch_size = _TASK_SCHEDULE[task]
+    if task != "classify" and overrides.get("resample"):
+        raise ConfigurationError(f"resample applies to the classify task only, not {task!r}")
     base = dict(task=task, model=model, epochs=epochs, batch_size=batch_size,
                 resample=task == "classify")
     base.update(overrides)
@@ -242,9 +240,7 @@ def train_single_run(config: TrainConfig, train_docs: list[TaggedDocument],
 
     train_losses: list[float] = []
     valid_metrics: list[float] = []
-    best_metric = -math.inf
     best_params: dict[str, np.ndarray] = {}
-    best_epoch = -1
     for epoch in range(config.epochs):
         if config.task == "classify" and config.resample:
             epoch_docs = resample_balanced(train_docs, labels, rng)
@@ -257,23 +253,19 @@ def train_single_run(config: TrainConfig, train_docs: list[TaggedDocument],
                                            config.batch_size, seed=seed), config.task)
         train_losses.append(train_loss)
         valid_metrics.append(metric)
-        # >= implements the last-tie-wins selection rule
-        if metric >= best_metric:
-            best_metric = metric
-            best_epoch = epoch
+        if select_best(valid_metrics) == epoch:
             best_params = {n: p.values.copy() for n, p in model.params.items()}
         if log_fn is not None:
             log_fn({"seed": seed, "epoch": epoch, "train_loss": train_loss,
                     "valid_metric": metric})
 
-    assert best_epoch == select_best(valid_metrics)
     for name, values in best_params.items():
         model.params[name].values = values
     test_predictions = predict(model, test_docs, config.task, config.batch_size,
                                seed=seed) if test_docs else []
     return RunRecord(seed=seed, train_losses=train_losses, valid_metrics=valid_metrics,
-                     selected_epoch=best_epoch, test_predictions=test_predictions,
-                     parameters=best_params)
+                     selected_epoch=select_best(valid_metrics),
+                     test_predictions=test_predictions, parameters=best_params)
 
 
 # ---------------------------------------------------------------------------

@@ -173,11 +173,27 @@ def test_train_from_manifest_reproduces_report_bytes(tmp_path, capsys, probe_cor
 
 
 def test_train_classify_with_mae_rejected(tmp_path, capsys, probe_corpus):
+    # the loss follows the task, so `loss` is no config key whatever its value
     data, _ = prepared_dir(tmp_path, capsys, probe_corpus)
-    cfg = write_config(tmp_path / "bad.json", loss="mae")
+    for loss in ("mae", "cross-entropy"):
+        cfg = write_config(tmp_path / "bad.json", loss=loss)
+        rc, _, err = run_cli(capsys, "train", "--config", cfg, "--out", data)
+        assert rc == 1
+        assert err == f"error: config-error: {cfg}: unknown config keys: ['loss']\n"
+
+
+def test_train_regress_with_resample_rejected(tmp_path, capsys, cites_corpus):
+    data, cfg = prepared_dir(tmp_path, capsys, cites_corpus, task="regress", resample=True)
     rc, _, err = run_cli(capsys, "train", "--config", cfg, "--out", data)
     assert rc == 1
-    assert err.startswith("error: config-error:")
+    assert err == "error: config-error: resample applies to the classify task only, not 'regress'\n"
+
+
+@pytest.mark.parametrize("sources", [[], ["--config", "c.json", "--from-manifest", "m.json"]])
+def test_train_needs_exactly_one_config_source(tmp_path, capsys, sources):
+    rc, _, err = run_cli(capsys, "train", *sources, "--out", str(tmp_path / "d"))
+    assert rc == 1
+    assert err == "error: config-error: pass exactly one of --config or --from-manifest\n"
 
 
 def test_train_seed_list_override(tmp_path, capsys, probe_corpus):
@@ -331,11 +347,11 @@ def test_malformed_manifest_one_line_error(tmp_path, capsys, probe_corpus, corru
 
 
 @pytest.mark.parametrize("name, command", [
-    ("corpus.jsonl", ["prepare", "{corpus}", "--config", "{cfg}"]),
-    ("cfg.json", ["prepare", "{corpus}", "--config", "{cfg}"]),
-    ("prepared.jsonl", ["train", "--config", "{cfg}", "--force"]),
-    ("vocab.json", ["evaluate", "--checkpoint", "{data}/run-1.ckpt"]),
-    ("manifest.json", ["evaluate", "--manifest", "{data}/manifest.json"]),
+    ("corpus.jsonl", ["prepare", "{corpus}", "--config", "{cfg}", "--out", "{data}"]),
+    ("cfg.json", ["prepare", "{corpus}", "--config", "{cfg}", "--out", "{data}"]),
+    ("prepared.jsonl", ["train", "--config", "{cfg}", "--force", "--out", "{data}"]),
+    ("vocab.json", ["evaluate", "--checkpoint", "{data}/run-1.ckpt", "--out", "{data}"]),
+    ("manifest.json", ["evaluate", "--manifest", "{data}/manifest.json", "--out", "{data}"]),
     ("predictions-1.jsonl", ["significance", "{data}/predictions-1.jsonl",
                              "{data}/predictions-1.jsonl", "--test", "mcnemar"]),
 ])
@@ -350,7 +366,7 @@ def test_invalid_utf8_is_one_line(tmp_path, capsys, probe_corpus, name, command)
     with open(target, "wb") as fh:
         fh.write(raw[:20] + b"\xff\xfe" + raw[20:])
     argv = [part.format(corpus=corpus, cfg=cfg, data=data) for part in command]
-    rc, _, err = run_cli(capsys, *argv, "--out", data)
+    rc, _, err = run_cli(capsys, *argv)
     assert rc == 1
     assert err.startswith("error: io-error: 'utf-8' codec can't decode")
     assert err.count("\n") == 1
@@ -361,6 +377,25 @@ def test_threads_flag_removed():
         cli.build_parser().parse_args(["train", "--threads", "2"])
 
 
+_VALID_ARGV = {"prepare": ["prepare", "c.jsonl"], "evaluate": ["evaluate"],
+               "predict": ["predict", "d.jsonl", "--checkpoint", "m.ckpt"],
+               "stats": ["stats", "c.jsonl"],
+               "significance": ["significance", "a.jsonl", "b.jsonl", "--test", "mcnemar"]}
+
+
+@pytest.mark.parametrize("command, option", [
+    ("prepare", "--seed-list 1"), ("prepare", "--force"),
+    *[(command, option) for command in ("evaluate", "predict", "stats", "significance")
+      for option in ("--config c.json", "--seed-list 1", "--force")],
+    ("significance", "--out d"),
+])
+def test_command_rejects_options_it_does_not_read(command, option):
+    parser = cli.build_parser()
+    parser.parse_args(_VALID_ARGV[command])
+    with pytest.raises(SystemExit):
+        parser.parse_args(_VALID_ARGV[command] + option.split())
+
+
 def test_manifest_lists_required_fields(tmp_path, capsys, probe_corpus):
     data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
     assert run_cli(capsys, "train", "--config", cfg, "--out", data)[0] == 0
@@ -369,6 +404,23 @@ def test_manifest_lists_required_fields(tmp_path, capsys, probe_corpus):
                 "tool_version", "checkpoints", "report"):
         assert key in manifest
     assert manifest["checkpoints"] == {"1": "run-1.ckpt"}
+
+
+def test_manifest_with_loss_key_still_evaluates(tmp_path, capsys, probe_corpus):
+    # manifests written before the loss followed the task carry "loss" in their config
+    data = _trained_dir(tmp_path, capsys, probe_corpus)
+    path = os.path.join(data, "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["config"]["loss"] = "cross-entropy"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+    rc, out, err = run_cli(capsys, "evaluate", "--manifest", path, "--out", data)
+    assert rc == 0, err
+    with open(os.path.join(data, "report.json"), encoding="utf-8") as fh:
+        assert out == fh.read()
+    rc, _, err = run_cli(capsys, "train", "--from-manifest", path, "--out", data, "--force")
+    assert rc == 0, err
 
 
 def test_train_log_has_timestamps_report_does_not(tmp_path, capsys, probe_corpus):

@@ -24,15 +24,15 @@ from hanst.corpus import save_corpus
 CONFIG = {"task": "classify", "model_kind": "awe", "tagset": "none", "epochs": 1,
           "batch_size": 8, "seeds": [1], "embedding_dim": 8, "vocab_size": 200}
 
-CKPT = ["--checkpoint", "{data}/run-1.ckpt"]
+CKPT = ["--checkpoint", "{data}/run-1.ckpt", "--out", "{data}"]
 MANIFEST = "{data}/manifest.json"
 COMMANDS = {
-    "prepared.jsonl": [["train", "--config", "{cfg}", "--force"],
+    "prepared.jsonl": [["train", "--config", "{cfg}", "--force", "--out", "{data}"],
                        ["evaluate", *CKPT]],
     "vocab.json": [["evaluate", *CKPT], ["predict", "{docs}", *CKPT]],
     "run-1.ckpt": [["evaluate", *CKPT], ["predict", "{docs}", *CKPT]],
-    "manifest.json": [["evaluate", "--manifest", MANIFEST],
-                      ["train", "--from-manifest", MANIFEST, "--force"]],
+    "manifest.json": [["evaluate", "--manifest", MANIFEST, "--out", "{data}"],
+                      ["train", "--from-manifest", MANIFEST, "--force", "--out", "{data}"]],
     "predictions-1.jsonl": [["significance", "{data}/predictions-1.jsonl",
                              "{base}/predictions-1.jsonl", "--test", "mcnemar"]],
 }
@@ -92,7 +92,7 @@ def test_damaged_file_fails_with_one_error_line(experiment, name, data):
     with open(os.path.join(paths["data"], name), "wb") as fh:
         fh.write(damaged)
     for command in COMMANDS[name]:
-        argv = [part.format(**paths) for part in command] + ["--out", paths["data"]]
+        argv = [part.format(**paths) for part in command]
         rc, err = run(argv)
         assert rc in (0, 1), argv
         if rc == 1:

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -468,6 +469,17 @@ class TestCheckpoints:
         path.write_bytes(raw[:start] + struct.pack("<Q", len(blob)) + blob
                          + raw[start + 8 + length:])
         with pytest.raises(CheckpointMismatchError, match=match):
+            md.load_checkpoint(path)
+
+    @pytest.mark.parametrize("head", ["classify-2", "regress-1"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, head, bad):
+        model = md.build_model(tiny_config("awe", head=head), np.random.default_rng(0))
+        model.params["head.w"].values[-1, -1] = bad
+        path = tmp_path / "model.ckpt"
+        md.save_checkpoint(model, "hash-abc", path)
+        with pytest.raises(CheckpointMismatchError,
+                           match=re.escape(f"{path}: parameter 'head.w' holds NaN or inf")):
             md.load_checkpoint(path)
 
     def test_header_length_past_end_of_file_rejected(self, tmp_path):

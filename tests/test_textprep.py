@@ -154,6 +154,44 @@ class TestApplyCutoff:
         assert small == sents[: len(small)]
 
 
+def _split_word(chunk: str) -> list[str]:
+    """Peel punctuation off both edges of a whitespace-delimited chunk."""
+    lead = []
+    while chunk and not chunk[0].isalnum():
+        lead.append(chunk[0])
+        chunk = chunk[1:]
+    trail = []
+    while chunk and not chunk[-1].isalnum():
+        trail.append(chunk[-1])
+        chunk = chunk[:-1]
+    tokens = lead
+    if chunk:
+        tokens.append(chunk)
+    tokens.extend(reversed(trail))
+    return tokens
+
+
+def tokenize_oracle(sentence: str) -> list[str]:
+    """The original tokenizer: str.split, then _split_word on each chunk."""
+    tokens: list[str] = []
+    pos = 0
+    for m in tp.TAG_RE.finditer(sentence):
+        for chunk in sentence[pos:m.start()].lower().split():
+            tokens.extend(_split_word(chunk))
+        tokens.append(m.group())
+        pos = m.end()
+    for chunk in sentence[pos:].lower().split():
+        tokens.extend(_split_word(chunk))
+    return tokens
+
+
+# underscore (\w but not alnum), combining marks, İ (lowercases to i + U+0307),
+# non-ASCII digits and letters, NBSP, \x1c and U+2028 (str.isspace), tags
+_TOKENIZE_PIECES = ["a", "Z", "7", "\u00b2", "\u00df", "\u03a3", "\u0130", "_", ".", ",", "-",
+                    "'", "(", ")", "\u0301", "\u0307", " ", "\t", "\n", "\xa0", "\x1c",
+                    "\u2028", "<TITLE>", "</BODY_TEXT>", "<", ">", "<x>"]
+
+
 class TestTokenize:
     def test_simple(self):
         assert tp.tokenize("A cat.") == ["a", "cat", "."]
@@ -175,6 +213,12 @@ class TestTokenize:
 
     def test_lowercasing(self):
         assert tp.tokenize("The BiLSTM Model") == ["the", "bilstm", "model"]
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.lists(st.sampled_from(_TOKENIZE_PIECES), max_size=30).map("".join),
+                     st.text(max_size=40)))
+    def test_matches_edge_peeling_oracle(self, text):
+        assert tp.tokenize(text) == tokenize_oracle(text)
 
 
 class TestVocabulary:

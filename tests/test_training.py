@@ -47,12 +47,6 @@ class TestTrainConfig:
         assert tiny_train_config("classify").loss == "cross-entropy"
         assert tiny_train_config("regress").loss == "mae"
 
-    def test_loss_task_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError, match="loss"):
-            tiny_train_config("classify", loss="mae")
-        with pytest.raises(ConfigurationError, match="loss"):
-            tiny_train_config("regress", loss="cross-entropy")
-
     def test_head_task_mismatch_rejected(self):
         model = md.ModelConfig(model_kind="awe", head_kind="regress-1", vocab_size=12)
         with pytest.raises(ConfigurationError, match="head"):
