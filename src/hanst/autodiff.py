@@ -200,10 +200,11 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
-    # numerically safe: exp only ever sees non-positive arguments
+    # numerically safe: exp only ever sees non-positive arguments. The
+    # numerator is 1 where x >= 0 (e <= 1 there) and e elsewhere, which is
+    # bitwise the two-branch form without a data-dependent select.
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -333,6 +334,13 @@ def rows(table: Tensor, ids: np.ndarray) -> Tensor:
     return _record(values, (table,), bwd)
 
 
+def scatter_rows(a: Tensor, index: np.ndarray, n: int) -> Tensor:
+    """Rows of a [R, ...] placed at the distinct rows ``index`` of [n, ...]; other rows are 0."""
+    values = np.zeros((n,) + a.shape[1:])
+    values[index] = a.values
+    return _record(values, (a,), lambda g: _accum(a, g[index]))
+
+
 def weighted_sum(h: Tensor, alpha: Tensor) -> Tensor:
     """Attention pooling: h [B,T,D] weighted by alpha [B,T] -> [B,D]."""
     if h.ndim != 3 or alpha.shape != h.shape[:2]:
@@ -356,18 +364,27 @@ def lstm_sequence(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Te
     projected for all T steps in one GEMM. The state starts at zero and the
     steps run over positions 0..T-1, or T-1..0 with ``reverse``.
 
-    mask [B,T] gates each update as new * m + old * (1 - m) for both h and c:
-    where it is 1 the step runs, where it is 0 the row carries its state
-    through unchanged and its output repeats the carried h. The final state
-    of a row is therefore its output at position T-1 (or 0 when reversed).
+    mask [B,T] gives each row's length: every row must be ones followed by
+    zeros (what ``pad_batch`` makes), anything else raises
+    ShapeMismatchError. A row takes steps only at its real positions. At a
+    padded position its output repeats the carried state: the final state
+    going forward, the zero state going backward. The final state of a row is
+    therefore its output at position T-1 (or 0 when reversed).
+
+    The recurrence is packed. Rows are stepped longest first, so the k_i rows
+    longer than position i are a prefix, and step i runs its GEMM and gate
+    arithmetic on those rows alone. Rows that arrive in that order already
+    (equal lengths, or a caller that sorts them) are not copied. A product of
+    one row can differ in the last bit from the same row of a larger product,
+    so the recurrent GEMM takes at least min(2, B) rows and keeps k_i.
 
     On a tape the op is one node. For backward it saves only the
     post-activation gates [B,T,4H], tanh of the updated cell [B,T,H] and the
     cell states after each step [B,T,H]; the hidden states are its output.
-    The backward-through-time does one GEMM per step, for the gradient
-    through w_hh into the previous state, and one GEMM each for the
-    gradients of xs, w_ih and w_hh over all steps. Without a tape only the
-    running state is kept.
+    The backward-through-time does one GEMM per step over the same k_i rows,
+    for the gradient through w_hh into the previous state, and one GEMM each
+    for the gradients of xs, w_ih and w_hh over all steps, in the caller's
+    row order. Without a tape only the running state is kept.
     """
     if xs.ndim != 3:
         raise ShapeMismatchError(f"lstm_sequence: input must be [B,T,D], got {xs.shape}")
@@ -381,10 +398,19 @@ def lstm_sequence(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Te
     m = np.asarray(mask, dtype=DTYPE)
     if m.shape != (b, t):
         raise ShapeMismatchError(f"lstm_sequence: mask {m.shape} vs input {xs.shape}")
-    keep = 1.0 - m
+    lengths = m.sum(axis=1).astype(np.int64)
+    if not np.array_equal(m, np.arange(t) < lengths[:, None]):
+        raise ShapeMismatchError("lstm_sequence: each mask row must be ones followed by zeros")
+    active = m.sum(axis=0).astype(np.int64).tolist()   # rows still running at each position
+    order = np.argsort(-lengths, kind="stable")   # longest first, ties in their own order
+    in_order = bool((order == np.arange(b)).all())
+    inverse = np.argsort(order)
+    floor = min(2, b)
     steps = range(t - 1, -1, -1) if reverse else range(t)
     x_flat = xs.values.reshape(b * t, d)
     proj = (x_flat @ w_ih.values + b_ih.values).reshape(b, t, 4 * n)
+    if not in_order:
+        proj = proj[order]
 
     tape = _active_tape()
     states = np.empty((b, t, n))
@@ -392,46 +418,59 @@ def lstm_sequence(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Te
         acts = np.empty((b, t, 4 * n))
         tanh_c = np.empty((b, t, n))
         cells = np.empty((b, t, n))
-    h = c = np.zeros((b, n))
+    h = np.zeros((b, n))
+    c = np.zeros((b, n))
     for i in steps:
-        gates = proj[:, i] + (h @ w_hh.values + b_hh.values)
-        act = _logistic(gates)
-        act[:, 2 * n:3 * n] = np.tanh(gates[:, 2 * n:3 * n])
-        c_new = act[:, n:2 * n] * c + act[:, :n] * act[:, 2 * n:3 * n]
-        tc = np.tanh(c_new)
-        mi, ki = m[:, i:i + 1], keep[:, i:i + 1]
-        c = c_new * mi + c * ki
-        h = (act[:, 3 * n:] * tc) * mi + h * ki
+        k = active[i]
+        if k:
+            rec = (h[:max(k, floor)] @ w_hh.values)[:k] + b_hh.values
+            gates = proj[:k, i] + rec
+            act = _logistic(gates)
+            act[:, 2 * n:3 * n] = np.tanh(gates[:, 2 * n:3 * n])
+            c_new = act[:, n:2 * n] * c[:k] + act[:, :n] * act[:, 2 * n:3 * n]
+            tc = np.tanh(c_new)
+            c[:k] = c_new
+            h[:k] = act[:, 3 * n:] * tc
+            if tape is not None:
+                acts[:k, i] = act
+                tanh_c[:k, i] = tc
         states[:, i] = h
         if tape is not None:
-            acts[:, i] = act
-            tanh_c[:, i] = tc
             cells[:, i] = c
+    if not in_order:
+        states = states[inverse]
     if tape is None:
         return Tensor(states)
     prev = 1 if reverse else -1
 
     def bwd(g):
-        d_gates = np.empty((b, t, 4 * n))
+        if not in_order:
+            g = g[order]
+        d_gates = np.zeros((b, t, 4 * n))   # padded positions get no gradient
         w_hh_t = w_hh.values.T
         zeros = np.zeros((b, n))
-        dh = dc = zeros
+        dh = np.zeros((b, n))
+        dc = np.zeros((b, n))
         for i in reversed(steps):
-            act = acts[:, i]
+            dh += g[:, i]
+            k = active[i]
+            if not k:
+                continue
+            act = acts[:k, i]
             in_g, forget, cell, out = act[:, :n], act[:, n:2 * n], act[:, 2 * n:3 * n], act[:, 3 * n:]
-            tc = tanh_c[:, i]
-            c_prev = zeros if i == steps[0] else cells[:, i + prev]
-            mi, ki = m[:, i:i + 1], keep[:, i:i + 1]
-            dh = dh + g[:, i]
-            dh_new = dh * mi
-            dc_new = dc * mi + dh_new * out * (1.0 - tc * tc)
-            dg = d_gates[:, i]
+            tc = tanh_c[:k, i]
+            c_prev = zeros[:k] if i == steps[0] else cells[:k, i + prev]
+            dh_k = dh[:k]
+            dc_new = dc[:k] + dh_k * out * (1.0 - tc * tc)
+            dg = d_gates[:k, i]
             dg[:, :n] = dc_new * cell * in_g * (1.0 - in_g)
             dg[:, n:2 * n] = dc_new * c_prev * forget * (1.0 - forget)
             dg[:, 2 * n:3 * n] = dc_new * in_g * (1.0 - cell * cell)
-            dg[:, 3 * n:] = dh_new * tc * out * (1.0 - out)
-            dc = dc * ki + dc_new * forget
-            dh = dh * ki + dg @ w_hh_t
+            dg[:, 3 * n:] = dh_k * tc * out * (1.0 - out)
+            dc[:k] = dc_new * forget
+            dh[:k] = (d_gates[:max(k, floor), i] @ w_hh_t)[:k]
+        if not in_order:
+            d_gates = d_gates[inverse]
         h_prev = np.zeros((b, t, n))
         if reverse:
             h_prev[:, :-1] = states[:, 1:]

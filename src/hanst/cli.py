@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from . import models as md
 from . import training as tr
-from .corpus import SPLITS, RawDocument, check_fields, json_object, load_corpus
+from .corpus import SPLITS, RawDocument, check_fields, json_object, load_corpus, open_text
 from .errors import (AlignmentError, CheckpointMismatchError, ConfigurationError,
                      CorpusFormatError, DegenerateInputError, HanstError,
                      OutputExistsError, TrainingAbortedError)
@@ -57,8 +58,13 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 
 def _atomic_via(path: str, write_fn) -> None:
-    """Run a path-taking writer against a temp file, then rename over path."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
+    """Run a path-taking writer against a temp file, then rename over path.
+
+    The directory is made here, so a command that fails before it writes
+    leaves no directory behind."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     os.close(fd)
     try:
         write_fn(tmp)
@@ -78,9 +84,7 @@ def file_sha256(path: str) -> str:
 
 
 def data_dir_from(args: argparse.Namespace) -> str:
-    directory = args.out or os.environ.get(DATA_DIR_ENV) or "hanst-data"
-    os.makedirs(directory, exist_ok=True)
-    return directory
+    return args.out or os.environ.get(DATA_DIR_ENV) or "hanst-data"
 
 
 def _one_line(message: str) -> str:
@@ -115,7 +119,7 @@ def _check_config(where: str, raw) -> dict:
 
 def load_config_file(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
@@ -187,7 +191,7 @@ def load_prepared(data_dir: str) -> tuple[dict, dict[str, list[TaggedDocument]]]
     if not os.path.exists(path):
         raise ConfigurationError(f"no prepared dataset at {path}; run the prepare command first")
     by_split: dict[str, list[TaggedDocument]] = {name: [] for name in SPLITS}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         meta = _prepared_line(path, 1, fh.readline(), _META_KEYS)
         for n, line in enumerate(fh, start=2):
             if not line.strip():
@@ -248,7 +252,7 @@ _MANIFEST_KEYS = {"config": "dict", "corpus_sha256": "str", "vocab_sha256": "str
 
 
 def _load_manifest(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         manifest = json_object(fh.read(), path)
     if manifest.get("kind") != MANIFEST_KIND:
         raise ConfigurationError(f"{path}: not an experiment manifest")
@@ -404,7 +408,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _load_predict_docs(path: str) -> list[RawDocument]:
     """Documents for inference; labels are optional and never read."""
     docs = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for n, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -440,7 +444,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     max_chars = tr.TrainConfig.max_chars
     prepared_path = os.path.join(data_dir, PREPARED_NAME)
     if os.path.exists(prepared_path):
-        with open(prepared_path, encoding="utf-8") as fh:
+        with open_text(prepared_path) as fh:
             max_chars = _prepared_line(prepared_path, 1, fh.readline(), _META_KEYS)["max_chars"]
     cutoff = CharacterLimit(max_chars)
 
@@ -538,19 +542,20 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help=f"data directory (default ${DATA_DIR_ENV} or ./hanst-data)")
 
+    # allow_abbrev=False everywhere: a prefix of an option is not that option
     parser = argparse.ArgumentParser(
-        prog="hanst",
+        prog="hanst", allow_abbrev=False,
         description="Hierarchical attention document models with sentence structure tags")
     parser.add_argument("--version", action="version", version=f"hanst {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("prepare", parents=[out],
-                       help="segment, tag, encode a corpus and build its vocabulary")
+    p = add("prepare", parents=[out], help="segment, tag, encode a corpus and build its vocabulary")
     p.add_argument("corpus", help="corpus JSONL file")
     p.add_argument("--config", help="JSON experiment config file")
     p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("train", parents=[out], help="run the multi-seed training recipe")
+    p = add("train", parents=[out], help="run the multi-seed training recipe")
     p.add_argument("--config", help="JSON experiment config file")
     p.add_argument("--from-manifest", help="re-run an experiment from its manifest")
     p.add_argument("--seed-list", help="comma-separated seeds overriding the config")
@@ -558,28 +563,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="overwrite an existing experiment manifest")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", parents=[out], help="score checkpoints on a split")
+    p = add("evaluate", parents=[out], help="score checkpoints on a split")
     p.add_argument("--manifest", help="experiment manifest (evaluates every run)")
     p.add_argument("--checkpoint", help="single checkpoint file")
     p.add_argument("--split", choices=("train", "valid", "test"), default="test")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("predict", parents=[out], help="label raw documents with a checkpoint")
+    p = add("predict", parents=[out], help="label raw documents with a checkpoint")
     p.add_argument("docs", help="JSONL documents (labels optional)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--attention", action="store_true",
                    help="include per-document attention maps")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("stats", parents=[out], help="corpus citation/acceptance statistics")
+    p = add("stats", parents=[out], help="corpus citation/acceptance statistics")
     p.add_argument("corpus", help="corpus JSONL file")
     p.add_argument("--truncate-at", type=int, default=100,
                    help="histogram upper bound (excluded counts still enter the stats)")
     p.add_argument("--bin-width", type=int, default=5)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("significance",
-                       help="paired significance test between two prediction files")
+    p = add("significance", help="paired significance test between two prediction files")
     p.add_argument("predictions_a")
     p.add_argument("predictions_b")
     p.add_argument("--test", choices=("mcnemar", "wilcoxon"), required=True)
@@ -596,7 +600,7 @@ def main(argv: list[str] | None = None) -> int:
     except HanstError as exc:
         print(f"error: {exc.code}: {_one_line(str(exc))}", file=sys.stderr)
         return 1
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"error: io-error: {_one_line(str(exc))}", file=sys.stderr)
         return 1
 

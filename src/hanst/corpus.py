@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigurationError, CorpusFormatError
+from .errors import ConfigurationError, CorpusFormatError, TextDecodeError
 
 SPLITS = ("train", "valid", "test")
 LABEL_KEYS = ("accepted", "citation_count")
@@ -17,6 +18,18 @@ JSON_TYPES = {"int": lambda v: type(v) is int, "float": lambda v: type(v) in (in
               "dict": lambda v: type(v) is dict, "list": lambda v: type(v) is list,
               "list[int]": lambda v: type(v) is list and all(type(x) is int for x in v),
               "str | None": lambda v: v is None or type(v) is str}
+
+
+@contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading; bytes that do not decode raise a
+    TextDecodeError that names the file. The decoder's byte position counts
+    from the start of its read buffer, not of the file, so it is left out."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise TextDecodeError(f"{path}: not valid UTF-8 ({exc.reason})") from None
 
 
 def check_fields(obj, schema: dict[str, str], where: str, optional: bool = False,
@@ -90,7 +103,7 @@ def load_corpus(path) -> list[RawDocument]:
     """Read one RawDocument per JSONL line; errors carry the line number."""
     docs = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -74,3 +74,7 @@ class TrainingAbortedError(HanstError):
 
 class OutputExistsError(HanstError):
     code = "output-exists"
+
+
+class TextDecodeError(HanstError):
+    code = "io-error"

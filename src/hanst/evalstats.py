@@ -12,7 +12,7 @@ from itertools import permutations
 import numpy as np
 from scipy.special import betainc
 
-from .corpus import RawDocument, json_object
+from .corpus import RawDocument, json_object, open_text
 from .errors import (
     AlignmentError,
     ConfigurationError,
@@ -58,7 +58,7 @@ def save_predictions(records: list[PredictionRecord], path) -> None:
 
 def load_predictions(path) -> list[PredictionRecord]:
     records = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for n, line in enumerate(fh, start=1):
             if line.strip():
                 obj = json_object(line, f"{path}: line {n}", {"id": "str", "gold": "float", "pred": "float"})

@@ -133,8 +133,9 @@ class BiLstmLayer:
     def run(self, xs: ad.Tensor, mask: np.ndarray):
         """Return (per-position states [B,T,2h], final forward, final backward).
 
-        Mask gating carries state through padded positions, so outputs match
-        a run over the unpadded sequence.
+        Each mask row is ones followed by zeros. Rows step only at their real
+        positions and carry their state through the padded ones, so outputs
+        match a run over the unpadded sequence.
         """
         fw, bw = (ad.lstm_sequence(xs, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask, reverse=reverse)
                   for cell, reverse in ((self.fw, False), (self.bw, True)))
@@ -286,22 +287,31 @@ class HanModel(Model):
         return 2 * self.config.bilstm_hidden
 
     def encode(self, batch: Batch):
+        """(doc vectors [B,2H], word attention [B,S,T], sentence attention [B,S]).
+
+        The word level runs on the real sentences alone. Their rows of the
+        [B*S,T] batch are gathered longest first, which is the order the
+        packed word BiLSTM steps in, so it copies nothing to reorder them.
+        After the word BiLSTM and word attention, the sentence vectors are
+        scattered back into [B,S,2H]. Padding sentences get zero vectors
+        there, and the sentence-level mask never reads them. Their word
+        attention rows are zero.
+        """
         b, s, t = batch.ids.shape
-        ids = batch.ids.reshape(b * s, t)
         token_mask = batch.token_mask.reshape(b * s, t)
-        # padding sentences get a dummy all-ones mask so the word softmax is
-        # defined; their vectors are discarded by the sentence-level mask
-        empty = token_mask.sum(axis=1) == 0
-        if empty.any():
-            token_mask = np.where(empty[:, None], 1.0, token_mask)
-        words = ad.rows(self.embedding, ids)
+        real = np.flatnonzero(batch.sent_mask.reshape(b * s))
+        real = real[np.argsort(-token_mask[real].sum(axis=1), kind="stable")]
+        token_mask = token_mask[real]
+        words = ad.rows(self.embedding, batch.ids.reshape(b * s, t)[real])
         word_states, _, _ = self.word_bilstm.run(words, token_mask)
         sent_vecs, word_alpha = self.word_attn.run(word_states, token_mask)
-        sent_seq = ad.reshape(sent_vecs, (b, s, 2 * self.config.bilstm_hidden))
+        sent_seq = ad.reshape(ad.scatter_rows(sent_vecs, real, b * s),
+                              (b, s, 2 * self.config.bilstm_hidden))
         sent_states, _, _ = self.sent_bilstm.run(sent_seq, batch.sent_mask)
         doc, sent_alpha = self.sent_attn.run(sent_states, batch.sent_mask)
-        word_maps = word_alpha.values.reshape(b, s, t) * batch.sent_mask[:, :, None]
-        return doc, word_maps, sent_alpha.values
+        word_maps = np.zeros((b * s, t))
+        word_maps[real] = word_alpha.values
+        return doc, word_maps.reshape(b, s, t), sent_alpha.values
 
 
 _MODEL_CLASSES = {"awe": AweModel, "sent_avg_bilstm": SentAvgBilstmModel, "han": HanModel}

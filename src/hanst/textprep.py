@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import xavier_init
-from .corpus import RawDocument
+from .corpus import RawDocument, open_text
 from .errors import ConfigurationError, DegenerateInputError, EmbeddingFormatError
 
 PAD_TOKEN = "<PAD>"
@@ -273,7 +273,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             try:
                 return cls.from_json_array(json.load(fh))
             except json.JSONDecodeError as exc:
@@ -319,7 +319,7 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, rng: np.random.Generator)
     zeroed afterwards.
     """
     matrix = xavier_init((len(vocab), dim), "uniform", rng)
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:

@@ -354,6 +354,8 @@ def test_malformed_manifest_one_line_error(tmp_path, capsys, probe_corpus, corru
     ("manifest.json", ["evaluate", "--manifest", "{data}/manifest.json", "--out", "{data}"]),
     ("predictions-1.jsonl", ["significance", "{data}/predictions-1.jsonl",
                              "{data}/predictions-1.jsonl", "--test", "mcnemar"]),
+    ("corpus.jsonl", ["predict", "{corpus}", "--checkpoint", "{data}/run-1.ckpt",
+                      "--out", "{data}"]),
 ])
 def test_invalid_utf8_is_one_line(tmp_path, capsys, probe_corpus, name, command):
     corpus = str(tmp_path / "corpus.jsonl")
@@ -368,8 +370,41 @@ def test_invalid_utf8_is_one_line(tmp_path, capsys, probe_corpus, name, command)
     argv = [part.format(corpus=corpus, cfg=cfg, data=data) for part in command]
     rc, _, err = run_cli(capsys, *argv)
     assert rc == 1
-    assert err.startswith("error: io-error: 'utf-8' codec can't decode")
+    assert err.startswith(f"error: io-error: {target}: not valid UTF-8 (invalid start byte)")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--seed", "7", "--from", "m.json"],
+    ["train", "--conf", "c.json"],
+    ["prepare", "c.jsonl", "--conf", "c.json"],
+    ["evaluate", "--check", "x.ckpt"],
+    ["evaluate", "--manifest", "m.json", "--spl", "test"],
+    ["predict", "d.jsonl", "--checkpoint", "m.ckpt", "--att"],
+    ["stats", "c.jsonl", "--trunc", "5"],
+    ["significance", "a.jsonl", "b.jsonl", "--te", "mcnemar"],
+    ["--vers"],
+])
+def test_option_prefixes_rejected(argv):
+    with pytest.raises(SystemExit) as exc_info:
+        cli.build_parser().parse_args(argv)
+    assert exc_info.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["stats", "{probe}"],
+    ["evaluate", "--checkpoint", "{tmp}/nope.ckpt"],
+    ["predict", "{probe}", "--checkpoint", "{tmp}/nope.ckpt"],
+    ["prepare", "{tmp}/nope.jsonl", "--config", "{tmp}/cfg.json"],
+])
+def test_failing_command_leaves_no_data_dir(tmp_path, capsys, probe_corpus, command):
+    write_config(tmp_path / "cfg.json")
+    data = tmp_path / "never"
+    argv = [part.format(probe=probe_corpus, tmp=tmp_path) for part in command]
+    rc, _, err = run_cli(capsys, *argv, "--out", str(data))
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not data.exists()
 
 
 def test_threads_flag_removed():
@@ -559,6 +594,24 @@ def test_predict_attention_rows_normalized(tmp_path, capsys, probe_corpus):
         assert abs(sum(row["sentence_attention"]) - 1.0) < 1e-9
         for word_row in row["word_attention"]:
             assert abs(sum(word_row) - 1.0) < 1e-9
+
+
+def test_predict_attention_matches_dummy_mask_oracle(tmp_path, capsys, probe_corpus,
+                                                    monkeypatch):
+    # the packed word level prints the same bytes as the composition it replaced
+    from test_models import dummy_mask_han_encode
+
+    data, cfg = prepared_dir(tmp_path, capsys, probe_corpus, model_kind="han",
+                             bilstm_hidden=6, tagset="full")
+    assert run_cli(capsys, "train", "--config", cfg, "--out", data)[0] == 0
+    argv = ["predict", probe_corpus, "--checkpoint", os.path.join(data, "run-1.ckpt"),
+            "--out", data, "--attention"]
+    rc, packed, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    monkeypatch.setattr(md.HanModel, "encode", dummy_mask_han_encode)
+    rc, oracle, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert packed == oracle
 
 
 def test_predict_attention_unsupported_model(tmp_path, capsys, probe_corpus):

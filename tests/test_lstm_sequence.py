@@ -1,9 +1,12 @@
-"""The fused `lstm_sequence` op against the per-step composition it replaced.
+"""The fused `lstm_sequence` op against two references kept only here.
 
-The oracle below is the recurrent core the models ran before the op existed:
-one `LstmCell.step` of ~20 tape ops per time step, positions picked with
-`index_axis` and joined with `concat`/`stack`. It is kept here, and only here,
-as the reference for values and gradients.
+`sequence_oracle` is the recurrent core the models ran before the op
+existed: one `LstmCell.step` of ~20 tape ops per time step, positions picked
+with `index_axis` and joined with `concat`/`stack`; the op matches it to
+1e-10. `mask_blend_lstm_sequence` is the fused op before its recurrence was
+packed: every row steps at every position and the mask blends the new state
+with the old. The packed op performs the same arithmetic on the real cells,
+so it must match that one bitwise, values and gradients.
 """
 
 import numpy as np
@@ -81,7 +84,7 @@ def masks(b, t):
     ragged = np.ones((b, t))
     for row in range(b):
         ragged[row, 1 + row % t:] = 0.0
-    # HanModel.encode gives padding sentences an all-ones mask over zero inputs
+    # a full-length row of zero inputs (the test zeroes them)
     dummy = ragged.copy()
     dummy[-1] = 1.0
     return {"full": full, "ragged": ragged, "dummy": dummy}
@@ -190,3 +193,164 @@ def test_shape_checks():
         ad.lstm_sequence(ad.Tensor(np.ones((2, 3, 5))), *args, np.ones((2, 3)))
     with pytest.raises(ShapeMismatchError):
         ad.lstm_sequence(ad.Tensor(np.ones((2, 3, 3))), *args, np.ones((2, 4)))
+
+
+def test_mask_with_a_hole_rejected():
+    cell, _ = make_cell(3, 4, seed=6)
+    args = (cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh)
+    xs = ad.Tensor(np.ones((2, 3, 3)))
+    for bad in ([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]], [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]],
+                [[1.0, 0.5, 0.0], [1.0, 1.0, 1.0]]):
+        with pytest.raises(ShapeMismatchError):
+            ad.lstm_sequence(xs, *args, np.array(bad))
+
+
+# ---------------------------------------------------------------------------
+# bitwise equality with the mask-blend op
+# ---------------------------------------------------------------------------
+
+def where_logistic(x):
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
+def mask_blend_lstm_sequence(xs, w_ih, w_hh, b_ih, b_hh, mask, reverse=False):
+    """`ad.lstm_sequence` as it was before packing: every row runs every step
+    and the mask blends new * m + old * (1 - m)."""
+    b, t, d = xs.shape
+    n = w_hh.shape[0]
+    m = np.asarray(mask, dtype=ad.DTYPE)
+    keep = 1.0 - m
+    steps = range(t - 1, -1, -1) if reverse else range(t)
+    x_flat = xs.values.reshape(b * t, d)
+    proj = (x_flat @ w_ih.values + b_ih.values).reshape(b, t, 4 * n)
+    states = np.empty((b, t, n))
+    acts = np.empty((b, t, 4 * n))
+    tanh_c = np.empty((b, t, n))
+    cells = np.empty((b, t, n))
+    h = c = np.zeros((b, n))
+    for i in steps:
+        gates = proj[:, i] + (h @ w_hh.values + b_hh.values)
+        act = where_logistic(gates)
+        act[:, 2 * n:3 * n] = np.tanh(gates[:, 2 * n:3 * n])
+        c_new = act[:, n:2 * n] * c + act[:, :n] * act[:, 2 * n:3 * n]
+        tc = np.tanh(c_new)
+        mi, ki = m[:, i:i + 1], keep[:, i:i + 1]
+        c = c_new * mi + c * ki
+        h = (act[:, 3 * n:] * tc) * mi + h * ki
+        states[:, i] = h
+        acts[:, i] = act
+        tanh_c[:, i] = tc
+        cells[:, i] = c
+    prev = 1 if reverse else -1
+
+    def bwd(g):
+        d_gates = np.empty((b, t, 4 * n))
+        w_hh_t = w_hh.values.T
+        zeros = np.zeros((b, n))
+        dh = dc = zeros
+        for i in reversed(steps):
+            act = acts[:, i]
+            in_g, forget, cell, out = act[:, :n], act[:, n:2 * n], act[:, 2 * n:3 * n], act[:, 3 * n:]
+            tc = tanh_c[:, i]
+            c_prev = zeros if i == steps[0] else cells[:, i + prev]
+            mi, ki = m[:, i:i + 1], keep[:, i:i + 1]
+            dh = dh + g[:, i]
+            dh_new = dh * mi
+            dc_new = dc * mi + dh_new * out * (1.0 - tc * tc)
+            dg = d_gates[:, i]
+            dg[:, :n] = dc_new * cell * in_g * (1.0 - in_g)
+            dg[:, n:2 * n] = dc_new * c_prev * forget * (1.0 - forget)
+            dg[:, 2 * n:3 * n] = dc_new * in_g * (1.0 - cell * cell)
+            dg[:, 3 * n:] = dh_new * tc * out * (1.0 - out)
+            dc = dc * ki + dc_new * forget
+            dh = dh * ki + dg @ w_hh_t
+        h_prev = np.zeros((b, t, n))
+        if reverse:
+            h_prev[:, :-1] = states[:, 1:]
+        else:
+            h_prev[:, 1:] = states[:, :-1]
+        flat = d_gates.reshape(b * t, 4 * n)
+        ad._accum(xs, (flat @ w_ih.values.T).reshape(b, t, d))
+        ad._accum(w_ih, x_flat.T @ flat)
+        ad._accum(w_hh, h_prev.reshape(b * t, n).T @ flat)
+        d_bias = flat.sum(axis=0)
+        ad._accum(b_ih, d_bias)
+        ad._accum(b_hh, d_bias)
+
+    return ad._record(states, (xs, w_ih, w_hh, b_ih, b_hh), bwd)
+
+
+def prefix_mask(lengths, t):
+    return (np.arange(t) < np.asarray(lengths)[:, None]).astype(float)
+
+
+def random_lengths(rng, b, t):
+    return rng.integers(1, t + 1, size=b)
+
+
+# (B, T, lengths or None for random) for each shape the packing must handle
+BITWISE_CASES = {
+    "B1": (1, 6, None),
+    "T1": (4, 1, None),
+    "equal": (5, 6, [6] * 5),
+    "equal-short": (3, 7, [4, 4, 4]),
+    "one-left-at-end": (5, 8, [2, 8, 3, 1, 5]),
+    "one-left-sorted": (4, 8, [8, 3, 2, 1]),
+    "two-rows": (2, 5, [2, 5]),
+    "random": (9, 12, None),
+    "random-wide": (17, 9, None),
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("case", sorted(BITWISE_CASES))
+def test_bitwise_equal_to_mask_blend(case, reverse):
+    b, t, lengths = BITWISE_CASES[case]
+    seed = sorted(BITWISE_CASES).index(case)
+    rng = np.random.default_rng(200 + seed)
+    for hidden in (5, 16):
+        cell, params = make_cell(3, hidden, seed=seed)
+        for _ in range(3):
+            mask = prefix_mask(random_lengths(rng, b, t) if lengths is None else lengths, t)
+            xs = rng.normal(size=(b, t, 3))
+            upstream = rng.normal(size=(b, t, hidden))
+            args = (cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask)
+            want, want_grads = grads_of(lambda x: mask_blend_lstm_sequence(x, *args, reverse=reverse),
+                                        cell, params, xs, upstream)
+            got, got_grads = grads_of(lambda x: ad.lstm_sequence(x, *args, reverse=reverse),
+                                      cell, params, xs, upstream)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(ad.lstm_sequence(ad.Tensor(xs), *args, reverse=reverse).values,
+                                          want)
+            for name, expected in want_grads.items():
+                np.testing.assert_array_equal(got_grads[name], expected, err_msg=name)
+
+
+def test_where_logistic_is_bitwise_the_branch_free_form():
+    x = np.concatenate([np.random.default_rng(7).normal(scale=20.0, size=2000),
+                        [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf]])
+    np.testing.assert_array_equal(ad._logistic(x), where_logistic(x))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_paper_size_values_bitwise_gradients_to_rounding(reverse):
+    # At H=256 the backward's [k, 4H] x [4H, H] product can take another BLAS
+    # kernel for a few rows than for many (OpenBLAS has a small-matrix path
+    # up to M*N*K = 1e6), so gradients may differ from the mask-blend op in
+    # their last bits; the forward values may not.
+    b, t, dim, hidden = 7, 12, 50, 256
+    cell, params = make_cell(dim, hidden, seed=11)
+    rng = np.random.default_rng(12)
+    mask = prefix_mask([3, 12, 1, 7, 12, 5, 2], t)
+    xs = rng.normal(size=(b, t, dim))
+    upstream = rng.normal(size=(b, t, hidden))
+    args = (cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask)
+    want, want_grads = grads_of(lambda x: mask_blend_lstm_sequence(x, *args, reverse=reverse),
+                                cell, params, xs, upstream)
+    got, got_grads = grads_of(lambda x: ad.lstm_sequence(x, *args, reverse=reverse),
+                              cell, params, xs, upstream)
+    np.testing.assert_array_equal(got, want)
+    for name, expected in want_grads.items():
+        assert rel(got_grads[name], expected) <= 1e-13, name

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_grad, rel_err
+from test_lstm_sequence import mask_blend_lstm_sequence
 from hanst import autodiff as ad
 from hanst import models as md
 from hanst.errors import (
@@ -59,6 +60,41 @@ def attention_oracle(states, pool):
     e = np.exp(scores - scores.max())
     alpha = e / e.sum()
     return alpha @ states, alpha
+
+
+def dummy_mask_han_encode(model, batch):
+    """`HanModel.encode` before its word level was packed.
+
+    All B*S rows run the word BiLSTM and word attention; padding sentences do
+    so under an all-ones mask, and the sentence mask later drops their
+    vectors. Both levels use the mask-blend LSTM op.
+    """
+    def bilstm(layer, xs, mask):
+        fw, bw = (mask_blend_lstm_sequence(xs, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask,
+                                           reverse=reverse)
+                  for cell, reverse in ((layer.fw, False), (layer.bw, True)))
+        return ad.concat([fw, bw], axis=2)
+
+    b, s, t = batch.ids.shape
+    token_mask = batch.token_mask.reshape(b * s, t)
+    token_mask = np.where((token_mask.sum(axis=1) == 0)[:, None], 1.0, token_mask)
+    words = ad.rows(model.embedding, batch.ids.reshape(b * s, t))
+    sent_vecs, word_alpha = model.word_attn.run(bilstm(model.word_bilstm, words, token_mask),
+                                                token_mask)
+    sent_seq = ad.reshape(sent_vecs, (b, s, 2 * model.config.bilstm_hidden))
+    doc, sent_alpha = model.sent_attn.run(bilstm(model.sent_bilstm, sent_seq, batch.sent_mask),
+                                          batch.sent_mask)
+    word_maps = word_alpha.values.reshape(b, s, t) * batch.sent_mask[:, :, None]
+    return doc, word_maps, sent_alpha.values
+
+
+def ragged_han_batch(seed=0, vocab_size=20):
+    """Documents of 1-5 sentences of 1-7 tokens, so the batch pads both ways."""
+    rng = np.random.default_rng(seed)
+    docs = [[[int(v) for v in rng.integers(2, vocab_size, size=rng.integers(1, 8))]
+             for _ in range(int(rng.integers(1, 6)))] for _ in range(5)]
+    docs[0].append([3] * 9)   # one sentence longer than every other
+    return batch_of(*docs)
 
 
 class TestPadBatch:
@@ -269,6 +305,39 @@ class TestHan:
         together, _, _ = m.encode(batch_of([[2, 3, 4], [5, 6]],
                                            [[7, 8, 9, 10, 11], [12, 13], [14, 15]]))
         assert np.abs(alone.values[0] - together.values[0]).max() < 1e-9
+
+    def test_padding_sentences_have_zero_word_attention(self):
+        m = self.build()
+        batch = ragged_han_batch()
+        _, word_maps, _ = m.encode(batch)
+        assert (batch.sent_mask == 0).any()
+        padding = batch.sent_mask == 0
+        assert (word_maps[padding] == 0.0).all()
+        np.testing.assert_array_equal(word_maps == 0.0, batch.token_mask == 0.0)
+
+    def test_matches_dummy_mask_oracle(self):
+        # values bitwise; gradients sum the same terms in another row order
+        m = self.build(seed=4, hidden=5)
+        batch = ragged_han_batch(seed=1)
+        up = np.random.default_rng(2).normal(size=(batch.size, 10))
+
+        def run(encode):
+            for p in m.params.values():
+                p.grad = None
+            with ad.Tape():
+                doc, word_maps, sent_alpha = encode(m, batch)
+                ad.backward(ad.mean_all(ad.mul(doc, ad.Tensor(up))))
+            return (doc.values, word_maps, sent_alpha), {n: p.grad for n, p in m.params.items()}
+
+        want, want_grads = run(dummy_mask_han_encode)
+        got, got_grads = run(md.HanModel.encode)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        for name, expected in want_grads.items():
+            if expected is None:
+                assert got_grads[name] is None, name
+            else:
+                assert rel_err(got_grads[name], expected) <= 1e-12, name
 
 
 class TestHeadForward:

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from hanst import models as md
+from hanst import synth
 from hanst import training as tr
 from hanst.autodiff import Adam, Tensor
 from hanst.errors import ConfigurationError, DegenerateInputError, TrainingAbortedError
 from hanst.evalstats import PredictionRecord
-from hanst.textprep import TaggedDocument
+from hanst.textprep import CharacterLimit, TaggedDocument, prepare_corpus
 
 
 def tagged_doc(doc_id, sentences, label):
@@ -213,6 +214,29 @@ class TestTrainEpoch:
         # what stays is the parameter gradients (about 25 MiB)
         assert peak / mib < 400
         assert held / mib < 64
+
+    def test_ragged_paper_size_step_peak_memory(self):
+        # paper-default HAN on 4 documents of 4, 8, 16 and 32 words per
+        # sentence cut at 4,000 characters: a (4, 166, 33) batch, 14% real
+        # tokens. Only the real sentences run the word level, each for its
+        # own length; running every row of the padded batch peaks near 1.3 GiB.
+        vocab, docs = prepare_corpus(synth.heterogeneous_length_corpus(n_docs=4), "none",
+                                     CharacterLimit(4000), 10000)
+        config = md.default_model_config("han", "classify", vocab_size=len(vocab))
+        rng = np.random.default_rng(0)
+        model = md.build_model(config, rng)
+        batches = tr.make_batches(docs, "classify", 4)
+        assert batches[0].ids.shape == (4, 166, 33)
+        mib = 1024.0 * 1024.0
+        gc.disable()
+        tracemalloc.start()
+        try:
+            tr.train_epoch(model, batches, Adam(model.params), "cross-entropy", rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak / mib < 1000
 
 
 class TestSelectBest:
