@@ -175,25 +175,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _record(a.values - b.values, (a, b), bwd)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"mul: incompatible shapes {a.shape} * {b.shape}")
-
-    def bwd(g):
-        _accum(a, g * b.values)
-        _accum(b, g * a.values)
-
-    return _record(a.values * b.values, (a, b), bwd)
-
-
-def mul_const(a: Tensor, c) -> Tensor:
-    c = np.asarray(c, dtype=DTYPE)
-    values = a.values * c
-    if values.shape != a.shape:
-        raise ShapeMismatchError(f"mul_const: constant {c.shape} broadcasts {a.shape} to {values.shape}")
-    return _record(values, (a,), lambda g: _accum(a, g * c))
-
-
 def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.values)
     return _record(t, (a,), lambda g: _accum(a, g * (1.0 - t * t)))
@@ -205,11 +186,6 @@ def _logistic(x: np.ndarray) -> np.ndarray:
     # bitwise the two-branch form without a data-dependent select.
     e = np.exp(-np.abs(x))
     return np.maximum(e, x >= 0) / (1.0 + e)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = _logistic(a.values)
-    return _record(s, (a,), lambda g: _accum(a, g * s * (1.0 - s)))
 
 
 def abs_(a: Tensor) -> Tensor:
@@ -276,16 +252,6 @@ def concat(parts: list[Tensor], axis: int) -> Tensor:
     return _record(values, tuple(parts), bwd)
 
 
-def stack(parts: list[Tensor], axis: int) -> Tensor:
-    values = np.stack([t.values for t in parts], axis=axis)
-
-    def bwd(g):
-        for i, t in enumerate(parts):
-            _accum(t, np.take(g, i, axis=axis))
-
-    return _record(values, tuple(parts), bwd)
-
-
 def index_axis(a: Tensor, idx: int, axis: int) -> Tensor:
     """Select one slice along ``axis`` (the axis is dropped)."""
     values = np.take(a.values, idx, axis=axis)
@@ -298,22 +264,6 @@ def index_axis(a: Tensor, idx: int, axis: int) -> Tensor:
         a.grad[tuple(key)] += g
 
     return _record(values, (a,), bwd)
-
-
-def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice along the last axis."""
-    values = a.values[..., start:stop]
-
-    def bwd(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.values)
-        a.grad[..., start:stop] += g
-
-    return _record(values, (a,), bwd)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    return _record(a.values.sum(), (a,), lambda g: _accum(a, np.broadcast_to(g, a.shape)))
 
 
 def mean_all(a: Tensor) -> Tensor:

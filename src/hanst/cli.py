@@ -24,10 +24,11 @@ import numpy as np
 from . import __version__
 from . import models as md
 from . import training as tr
-from .corpus import SPLITS, RawDocument, check_fields, json_object, load_corpus, open_text
+from .corpus import (SPLITS, TEXT_FIELDS, RawDocument, check_document_fields, check_fields,
+                     json_object, load_corpus, open_text)
 from .errors import (AlignmentError, CheckpointMismatchError, ConfigurationError,
                      CorpusFormatError, DegenerateInputError, HanstError,
-                     OutputExistsError, TrainingAbortedError)
+                     OutputExistsError)
 from .evalstats import (PredictionRecord, build_report, corpus_citation_stats,
                         histogram_csv_lines, inverse_citation_score, load_predictions,
                         mcnemar_exact, save_predictions, vote_aggregate,
@@ -310,17 +311,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     result = tr.run_experiment(config, by_split["train"], by_split["valid"],
                                by_split["test"], embeddings=embeddings, log_fn=log_fn)
-    if result.failed:
-        raise TrainingAbortedError(result.failure or "training aborted")
 
     checkpoints: dict[str, str] = {}
     for run in result.runs:
         name = f"run-{run.seed}.ckpt"
-        model = md.build_model(config.model, np.random.default_rng(0))
-        for pname, values in run.parameters.items():
-            model.params[pname].values = values.copy()
         _atomic_via(os.path.join(data_dir, name),
-                    lambda p, m=model: md.save_checkpoint(m, meta["vocab_sha256"], p))
+                    lambda p, m=run.model: md.save_checkpoint(m, meta["vocab_sha256"], p))
         checkpoints[str(run.seed)] = name
         log_lines = [json.dumps(e, sort_keys=True) for e in events.get(run.seed, [])]
         log_lines.append(json.dumps({"seed": run.seed, "event": "selected",
@@ -418,13 +414,12 @@ def _load_predict_docs(path: str) -> list[RawDocument]:
                 raise CorpusFormatError(f"invalid JSON: {exc.msg}", line_number=n) from exc
             if not isinstance(obj, dict) or "id" not in obj:
                 raise CorpusFormatError("expected an object with an 'id' field", line_number=n)
-            title = str(obj.get("title", ""))
-            abstract = str(obj.get("abstract", ""))
-            body = str(obj.get("body_text", ""))
+            check_document_fields(obj, n)
+            title, abstract, body = (obj.get(key, "") for key in TEXT_FIELDS)
             if not (title or abstract or body):
                 raise DegenerateInputError(f"line {n}: document {obj['id']!r} has no text")
             label = obj.get("label") or {"accepted": False}
-            docs.append(RawDocument(id=str(obj["id"]), title=title, abstract=abstract,
+            docs.append(RawDocument(id=obj["id"], title=title, abstract=abstract,
                                     body_text=body, label=label, split="test"))
     return docs
 

@@ -11,6 +11,7 @@ from .errors import ConfigurationError, CorpusFormatError, TextDecodeError
 
 SPLITS = ("train", "valid", "test")
 LABEL_KEYS = ("accepted", "citation_count")
+TEXT_FIELDS = ("title", "abstract", "body_text")
 
 # value checks by the type name a schema gives: a bool is no int, an int is a float
 JSON_TYPES = {"int": lambda v: type(v) is int, "float": lambda v: type(v) in (int, float),
@@ -99,6 +100,13 @@ class RawDocument:
                 "body_text": self.body_text, "label": dict(self.label), "split": self.split}
 
 
+def check_document_fields(obj: dict, line_number: int) -> None:
+    """A document line's `id` and each text field it holds must be strings."""
+    for key in ("id",) + TEXT_FIELDS:
+        if key in obj and not isinstance(obj[key], str):
+            raise CorpusFormatError(f"field {key!r} must be a string", line_number=line_number)
+
+
 def load_corpus(path) -> list[RawDocument]:
     """Read one RawDocument per JSONL line; errors carry the line number."""
     docs = []
@@ -114,12 +122,10 @@ def load_corpus(path) -> list[RawDocument]:
                 raise CorpusFormatError(f"invalid JSON: {exc}", line_number=lineno) from None
             if not isinstance(obj, dict):
                 raise CorpusFormatError("line is not a JSON object", line_number=lineno)
-            missing = {"id", "title", "abstract", "body_text", "label"} - set(obj)
+            missing = {"id", *TEXT_FIELDS, "label"} - set(obj)
             if missing:
                 raise CorpusFormatError(f"missing fields {sorted(missing)}", line_number=lineno)
-            for key in ("id", "title", "abstract", "body_text"):
-                if not isinstance(obj[key], str):
-                    raise CorpusFormatError(f"field {key!r} must be a string", line_number=lineno)
+            check_document_fields(obj, lineno)
             if not isinstance(obj["label"], dict):
                 raise CorpusFormatError("field 'label' must be an object", line_number=lineno)
             try:
@@ -141,9 +147,3 @@ def save_corpus(docs: list[RawDocument], path) -> None:
         for doc in docs:
             fh.write(json.dumps(doc.to_json(), sort_keys=True) + "\n")
 
-
-def split_corpus(docs: list[RawDocument]) -> dict[str, list[RawDocument]]:
-    out: dict[str, list[RawDocument]] = {name: [] for name in SPLITS}
-    for doc in docs:
-        out[doc.split].append(doc)
-    return out

@@ -346,9 +346,9 @@ def mean_std(values: list[float]) -> tuple[float, float]:
     return float(np.mean(arr)), float(np.std(arr, ddof=1))
 
 
-def build_report(task: str, per_run_metrics: dict[str, list[float]],
-                 significance: list[SignificanceResult] | None = None) -> dict:
-    """Report schema: task, per-metric mean/std/per-run, significance list."""
+def build_report(task: str, per_run_metrics: dict[str, list[float]]) -> dict:
+    """Report schema: task, per-metric mean/std/per-run, and an empty
+    significance list (`hanst significance` prints its results instead)."""
     metrics = {}
     for name in sorted(per_run_metrics):
         values = [float(v) for v in per_run_metrics[name]]
@@ -357,7 +357,7 @@ def build_report(task: str, per_run_metrics: dict[str, list[float]],
     return {
         "task": task,
         "metrics": metrics,
-        "significance": [s.to_json() for s in (significance or [])],
+        "significance": [],
     }
 
 

@@ -130,18 +130,17 @@ class BiLstmLayer:
         self.fw = LstmCell(f"{prefix}.fw", input_dim, hidden, params, rng)
         self.bw = LstmCell(f"{prefix}.bw", input_dim, hidden, params, rng)
 
-    def run(self, xs: ad.Tensor, mask: np.ndarray):
-        """Return (per-position states [B,T,2h], final forward, final backward).
+    def run(self, xs: ad.Tensor, mask: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
+        """Return the forward and backward per-position states, each [B,T,h].
 
         Each mask row is ones followed by zeros. Rows step only at their real
         positions and carry their state through the padded ones, so outputs
-        match a run over the unpadded sequence.
+        match a run over the unpadded sequence: a row's final forward state
+        is at position T-1 and its final backward state at position 0.
         """
-        fw, bw = (ad.lstm_sequence(xs, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask, reverse=reverse)
-                  for cell, reverse in ((self.fw, False), (self.bw, True)))
-        final_fw = ad.index_axis(fw, xs.shape[1] - 1, axis=1)
-        final_bw = ad.index_axis(bw, 0, axis=1)
-        return ad.concat([fw, bw], axis=2), final_fw, final_bw
+        return tuple(ad.lstm_sequence(xs, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask,
+                                      reverse=reverse)
+                     for cell, reverse in ((self.fw, False), (self.bw, True)))
 
 
 class AttentionPool:
@@ -265,8 +264,9 @@ class SentAvgBilstmModel(Model):
         sent_vecs = _masked_mean_rows(self.embedding, batch.ids.reshape(b * s, t),
                                       batch.token_mask.reshape(b * s, t))
         sent_vecs = ad.reshape(sent_vecs, (b, s, self.config.embedding_dim))
-        _, final_fw, final_bw = self.sent_bilstm.run(sent_vecs, batch.sent_mask)
-        return ad.concat([final_fw, final_bw], axis=1), None, None
+        fw, bw = self.sent_bilstm.run(sent_vecs, batch.sent_mask)
+        final = [ad.index_axis(fw, s - 1, axis=1), ad.index_axis(bw, 0, axis=1)]
+        return ad.concat(final, axis=1), None, None
 
 
 class HanModel(Model):
@@ -303,11 +303,11 @@ class HanModel(Model):
         real = real[np.argsort(-token_mask[real].sum(axis=1), kind="stable")]
         token_mask = token_mask[real]
         words = ad.rows(self.embedding, batch.ids.reshape(b * s, t)[real])
-        word_states, _, _ = self.word_bilstm.run(words, token_mask)
+        word_states = ad.concat(self.word_bilstm.run(words, token_mask), axis=2)
         sent_vecs, word_alpha = self.word_attn.run(word_states, token_mask)
         sent_seq = ad.reshape(ad.scatter_rows(sent_vecs, real, b * s),
                               (b, s, 2 * self.config.bilstm_hidden))
-        sent_states, _, _ = self.sent_bilstm.run(sent_seq, batch.sent_mask)
+        sent_states = ad.concat(self.sent_bilstm.run(sent_seq, batch.sent_mask), axis=2)
         doc, sent_alpha = self.sent_attn.run(sent_states, batch.sent_mask)
         word_maps = np.zeros((b * s, t))
         word_maps[real] = word_alpha.values

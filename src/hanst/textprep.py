@@ -120,46 +120,23 @@ def _check_tagset(tagset: str) -> None:
         raise ConfigurationError(f"tagset must be one of {TAGSETS}, got {tagset!r}")
 
 
-def _segment_fields(doc: RawDocument, limit: int | None) -> list[tuple[str, str]]:
+def _segment_fields(doc: RawDocument, limit: int) -> list[tuple[str, str]]:
     """(role, raw sentence) pairs of title, abstract and body, in order.
 
-    The title is one sentence regardless of punctuation. With ``limit``, no
-    field is segmented further than a CharacterLimit of ``limit`` can reach.
+    The title is one sentence regardless of punctuation. No field is
+    segmented further than a CharacterLimit of ``limit`` can reach.
     """
     title = doc.title.strip()
     parts = [("TITLE", title)] if title else []
     # running length of the pairs so far, counted as apply_cutoff counts it
     reach = len(title) if title else -1
     for role, text in (("ABSTRACT", doc.abstract), ("BODY_TEXT", doc.body_text)):
-        if limit is not None and reach > limit:
+        if reach > limit:
             break
-        sentences = segment_sentences(text, None if limit is None else limit - reach - 1)
+        sentences = segment_sentences(text, limit - reach - 1)
         parts.extend((role, sent) for sent in sentences)
         reach += sum(1 + len(sent) for sent in sentences)
     return parts
-
-
-def inject_tags(doc: RawDocument, tagset: str) -> list[tuple[str, str]]:
-    """Segment a document into (role, sentence) pairs, wrapping sentences in
-    their role's tags unless tagset is "none".
-
-    The title is one sentence regardless of punctuation. The reduced tagset
-    merges TITLE and ABSTRACT into one role.
-    """
-    _check_tagset(tagset)
-    merge = _ROLE_MERGE.get(tagset, {})
-    out = []
-    for role, sent in _segment_fields(doc, None):
-        role = merge.get(role, role)
-        if tagset == "none":
-            out.append((role, sent))
-        else:
-            out.append((role, f"{open_tag(role)} {sent} {close_tag(role)}"))
-    return out
-
-
-def strip_tags(sentence: str) -> str:
-    return TAG_RE.sub("", sentence).strip()
 
 
 # ---------------------------------------------------------------------------
@@ -175,36 +152,20 @@ class CharacterLimit:
             raise ConfigurationError(f"character limit must be >= 1, got {self.limit}")
 
 
-@dataclass(frozen=True)
-class SentenceLimit:
-    limit: int = 360
-
-    def __post_init__(self):
-        if self.limit < 1:
-            raise ConfigurationError(f"sentence limit must be >= 1, got {self.limit}")
-
-
-def apply_cutoff(sentences: list[str], policy) -> list[str]:
-    """Keep a prefix of sentences.
-
-    CharacterLimit counts raw characters plus one separator between
-    consecutive sentences and always keeps at least the first sentence.
-    SentenceLimit keeps the first `limit` sentences.
-    """
+def apply_cutoff(sentences: list[str], cutoff: CharacterLimit) -> list[str]:
+    """Keep the longest prefix of sentences whose raw characters, plus one
+    separator between consecutive sentences, fit in the limit; the first
+    sentence is always kept."""
     if not sentences:
         return []
-    if isinstance(policy, SentenceLimit):
-        return sentences[: policy.limit]
-    if isinstance(policy, CharacterLimit):
-        kept = [sentences[0]]
-        total = len(sentences[0])
-        for sent in sentences[1:]:
-            total += 1 + len(sent)
-            if total > policy.limit:
-                break
-            kept.append(sent)
-        return kept
-    raise ConfigurationError(f"unknown cutoff policy {policy!r}")
+    kept = [sentences[0]]
+    total = len(sentences[0])
+    for sent in sentences[1:]:
+        total += 1 + len(sent)
+        if total > cutoff.limit:
+            break
+        kept.append(sent)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +320,15 @@ class TaggedDocument:
             raise ConfigurationError(f"document {self.id!r}: empty sentence after encoding")
 
 
-def kept_sentences(doc: RawDocument, cutoff) -> list[tuple[str, str]]:
+def kept_sentences(doc: RawDocument, cutoff: CharacterLimit) -> list[tuple[str, str]]:
     """The (role, raw sentence) pairs of a document that the cutoff keeps,
     untagged and before roles are merged.
 
     The cutoff is measured on raw untagged sentences so every tagset sees the
-    same underlying content. Under a CharacterLimit no field is segmented
-    further than the cutoff can reach; apply_cutoff alone decides what is kept.
+    same underlying content. No field is segmented further than the cutoff
+    can reach; apply_cutoff alone decides what is kept.
     """
-    limit = cutoff.limit if isinstance(cutoff, CharacterLimit) else None
-    parts = _segment_fields(doc, limit)
+    parts = _segment_fields(doc, cutoff.limit)
     kept = apply_cutoff([sent for _, sent in parts], cutoff)
     return parts[: len(kept)]
 

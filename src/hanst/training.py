@@ -222,7 +222,7 @@ class RunRecord:
     valid_metrics: list[float]
     selected_epoch: int
     test_predictions: list[PredictionRecord]
-    parameters: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
+    model: md.Model = field(repr=False)   # the selected snapshot, without gradients
 
 
 def train_single_run(config: TrainConfig, train_docs: list[TaggedDocument],
@@ -230,7 +230,9 @@ def train_single_run(config: TrainConfig, train_docs: list[TaggedDocument],
                      seed: int, embeddings: np.ndarray | None = None,
                      log_fn=None) -> RunRecord:
     """One seeded training: resample/shuffle per epoch, validate on the
-    natural split, keep the snapshot of the last best epoch, then test."""
+    natural split, keep the snapshot of the last best epoch, then test it.
+
+    A non-finite train loss raises TrainingAbortedError."""
     if not train_docs or not valid_docs:
         raise ConfigurationError("train and valid splits must be non-empty")
     rng = np.random.default_rng(seed)
@@ -261,11 +263,12 @@ def train_single_run(config: TrainConfig, train_docs: list[TaggedDocument],
 
     for name, values in best_params.items():
         model.params[name].values = values
+    optimizer.zero_grad()
     test_predictions = predict(model, test_docs, config.task, config.batch_size,
                                seed=seed) if test_docs else []
     return RunRecord(seed=seed, train_losses=train_losses, valid_metrics=valid_metrics,
                      selected_epoch=select_best(valid_metrics),
-                     test_predictions=test_predictions, parameters=best_params)
+                     test_predictions=test_predictions, model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +277,9 @@ def train_single_run(config: TrainConfig, train_docs: list[TaggedDocument],
 
 @dataclass
 class ExperimentResult:
-    config: TrainConfig
     runs: list[RunRecord]
     per_run_metrics: dict[str, list[float]]
     vote_predictions: list[PredictionRecord]
-    failed: bool = False
-    failure: str | None = None
 
 
 def run_metrics(records: list[PredictionRecord], task: str) -> dict[str, float]:
@@ -314,17 +314,11 @@ def run_experiment(config: TrainConfig, train_docs, valid_docs, test_docs,
                    embeddings: np.ndarray | None = None, log_fn=None) -> ExperimentResult:
     """Train once per seed; aggregate test metrics and vote predictions.
 
-    A run abort marks the experiment failed but preserves completed runs.
+    A TrainingAbortedError from any run propagates.
     """
-    runs: list[RunRecord] = []
-    for seed in config.seeds:
-        try:
-            runs.append(train_single_run(config, train_docs, valid_docs, test_docs,
-                                         seed, embeddings=embeddings, log_fn=log_fn))
-        except TrainingAbortedError as exc:
-            return ExperimentResult(config=config, runs=runs, per_run_metrics={},
-                                    vote_predictions=[], failed=True, failure=str(exc))
+    runs = [train_single_run(config, train_docs, valid_docs, test_docs, seed,
+                             embeddings=embeddings, log_fn=log_fn)
+            for seed in config.seeds]
     per_run, vote = summarize_runs(
         [r.test_predictions for r in runs if r.test_predictions], config.task)
-    return ExperimentResult(config=config, runs=runs, per_run_metrics=per_run,
-                            vote_predictions=vote)
+    return ExperimentResult(runs=runs, per_run_metrics=per_run, vote_predictions=vote)

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.stats
 
 from conftest import fd_grad
+from oracles import inject_tags, strip_tags
 from hanst import autodiff as ad
 from hanst import cli
 from hanst import evalstats as es
@@ -23,9 +24,8 @@ from hanst import models as md
 from hanst import synth
 from hanst import training as tr
 from hanst.corpus import SPLITS, save_corpus
-from hanst.textprep import (CharacterLimit, SentenceLimit, TaggedDocument,
-                            apply_cutoff, encode_document, inject_tags,
-                            prepare_corpus, strip_tags, tokenize)
+from hanst.textprep import (CharacterLimit, TaggedDocument, apply_cutoff,
+                            encode_document, prepare_corpus, tokenize)
 
 
 def report(num: int, ok: bool, text: str) -> bool:
@@ -239,7 +239,7 @@ def test_criterion_06_character_cutoff_lower_variation():
     mean_by_m = cumsums.mean(axis=0)
     matched_m = int(np.argmin(np.abs(mean_by_m - char_words.mean()))) + 1
     sent_words = np.array([
-        sum(len(tokenize(s)) for s in apply_cutoff(sents, SentenceLimit(matched_m)))
+        sum(len(tokenize(s)) for s in sents[:matched_m])
         for sents in per_doc_sentences], dtype=float)
 
     cv_char = char_words.std() / char_words.mean()

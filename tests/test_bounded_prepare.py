@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import split_corpus
 from hanst import synth
 from hanst import textprep as tp
-from hanst.corpus import RawDocument, split_corpus
+from hanst.corpus import RawDocument
 from hanst.errors import DegenerateInputError
 
 
@@ -191,11 +192,6 @@ def test_kept_sentences_match_full_segmentation_then_cutoff(title, abstract, bod
     doc = make_raw(title, abstract, body)
     cutoff = tp.CharacterLimit(limit)
     assert tp.kept_sentences(doc, cutoff) == oracle_kept(doc, cutoff)
-
-
-def test_kept_sentences_sentence_limit():
-    doc = make_raw("T", "One. Two.", "Three. Four. Five.")
-    assert tp.kept_sentences(doc, tp.SentenceLimit(4)) == oracle_kept(doc, tp.SentenceLimit(4))
 
 
 def resplit(docs):

@@ -298,6 +298,18 @@ def test_task_label_missing_is_one_line(tmp_path, capsys, cites_corpus):
     assert err == "error: config-error: task 'classify' needs the label 'accepted' on every document\n"
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_train_abort_is_one_line_and_writes_no_results(tmp_path, capsys, probe_corpus):
+    # the absurd learning rate makes the second batch's loss NaN
+    data, cfg = prepared_dir(tmp_path, capsys, probe_corpus, lr=1e200)
+    rc, out, err = run_cli(capsys, "train", "--config", cfg, "--out", data)
+    assert rc == 1 and out == ""
+    assert err == "error: training-aborted: non-finite loss nan at epoch 0, batch 1\n"
+    left = os.listdir(data)
+    assert "manifest.json" not in left and "report.json" not in left
+    assert not [name for name in left if name.endswith(".ckpt")]
+
+
 def _trained_dir(tmp_path, capsys, corpus, **cfg):
     data, cfg_path = prepared_dir(tmp_path, capsys, corpus, **cfg)
     assert run_cli(capsys, "train", "--config", cfg_path, "--out", data)[0] == 0
@@ -632,6 +644,24 @@ def test_predict_rejects_empty_document(tmp_path, capsys, probe_corpus):
     assert rc == 1
     assert err.startswith("error: degenerate-input:")
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"id": "x", "title": None, "abstract": None, "body_text": None},
+    {"id": "x", "title": "A title", "body_text": {"b": 1}},
+    {"id": 7, "title": "A title"},
+])
+def test_predict_rejects_non_string_fields(tmp_path, capsys, probe_corpus, doc):
+    # not read as the text "None" or "{'b': 1}", nor the id "7"
+    data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
+    assert run_cli(capsys, "train", "--config", cfg, "--out", data)[0] == 0
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": "ok", "title": "Fine"}\n' + json.dumps(doc) + "\n")
+    rc, out, err = run_cli(capsys, "predict", str(bad), "--checkpoint",
+                           os.path.join(data, "run-1.ckpt"), "--out", data)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: corpus-format: line 2: field ")
+    assert err.endswith(" must be a string\n")
 
 
 def test_predict_accepts_unlabeled_docs(tmp_path, capsys, probe_corpus):

@@ -12,6 +12,7 @@ so it must match that one bitwise, values and gradients.
 import numpy as np
 import pytest
 
+from oracles import mul, mul_const, sigmoid, slice_last, stack, sum_all
 from hanst import autodiff as ad
 from hanst import models as md
 from hanst.errors import ShapeMismatchError
@@ -24,14 +25,14 @@ def step_oracle(cell, x, h, c, m):
     gates = ad.add(ad.add(ad.matmul(x, cell.w_ih), cell.b_ih),
                    ad.add(ad.matmul(h, cell.w_hh), cell.b_hh))
     n = cell.hidden
-    i = ad.sigmoid(ad.slice_last(gates, 0, n))
-    f = ad.sigmoid(ad.slice_last(gates, n, 2 * n))
-    g = ad.tanh(ad.slice_last(gates, 2 * n, 3 * n))
-    o = ad.sigmoid(ad.slice_last(gates, 3 * n, 4 * n))
-    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
-    c_out = ad.add(ad.mul_const(c_new, m), ad.mul_const(c, 1.0 - m))
-    h_out = ad.add(ad.mul_const(h_new, m), ad.mul_const(h, 1.0 - m))
+    i = sigmoid(slice_last(gates, 0, n))
+    f = sigmoid(slice_last(gates, n, 2 * n))
+    g = ad.tanh(slice_last(gates, 2 * n, 3 * n))
+    o = sigmoid(slice_last(gates, 3 * n, 4 * n))
+    c_new = ad.add(mul(f, c), mul(i, g))
+    h_new = mul(o, ad.tanh(c_new))
+    c_out = ad.add(mul_const(c_new, m), mul_const(c, 1.0 - m))
+    h_out = ad.add(mul_const(h_new, m), mul_const(h, 1.0 - m))
     return h_out, c_out
 
 
@@ -50,7 +51,7 @@ def sequence_oracle(cell, xs, mask, reverse=False):
     steps = [ad.index_axis(xs, i, axis=1) for i in range(t)]
     order = reversed(range(t)) if reverse else range(t)
     states, _ = direction_oracle(cell, steps, mask, order)
-    return ad.stack(states, axis=1)
+    return stack(states, axis=1)
 
 
 def bilstm_oracle(layer, xs, mask):
@@ -60,7 +61,7 @@ def bilstm_oracle(layer, xs, mask):
     fw, final_fw = direction_oracle(layer.fw, steps, mask, range(t))
     bw, final_bw = direction_oracle(layer.bw, steps, mask, reversed(range(t)))
     per_pos = [ad.concat([fw[i], bw[i]], axis=1) for i in range(t)]
-    return ad.stack(per_pos, axis=1), final_fw, final_bw
+    return stack(per_pos, axis=1), final_fw, final_bw
 
 
 def rel(a, b):
@@ -96,7 +97,7 @@ def grads_of(run, cell, params, xs_values, upstream):
     with ad.Tape():
         xs = ad.Tensor(xs_values)
         out = run(xs)
-        ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(upstream))))
+        ad.backward(sum_all(mul(out, ad.Tensor(upstream))))
     names = ("w_ih", "w_hh", "b_ih", "b_hh")
     return out.values, {"xs": xs.grad, **{n: getattr(cell, n).grad for n in names}}
 
@@ -172,14 +173,19 @@ def test_bilstm_layer_matches_composition():
         with ad.Tape():
             x = ad.Tensor(xs)
             outs = fn(x)
-            loss = ad.add(ad.add(ad.sum_all(ad.mul(outs[0], ad.Tensor(up[0]))),
-                                 ad.sum_all(ad.mul(outs[1], ad.Tensor(up[1])))),
-                          ad.sum_all(ad.mul(outs[2], ad.Tensor(up[2]))))
+            loss = ad.add(ad.add(sum_all(mul(outs[0], ad.Tensor(up[0]))),
+                                 sum_all(mul(outs[1], ad.Tensor(up[1])))),
+                          sum_all(mul(outs[2], ad.Tensor(up[2]))))
             ad.backward(loss)
         return [o.values for o in outs], [x.grad] + [p.grad for p in params.values()]
 
+    def layer_outputs(x):
+        fw, bw = layer.run(x, mask)
+        return (ad.concat([fw, bw], axis=2), ad.index_axis(fw, x.shape[1] - 1, axis=1),
+                ad.index_axis(bw, 0, axis=1))
+
     want_vals, want_grads = run(lambda x: bilstm_oracle(layer, x, mask))
-    got_vals, got_grads = run(lambda x: layer.run(x, mask))
+    got_vals, got_grads = run(layer_outputs)
     for got, want in zip(got_vals + got_grads, want_vals + want_grads):
         assert rel(got, want) <= TOL
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_grad, rel_err
+from oracles import mul
 from test_lstm_sequence import mask_blend_lstm_sequence
 from hanst import autodiff as ad
 from hanst import models as md
@@ -326,7 +327,7 @@ class TestHan:
                 p.grad = None
             with ad.Tape():
                 doc, word_maps, sent_alpha = encode(m, batch)
-                ad.backward(ad.mean_all(ad.mul(doc, ad.Tensor(up))))
+                ad.backward(ad.mean_all(mul(doc, ad.Tensor(up))))
             return (doc.values, word_maps, sent_alpha), {n: p.grad for n, p in m.params.items()}
 
         want, want_grads = run(dummy_mask_han_encode)

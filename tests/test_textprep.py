@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import inject_tags, split_corpus, strip_tags
 from hanst import textprep as tp
-from hanst.corpus import RawDocument, load_corpus, save_corpus, split_corpus
+from hanst.corpus import RawDocument, load_corpus, save_corpus
 from hanst.errors import ConfigurationError, CorpusFormatError, EmbeddingFormatError
 
 
@@ -62,17 +63,17 @@ class TestSegmentSentences:
 class TestInjectTags:
     def test_title_tagging_matches_reference_format(self):
         doc = make_doc(title="Cross-Task Knowledge-Constrained Self Training", abstract="", body="")
-        out = tp.inject_tags(doc, "full")
+        out = inject_tags(doc, "full")
         assert out[0] == ("TITLE", "<TITLE> Cross-Task Knowledge-Constrained Self Training </TITLE>")
 
     def test_none_leaves_text_unchanged(self):
         doc = make_doc()
-        tagged = tp.inject_tags(doc, "none")
+        tagged = inject_tags(doc, "none")
         assert [s for _, s in tagged] == [doc.title] + tp.segment_sentences(doc.abstract) + tp.segment_sentences(doc.body_text)
 
     def test_reduced_merges_title_and_abstract(self):
         doc = make_doc(abstract="One finding. Another finding.", body="")
-        out = tp.inject_tags(doc, "reduced")
+        out = inject_tags(doc, "reduced")
         assert len(out) == 3
         for role, sent in out:
             assert role == "TITLE_ABSTRACT"
@@ -81,33 +82,33 @@ class TestInjectTags:
 
     def test_reduced_equals_full_with_roles_relabeled(self):
         doc = make_doc()
-        full = tp.inject_tags(doc, "full")
-        reduced = tp.inject_tags(doc, "reduced")
+        full = inject_tags(doc, "full")
+        reduced = inject_tags(doc, "reduced")
         for (rf, sf), (rr, sr) in zip(full, reduced):
             expected = "TITLE_ABSTRACT" if rf in ("TITLE", "ABSTRACT") else rf
             assert rr == expected
-            assert tp.strip_tags(sf) == tp.strip_tags(sr)
+            assert strip_tags(sf) == strip_tags(sr)
 
     def test_title_not_segmented(self):
         doc = make_doc(title="Attention. Is. All. You. Need.", abstract="", body="")
-        out = tp.inject_tags(doc, "full")
+        out = inject_tags(doc, "full")
         assert len(out) == 1
 
     def test_body_role(self):
         doc = make_doc(title="", abstract="", body="Only body here.")
-        out = tp.inject_tags(doc, "full")
+        out = inject_tags(doc, "full")
         assert out == [("BODY_TEXT", "<BODY_TEXT> Only body here. </BODY_TEXT>")]
 
     def test_strip_tags_round_trip(self):
         doc = make_doc()
-        untagged = [s for _, s in tp.inject_tags(doc, "none")]
-        stripped = [tp.strip_tags(s) for _, s in tp.inject_tags(doc, "full")]
+        untagged = [s for _, s in inject_tags(doc, "none")]
+        stripped = [strip_tags(s) for _, s in inject_tags(doc, "full")]
         assert stripped == untagged
 
     def test_tag_well_formedness(self):
         doc = make_doc()
         for tagset in ("full", "reduced"):
-            for role, sent in tp.inject_tags(doc, tagset):
+            for role, sent in inject_tags(doc, tagset):
                 tokens = tp.tokenize(sent)
                 assert tokens[0] == tp.open_tag(role)
                 assert tokens[-1] == tp.close_tag(role)
@@ -115,17 +116,13 @@ class TestInjectTags:
 
     def test_unknown_tagset(self):
         with pytest.raises(ConfigurationError):
-            tp.inject_tags(make_doc(), "positional")
+            inject_tags(make_doc(), "positional")
 
 
 class TestApplyCutoff:
     def test_character_limit_keeps_short_docs(self):
         sents = ["x" * 10] * 3
         assert tp.apply_cutoff(sents, tp.CharacterLimit(20000)) == sents
-
-    def test_sentence_limit(self):
-        sents = [f"s{i}" for i in range(400)]
-        assert tp.apply_cutoff(sents, tp.SentenceLimit(360)) == sents[:360]
 
     def test_character_limit_boundary(self):
         sents = ["a" * 9000, "b" * 9000, "c" * 9000]
@@ -136,13 +133,10 @@ class TestApplyCutoff:
 
     def test_empty_input(self):
         assert tp.apply_cutoff([], tp.CharacterLimit(100)) == []
-        assert tp.apply_cutoff([], tp.SentenceLimit(5)) == []
 
     def test_invalid_limits(self):
         with pytest.raises(ConfigurationError):
             tp.CharacterLimit(0)
-        with pytest.raises(ConfigurationError):
-            tp.SentenceLimit(0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.text(alphabet="ab", min_size=1, max_size=12), min_size=1, max_size=15),
@@ -331,7 +325,7 @@ class TestEncodeDocument:
     def test_cutoff_is_tagset_independent(self):
         body = " ".join(f"Sentence number {i} is here." for i in range(200))
         doc = make_doc(body=body)
-        vocab = tp.build_vocabulary([tp.tokenize(s) for _, s in tp.inject_tags(doc, "none")],
+        vocab = tp.build_vocabulary([tp.tokenize(s) for _, s in inject_tags(doc, "none")],
                                     forced_tokens=tp.tag_tokens("full"))
         cut = tp.CharacterLimit(300)
         lengths = {tagset: len(tp.encode_document(doc, vocab, tagset, cut).sentences)
@@ -340,7 +334,7 @@ class TestEncodeDocument:
 
     def test_tagged_sentences_bracketed_by_tag_ids(self):
         doc = make_doc()
-        sents = [tp.tokenize(s) for _, s in tp.inject_tags(doc, "full")]
+        sents = [tp.tokenize(s) for _, s in inject_tags(doc, "full")]
         vocab = tp.build_vocabulary(sents, forced_tokens=tp.tag_tokens("full"))
         enc = tp.encode_document(doc, vocab, "full", tp.CharacterLimit(20000))
         for ids, role in zip(enc.sentences, enc.roles):
@@ -356,7 +350,7 @@ class TestEncodeDocument:
     def test_label_carried_through(self):
         doc = make_doc(label={"citation_count": 7})
         vocab = tp.build_vocabulary([["a"]])
-        enc = tp.encode_document(doc, vocab, "none", tp.SentenceLimit(5))
+        enc = tp.encode_document(doc, vocab, "none", tp.CharacterLimit(5))
         assert enc.label == {"citation_count": 7}
 
 

@@ -286,11 +286,9 @@ class TestTrainSingleRun:
         docs = classify_corpus(n_pos=8, n_neg=8)
         config = tiny_train_config(epochs=12, batch_size=4, resample=True)
         record = tr.train_single_run(config, docs, docs, docs, seed=3)
-        model = md.build_model(config.model, np.random.default_rng(0))
-        for name, values in record.parameters.items():
-            model.params[name].values = values.copy()
+        assert all(p.grad is None for p in record.model.params.values())
         metric = tr.validation_metric(
-            tr.predict(model, docs, "classify", config.batch_size), "classify")
+            tr.predict(record.model, docs, "classify", config.batch_size), "classify")
         assert metric == record.valid_metrics[record.selected_epoch]
 
     def test_deterministic(self):
@@ -312,7 +310,6 @@ class TestRunExperiment:
         config = tiny_train_config(epochs=10, batch_size=4, resample=True,
                                    seeds=(1, 2, 3))
         result = tr.run_experiment(config, docs, docs, docs)
-        assert not result.failed
         assert len(result.runs) == 3
         assert len(result.per_run_metrics["accuracy"]) == 3
         assert len(result.per_run_metrics["auc"]) == 3
@@ -338,14 +335,12 @@ class TestRunExperiment:
         assert [r.pred for r in a.vote_predictions] == [r.pred for r in b.vote_predictions]
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-    def test_aborted_run_marks_failure_and_keeps_partials(self):
+    def test_aborted_run_raises(self):
         # the absurd learning rate overflows the second forward pass
         docs = classify_corpus()
         config = tiny_train_config(epochs=4, seeds=(1, 2, 3), lr=1e200, resample=True)
-        result = tr.run_experiment(config, docs, docs, docs)
-        assert result.failed
-        assert result.failure is not None
-        assert len(result.runs) < 3
+        with pytest.raises(TrainingAbortedError, match="non-finite loss"):
+            tr.run_experiment(config, docs, docs, docs)
 
 
 class TestSummarizeRuns:
