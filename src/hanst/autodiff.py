@@ -93,10 +93,14 @@ def _active_tape() -> Tape | None:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    # every op passes a gradient of its parent's own shape; any other shape
+    # is a bug in that op, so it is raised rather than broadcast
+    if g.shape != t.values.shape:
+        raise ShapeMismatchError(f"gradient of shape {g.shape} for a tensor of shape {t.values.shape}")
     # the first gradient is copied, never kept: an op may hand the same
     # array to two parents, and the copy is later summed into in place
     if t.grad is None:
-        t.grad = np.broadcast_to(g, t.values.shape).copy()
+        t.grad = g.copy()
     else:
         t.grad += g
 

@@ -258,6 +258,8 @@ def _load_manifest(path: str) -> dict:
     if manifest.get("kind") != MANIFEST_KIND:
         raise ConfigurationError(f"{path}: not an experiment manifest")
     check_fields(manifest, _MANIFEST_KEYS, path)
+    # absent from manifests of configs without embeddings, and from older ones
+    check_fields(manifest, {"embeddings_sha256": "str"}, path, optional=True)
     manifest["config"].pop("loss", None)   # manifests written before loss followed the task
     _check_config(f"{path}: config", manifest["config"])
     for seed in manifest["seeds"]:
@@ -299,6 +301,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise OutputExistsError(f"{manifest_path} exists; pass --force to overwrite")
 
     embeddings_path = raw.get("embeddings")
+    embeddings_sha256 = file_sha256(embeddings_path) if embeddings_path else None
+    if args.from_manifest and manifest_in.get("embeddings_sha256", embeddings_sha256) != embeddings_sha256:
+        raise ConfigurationError(f"manifest embeddings hash does not match {embeddings_path}")
     embeddings = load_embeddings(embeddings_path, vocab, config.model.embedding_dim,
                                  np.random.default_rng(0)) if embeddings_path else None
 
@@ -341,6 +346,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                 "vocab_sha256": meta["vocab_sha256"],
                 "seeds": list(config.seeds), "checkpoints": checkpoints,
                 "report": REPORT_NAME}
+    if embeddings_sha256:
+        manifest["embeddings_sha256"] = embeddings_sha256
     _atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     print(f"manifest: {manifest_path}")
@@ -418,9 +425,9 @@ def _load_predict_docs(path: str) -> list[RawDocument]:
             title, abstract, body = (obj.get(key, "") for key in TEXT_FIELDS)
             if not (title or abstract or body):
                 raise DegenerateInputError(f"line {n}: document {obj['id']!r} has no text")
-            label = obj.get("label") or {"accepted": False}
+            # a fixed label: RawDocument needs one, and whatever the line holds is not read
             docs.append(RawDocument(id=obj["id"], title=title, abstract=abstract,
-                                    body_text=body, label=label, split="test"))
+                                    body_text=body, label={"accepted": False}, split="test"))
     return docs
 
 
@@ -591,7 +598,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # numpy's overflow warnings would print before the one error line; the
+        # finiteness checks on the loss, Adam's gradients and checkpoint values decide
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except HanstError as exc:
         print(f"error: {exc.code}: {_one_line(str(exc))}", file=sys.stderr)
         return 1

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.special import betainc
 
 from .corpus import RawDocument, json_object, open_text
 from .errors import (
@@ -195,6 +194,8 @@ def spearman_rho(x, y) -> tuple[float, float]:
         else:
             t2 = rho * rho * (n - 2) / (1.0 - rho * rho)
             df = n - 2
+            # imported here: it costs ~0.3 s and ~18 MiB, and only `stats` gets here
+            from scipy.special import betainc
             p = float(betainc(df / 2.0, 0.5, df / (df + t2)))
     return rho, p
 

@@ -379,9 +379,8 @@ def _read_header(fh, path) -> dict:
         raise CheckpointMismatchError(f"{path}: unreadable header") from None
 
 
-def load_checkpoint(path, expected_vocab_sha256: str | None = None,
-                    expected_config: ModelConfig | None = None) -> tuple[Model, str]:
-    """Rebuild a model from a checkpoint, verifying config and vocab hash."""
+def load_checkpoint(path, expected_vocab_sha256: str | None = None) -> tuple[Model, str]:
+    """Rebuild a model from a checkpoint, verifying its header and vocab hash."""
     with open(path, "rb") as fh:
         header = check_fields(_read_header(fh, path), _HEADER_KEYS, str(path),
                               error=CheckpointMismatchError)
@@ -393,8 +392,6 @@ def load_checkpoint(path, expected_vocab_sha256: str | None = None,
             raise CheckpointMismatchError(f"{path}: model_config has unknown keys {unknown}")
         config = ModelConfig(**check_fields(header["model_config"], schema, f"{path}: model_config",
                                             error=CheckpointMismatchError))
-        if expected_config is not None and config != expected_config:
-            raise CheckpointMismatchError(f"checkpoint config {config} != session config {expected_config}")
         if expected_vocab_sha256 is not None and header["vocab_sha256"] != expected_vocab_sha256:
             raise CheckpointMismatchError(
                 f"checkpoint vocabulary hash {header['vocab_sha256'][:12]}... does not match "

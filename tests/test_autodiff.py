@@ -358,6 +358,15 @@ class TestBackward:
         np.testing.assert_array_equal(a.grad, [4.0, 4.0])
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
+    def test_gradient_of_another_shape_is_rejected(self):
+        # an op that hands its [3] parent a scalar gradient is broken; it is
+        # not broadcast silently
+        with ad.Tape():
+            w = ad.Tensor(np.ones(3))
+            loss = ad._record(w.values.sum(), (w,), lambda g: ad._accum(w, g))
+            with pytest.raises(ShapeMismatchError, match=r"gradient of shape \(\) for a tensor of shape \(3,\)"):
+                ad.backward(loss)
+
     def test_intermediate_grads_released_leaves_kept(self):
         with ad.Tape() as tape:
             w = ad.Tensor(np.array([1.0, -2.0]))

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hanst
 from hanst import cli
 from hanst import models as md
 from hanst import synth
@@ -41,6 +44,13 @@ def run_cli(capsys, *argv):
     rc = cli.main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def run_python(*argv):
+    """Run a fresh interpreter on the package under test, warnings shown."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hanst.__file__)))
+    return subprocess.run([sys.executable, "-W", "default", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +320,14 @@ def test_train_abort_is_one_line_and_writes_no_results(tmp_path, capsys, probe_c
     assert not [name for name in left if name.endswith(".ckpt")]
 
 
+def test_train_abort_is_one_line_with_warnings_shown(tmp_path, capsys, probe_corpus):
+    # outside pytest nothing captures numpy's RuntimeWarnings; they must not print
+    data, cfg = prepared_dir(tmp_path, capsys, probe_corpus, lr=1e200)
+    proc = run_python("-m", "hanst", "train", "--config", cfg, "--out", data)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: training-aborted: non-finite loss nan at epoch 0, batch 1\n"
+
+
 def _trained_dir(tmp_path, capsys, corpus, **cfg):
     data, cfg_path = prepared_dir(tmp_path, capsys, corpus, **cfg)
     assert run_cli(capsys, "train", "--config", cfg_path, "--out", data)[0] == 0
@@ -451,6 +469,7 @@ def test_manifest_lists_required_fields(tmp_path, capsys, probe_corpus):
                 "tool_version", "checkpoints", "report"):
         assert key in manifest
     assert manifest["checkpoints"] == {"1": "run-1.ckpt"}
+    assert "embeddings_sha256" not in manifest   # the config names no embeddings file
 
 
 def test_manifest_with_loss_key_still_evaluates(tmp_path, capsys, probe_corpus):
@@ -466,6 +485,37 @@ def test_manifest_with_loss_key_still_evaluates(tmp_path, capsys, probe_corpus):
     assert rc == 0, err
     with open(os.path.join(data, "report.json"), encoding="utf-8") as fh:
         assert out == fh.read()
+    rc, _, err = run_cli(capsys, "train", "--from-manifest", path, "--out", data, "--force")
+    assert rc == 0, err
+
+
+def _embeddings_run(tmp_path, capsys, corpus):
+    emb = tmp_path / "emb.txt"
+    emb.write_text("paper " + " ".join(["0.5"] * 8) + "\n", encoding="utf-8")
+    data = _trained_dir(tmp_path, capsys, corpus, embeddings=str(emb))
+    return data, emb, os.path.join(data, "manifest.json")
+
+
+def test_manifest_records_embeddings_hash(tmp_path, capsys, probe_corpus):
+    data, emb, path = _embeddings_run(tmp_path, capsys, probe_corpus)
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh)["embeddings_sha256"] == cli.file_sha256(str(emb))
+    rc, _, err = run_cli(capsys, "train", "--from-manifest", path, "--out", data, "--force")
+    assert rc == 0, err
+    emb.write_text("paper " + " ".join(["0.25"] * 8) + "\n", encoding="utf-8")
+    rc, out, err = run_cli(capsys, "train", "--from-manifest", path, "--out", data, "--force")
+    assert rc == 1 and out == ""
+    assert err == f"error: config-error: manifest embeddings hash does not match {emb}\n"
+
+
+def test_manifest_without_embeddings_hash_still_trains(tmp_path, capsys, probe_corpus):
+    # manifests written before the embeddings hash was recorded lack the key
+    data, _, path = _embeddings_run(tmp_path, capsys, probe_corpus)
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    del manifest["embeddings_sha256"]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
     rc, _, err = run_cli(capsys, "train", "--from-manifest", path, "--out", data, "--force")
     assert rc == 0, err
 
@@ -675,6 +725,22 @@ def test_predict_accepts_unlabeled_docs(tmp_path, capsys, probe_corpus):
     assert json.loads(out)["id"] == "u1"
 
 
+@pytest.mark.parametrize("label", [5, {"grade": 3}])
+def test_predict_never_reads_labels(tmp_path, capsys, probe_corpus, label):
+    data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
+    assert run_cli(capsys, "train", "--config", cfg, "--out", data)[0] == 0
+    ckpt = os.path.join(data, "run-1.ckpt")
+    rows = []
+    for name, doc in (("plain", {"id": "a", "title": "Fine title"}),
+                      ("labelled", {"id": "a", "title": "Fine title", "label": label})):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        rc, out, err = run_cli(capsys, "predict", str(path), "--checkpoint", ckpt, "--out", data)
+        assert rc == 0, err
+        rows.append(out)
+    assert rows[0] == rows[1]
+
+
 # ---------------------------------------------------------------------------
 # stats
 # ---------------------------------------------------------------------------
@@ -825,3 +891,36 @@ def test_imbalanced_corpus_minority_fraction():
 def test_heterogeneous_corpus_every_doc_exceeds_char_limit():
     docs = synth.heterogeneous_length_corpus(n_docs=8)
     assert all(len(d.body_text) > 20000 for d in docs)
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+_NO_SCIPY_SCRIPT = """
+import os, sys
+from hanst import cli, synth
+from hanst.corpus import save_corpus
+
+os.chdir(sys.argv[1])
+save_corpus(synth.tag_probe_corpus(n_docs=20), "corpus.jsonl")
+with open("cfg.json", "w") as fh:
+    fh.write('{"task": "classify", "model_kind": "awe", "epochs": 1, "seeds": [1], '
+             '"embedding_dim": 8, "vocab_size": 100}')
+for argv in (["prepare", "corpus.jsonl", "--config", "cfg.json", "--out", "d"],
+             ["train", "--config", "cfg.json", "--out", "d"],
+             ["evaluate", "--manifest", "d/manifest.json", "--out", "d"],
+             ["predict", "corpus.jsonl", "--checkpoint", "d/run-1.ckpt", "--out", "d"],
+             ["significance", "d/predictions-1.jsonl", "d/predictions-1.jsonl",
+              "--test", "mcnemar"]):
+    assert cli.main(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_other_than_stats_never_import_scipy(tmp_path):
+    # importing scipy.special costs about 0.3 s and 18 MiB per process; only
+    # the Student-t p-value of `stats` (n > 8) needs it
+    proc = run_python("-c", _NO_SCIPY_SCRIPT, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
