@@ -29,17 +29,17 @@ _tape_stack: list["Tape"] = []
 class Tensor:
     """A dense n-dimensional value with an optional gradient slot.
 
-    ``parents`` / ``backward_fn`` / ``tape`` are populated only when the
-    tensor was produced by an op recorded on an active tape.
+    ``backward_fn`` and ``tape`` are populated only when the tensor was
+    produced by an op recorded on an active tape; ``backward_fn`` holds the
+    op's inputs.
     """
 
-    __slots__ = ("values", "grad", "name", "parents", "backward_fn", "tape")
+    __slots__ = ("values", "grad", "name", "backward_fn", "tape")
 
     def __init__(self, values, name: str | None = None):
         self.values = np.asarray(values, dtype=DTYPE)
         self.grad: np.ndarray | None = None
         self.name = name
-        self.parents: tuple[Tensor, ...] = ()
         self.backward_fn = None
         self.tape: Tape | None = None
 
@@ -105,11 +105,10 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _record(values: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+def _record(values: np.ndarray, backward_fn) -> Tensor:
     out = Tensor(values)
     tape = _active_tape()
     if tape is not None:
-        out.parents = parents
         out.backward_fn = backward_fn
         out.tape = tape
         tape.nodes.append(out)
@@ -150,7 +149,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g @ b.values.T)
         _accum(b, a.values.T @ g)
 
-    return _record(values, (a, b), bwd)
+    return _record(values, bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -165,7 +164,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, g.reshape(-1, b.shape[0]).sum(axis=0))
     else:
         raise ShapeMismatchError(f"add: incompatible shapes {a.shape} + {b.shape}")
-    return _record(a.values + b.values, (a, b), bwd)
+    return _record(a.values + b.values, bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -176,12 +175,12 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g)
         _accum(b, -g)
 
-    return _record(a.values - b.values, (a, b), bwd)
+    return _record(a.values - b.values, bwd)
 
 
 def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.values)
-    return _record(t, (a,), lambda g: _accum(a, g * (1.0 - t * t)))
+    return _record(t, lambda g: _accum(a, g * (1.0 - t * t)))
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -194,7 +193,7 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 
 def abs_(a: Tensor) -> Tensor:
     sign = np.sign(a.values)
-    return _record(np.abs(a.values), (a,), lambda g: _accum(a, g * sign))
+    return _record(np.abs(a.values), lambda g: _accum(a, g * sign))
 
 
 def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -221,7 +220,7 @@ def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
         inner = (p * g).sum(axis=-1, keepdims=True)
         _accum(a, p * (g - inner))
 
-    return _record(p, (a,), bwd)
+    return _record(p, bwd)
 
 
 def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -233,13 +232,13 @@ def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator | None
     if rng is None:
         raise ConfigurationError("dropout in training mode requires a seeded rng")
     keep = (rng.random(a.shape) >= p) / (1.0 - p)
-    return _record(a.values * keep, (a,), lambda g: _accum(a, g * keep))
+    return _record(a.values * keep, lambda g: _accum(a, g * keep))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     old = a.shape
-    return _record(a.values.reshape(shape), (a,), lambda g: _accum(a, g.reshape(old)))
+    return _record(a.values.reshape(shape), lambda g: _accum(a, g.reshape(old)))
 
 
 def concat(parts: list[Tensor], axis: int) -> Tensor:
@@ -253,7 +252,7 @@ def concat(parts: list[Tensor], axis: int) -> Tensor:
             key[axis] = slice(lo, hi)
             _accum(t, g[tuple(key)])
 
-    return _record(values, tuple(parts), bwd)
+    return _record(values, bwd)
 
 
 def index_axis(a: Tensor, idx: int, axis: int) -> Tensor:
@@ -267,12 +266,12 @@ def index_axis(a: Tensor, idx: int, axis: int) -> Tensor:
         key[axis] = idx
         a.grad[tuple(key)] += g
 
-    return _record(values, (a,), bwd)
+    return _record(values, bwd)
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.size
-    return _record(a.values.mean(), (a,), lambda g: _accum(a, np.broadcast_to(g / n, a.shape)))
+    return _record(a.values.mean(), lambda g: _accum(a, np.broadcast_to(g / n, a.shape)))
 
 
 def rows(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -285,14 +284,14 @@ def rows(table: Tensor, ids: np.ndarray) -> Tensor:
             table.grad = np.zeros_like(table.values)
         np.add.at(table.grad, ids, g)
 
-    return _record(values, (table,), bwd)
+    return _record(values, bwd)
 
 
 def scatter_rows(a: Tensor, index: np.ndarray, n: int) -> Tensor:
     """Rows of a [R, ...] placed at the distinct rows ``index`` of [n, ...]; other rows are 0."""
     values = np.zeros((n,) + a.shape[1:])
     values[index] = a.values
-    return _record(values, (a,), lambda g: _accum(a, g[index]))
+    return _record(values, lambda g: _accum(a, g[index]))
 
 
 def weighted_sum(h: Tensor, alpha: Tensor) -> Tensor:
@@ -305,7 +304,7 @@ def weighted_sum(h: Tensor, alpha: Tensor) -> Tensor:
         _accum(h, alpha.values[:, :, None] * g[:, None, :])
         _accum(alpha, np.einsum("btd,bd->bt", h.values, g))
 
-    return _record(values, (h, alpha), bwd)
+    return _record(values, bwd)
 
 
 def lstm_sequence(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Tensor,
@@ -438,7 +437,7 @@ def lstm_sequence(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Te
         _accum(b_ih, d_bias)
         _accum(b_hh, d_bias)
 
-    return _record(states, (xs, w_ih, w_hh, b_ih, b_hh), bwd)
+    return _record(states, bwd)
 
 
 def cross_entropy(logits: Tensor, golds: np.ndarray) -> Tensor:
@@ -460,7 +459,7 @@ def cross_entropy(logits: Tensor, golds: np.ndarray) -> Tensor:
         grad[np.arange(n), golds] -= 1.0
         _accum(logits, g * grad / n)
 
-    return _record(loss, (logits,), bwd)
+    return _record(loss, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +492,11 @@ def zeros_init(shape) -> np.ndarray:
 # optimizer
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 class Adam:
     """Adam with bias correction; state lives per parameter name.
 
@@ -500,15 +504,9 @@ class Adam:
     all-zero gradients leaves parameters bit-identical (fixed point).
     """
 
-    def __init__(self, params: dict[str, Parameter], lr: float = 0.005,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8,
-                 clip_norm: float | None = None):
+    def __init__(self, params: dict[str, Parameter], lr: float = 0.005):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
-        self.clip_norm = clip_norm
         self.step_count = 0
         self.m = {name: np.zeros_like(p.values) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.values) for name, p in params.items()}
@@ -522,22 +520,17 @@ class Adam:
             if not np.isfinite(p.grad).all():
                 raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
             grads[name] = p.grad
-        if self.clip_norm is not None and grads:
-            total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-            if total > self.clip_norm:
-                scale = self.clip_norm / total
-                grads = {name: g * scale for name, g in grads.items()}
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - ADAM_BETA1 ** t
+        bc2 = 1.0 - ADAM_BETA2 ** t
         for name, g in grads.items():
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
             self.params[name].values -= self.lr * update
 
     def zero_grad(self) -> None:

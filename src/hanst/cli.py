@@ -33,8 +33,8 @@ from .evalstats import (PredictionRecord, build_report, corpus_citation_stats,
                         histogram_csv_lines, inverse_citation_score, load_predictions,
                         mcnemar_exact, save_predictions, vote_aggregate,
                         wilcoxon_signed_rank)
-from .textprep import (CharacterLimit, TaggedDocument, Vocabulary, encode_document,
-                       load_embeddings, prepare_corpus, tag_tokens)
+from .textprep import (TaggedDocument, Vocabulary, encode_document, load_embeddings,
+                       prepare_corpus, tag_tokens)
 # not called here; perfbench/probe.py traces them under these names on this module
 from .textprep import build_vocabulary, tokenize  # noqa: F401
 
@@ -99,10 +99,10 @@ def _one_line(message: str) -> str:
 # The config schema: each key with its JSON type. Model keys are ModelConfig
 # fields and train keys TrainConfig fields of the same name; `vocab_size` caps
 # the vocabulary at prepare time and records its size in a manifest.
-_MODEL_OVERRIDES = {"model_kind": "str", "tagset": "str", "vocab_size": "int",
+_MODEL_OVERRIDES = {"model_kind": "str", "tagset": "str", "max_chars": "int", "vocab_size": "int",
                     "embedding_dim": "int", "bilstm_hidden": "int", "dropout_p": "float"}
 _TRAIN_OVERRIDES = {"task": "str", "epochs": "int", "batch_size": "int", "lr": "float",
-                    "resample": "bool", "seeds": "list[int]", "max_chars": "int"}
+                    "resample": "bool", "seeds": "list[int]"}
 _CONFIG_KEYS = {**_MODEL_OVERRIDES, **_TRAIN_OVERRIDES, "embeddings": "str | None"}
 
 
@@ -212,6 +212,15 @@ def load_prepared(data_dir: str) -> tuple[dict, dict[str, list[TaggedDocument]]]
     return meta, by_split
 
 
+def _check_preparation(config: md.ModelConfig, meta: dict, error) -> None:
+    """Raise `error` unless the prepared dataset was made with the tagset and
+    character cutoff that `config` holds."""
+    for key in ("tagset", "max_chars"):
+        if getattr(config, key) != meta[key]:
+            raise error(f"prepared dataset uses {key} {meta[key]!r} but the model wants "
+                        f"{getattr(config, key)!r}; rerun prepare")
+
+
 # ---------------------------------------------------------------------------
 # prepare
 # ---------------------------------------------------------------------------
@@ -223,10 +232,10 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     data_dir = data_dir_from(args)
     docs = load_corpus(args.corpus)
     tagset = raw.get("tagset", md.ModelConfig.tagset)
-    cutoff = CharacterLimit(raw.get("max_chars", tr.TrainConfig.max_chars))
-    vocab, encoded = prepare_corpus(docs, tagset, cutoff, raw.get("vocab_size", 10000))
+    max_chars = raw.get("max_chars", md.ModelConfig.max_chars)
+    vocab, encoded = prepare_corpus(docs, tagset, max_chars, raw.get("vocab_size", 10000))
     meta = {"kind": PREPARED_KIND, "format_version": FORMAT_VERSION,
-            "tagset": tagset, "max_chars": cutoff.limit, "vocab_size": len(vocab),
+            "tagset": tagset, "max_chars": max_chars, "vocab_size": len(vocab),
             "corpus_sha256": file_sha256(args.corpus),
             "vocab_sha256": vocab.sha256(), "n_docs": len(docs)}
     _atomic_via(os.path.join(data_dir, VOCAB_NAME), vocab.save)
@@ -287,14 +296,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         raw = load_config_file(args.config)
     config = make_train_config(raw, len(vocab), seed_list=args.seed_list)
-    if config.model.tagset != meta["tagset"]:
-        raise ConfigurationError(
-            f"prepared dataset uses tagset {meta['tagset']!r} but the config wants "
-            f"{config.model.tagset!r}; rerun prepare")
-    if config.max_chars != meta["max_chars"]:
-        raise ConfigurationError(
-            f"prepared dataset used max_chars={meta['max_chars']} but the config wants "
-            f"{config.max_chars}; rerun prepare")
+    _check_preparation(config.model, meta, ConfigurationError)
 
     manifest_path = os.path.join(data_dir, MANIFEST_NAME)
     if os.path.exists(manifest_path) and not args.force:
@@ -360,13 +362,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _check_tagset(model: md.Model, meta: dict) -> None:
-    if model.config.tagset != meta["tagset"]:
-        raise CheckpointMismatchError(
-            f"checkpoint expects tagset {model.config.tagset!r} but the prepared "
-            f"dataset uses {meta['tagset']!r}")
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if bool(args.manifest) == bool(args.checkpoint):
         raise ConfigurationError("pass exactly one of --manifest or --checkpoint")
@@ -389,13 +384,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         for seed in manifest["seeds"]:
             rel = manifest["checkpoints"][str(seed)]
             path = rel if os.path.isabs(rel) else os.path.join(base, rel)
-            model, _ = md.load_checkpoint(path, expected_vocab_sha256=vocab_hash)
-            _check_tagset(model, meta)
+            model = md.load_checkpoint(path, vocab_hash)
+            _check_preparation(model.config, meta, CheckpointMismatchError)
             runs.append(tr.predict(model, docs, task, batch_size, seed=int(seed)))
         per_run, _ = tr.summarize_runs(runs, task)
     else:
-        model, _ = md.load_checkpoint(args.checkpoint, expected_vocab_sha256=vocab_hash)
-        _check_tagset(model, meta)
+        model = md.load_checkpoint(args.checkpoint, vocab_hash)
+        _check_preparation(model.config, meta, CheckpointMismatchError)
         task = model.config.task
         records = tr.predict(model, docs, task, PREDICT_BATCH)
         per_run = {name: [value] for name, value in tr.run_metrics(records, task).items()}
@@ -437,21 +432,15 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not os.path.exists(vocab_path):
         raise ConfigurationError(f"no vocabulary at {vocab_path}; run the prepare command first")
     vocab = Vocabulary.load(vocab_path)
-    model, _ = md.load_checkpoint(args.checkpoint, expected_vocab_sha256=vocab.sha256())
+    model = md.load_checkpoint(args.checkpoint, vocab.sha256())
     task = model.config.task
     if args.attention and model.config.model_kind != "han":
         raise ConfigurationError(
             f"model kind {model.config.model_kind!r} produces no attention maps")
 
-    max_chars = tr.TrainConfig.max_chars
-    prepared_path = os.path.join(data_dir, PREPARED_NAME)
-    if os.path.exists(prepared_path):
-        with open_text(prepared_path) as fh:
-            max_chars = _prepared_line(prepared_path, 1, fh.readline(), _META_KEYS)["max_chars"]
-    cutoff = CharacterLimit(max_chars)
-
     docs = _load_predict_docs(args.docs)
-    encoded = [encode_document(doc, vocab, model.config.tagset, cutoff) for doc in docs]
+    encoded = [encode_document(doc, vocab, model.config.tagset, model.config.max_chars)
+               for doc in docs]
     for start in range(0, len(encoded), PREDICT_BATCH):
         chunk = encoded[start:start + PREDICT_BATCH]
         result = model.forward(md.pad_batch(chunk), training=False)

@@ -48,7 +48,6 @@ class _LineFormatError(HanstError):
         if line_number is not None:
             message = f"line {line_number}: {message}"
         super().__init__(message)
-        self.line_number = line_number
 
 
 class EmbeddingFormatError(_LineFormatError):
@@ -65,11 +64,6 @@ class CheckpointMismatchError(HanstError):
 
 class TrainingAbortedError(HanstError):
     code = "training-aborted"
-
-    def __init__(self, message, epoch=None, batch_index=None):
-        super().__init__(message)
-        self.epoch = epoch
-        self.batch_index = batch_index
 
 
 class OutputExistsError(HanstError):

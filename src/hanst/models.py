@@ -18,7 +18,7 @@ from .errors import (
     DegenerateInputError,
     ShapeMismatchError,
 )
-from .textprep import PAD_ID, TaggedDocument
+from .textprep import PAD_ID, TAGSETS, TaggedDocument
 
 MODEL_KINDS = ("awe", "sent_avg_bilstm", "han")
 # each head kind and the task it serves
@@ -26,7 +26,7 @@ HEAD_TASKS = {"classify-2": "classify", "regress-1": "regress"}
 HEAD_KINDS = tuple(HEAD_TASKS)
 
 CHECKPOINT_MAGIC = b"HANSTCKPT1\n"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _HEADER_KEYS = {"model_config": "dict", "vocab_sha256": "str", "params": "list"}
 
 
@@ -39,6 +39,7 @@ class ModelConfig:
     bilstm_hidden: int = 256
     dropout_p: float = 0.5
     tagset: str = "none"
+    max_chars: int = 20000   # the character cutoff the model's inputs were prepared at
 
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
@@ -51,8 +52,10 @@ class ModelConfig:
             raise ConfigurationError("embedding_dim and bilstm_hidden must be positive")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigurationError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if self.tagset not in ("full", "reduced", "none"):
+        if self.tagset not in TAGSETS:
             raise ConfigurationError(f"unknown tagset {self.tagset!r}")
+        if self.max_chars < 1:
+            raise ConfigurationError(f"max_chars must be >= 1, got {self.max_chars}")
 
     @property
     def task(self) -> str:
@@ -379,8 +382,9 @@ def _read_header(fh, path) -> dict:
         raise CheckpointMismatchError(f"{path}: unreadable header") from None
 
 
-def load_checkpoint(path, expected_vocab_sha256: str | None = None) -> tuple[Model, str]:
-    """Rebuild a model from a checkpoint, verifying its header and vocab hash."""
+def load_checkpoint(path, vocab_sha256: str) -> Model:
+    """Rebuild a model from a checkpoint, verifying its header and that it was
+    trained on the vocabulary whose hash is ``vocab_sha256``."""
     with open(path, "rb") as fh:
         header = check_fields(_read_header(fh, path), _HEADER_KEYS, str(path),
                               error=CheckpointMismatchError)
@@ -392,10 +396,10 @@ def load_checkpoint(path, expected_vocab_sha256: str | None = None) -> tuple[Mod
             raise CheckpointMismatchError(f"{path}: model_config has unknown keys {unknown}")
         config = ModelConfig(**check_fields(header["model_config"], schema, f"{path}: model_config",
                                             error=CheckpointMismatchError))
-        if expected_vocab_sha256 is not None and header["vocab_sha256"] != expected_vocab_sha256:
+        if header["vocab_sha256"] != vocab_sha256:
             raise CheckpointMismatchError(
                 f"checkpoint vocabulary hash {header['vocab_sha256'][:12]}... does not match "
-                f"session vocabulary {expected_vocab_sha256[:12]}...")
+                f"session vocabulary {vocab_sha256[:12]}...")
         model = build_model(config, np.random.default_rng(0))
         missing = set(model.params)
         for entry in header["params"]:
@@ -420,4 +424,4 @@ def load_checkpoint(path, expected_vocab_sha256: str | None = None) -> tuple[Mod
             raise CheckpointMismatchError(f"checkpoint lacks parameters {sorted(missing)}")
         if fh.read(1):
             raise CheckpointMismatchError(f"{path}: trailing bytes after the last parameter")
-    return model, header["vocab_sha256"]
+    return model

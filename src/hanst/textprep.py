@@ -80,7 +80,7 @@ def segment_sentences(text: str, max_chars: int | None = None) -> list[str]:
     The outputs are slices of the input, so their concatenation (modulo the
     whitespace separators between them) reconstructs the input. With
     ``max_chars``, return after the first sentence whose running length (one
-    separator counted between sentences) passes it: a CharacterLimit of
+    separator counted between sentences) passes it: apply_cutoff at
     ``max_chars`` keeps nothing after that sentence.
     """
     pieces = []
@@ -115,25 +115,27 @@ def segment_sentences(text: str, max_chars: int | None = None) -> list[str]:
 # tags
 # ---------------------------------------------------------------------------
 
-def _check_tagset(tagset: str) -> None:
+def _check_settings(tagset: str, max_chars: int) -> None:
     if tagset not in TAGSETS:
         raise ConfigurationError(f"tagset must be one of {TAGSETS}, got {tagset!r}")
+    if max_chars < 1:
+        raise ConfigurationError(f"max_chars must be >= 1, got {max_chars}")
 
 
-def _segment_fields(doc: RawDocument, limit: int) -> list[tuple[str, str]]:
+def _segment_fields(doc: RawDocument, max_chars: int) -> list[tuple[str, str]]:
     """(role, raw sentence) pairs of title, abstract and body, in order.
 
     The title is one sentence regardless of punctuation. No field is
-    segmented further than a CharacterLimit of ``limit`` can reach.
+    segmented further than apply_cutoff at ``max_chars`` can reach.
     """
     title = doc.title.strip()
     parts = [("TITLE", title)] if title else []
     # running length of the pairs so far, counted as apply_cutoff counts it
     reach = len(title) if title else -1
     for role, text in (("ABSTRACT", doc.abstract), ("BODY_TEXT", doc.body_text)):
-        if reach > limit:
+        if reach > max_chars:
             break
-        sentences = segment_sentences(text, limit - reach - 1)
+        sentences = segment_sentences(text, max_chars - reach - 1)
         parts.extend((role, sent) for sent in sentences)
         reach += sum(1 + len(sent) for sent in sentences)
     return parts
@@ -143,18 +145,9 @@ def _segment_fields(doc: RawDocument, limit: int) -> list[tuple[str, str]]:
 # cutoffs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CharacterLimit:
-    limit: int = 20000
-
-    def __post_init__(self):
-        if self.limit < 1:
-            raise ConfigurationError(f"character limit must be >= 1, got {self.limit}")
-
-
-def apply_cutoff(sentences: list[str], cutoff: CharacterLimit) -> list[str]:
+def apply_cutoff(sentences: list[str], max_chars: int) -> list[str]:
     """Keep the longest prefix of sentences whose raw characters, plus one
-    separator between consecutive sentences, fit in the limit; the first
+    separator between consecutive sentences, fit in ``max_chars``; the first
     sentence is always kept."""
     if not sentences:
         return []
@@ -162,7 +155,7 @@ def apply_cutoff(sentences: list[str], cutoff: CharacterLimit) -> list[str]:
     total = len(sentences[0])
     for sent in sentences[1:]:
         total += 1 + len(sent)
-        if total > cutoff.limit:
+        if total > max_chars:
             break
         kept.append(sent)
     return kept
@@ -222,12 +215,6 @@ class Vocabulary:
     def to_json_array(self) -> list[str]:
         return list(self.id_to_token)
 
-    @classmethod
-    def from_json_array(cls, arr: list[str]) -> "Vocabulary":
-        if arr[:2] != [PAD_TOKEN, UNK_TOKEN]:
-            raise ConfigurationError("vocabulary array must start with the PAD and UNK tokens")
-        return cls(arr[2:])
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json_array(), fh, ensure_ascii=False)
@@ -236,9 +223,15 @@ class Vocabulary:
     def load(cls, path) -> "Vocabulary":
         with open_text(path) as fh:
             try:
-                return cls.from_json_array(json.load(fh))
+                arr = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigurationError(f"{path}: invalid JSON: {exc.msg}") from None
+        if type(arr) is not list or not all(type(tok) is str for tok in arr):
+            raise ConfigurationError(f"{path}: vocabulary must be a JSON array of strings")
+        if arr[:2] != [PAD_TOKEN, UNK_TOKEN]:
+            raise ConfigurationError(
+                f"{path}: vocabulary array must start with the PAD and UNK tokens")
+        return cls(arr[2:])
 
     def sha256(self) -> str:
         payload = json.dumps(self.to_json_array(), ensure_ascii=False).encode("utf-8")
@@ -320,7 +313,7 @@ class TaggedDocument:
             raise ConfigurationError(f"document {self.id!r}: empty sentence after encoding")
 
 
-def kept_sentences(doc: RawDocument, cutoff: CharacterLimit) -> list[tuple[str, str]]:
+def kept_sentences(doc: RawDocument, max_chars: int) -> list[tuple[str, str]]:
     """The (role, raw sentence) pairs of a document that the cutoff keeps,
     untagged and before roles are merged.
 
@@ -328,13 +321,13 @@ def kept_sentences(doc: RawDocument, cutoff: CharacterLimit) -> list[tuple[str, 
     same underlying content. No field is segmented further than the cutoff
     can reach; apply_cutoff alone decides what is kept.
     """
-    parts = _segment_fields(doc, cutoff.limit)
-    kept = apply_cutoff([sent for _, sent in parts], cutoff)
+    parts = _segment_fields(doc, max_chars)
+    kept = apply_cutoff([sent for _, sent in parts], max_chars)
     return parts[: len(kept)]
 
 
-def _tokenized(doc: RawDocument, cutoff) -> list[tuple[str, list[str]]]:
-    return [(role, tokenize(sent)) for role, sent in kept_sentences(doc, cutoff)]
+def _tokenized(doc: RawDocument, max_chars: int) -> list[tuple[str, list[str]]]:
+    return [(role, tokenize(sent)) for role, sent in kept_sentences(doc, max_chars)]
 
 
 def _encode_tokens(doc: RawDocument, parts: list[tuple[str, list[str]]], vocab: Vocabulary,
@@ -365,14 +358,15 @@ def _encode_tokens(doc: RawDocument, parts: list[tuple[str, list[str]]], vocab: 
     return TaggedDocument(id=doc.id, sentences=sentences, roles=roles, label=dict(doc.label))
 
 
-def encode_document(doc: RawDocument, vocab: Vocabulary, tagset: str, cutoff) -> TaggedDocument:
+def encode_document(doc: RawDocument, vocab: Vocabulary, tagset: str,
+                    max_chars: int) -> TaggedDocument:
     """Segment as far as the cutoff reaches, truncate, tokenize, tag, and map
     to ids."""
-    _check_tagset(tagset)
-    return _encode_tokens(doc, _tokenized(doc, cutoff), vocab, tagset)
+    _check_settings(tagset, max_chars)
+    return _encode_tokens(doc, _tokenized(doc, max_chars), vocab, tagset)
 
 
-def prepare_corpus(docs: list[RawDocument], tagset: str, cutoff,
+def prepare_corpus(docs: list[RawDocument], tagset: str, max_chars: int,
                    vocab_size: int) -> tuple[Vocabulary, list[TaggedDocument]]:
     """Build the vocabulary from the train documents, then encode every
     document.
@@ -383,8 +377,8 @@ def prepare_corpus(docs: list[RawDocument], tagset: str, cutoff,
     Only train documents' tokens are held until the vocabulary is built, and
     each list is dropped as soon as its document is encoded.
     """
-    _check_tagset(tagset)
-    held = {i: _tokenized(doc, cutoff) for i, doc in enumerate(docs) if doc.split == "train"}
+    _check_settings(tagset, max_chars)
+    held = {i: _tokenized(doc, max_chars) for i, doc in enumerate(docs) if doc.split == "train"}
     token_lists = [tokens for parts in held.values() for _, tokens in parts]
     if not token_lists:
         raise DegenerateInputError("train split has no text to build a vocabulary from")
@@ -392,6 +386,6 @@ def prepare_corpus(docs: list[RawDocument], tagset: str, cutoff,
     del token_lists
     encoded = []
     for i, doc in enumerate(docs):
-        parts = held.pop(i) if doc.split == "train" else _tokenized(doc, cutoff)
+        parts = held.pop(i) if doc.split == "train" else _tokenized(doc, max_chars)
         encoded.append(_encode_tokens(doc, parts, vocab, tagset))
     return vocab, encoded

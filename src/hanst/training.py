@@ -45,7 +45,6 @@ class TrainConfig:
     lr: float = 0.005
     resample: bool = True
     seeds: tuple[int, ...] = DEFAULT_SEEDS
-    max_chars: int = 20000
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -59,8 +58,6 @@ class TrainConfig:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if not self.seeds:
             raise ConfigurationError("at least one seed required")
-        if self.max_chars < 1:
-            raise ConfigurationError(f"max_chars must be >= 1, got {self.max_chars}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
     @property
@@ -170,8 +167,7 @@ def train_epoch(model: md.Model, batches: list[md.Batch], optimizer: ad.Adam,
             value = float(loss.values)
             if not math.isfinite(value):
                 raise TrainingAbortedError(
-                    f"non-finite loss {value} at epoch {epoch}, batch {index}",
-                    epoch=epoch, batch_index=index)
+                    f"non-finite loss {value} at epoch {epoch}, batch {index}")
             ad.backward(loss)
         optimizer.step()
         # drop this step's graph before the next forward pass builds another

@@ -18,7 +18,7 @@ import numpy as np
 from hanst import textprep as tp
 from hanst.autodiff import DTYPE, Tensor, _accum, _logistic, _record
 from hanst.corpus import SPLITS, RawDocument
-from hanst.errors import ShapeMismatchError
+from hanst.errors import ConfigurationError, ShapeMismatchError
 
 # ---------------------------------------------------------------------------
 # tape ops
@@ -32,7 +32,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, g * b.values)
         _accum(b, g * a.values)
 
-    return _record(a.values * b.values, (a, b), bwd)
+    return _record(a.values * b.values, bwd)
 
 
 def mul_const(a: Tensor, c) -> Tensor:
@@ -40,12 +40,12 @@ def mul_const(a: Tensor, c) -> Tensor:
     values = a.values * c
     if values.shape != a.shape:
         raise ShapeMismatchError(f"mul_const: constant {c.shape} broadcasts {a.shape} to {values.shape}")
-    return _record(values, (a,), lambda g: _accum(a, g * c))
+    return _record(values, lambda g: _accum(a, g * c))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     s = _logistic(a.values)
-    return _record(s, (a,), lambda g: _accum(a, g * s * (1.0 - s)))
+    return _record(s, lambda g: _accum(a, g * s * (1.0 - s)))
 
 
 def stack(parts: list[Tensor], axis: int) -> Tensor:
@@ -55,7 +55,7 @@ def stack(parts: list[Tensor], axis: int) -> Tensor:
         for i, t in enumerate(parts):
             _accum(t, np.take(g, i, axis=axis))
 
-    return _record(values, tuple(parts), bwd)
+    return _record(values, bwd)
 
 
 def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
@@ -67,11 +67,11 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
             a.grad = np.zeros_like(a.values)
         a.grad[..., start:stop] += g
 
-    return _record(values, (a,), bwd)
+    return _record(values, bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    return _record(a.values.sum(), (a,), lambda g: _accum(a, np.broadcast_to(g, a.shape)))
+    return _record(a.values.sum(), lambda g: _accum(a, np.broadcast_to(g, a.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,8 @@ def inject_tags(doc: RawDocument, tagset: str) -> list[tuple[str, str]]:
     The title is one sentence regardless of punctuation. The reduced tagset
     merges TITLE and ABSTRACT into one role.
     """
-    tp._check_tagset(tagset)
+    if tagset not in tp.TAGSETS:
+        raise ConfigurationError(f"unknown tagset {tagset!r}")
     merge = tp._ROLE_MERGE.get(tagset, {})
     title = doc.title.strip()
     parts = [("TITLE", title)] if title else []

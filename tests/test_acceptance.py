@@ -24,7 +24,7 @@ from hanst import models as md
 from hanst import synth
 from hanst import training as tr
 from hanst.corpus import SPLITS, save_corpus
-from hanst.textprep import (CharacterLimit, TaggedDocument, apply_cutoff,
+from hanst.textprep import (TaggedDocument, apply_cutoff,
                             encode_document, prepare_corpus, tokenize)
 
 
@@ -38,7 +38,7 @@ def report(num: int, ok: bool, text: str) -> bool:
 # ---------------------------------------------------------------------------
 
 def encode_splits(docs, tagset, vocab_cap=200):
-    vocab, encoded = prepare_corpus(docs, tagset, CharacterLimit(20000), vocab_cap)
+    vocab, encoded = prepare_corpus(docs, tagset, 20000, vocab_cap)
     return vocab, {name: [enc for enc, doc in zip(encoded, docs) if doc.split == name]
                    for name in SPLITS}
 
@@ -149,9 +149,8 @@ def test_criterion_03_tagged_untagged_equivalence():
                             np.random.default_rng(7))
     same_counts = md.count_parameters(plain) == md.count_parameters(tagged)
 
-    cutoff = CharacterLimit(20000)
-    enc_plain = [encode_document(d, vocab, "none", cutoff) for d in docs]
-    enc_tagged = [encode_document(d, vocab, "full", cutoff) for d in docs]
+    enc_plain = [encode_document(d, vocab, "none", 20000) for d in docs]
+    enc_tagged = [encode_document(d, vocab, "full", 20000) for d in docs]
     batch = md.pad_batch(enc_plain[:4], labels=[1.0, 0.0, 1.0, 0.0])
     same_outputs = np.array_equal(plain.forward(batch).output.values,
                                   tagged.forward(batch).output.values)
@@ -231,7 +230,7 @@ def test_criterion_06_character_cutoff_lower_variation():
         per_doc_counts.append(np.array([len(tokenize(s)) for s in sents]))
 
     char_words = np.array([
-        sum(len(tokenize(s)) for s in apply_cutoff(sents, CharacterLimit(20000)))
+        sum(len(tokenize(s)) for s in apply_cutoff(sents, 20000))
         for sents in per_doc_sentences], dtype=float)
 
     # pick the sentence budget whose mean words matches the character cutoff

@@ -277,14 +277,6 @@ class TestAdam:
             opt.step()
             assert opt.step_count == i + 1
 
-    def test_clip_norm_rescales(self):
-        p = ad.Parameter(np.zeros(4))
-        opt = ad.Adam({"w": p}, clip_norm=1.0)
-        p.grad = np.full(4, 10.0)
-        opt.step()
-        # after clipping the gradient direction is preserved, all components equal
-        assert len(set(np.round(p.values, 12))) == 1
-
     def test_deterministic_trajectories(self):
         def run():
             rng = np.random.default_rng(42)
@@ -363,7 +355,7 @@ class TestBackward:
         # not broadcast silently
         with ad.Tape():
             w = ad.Tensor(np.ones(3))
-            loss = ad._record(w.values.sum(), (w,), lambda g: ad._accum(w, g))
+            loss = ad._record(w.values.sum(), lambda g: ad._accum(w, g))
             with pytest.raises(ShapeMismatchError, match=r"gradient of shape \(\) for a tensor of shape \(3,\)"):
                 ad.backward(loss)
 

@@ -58,16 +58,16 @@ def oracle_parts(doc: RawDocument) -> list[tuple[str, str]]:
     return parts
 
 
-def oracle_kept(doc: RawDocument, cutoff) -> list[tuple[str, str]]:
+def oracle_kept(doc: RawDocument, max_chars: int) -> list[tuple[str, str]]:
     parts = oracle_parts(doc)
-    return parts[: len(tp.apply_cutoff([s for _, s in parts], cutoff))]
+    return parts[: len(tp.apply_cutoff([s for _, s in parts], max_chars))]
 
 
-def oracle_encode_document(doc, vocab, tagset, cutoff) -> tp.TaggedDocument:
+def oracle_encode_document(doc, vocab, tagset, max_chars) -> tp.TaggedDocument:
     """Cut the fully segmented document, tag each sentence as text, tokenize."""
     merge = tp._ROLE_MERGE.get(tagset, {})
     sentences, roles = [], []
-    for role, sent in oracle_kept(doc, cutoff):
+    for role, sent in oracle_kept(doc, max_chars):
         role = merge.get(role, role)
         if tagset != "none":
             sent = f"{tp.open_tag(role)} {sent} {tp.close_tag(role)}"
@@ -80,13 +80,13 @@ def oracle_encode_document(doc, vocab, tagset, cutoff) -> tp.TaggedDocument:
     return tp.TaggedDocument(id=doc.id, sentences=sentences, roles=roles, label=dict(doc.label))
 
 
-def oracle_prepare(docs, tagset, cutoff, vocab_size):
+def oracle_prepare(docs, tagset, max_chars, vocab_size):
     token_lists = [tp.tokenize(sent)
                    for doc in split_corpus(docs)["train"]
-                   for _, sent in oracle_kept(doc, cutoff)]
+                   for _, sent in oracle_kept(doc, max_chars)]
     vocab = tp.build_vocabulary(token_lists, max_size=vocab_size,
                                 forced_tokens=tp.tag_tokens(tagset))
-    return vocab, [oracle_encode_document(doc, vocab, tagset, cutoff) for doc in docs]
+    return vocab, [oracle_encode_document(doc, vocab, tagset, max_chars) for doc in docs]
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +182,14 @@ def test_fields_segmented_only_as_far_as_the_cutoff_reaches(title, abstract, bod
     assert parts == full[: len(parts)]
     past = [i for i, n in enumerate(lengths) if n > limit]
     assert len(parts) == (past[0] + 1 if past else len(full))
-    cutoff = tp.CharacterLimit(limit)
-    assert tp.kept_sentences(doc, cutoff) == oracle_kept(doc, cutoff)
+    assert tp.kept_sentences(doc, limit) == oracle_kept(doc, limit)
 
 
 @settings(max_examples=200, deadline=None)
 @given(texts, edged_texts, edged_texts, st.integers(1, 250))
 def test_kept_sentences_match_full_segmentation_then_cutoff(title, abstract, body, limit):
     doc = make_raw(title, abstract, body)
-    cutoff = tp.CharacterLimit(limit)
-    assert tp.kept_sentences(doc, cutoff) == oracle_kept(doc, cutoff)
+    assert tp.kept_sentences(doc, limit) == oracle_kept(doc, limit)
 
 
 def resplit(docs):
@@ -211,15 +209,14 @@ CORPORA = {
 @pytest.mark.parametrize("max_chars,vocab_size", [(20000, 200), (300, 10000), (1, 50)])
 def test_prepare_corpus_matches_old_composition(corpus, tagset, max_chars, vocab_size):
     docs = CORPORA[corpus]
-    cutoff = tp.CharacterLimit(max_chars)
-    vocab, encoded = tp.prepare_corpus(docs, tagset, cutoff, vocab_size)
-    want_vocab, want_encoded = oracle_prepare(docs, tagset, cutoff, vocab_size)
+    vocab, encoded = tp.prepare_corpus(docs, tagset, max_chars, vocab_size)
+    want_vocab, want_encoded = oracle_prepare(docs, tagset, max_chars, vocab_size)
     assert vocab.to_json_array() == want_vocab.to_json_array()
     assert encoded == want_encoded
-    assert [tp.encode_document(d, vocab, tagset, cutoff) for d in docs] == want_encoded
+    assert [tp.encode_document(d, vocab, tagset, max_chars) for d in docs] == want_encoded
 
 
 def test_prepare_corpus_needs_train_text():
     docs = [make_raw("", "", "Only test text.", split="test")]
     with pytest.raises(DegenerateInputError):
-        tp.prepare_corpus(docs, "full", tp.CharacterLimit(100), 50)
+        tp.prepare_corpus(docs, "full", 100, 50)

@@ -1,7 +1,10 @@
 """End-to-end command-line tests on bundled synthetic corpora."""
 
+import dataclasses
 import json
 import os
+import shutil
+import struct
 import subprocess
 import sys
 
@@ -12,7 +15,7 @@ import hanst
 from hanst import cli
 from hanst import models as md
 from hanst import synth
-from hanst.corpus import save_corpus
+from hanst.corpus import load_corpus, save_corpus
 from hanst.textprep import Vocabulary
 
 
@@ -573,6 +576,20 @@ def test_evaluate_vocab_mismatch(tmp_path, capsys, probe_corpus):
     assert err.startswith("error: checkpoint-mismatch:")
 
 
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize("text", ['{"a": 1}', "5", "null", '["<PAD>", "<UNK>", 3]'])
+def test_vocab_not_an_array_of_strings_is_one_line(tmp_path, capsys, probe_corpus, command, text):
+    data = _trained_dir(tmp_path, capsys, probe_corpus)
+    path = os.path.join(data, "vocab.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    argv = ["evaluate"] if command == "evaluate" else ["predict", probe_corpus]
+    rc, out, err = run_cli(capsys, *argv, "--checkpoint", os.path.join(data, "run-1.ckpt"),
+                           "--out", data)
+    assert rc == 1 and out == ""
+    assert err == f"error: config-error: {path}: vocabulary must be a JSON array of strings\n"
+
+
 def test_evaluate_needs_exactly_one_source(tmp_path, capsys, probe_corpus):
     data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
     rc, _, err = run_cli(capsys, "evaluate", "--out", data)
@@ -739,6 +756,89 @@ def test_predict_never_reads_labels(tmp_path, capsys, probe_corpus, label):
         assert rc == 0, err
         rows.append(out)
     assert rows[0] == rows[1]
+
+
+# ---------------------------------------------------------------------------
+# the character cutoff travels with the checkpoint
+# ---------------------------------------------------------------------------
+
+def _cutoff_experiment(tmp_path, capsys, probe_corpus):
+    """An AWE model trained at max_chars 60, and a second data directory
+    prepared from the same corpus at 20000. Every document is one sentence,
+    which any cutoff keeps whole, so the two share one vocabulary."""
+    docs = [dataclasses.replace(d, title=d.title or "Untitled", abstract="", body_text="")
+            for d in load_corpus(probe_corpus)]
+    corpus = str(tmp_path / "short.jsonl")
+    save_corpus(docs, corpus)
+    data = _trained_dir(tmp_path / "own", capsys, corpus, max_chars=60)
+    other, _ = prepared_dir(tmp_path / "other", capsys, corpus, max_chars=20000)
+    with open(os.path.join(data, "vocab.json"), "rb") as a, \
+            open(os.path.join(other, "vocab.json"), "rb") as b:
+        assert a.read() == b.read()
+    return data, other
+
+
+def _edit_checkpoint_header(src, dst, edit):
+    with open(src, "rb") as fh:
+        raw = fh.read()
+    start = len(md.CHECKPOINT_MAGIC)
+    (length,) = struct.unpack("<Q", raw[start:start + 8])
+    header = json.loads(raw[start + 8:start + 8 + length])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(dst, "wb") as fh:
+        fh.write(raw[:start] + struct.pack("<Q", len(blob)) + blob + raw[start + 8 + length:])
+
+
+def test_predict_takes_the_cutoff_from_the_checkpoint(tmp_path, capsys, probe_corpus):
+    data, other = _cutoff_experiment(tmp_path, capsys, probe_corpus)
+    vocab_only = tmp_path / "vocab-only"
+    vocab_only.mkdir()
+    shutil.copy(os.path.join(data, "vocab.json"), vocab_only)
+    # six full-length documents, far longer than 60 characters
+    docs = tmp_path / "docs.jsonl"
+    with open(probe_corpus, encoding="utf-8") as fh:
+        docs.write_text("".join(fh.readlines()[:6]))
+    ckpt = os.path.join(data, "run-1.ckpt")
+    outs = []
+    for where in (data, other, str(vocab_only)):
+        rc, out, err = run_cli(capsys, "predict", str(docs), "--checkpoint", ckpt, "--out", where)
+        assert rc == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    # the cutoff decides these rows: the same weights recorded at 20000 predict otherwise
+    wide = str(tmp_path / "wide.ckpt")
+    _edit_checkpoint_header(ckpt, wide, lambda h: h["model_config"].update(max_chars=20000))
+    rc, out, err = run_cli(capsys, "predict", str(docs), "--checkpoint", wide, "--out", data)
+    assert rc == 0, err
+    assert out != outs[0]
+
+
+def test_evaluate_refuses_a_dataset_prepared_at_another_cutoff(tmp_path, capsys, probe_corpus):
+    data, other = _cutoff_experiment(tmp_path, capsys, probe_corpus)
+    sources = (["--checkpoint", os.path.join(data, "run-1.ckpt")],
+               ["--manifest", os.path.join(data, "manifest.json")])
+    for source in sources:
+        assert run_cli(capsys, "evaluate", *source, "--out", data)[0] == 0
+        rc, out, err = run_cli(capsys, "evaluate", *source, "--out", other)
+        assert rc == 1 and out == ""
+        assert err == ("error: checkpoint-mismatch: prepared dataset uses max_chars 20000 "
+                       "but the model wants 60; rerun prepare\n")
+
+
+def test_version_1_checkpoint_is_refused(tmp_path, capsys, probe_corpus):
+    data = _trained_dir(tmp_path, capsys, probe_corpus)
+    ckpt = os.path.join(data, "run-1.ckpt")
+
+    def as_version_1(header):
+        header["format_version"] = 1
+        del header["model_config"]["max_chars"]
+
+    _edit_checkpoint_header(ckpt, ckpt, as_version_1)
+    for argv in (["evaluate"], ["predict", probe_corpus]):
+        rc, out, err = run_cli(capsys, *argv, "--checkpoint", ckpt, "--out", data)
+        assert rc == 1 and out == ""
+        assert err == "error: checkpoint-mismatch: unsupported checkpoint version 1\n"
 
 
 # ---------------------------------------------------------------------------

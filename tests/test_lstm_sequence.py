@@ -285,7 +285,7 @@ def mask_blend_lstm_sequence(xs, w_ih, w_hh, b_ih, b_hh, mask, reverse=False):
         ad._accum(b_ih, d_bias)
         ad._accum(b_hh, d_bias)
 
-    return ad._record(states, (xs, w_ih, w_hh, b_ih, b_hh), bwd)
+    return ad._record(states, bwd)
 
 
 def prefix_mask(lengths, t):

@@ -477,8 +477,7 @@ class TestCheckpoints:
 
     def test_round_trip_bit_exact(self, tmp_path):
         model, path = self.roundtrip(tmp_path, tiny_config())
-        loaded, vocab_hash = md.load_checkpoint(path, expected_vocab_sha256="hash-abc")
-        assert vocab_hash == "hash-abc"
+        loaded = md.load_checkpoint(path, "hash-abc")
         assert loaded.config == model.config
         for name in model.params:
             np.testing.assert_array_equal(loaded.params[name].values, model.params[name].values)
@@ -486,13 +485,13 @@ class TestCheckpoints:
     def test_vocab_hash_mismatch(self, tmp_path):
         _, path = self.roundtrip(tmp_path, tiny_config())
         with pytest.raises(CheckpointMismatchError, match="vocabulary"):
-            md.load_checkpoint(path, expected_vocab_sha256="other-hash")
+            md.load_checkpoint(path, "other-hash")
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(CheckpointMismatchError, match="not a model checkpoint"):
-            md.load_checkpoint(path)
+            md.load_checkpoint(path, "hash-abc")
 
     def test_header_missing_parameter_rejected(self, tmp_path):
         model = md.build_model(tiny_config(), np.random.default_rng(0))
@@ -500,19 +499,19 @@ class TestCheckpoints:
         path = tmp_path / "partial.ckpt"
         md.save_checkpoint(model, "hash-abc", path)
         with pytest.raises(CheckpointMismatchError, match="head.w"):
-            md.load_checkpoint(path)
+            md.load_checkpoint(path, "hash-abc")
 
     def test_truncated_payload_rejected(self, tmp_path):
         _, path = self.roundtrip(tmp_path, tiny_config())
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(CheckpointMismatchError, match="truncated"):
-            md.load_checkpoint(path)
+            md.load_checkpoint(path, "hash-abc")
 
     def test_trailing_bytes_rejected(self, tmp_path):
         _, path = self.roundtrip(tmp_path, tiny_config())
         path.write_bytes(path.read_bytes() + bytes(8))
         with pytest.raises(CheckpointMismatchError, match="trailing"):
-            md.load_checkpoint(path)
+            md.load_checkpoint(path, "hash-abc")
 
     @pytest.mark.parametrize("edit, match", [
         pytest.param(lambda cfg: cfg.update(extra=1), "unknown keys \\['extra'\\]", id="unknown"),
@@ -533,7 +532,7 @@ class TestCheckpoints:
         path.write_bytes(raw[:start] + struct.pack("<Q", len(blob)) + blob
                          + raw[start + 8 + length:])
         with pytest.raises(CheckpointMismatchError, match=match):
-            md.load_checkpoint(path)
+            md.load_checkpoint(path, "hash-abc")
 
     @pytest.mark.parametrize("head", ["classify-2", "regress-1"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -544,7 +543,7 @@ class TestCheckpoints:
         md.save_checkpoint(model, "hash-abc", path)
         with pytest.raises(CheckpointMismatchError,
                            match=re.escape(f"{path}: parameter 'head.w' holds NaN or inf")):
-            md.load_checkpoint(path)
+            md.load_checkpoint(path, "hash-abc")
 
     def test_header_length_past_end_of_file_rejected(self, tmp_path):
         # a damaged high byte in the length must not become a huge read
@@ -553,11 +552,11 @@ class TestCheckpoints:
         raw[len(md.CHECKPOINT_MAGIC) + 7] = 0x02
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointMismatchError, match="truncated header"):
-            md.load_checkpoint(path)
+            md.load_checkpoint(path, "hash-abc")
 
     def test_forward_identical_after_reload(self, tmp_path):
         model, path = self.roundtrip(tmp_path, tiny_config("han"))
-        loaded, _ = md.load_checkpoint(path)
+        loaded = md.load_checkpoint(path, "hash-abc")
         batch = batch_of([[2, 3, 4], [5, 6]])
         a = model.forward(batch)
         b = loaded.forward(batch)

@@ -122,28 +122,33 @@ class TestInjectTags:
 class TestApplyCutoff:
     def test_character_limit_keeps_short_docs(self):
         sents = ["x" * 10] * 3
-        assert tp.apply_cutoff(sents, tp.CharacterLimit(20000)) == sents
+        assert tp.apply_cutoff(sents, 20000) == sents
 
     def test_character_limit_boundary(self):
         sents = ["a" * 9000, "b" * 9000, "c" * 9000]
-        assert tp.apply_cutoff(sents, tp.CharacterLimit(20000)) == sents[:2]
+        assert tp.apply_cutoff(sents, 20000) == sents[:2]
 
     def test_always_keeps_first_sentence(self):
-        assert tp.apply_cutoff(["x" * 50], tp.CharacterLimit(10)) == ["x" * 50]
+        assert tp.apply_cutoff(["x" * 50], 10) == ["x" * 50]
 
     def test_empty_input(self):
-        assert tp.apply_cutoff([], tp.CharacterLimit(100)) == []
+        assert tp.apply_cutoff([], 100) == []
 
     def test_invalid_limits(self):
-        with pytest.raises(ConfigurationError):
-            tp.CharacterLimit(0)
+        doc = make_doc()
+        vocab = tp.build_vocabulary([["a"]])
+        for max_chars in (0, -5):
+            with pytest.raises(ConfigurationError, match="max_chars must be >= 1"):
+                tp.encode_document(doc, vocab, "none", max_chars)
+            with pytest.raises(ConfigurationError, match="max_chars must be >= 1"):
+                tp.prepare_corpus([doc], "none", max_chars, 50)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.text(alphabet="ab", min_size=1, max_size=12), min_size=1, max_size=15),
            st.integers(1, 120), st.integers(0, 60))
     def test_character_limit_monotone_prefix(self, sents, n1, extra):
-        small = tp.apply_cutoff(sents, tp.CharacterLimit(n1))
-        large = tp.apply_cutoff(sents, tp.CharacterLimit(n1 + extra))
+        small = tp.apply_cutoff(sents, n1)
+        large = tp.apply_cutoff(sents, n1 + extra)
         assert small == large[: len(small)]
         assert small == sents[: len(small)]
 
@@ -327,8 +332,7 @@ class TestEncodeDocument:
         doc = make_doc(body=body)
         vocab = tp.build_vocabulary([tp.tokenize(s) for _, s in inject_tags(doc, "none")],
                                     forced_tokens=tp.tag_tokens("full"))
-        cut = tp.CharacterLimit(300)
-        lengths = {tagset: len(tp.encode_document(doc, vocab, tagset, cut).sentences)
+        lengths = {tagset: len(tp.encode_document(doc, vocab, tagset, 300).sentences)
                    for tagset in ("full", "reduced", "none")}
         assert len(set(lengths.values())) == 1
 
@@ -336,7 +340,7 @@ class TestEncodeDocument:
         doc = make_doc()
         sents = [tp.tokenize(s) for _, s in inject_tags(doc, "full")]
         vocab = tp.build_vocabulary(sents, forced_tokens=tp.tag_tokens("full"))
-        enc = tp.encode_document(doc, vocab, "full", tp.CharacterLimit(20000))
+        enc = tp.encode_document(doc, vocab, "full", 20000)
         for ids, role in zip(enc.sentences, enc.roles):
             assert ids[0] == vocab.encode(tp.open_tag(role))
             assert ids[-1] == vocab.encode(tp.close_tag(role))
@@ -344,13 +348,13 @@ class TestEncodeDocument:
     def test_empty_document_yields_unk_sentence(self):
         doc = make_doc(title="", abstract="", body="")
         vocab = tp.build_vocabulary([])
-        enc = tp.encode_document(doc, vocab, "none", tp.CharacterLimit(20000))
+        enc = tp.encode_document(doc, vocab, "none", 20000)
         assert enc.sentences == [[tp.UNK_ID]]
 
     def test_label_carried_through(self):
         doc = make_doc(label={"citation_count": 7})
         vocab = tp.build_vocabulary([["a"]])
-        enc = tp.encode_document(doc, vocab, "none", tp.CharacterLimit(5))
+        enc = tp.encode_document(doc, vocab, "none", 5)
         assert enc.label == {"citation_count": 7}
 
 
