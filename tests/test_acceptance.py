@@ -24,8 +24,7 @@ from hanst import models as md
 from hanst import synth
 from hanst import training as tr
 from hanst.corpus import SPLITS, save_corpus
-from hanst.textprep import (TaggedDocument, apply_cutoff,
-                            encode_document, prepare_corpus, tokenize)
+from hanst.textprep import TaggedDocument, apply_cutoff, encode_document, prepare_corpus, tokenize
 
 
 def report(num: int, ok: bool, text: str) -> bool:
