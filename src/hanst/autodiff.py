@@ -196,19 +196,16 @@ def abs_(a: Tensor) -> Tensor:
     return _record(np.abs(a.values), lambda g: _accum(a, g * sign))
 
 
-def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
+def softmax(a: Tensor, mask: np.ndarray) -> Tensor:
     """Masked softmax over the last axis, stabilized by max-subtraction.
 
     Masked positions come out exactly 0 and receive exactly zero gradient.
     Every row must have at least one unmasked position.
     """
     x = a.values
-    if mask is None:
-        m = np.ones(x.shape, dtype=bool)
-    else:
-        m = np.asarray(mask, dtype=bool)
-        if m.shape != x.shape:
-            raise ShapeMismatchError(f"softmax: mask shape {m.shape} != input shape {x.shape}")
+    m = np.asarray(mask, dtype=bool)
+    if m.shape != x.shape:
+        raise ShapeMismatchError(f"softmax: mask shape {m.shape} != input shape {x.shape}")
     if not m.any(axis=-1).all():
         raise DegenerateInputError("softmax: some row has all positions masked")
     shifted = np.where(m, x, -np.inf)
@@ -482,10 +479,6 @@ def xavier_init(shape, variant: str, rng: np.random.Generator) -> np.ndarray:
     if variant == "normal":
         return rng.normal(0.0, np.sqrt(2.0 / fan_sum), size=shape).astype(DTYPE)
     raise ConfigurationError(f"unknown xavier variant {variant!r}")
-
-
-def zeros_init(shape) -> np.ndarray:
-    return np.zeros(shape, dtype=DTYPE)
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,15 @@ def load_prepared(data_dir: str) -> tuple[dict, dict[str, list[TaggedDocument]]]
     return meta, by_split
 
 
+def _load_matching_vocab(data_dir: str, meta: dict) -> Vocabulary:
+    """The data directory's vocabulary, refused unless it is the one the
+    prepared dataset was encoded with."""
+    vocab = Vocabulary.load(os.path.join(data_dir, VOCAB_NAME))
+    if vocab.sha256() != meta["vocab_sha256"] or len(vocab) != meta["vocab_size"]:
+        raise CheckpointMismatchError("vocabulary file does not match the prepared dataset")
+    return vocab
+
+
 def _check_preparation(config: md.ModelConfig, meta: dict, error) -> None:
     """Raise `error` unless the prepared dataset was made with the tagset and
     character cutoff that `config` holds."""
@@ -282,9 +291,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigurationError("pass exactly one of --config or --from-manifest")
     data_dir = data_dir_from(args)
     meta, by_split = load_prepared(data_dir)
-    vocab = Vocabulary.load(os.path.join(data_dir, VOCAB_NAME))
-    if vocab.sha256() != meta["vocab_sha256"] or len(vocab) != meta["vocab_size"]:
-        raise CheckpointMismatchError("vocabulary file does not match the prepared dataset")
+    vocab = _load_matching_vocab(data_dir, meta)
 
     if args.from_manifest:
         manifest_in = _load_manifest(args.from_manifest)
@@ -367,8 +374,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ConfigurationError("pass exactly one of --manifest or --checkpoint")
     data_dir = data_dir_from(args)
     meta, by_split = load_prepared(data_dir)
-    vocab = Vocabulary.load(os.path.join(data_dir, VOCAB_NAME))
-    vocab_hash = vocab.sha256()
+    vocab = _load_matching_vocab(data_dir, meta)
+    vocab_hash = meta["vocab_sha256"]
     docs = by_split[args.split]
     if not docs:
         raise DegenerateInputError(f"split {args.split!r} has no documents")

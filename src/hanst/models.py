@@ -120,8 +120,8 @@ class LstmCell:
         self.hidden = hidden
         self.w_ih = _add(params, f"{prefix}.w_ih", ad.xavier_init((input_dim, 4 * hidden), "normal", rng))
         self.w_hh = _add(params, f"{prefix}.w_hh", ad.xavier_init((hidden, 4 * hidden), "normal", rng))
-        self.b_ih = _add(params, f"{prefix}.b_ih", ad.zeros_init(4 * hidden))
-        self.b_hh = _add(params, f"{prefix}.b_hh", ad.zeros_init(4 * hidden))
+        self.b_ih = _add(params, f"{prefix}.b_ih", np.zeros(4 * hidden))
+        self.b_hh = _add(params, f"{prefix}.b_hh", np.zeros(4 * hidden))
 
 
 class BiLstmLayer:
@@ -153,7 +153,7 @@ class AttentionPool:
                  rng: np.random.Generator):
         self.dim = dim
         self.w = _add(params, f"{prefix}.w", ad.xavier_init((dim, dim), "uniform", rng))
-        self.b = _add(params, f"{prefix}.b", ad.zeros_init(dim))
+        self.b = _add(params, f"{prefix}.b", np.zeros(dim))
         self.u = _add(params, f"{prefix}.u", ad.xavier_init((dim, 1), "uniform", rng))
 
     def run(self, states: ad.Tensor, mask: np.ndarray):
@@ -213,7 +213,7 @@ class Model:
         self._build(rng)
         self.head_w = _add(self.params, "head.w",
                            ad.xavier_init((self.doc_dim(), config.n_outputs), "uniform", rng))
-        self.head_b = _add(self.params, "head.b", ad.zeros_init(config.n_outputs))
+        self.head_b = _add(self.params, "head.b", np.zeros(config.n_outputs))
 
     def _build(self, rng):
         raise NotImplementedError

@@ -22,9 +22,6 @@ UNK_ID = 1
 
 TAGSETS = ("full", "reduced", "none")
 
-# surface form of a structure tag; atomic under tokenization
-TAG_RE = re.compile(r"</?[A-Z][A-Z_]*>")
-
 _ROLE_MERGE = {"full": {}, "reduced": {"TITLE": "TITLE_ABSTRACT", "ABSTRACT": "TITLE_ABSTRACT"}}
 
 
@@ -174,17 +171,11 @@ _TOKEN_RE = re.compile(r"[^\W_](?:\S*[^\W_])?|\S")
 def tokenize(sentence: str) -> list[str]:
     """Lowercase and split on whitespace with edge punctuation split off.
 
-    Structure-tag surface forms are recognized first and emitted as single
-    case-preserved tokens.
+    Text never yields a structure tag or a reserved token: a multi-character
+    token starts with an alphanumeric character, so `<` is always a token of
+    its own. Tags enter a document only as ids (see _encode_tokens).
     """
-    tokens: list[str] = []
-    pos = 0
-    for m in TAG_RE.finditer(sentence):
-        tokens.extend(_TOKEN_RE.findall(sentence[pos:m.start()].lower()))
-        tokens.append(m.group())
-        pos = m.end()
-    tokens.extend(_TOKEN_RE.findall(sentence[pos:].lower()))
-    return tokens
+    return _TOKEN_RE.findall(sentence.lower())
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +222,10 @@ class Vocabulary:
         if arr[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise ConfigurationError(
                 f"{path}: vocabulary array must start with the PAD and UNK tokens")
-        return cls(arr[2:])
+        try:
+            return cls(arr[2:])
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
 
     def sha256(self) -> str:
         payload = json.dumps(self.to_json_array(), ensure_ascii=False).encode("utf-8")
@@ -335,9 +329,8 @@ def _encode_tokens(doc: RawDocument, parts: list[tuple[str, list[str]]], vocab: 
     """Map each kept sentence's untagged tokens to ids, with its role's tag ids
     around them unless tagset is "none".
 
-    Tags are atomic under tokenize, so this equals tokenizing the tagged
-    sentence. Documents with no text at all yield a single UNK sentence so
-    downstream batching never sees an empty document.
+    Documents with no text at all yield a single UNK sentence so downstream
+    batching never sees an empty document.
     """
     lookup = vocab.token_to_id.get
     merge = _ROLE_MERGE.get(tagset, {})

@@ -43,7 +43,7 @@ class TrainConfig:
     epochs: int
     batch_size: int
     lr: float = 0.005
-    resample: bool = True
+    resample: bool = False
     seeds: tuple[int, ...] = DEFAULT_SEEDS
 
     def __post_init__(self):
@@ -56,6 +56,8 @@ class TrainConfig:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
+        if self.resample and self.task != "classify":
+            raise ConfigurationError(f"resample applies to the classify task only, not {self.task!r}")
         if not self.seeds:
             raise ConfigurationError("at least one seed required")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
@@ -69,8 +71,6 @@ def default_train_config(task: str, model: md.ModelConfig, **overrides) -> Train
     if task not in _TASK_SCHEDULE:
         raise ConfigurationError(f"task must be one of {TASKS}, got {task!r}")
     epochs, batch_size = _TASK_SCHEDULE[task]
-    if task != "classify" and overrides.get("resample"):
-        raise ConfigurationError(f"resample applies to the classify task only, not {task!r}")
     base = dict(task=task, model=model, epochs=epochs, batch_size=batch_size,
                 resample=task == "classify")
     base.update(overrides)
@@ -240,7 +240,7 @@ def train_single_run(config: TrainConfig, train_docs: list[TaggedDocument],
     valid_metrics: list[float] = []
     best_params: dict[str, np.ndarray] = {}
     for epoch in range(config.epochs):
-        if config.task == "classify" and config.resample:
+        if config.resample:
             epoch_docs = resample_balanced(train_docs, labels, rng)
         else:
             epoch_docs = list(train_docs)

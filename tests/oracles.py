@@ -5,13 +5,15 @@
   `sum_all`. The step oracle in `test_lstm_sequence` is built from them, and
   the autodiff tests use them to form scalar losses.
 - Structure tags as text: `inject_tags` wraps each raw sentence in its role's
-  tags and `strip_tags` removes them. hanst tags token ids instead
-  (`textprep._encode_tokens`); tags are atomic under `tokenize`, so the two
-  forms must agree.
+  tags and `strip_tags` removes what `TAG_RE` matches. hanst tags token ids
+  instead (`textprep._encode_tokens`), and `tokenize` never reads a tag out
+  of text; the text form is the reference for criterion 03.
 - `split_corpus`, the train split the old prepare built its vocabulary from.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -78,6 +80,10 @@ def sum_all(a: Tensor) -> Tensor:
 # tags as text
 # ---------------------------------------------------------------------------
 
+# surface form of a structure tag
+TAG_RE = re.compile(r"</?[A-Z][A-Z_]*>")
+
+
 def inject_tags(doc: RawDocument, tagset: str) -> list[tuple[str, str]]:
     """Segment a whole document into (role, sentence) pairs, wrapping
     sentences in their role's tags unless tagset is "none".
@@ -103,7 +109,7 @@ def inject_tags(doc: RawDocument, tagset: str) -> list[tuple[str, str]]:
 
 
 def strip_tags(sentence: str) -> str:
-    return tp.TAG_RE.sub("", sentence).strip()
+    return TAG_RE.sub("", sentence).strip()
 
 
 # ---------------------------------------------------------------------------

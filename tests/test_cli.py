@@ -114,6 +114,19 @@ def test_prepare_reports_per_split_rows(tmp_path, capsys, probe_corpus):
     assert sum(counts) == 60
 
 
+@pytest.mark.parametrize("tagset", ["none", "reduced", "full"])
+def test_prepare_reads_tag_text_as_text(tmp_path, capsys, probe_corpus, tagset):
+    docs = load_corpus(probe_corpus)
+    for i, title in enumerate(["Uses the <PAD> token", "Uses the <TITLE> token"]):
+        docs[i] = dataclasses.replace(docs[i], title=title, split="train")
+    corpus = tmp_path / "tag-text.jsonl"
+    save_corpus(docs, corpus)
+    cfg = write_config(tmp_path / "cfg.json", tagset=tagset)
+    rc, _, err = run_cli(capsys, "prepare", str(corpus), "--config", cfg,
+                         "--out", str(tmp_path / "data"))
+    assert rc == 0 and err == ""
+
+
 def test_prepare_requires_config(tmp_path, capsys, probe_corpus):
     rc, _, err = run_cli(capsys, "prepare", probe_corpus, "--out", str(tmp_path / "d"))
     assert rc == 1
@@ -576,8 +589,26 @@ def test_evaluate_vocab_mismatch(tmp_path, capsys, probe_corpus):
     assert err.startswith("error: checkpoint-mismatch:")
 
 
+def test_evaluate_refuses_a_vocabulary_the_dataset_was_not_prepared_with(tmp_path, capsys,
+                                                                         probe_corpus):
+    # a re-prepare stopped between writing vocab.json and prepared.jsonl leaves such a pair
+    data, _ = prepared_dir(tmp_path / "a", capsys, probe_corpus, vocab_size=200)
+    small = _trained_dir(tmp_path / "b", capsys, probe_corpus, vocab_size=20)
+    shutil.copy(os.path.join(small, "vocab.json"), os.path.join(data, "vocab.json"))
+    for source in (["--checkpoint", os.path.join(small, "run-1.ckpt")],
+                   ["--manifest", os.path.join(small, "manifest.json")]):
+        rc, out, err = run_cli(capsys, "evaluate", *source, "--out", data)
+        assert rc == 1 and out == ""
+        assert err == ("error: checkpoint-mismatch: vocabulary file does not match "
+                       "the prepared dataset\n")
+
+
+_REPEATED_TOKEN_VOCAB = '["<PAD>", "<UNK>", "a", "a"]'
+
+
 @pytest.mark.parametrize("command", ["evaluate", "predict"])
-@pytest.mark.parametrize("text", ['{"a": 1}', "5", "null", '["<PAD>", "<UNK>", 3]'])
+@pytest.mark.parametrize("text", ['{"a": 1}', "5", "null", '["<PAD>", "<UNK>", 3]',
+                                  _REPEATED_TOKEN_VOCAB])
 def test_vocab_not_an_array_of_strings_is_one_line(tmp_path, capsys, probe_corpus, command, text):
     data = _trained_dir(tmp_path, capsys, probe_corpus)
     path = os.path.join(data, "vocab.json")
@@ -587,7 +618,9 @@ def test_vocab_not_an_array_of_strings_is_one_line(tmp_path, capsys, probe_corpu
     rc, out, err = run_cli(capsys, *argv, "--checkpoint", os.path.join(data, "run-1.ckpt"),
                            "--out", data)
     assert rc == 1 and out == ""
-    assert err == f"error: config-error: {path}: vocabulary must be a JSON array of strings\n"
+    message = ("vocabulary tokens must be distinct" if text == _REPEATED_TOKEN_VOCAB
+               else "vocabulary must be a JSON array of strings")
+    assert err == f"error: config-error: {path}: {message}\n"
 
 
 def test_evaluate_needs_exactly_one_source(tmp_path, capsys, probe_corpus):

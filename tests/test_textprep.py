@@ -106,13 +106,15 @@ class TestInjectTags:
         assert stripped == untagged
 
     def test_tag_well_formedness(self):
-        doc = make_doc()
+        # tags written in the text are text: their ids stay at the sentence ends
+        doc = make_doc(title="Uses the <TITLE> token", body="Body one. See </BODY_TEXT> here.")
         for tagset in ("full", "reduced"):
-            for role, sent in inject_tags(doc, tagset):
-                tokens = tp.tokenize(sent)
-                assert tokens[0] == tp.open_tag(role)
-                assert tokens[-1] == tp.close_tag(role)
-                assert not any(tp.TAG_RE.fullmatch(t) for t in tokens[1:-1])
+            vocab, (enc,) = tp.prepare_corpus([doc], tagset, 20000, 100)
+            tag_ids = {vocab.encode(tok) for tok in tp.tag_tokens(tagset)}
+            for ids, role in zip(enc.sentences, enc.roles):
+                assert ids[0] == vocab.encode(tp.open_tag(role))
+                assert ids[-1] == vocab.encode(tp.close_tag(role))
+                assert not tag_ids & set(ids[1:-1])
 
     def test_unknown_tagset(self):
         with pytest.raises(ConfigurationError):
@@ -172,31 +174,27 @@ def _split_word(chunk: str) -> list[str]:
 
 def tokenize_oracle(sentence: str) -> list[str]:
     """The original tokenizer: str.split, then _split_word on each chunk."""
-    tokens: list[str] = []
-    pos = 0
-    for m in tp.TAG_RE.finditer(sentence):
-        for chunk in sentence[pos:m.start()].lower().split():
-            tokens.extend(_split_word(chunk))
-        tokens.append(m.group())
-        pos = m.end()
-    for chunk in sentence[pos:].lower().split():
-        tokens.extend(_split_word(chunk))
-    return tokens
+    return [tok for chunk in sentence.lower().split() for tok in _split_word(chunk)]
 
 
 # underscore (\w but not alnum), combining marks, İ (lowercases to i + U+0307),
-# non-ASCII digits and letters, NBSP, \x1c and U+2028 (str.isspace), tags
+# non-ASCII digits and letters, NBSP, \x1c and U+2028 (str.isspace), the
+# text forms of tags and reserved tokens
 _TOKENIZE_PIECES = ["a", "Z", "7", "\u00b2", "\u00df", "\u03a3", "\u0130", "_", ".", ",", "-",
                     "'", "(", ")", "\u0301", "\u0307", " ", "\t", "\n", "\xa0", "\x1c",
-                    "\u2028", "<TITLE>", "</BODY_TEXT>", "<", ">", "<x>"]
+                    "\u2028", "<TITLE>", "</BODY_TEXT>", "<TITLE_ABSTRACT>", "<PAD>", "<UNK>",
+                    "<", ">", "<x>"]
+_TOKENIZE_TEXTS = st.one_of(st.lists(st.sampled_from(_TOKENIZE_PIECES), max_size=30).map("".join),
+                            st.text(max_size=40))
 
 
 class TestTokenize:
     def test_simple(self):
         assert tp.tokenize("A cat.") == ["a", "cat", "."]
 
-    def test_tags_atomic_and_case_preserved(self):
-        assert tp.tokenize("<TITLE> Self Training </TITLE>") == ["<TITLE>", "self", "training", "</TITLE>"]
+    def test_tag_text_is_ordinary_text(self):
+        assert tp.tokenize("<TITLE> Self Training </TITLE>") == [
+            "<", "title", ">", "self", "training", "<", "/", "title", ">"]
 
     def test_empty(self):
         assert tp.tokenize("") == []
@@ -208,16 +206,22 @@ class TestTokenize:
         assert tp.tokenize("cross-task don't 3.5") == ["cross-task", "don't", "3.5"]
 
     def test_tag_without_surrounding_space(self):
-        assert tp.tokenize("<TITLE>Self Training </TITLE>") == ["<TITLE>", "self", "training", "</TITLE>"]
+        assert tp.tokenize("<TITLE>Self Training </TITLE>") == [
+            "<", "title>self", "training", "<", "/", "title", ">"]
 
     def test_lowercasing(self):
         assert tp.tokenize("The BiLSTM Model") == ["the", "bilstm", "model"]
 
     @settings(max_examples=400, deadline=None)
-    @given(st.one_of(st.lists(st.sampled_from(_TOKENIZE_PIECES), max_size=30).map("".join),
-                     st.text(max_size=40)))
+    @given(_TOKENIZE_TEXTS)
     def test_matches_edge_peeling_oracle(self, text):
         assert tp.tokenize(text) == tokenize_oracle(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_TOKENIZE_TEXTS, st.sampled_from(tp.TAGSETS))
+    def test_text_never_yields_a_tag_or_reserved_token(self, text, tagset):
+        reserved = {tp.PAD_TOKEN, tp.UNK_TOKEN, *tp.tag_tokens(tagset)}
+        assert not reserved & set(tp.tokenize(text))
 
 
 class TestVocabulary:

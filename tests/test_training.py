@@ -37,8 +37,7 @@ def tiny_train_config(task="classify", vocab=12, **overrides):
                            head_kind="classify-2" if task == "classify" else "regress-1",
                            vocab_size=vocab, embedding_dim=4, bilstm_hidden=2,
                            dropout_p=0.0)
-    base = dict(task=task, model=model, epochs=5, batch_size=4, seeds=(1,),
-                resample=False)
+    base = dict(task=task, model=model, epochs=5, batch_size=4, seeds=(1,))
     base.update(overrides)
     return tr.TrainConfig(**base)
 
@@ -63,6 +62,11 @@ class TestTrainConfig:
         rconfig = tr.default_train_config("regress", rmodel)
         assert (rconfig.epochs, rconfig.batch_size) == (60, 64)
         assert not rconfig.resample
+
+    def test_resample_is_refused_outside_classify(self):
+        assert not tiny_train_config("regress").resample
+        with pytest.raises(ConfigurationError, match="classify task only, not 'regress'"):
+            tiny_train_config("regress", resample=True)
 
     def test_invalid_sizes(self):
         with pytest.raises(ConfigurationError):

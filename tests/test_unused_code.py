@@ -1,7 +1,7 @@
 """src/hanst holds only code that hanst, scripts/ or perfbench/ can reach.
 
-A module-level function or class that no code there names is called by the
-tests alone; such reference code lives under tests/ (see oracles.py).
+A module-level function, class or constant that no code there names is used
+by the tests alone; such reference code lives under tests/ (see oracles.py).
 """
 
 import ast
@@ -18,16 +18,32 @@ def program_files():
                 yield path
 
 
+def module_level_names(tree: ast.Module):
+    """Names a module defines at top level: functions, classes, and the
+    plain-name targets of assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+
+
 def test_every_module_level_definition_is_named_elsewhere():
     defined = []
     named = set()
     for path in program_files():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         if PACKAGE in path.parents:
-            defined.extend((path.relative_to(ROOT).as_posix(), node.name) for node in tree.body
-                           if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+            defined.extend((path.relative_to(ROOT).as_posix(), name)
+                           for name in module_level_names(tree))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            # an assignment target (Store) is a definition, not a use
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
