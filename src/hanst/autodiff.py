@@ -71,11 +71,13 @@ class Tape:
     its tape, so the list would otherwise hold the whole graph in a reference
     cycle until the cyclic collector ran; without it the graph is freed as
     soon as the caller lets go of its outputs. Call ``backward`` inside the
-    block.
+    block, once: it releases what each op saved for its gradient, so a tape
+    allows one backward.
     """
 
     def __init__(self):
         self.nodes: list[Tensor] | None = []
+        self.backward_done = False
 
     def __enter__(self) -> "Tape":
         _tape_stack.append(self)
@@ -120,19 +122,27 @@ def backward(loss: Tensor) -> None:
 
     Tensors off the path keep ``grad is None``. Each tape node is visited
     exactly once, and its own ``grad`` is released once it has been passed
-    on to its parents; leaves keep theirs.
+    on to its parents; leaves keep theirs. Each node's ``backward_fn`` is
+    taken off it before it runs, so the arrays an op saved for its gradient
+    are freed as the walk goes on; the nodes and their values stay on the
+    tape. A second backward on the same tape raises ConfigurationError.
     """
     if loss.values.ndim != 0:
         raise NonScalarLossError(f"loss must be scalar, got shape {loss.shape}")
-    if loss.tape is None:
+    tape = loss.tape
+    if tape is None:
         raise ConfigurationError("loss was not recorded on a tape; run the forward pass inside `with Tape():`")
-    if loss.tape.nodes is None:
+    if tape.nodes is None:
         raise ConfigurationError("the loss's tape is closed; call backward inside its `with Tape():` block")
+    if tape.backward_done:
+        raise ConfigurationError("backward already ran on this tape; a tape allows one backward")
+    tape.backward_done = True
     loss.grad = np.ones((), dtype=DTYPE)
-    for node in reversed(loss.tape.nodes):
-        if node.grad is None or node.backward_fn is None:
+    for node in reversed(tape.nodes):
+        backward_fn, node.backward_fn = node.backward_fn, None
+        if node.grad is None:
             continue
-        node.backward_fn(node.grad)
+        backward_fn(node.grad)
         node.grad = None
 
 
@@ -167,57 +177,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(a.values + b.values, bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"sub: incompatible shapes {a.shape} - {b.shape}")
-
-    def bwd(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    return _record(a.values - b.values, bwd)
-
-
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.values)
-    return _record(t, lambda g: _accum(a, g * (1.0 - t * t)))
-
-
 def _logistic(x: np.ndarray) -> np.ndarray:
     # numerically safe: exp only ever sees non-positive arguments. The
     # numerator is 1 where x >= 0 (e <= 1 there) and e elsewhere, which is
     # bitwise the two-branch form without a data-dependent select.
     e = np.exp(-np.abs(x))
     return np.maximum(e, x >= 0) / (1.0 + e)
-
-
-def abs_(a: Tensor) -> Tensor:
-    sign = np.sign(a.values)
-    return _record(np.abs(a.values), lambda g: _accum(a, g * sign))
-
-
-def softmax(a: Tensor, mask: np.ndarray) -> Tensor:
-    """Masked softmax over the last axis, stabilized by max-subtraction.
-
-    Masked positions come out exactly 0 and receive exactly zero gradient.
-    Every row must have at least one unmasked position.
-    """
-    x = a.values
-    m = np.asarray(mask, dtype=bool)
-    if m.shape != x.shape:
-        raise ShapeMismatchError(f"softmax: mask shape {m.shape} != input shape {x.shape}")
-    if not m.any(axis=-1).all():
-        raise DegenerateInputError("softmax: some row has all positions masked")
-    shifted = np.where(m, x, -np.inf)
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    e = np.where(m, np.exp(shifted), 0.0)
-    p = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        inner = (p * g).sum(axis=-1, keepdims=True)
-        _accum(a, p * (g - inner))
-
-    return _record(p, bwd)
 
 
 def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -266,11 +231,6 @@ def index_axis(a: Tensor, idx: int, axis: int) -> Tensor:
     return _record(values, bwd)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    n = a.size
-    return _record(a.values.mean(), lambda g: _accum(a, np.broadcast_to(g / n, a.shape)))
-
-
 def rows(table: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of a 2-D table; ids may have any shape."""
     ids = np.asarray(ids)
@@ -304,6 +264,58 @@ def weighted_sum(h: Tensor, alpha: Tensor) -> Tensor:
     return _record(values, bwd)
 
 
+def attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor,
+                   mask: np.ndarray) -> tuple[Tensor, Tensor]:
+    """Attention pooling of states [B,T,D] into pooled [B,D] and weights alpha [B,T].
+
+    proj = tanh(states @ w + b) is scored against the context vector u [A,1],
+    and alpha is the softmax of the scores over the positions where mask is
+    true, stabilized by max-subtraction. Masked positions get alpha exactly
+    0, and every row must have at least one unmasked position. pooled is the
+    alpha-weighted sum of the states.
+
+    On a tape the op is one node, pooled; alpha is returned for reading and
+    takes no gradient. For backward it saves only proj [B*T,A] and alpha.
+    """
+    if states.ndim != 3:
+        raise ShapeMismatchError(f"attention_pool: states must be [B,T,D], got {states.shape}")
+    bsz, t, d = states.shape
+    a = w.shape[1] if w.ndim == 2 else -1
+    if w.shape != (d, a) or b.shape != (a,) or u.shape != (a, 1):
+        raise ShapeMismatchError(
+            f"attention_pool: states {states.shape} vs w {w.shape}, b {b.shape}, u {u.shape}")
+    m = np.asarray(mask, dtype=bool)
+    if m.shape != (bsz, t):
+        raise ShapeMismatchError(f"attention_pool: mask {m.shape} vs states {states.shape}")
+    if not m.any(axis=-1).all():
+        raise DegenerateInputError("attention_pool: some row has all positions masked")
+    flat = states.values.reshape(bsz * t, d)
+    proj = np.tanh(flat @ w.values + b.values)
+    scores = (proj @ u.values).reshape(bsz, t)
+    shifted = np.where(m, scores, -np.inf)
+    shifted = shifted - shifted.max(axis=-1, keepdims=True)
+    e = np.where(m, np.exp(shifted), 0.0)
+    alpha = e / e.sum(axis=-1, keepdims=True)
+    pooled = np.einsum("btd,bt->bd", states.values, alpha)
+
+    def bwd(g):
+        d_alpha = np.einsum("btd,bd->bt", states.values, g)
+        inner = (alpha * d_alpha).sum(axis=-1, keepdims=True)
+        d_scores = (alpha * (d_alpha - inner)).reshape(bsz * t, 1)
+        _accum(u, proj.T @ d_scores)
+        # tanh' times the gradient of proj, with no third [B*T,A] array alive
+        d_pre = 1.0 - proj * proj
+        d_pre *= d_scores @ u.values.T
+        _accum(b, d_pre.sum(axis=0))
+        _accum(w, flat.T @ d_pre)
+        d_flat = (d_pre @ w.values.T).reshape(bsz, t, d)
+        del d_pre
+        d_flat += alpha[:, :, None] * g[:, None, :]
+        _accum(states, d_flat)
+
+    return _record(pooled, bwd), Tensor(alpha)
+
+
 def lstm_sequence(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Tensor,
                   mask: np.ndarray, reverse: bool = False) -> Tensor:
     """One direction of an LSTM over a whole sequence: xs [B,T,D] -> states [B,T,H].
@@ -334,7 +346,10 @@ def lstm_sequence(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Te
     The backward-through-time does one GEMM per step over the same k_i rows,
     for the gradient through w_hh into the previous state, and one GEMM each
     for the gradients of xs, w_ih and w_hh over all steps, in the caller's
-    row order. Without a tape only the running state is kept.
+    row order. It writes each step's gate gradients over that step's saved
+    gates once it has read them, so the saved array becomes the gate
+    gradients; this relies on ``backward`` running the closure only once.
+    Without a tape only the running state is kept.
     """
     if xs.ndim != 3:
         raise ShapeMismatchError(f"lstm_sequence: input must be [B,T,D], got {xs.shape}")
@@ -365,7 +380,7 @@ def lstm_sequence(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Te
     tape = _active_tape()
     states = np.empty((b, t, n))
     if tape is not None:
-        acts = np.empty((b, t, 4 * n))
+        acts = np.zeros((b, t, 4 * n))   # padded cells stay 0: no gradient there
         tanh_c = np.empty((b, t, n))
         cells = np.empty((b, t, n))
     h = np.zeros((b, n))
@@ -396,7 +411,6 @@ def lstm_sequence(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Te
     def bwd(g):
         if not in_order:
             g = g[order]
-        d_gates = np.zeros((b, t, 4 * n))   # padded positions get no gradient
         w_hh_t = w_hh.values.T
         zeros = np.zeros((b, n))
         dh = np.zeros((b, n))
@@ -412,15 +426,18 @@ def lstm_sequence(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Te
             c_prev = zeros[:k] if i == steps[0] else cells[:k, i + prev]
             dh_k = dh[:k]
             dc_new = dc[:k] + dh_k * out * (1.0 - tc * tc)
-            dg = d_gates[:k, i]
-            dg[:, :n] = dc_new * cell * in_g * (1.0 - in_g)
-            dg[:, n:2 * n] = dc_new * c_prev * forget * (1.0 - forget)
-            dg[:, 2 * n:3 * n] = dc_new * in_g * (1.0 - cell * cell)
-            dg[:, 3 * n:] = dh_k * tc * out * (1.0 - out)
+            # every gate is read before any of its slots in acts is written
+            d_in = dc_new * cell * in_g * (1.0 - in_g)
+            d_forget = dc_new * c_prev * forget * (1.0 - forget)
+            d_cell = dc_new * in_g * (1.0 - cell * cell)
+            d_out = dh_k * tc * out * (1.0 - out)
             dc[:k] = dc_new * forget
-            dh[:k] = (d_gates[:max(k, floor), i] @ w_hh_t)[:k]
-        if not in_order:
-            d_gates = d_gates[inverse]
+            act[:, :n] = d_in
+            act[:, n:2 * n] = d_forget
+            act[:, 2 * n:3 * n] = d_cell
+            act[:, 3 * n:] = d_out
+            dh[:k] = (acts[:max(k, floor), i] @ w_hh_t)[:k]
+        d_gates = acts if in_order else acts[inverse]
         h_prev = np.zeros((b, t, n))
         if reverse:
             h_prev[:, :-1] = states[:, 1:]
@@ -457,6 +474,19 @@ def cross_entropy(logits: Tensor, golds: np.ndarray) -> Tensor:
         _accum(logits, g * grad / n)
 
     return _record(loss, bwd)
+
+
+def l1_loss(output: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean absolute difference between output and targets of its shape."""
+    targets = np.asarray(targets, dtype=DTYPE)
+    if targets.shape != output.shape:
+        raise ShapeMismatchError(f"l1_loss: output {output.shape} vs targets {targets.shape}")
+    if output.size == 0:
+        raise DegenerateInputError("l1_loss: empty batch")
+    diff = output.values - targets
+    sign = np.sign(diff)
+    n = diff.size
+    return _record(np.abs(diff).mean(), lambda g: _accum(output, g / n * sign))
 
 
 # ---------------------------------------------------------------------------

@@ -158,12 +158,7 @@ class AttentionPool:
 
     def run(self, states: ad.Tensor, mask: np.ndarray):
         """Pool [B,T,D] into [B,D]; returns (pooled, weights [B,T])."""
-        b, t, d = states.shape
-        flat = ad.reshape(states, (b * t, d))
-        proj = ad.tanh(ad.add(ad.matmul(flat, self.w), self.b))
-        scores = ad.reshape(ad.matmul(proj, self.u), (b, t))
-        alpha = ad.softmax(scores, mask=mask.astype(bool))
-        return ad.weighted_sum(states, alpha), alpha
+        return ad.attention_pool(states, self.w, self.b, self.u, mask)
 
 
 def _add(params: dict[str, ad.Parameter], name: str, values: np.ndarray) -> ad.Parameter:

@@ -279,10 +279,15 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, rng: np.random.Generator)
                     line_number=lineno)
             if token in vocab:
                 try:
-                    matrix[vocab.encode(token)] = [float(v) for v in vals]
+                    row = np.array([float(v) for v in vals])
                 except ValueError:
                     raise EmbeddingFormatError(f"non-numeric value for token {token!r}",
                                                line_number=lineno) from None
+                # float() reads nan, inf and overflowing literals such as 1e400
+                if not np.isfinite(row).all():
+                    raise EmbeddingFormatError(f"non-finite value for token {token!r}",
+                                               line_number=lineno)
+                matrix[vocab.encode(token)] = row
     matrix[PAD_ID] = 0.0
     return matrix
 

@@ -144,10 +144,7 @@ def compute_loss(output: ad.Tensor, golds: np.ndarray, kind: str) -> ad.Tensor:
     if kind == "cross-entropy":
         return ad.cross_entropy(output, golds.astype(np.int64))
     if kind == "mae":
-        if output.shape[0] == 0:
-            raise DegenerateInputError("empty batch")
-        targets = ad.Tensor(np.asarray(golds, dtype=np.float64).reshape(-1, 1))
-        return ad.mean_all(ad.abs_(ad.sub(output, targets)))
+        return ad.l1_loss(output, np.asarray(golds, dtype=np.float64).reshape(-1, 1))
     raise ConfigurationError(f"unknown loss kind {kind!r}")
 
 

@@ -4,6 +4,10 @@
   replaced: `mul`, `mul_const`, `sigmoid`, `stack`, `slice_last` and
   `sum_all`. The step oracle in `test_lstm_sequence` is built from them, and
   the autodiff tests use them to form scalar losses.
+- Tape ops of the compositions that the fused ops replaced: `tanh` and
+  `softmax`, from which `composed_attention_pool` builds the eight-node
+  attention pool that `ad.attention_pool` fuses, and `sub`, `abs_` and
+  `mean_all`, whose composition `ad.l1_loss` fuses.
 - Structure tags as text: `inject_tags` wraps each raw sentence in its role's
   tags and `strip_tags` removes what `TAG_RE` matches. hanst tags token ids
   instead (`textprep._encode_tokens`), and `tokenize` never reads a tag out
@@ -17,10 +21,11 @@ import re
 
 import numpy as np
 
+from hanst import autodiff as ad
 from hanst import textprep as tp
 from hanst.autodiff import DTYPE, Tensor, _accum, _logistic, _record
 from hanst.corpus import SPLITS, RawDocument
-from hanst.errors import ConfigurationError, ShapeMismatchError
+from hanst.errors import ConfigurationError, DegenerateInputError, ShapeMismatchError
 
 # ---------------------------------------------------------------------------
 # tape ops
@@ -74,6 +79,67 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     return _record(a.values.sum(), lambda g: _accum(a, np.broadcast_to(g, a.shape)))
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"sub: incompatible shapes {a.shape} - {b.shape}")
+
+    def bwd(g):
+        _accum(a, g)
+        _accum(b, -g)
+
+    return _record(a.values - b.values, bwd)
+
+
+def tanh(a: Tensor) -> Tensor:
+    t = np.tanh(a.values)
+    return _record(t, lambda g: _accum(a, g * (1.0 - t * t)))
+
+
+def abs_(a: Tensor) -> Tensor:
+    sign = np.sign(a.values)
+    return _record(np.abs(a.values), lambda g: _accum(a, g * sign))
+
+
+def softmax(a: Tensor, mask: np.ndarray) -> Tensor:
+    """Masked softmax over the last axis, stabilized by max-subtraction.
+
+    Masked positions come out exactly 0 and receive exactly zero gradient.
+    Every row must have at least one unmasked position.
+    """
+    x = a.values
+    m = np.asarray(mask, dtype=bool)
+    if m.shape != x.shape:
+        raise ShapeMismatchError(f"softmax: mask shape {m.shape} != input shape {x.shape}")
+    if not m.any(axis=-1).all():
+        raise DegenerateInputError("softmax: some row has all positions masked")
+    shifted = np.where(m, x, -np.inf)
+    shifted = shifted - shifted.max(axis=-1, keepdims=True)
+    e = np.where(m, np.exp(shifted), 0.0)
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        inner = (p * g).sum(axis=-1, keepdims=True)
+        _accum(a, p * (g - inner))
+
+    return _record(p, bwd)
+
+
+def mean_all(a: Tensor) -> Tensor:
+    n = a.size
+    return _record(a.values.mean(), lambda g: _accum(a, np.broadcast_to(g / n, a.shape)))
+
+
+def composed_attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor,
+                            mask: np.ndarray) -> tuple[Tensor, Tensor]:
+    """`ad.attention_pool` as the eight tape nodes it replaced: (pooled, alpha)."""
+    bsz, t, d = states.shape
+    flat = ad.reshape(states, (bsz * t, d))
+    proj = tanh(ad.add(ad.matmul(flat, w), b))
+    scores = ad.reshape(ad.matmul(proj, u), (bsz, t))
+    alpha = softmax(scores, mask=mask.astype(bool))
+    return ad.weighted_sum(states, alpha), alpha
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fd_grad, rel_err
-from oracles import mul, mul_const, sigmoid, slice_last, stack, sum_all
+from oracles import (
+    abs_,
+    composed_attention_pool,
+    mean_all,
+    mul,
+    mul_const,
+    sigmoid,
+    slice_last,
+    softmax,
+    stack,
+    sub,
+    sum_all,
+    tanh,
+)
 from hanst import autodiff as ad
 from hanst.errors import (
     ConfigurationError,
@@ -64,18 +77,18 @@ class TestMatmul:
 
 class TestElementwise:
     def test_tanh_zero(self):
-        assert ad.tanh(ad.Tensor(0.0)).values == 0.0
+        assert tanh(ad.Tensor(0.0)).values == 0.0
 
     def test_sigmoid_zero(self):
         assert sigmoid(ad.Tensor(0.0)).values == 0.5
 
     def test_tanh_gradient(self):
-        scalar_loss(ad.tanh, np.array([0.3]))
+        scalar_loss(tanh, np.array([0.3]))
 
     def test_binary_shape_mismatch(self):
         a = ad.Tensor(np.ones((2, 2)))
         b = ad.Tensor(np.ones(3))
-        for op in (mul, ad.sub):
+        for op in (mul, sub):
             with pytest.raises(ShapeMismatchError):
                 op(a, b)
         with pytest.raises(ShapeMismatchError):
@@ -86,10 +99,10 @@ class TestElementwise:
     def test_unary_gradients(self, xs):
         # keep abs inputs away from its kink at 0
         x = np.asarray(xs)
-        scalar_loss(ad.tanh, x)
+        scalar_loss(tanh, x)
         scalar_loss(sigmoid, x)
         safe = np.where(np.abs(x) < 1e-2, 0.5, x)
-        scalar_loss(ad.abs_, safe)
+        scalar_loss(abs_, safe)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
@@ -97,7 +110,7 @@ class TestElementwise:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(n, m))
         b = rng.normal(size=(n, m))
-        for op in (ad.add, mul, ad.sub):
+        for op in (ad.add, mul, sub):
             scalar_loss(op, a, b, which=0)
             scalar_loss(op, a, b, which=1)
 
@@ -118,11 +131,11 @@ class TestElementwise:
 
 class TestSoftmax:
     def test_symmetry(self):
-        out = ad.softmax(ad.Tensor([0.0, 0.0]), mask=np.ones(2, dtype=bool))
+        out = softmax(ad.Tensor([0.0, 0.0]), mask=np.ones(2, dtype=bool))
         np.testing.assert_array_equal(out.values, [0.5, 0.5])
 
     def test_mask_symmetry(self):
-        out = ad.softmax(ad.Tensor([5.0, 5.0, 5.0]), mask=np.array([True, True, False]))
+        out = softmax(ad.Tensor([5.0, 5.0, 5.0]), mask=np.array([True, True, False]))
         np.testing.assert_array_equal(out.values, [0.5, 0.5, 0.0])
 
     def test_against_high_precision_formula(self):
@@ -130,22 +143,22 @@ class TestSoftmax:
         x = np.array([1.0, 2.0, 3.0])
         e = np.exp(np.longdouble(x))
         expected = (e / e.sum()).astype(np.float64)
-        out = ad.softmax(ad.Tensor(x), mask=np.ones(3, dtype=bool))
+        out = softmax(ad.Tensor(x), mask=np.ones(3, dtype=bool))
         np.testing.assert_allclose(out.values, expected, rtol=0, atol=1e-15)
 
     def test_all_masked(self):
         with pytest.raises(DegenerateInputError):
-            ad.softmax(ad.Tensor([[1.0, 2.0]]), mask=np.array([[False, False]]))
+            softmax(ad.Tensor([[1.0, 2.0]]), mask=np.array([[False, False]]))
 
     def test_extreme_values_stable(self):
-        out = ad.softmax(ad.Tensor([1000.0, 1000.0, -1000.0]), mask=np.ones(3, dtype=bool))
+        out = softmax(ad.Tensor([1000.0, 1000.0, -1000.0]), mask=np.ones(3, dtype=bool))
         assert np.isfinite(out.values).all()
         np.testing.assert_allclose(out.values[:2], [0.5, 0.5])
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(-30, 30), min_size=1, max_size=8))
     def test_sums_to_one(self, xs):
-        out = ad.softmax(ad.Tensor(xs), mask=np.ones(len(xs), dtype=bool))
+        out = softmax(ad.Tensor(xs), mask=np.ones(len(xs), dtype=bool))
         assert abs(float(out.values.sum()) - 1.0) <= 1e-9
 
     def test_gradient(self):
@@ -156,7 +169,7 @@ class TestSoftmax:
         w = rng.normal(size=(2, 4))
 
         def op(t):
-            return mul(ad.softmax(t, mask=mask), ad.Tensor(w))
+            return mul(softmax(t, mask=mask), ad.Tensor(w))
 
         scalar_loss(op, x)
 
@@ -165,7 +178,7 @@ class TestSoftmax:
         mask = np.array([[True, False, True]])
         with ad.Tape():
             t = ad.Tensor(x)
-            out = ad.softmax(t, mask=mask)
+            out = softmax(t, mask=mask)
             ad.backward(sum_all(mul(out, ad.Tensor(np.array([[1.0, 5.0, 2.0]])))))
         assert t.grad[0, 1] == 0.0
 
@@ -359,11 +372,36 @@ class TestBackward:
     def test_intermediate_grads_released_leaves_kept(self):
         with ad.Tape() as tape:
             w = ad.Tensor(np.array([1.0, -2.0]))
-            hidden = ad.tanh(w)
+            hidden = tanh(w)
             loss = sum_all(mul(hidden, hidden))
             ad.backward(loss)
             assert all(node.grad is None for node in tape.nodes)
         assert w.grad is not None
+
+    def test_second_backward_on_a_tape_rejected(self):
+        # the first backward released what each op saved; a second one would
+        # add every gradient again
+        with ad.Tape():
+            w = ad.Tensor(np.array(3.0))
+            loss = sum_all(mul(w, w))
+            ad.backward(loss)
+            with pytest.raises(ConfigurationError, match="already ran"):
+                ad.backward(loss)
+            with pytest.raises(ConfigurationError, match="already ran"):
+                ad.backward(sum_all(w))
+        assert float(w.grad) == 6.0
+
+    def test_backward_releases_every_closure_and_keeps_the_nodes(self):
+        with ad.Tape() as tape:
+            w = ad.Tensor(np.array([1.0, -2.0]))
+            unused = tanh(w)
+            loss = sum_all(mul(tanh(w), w))
+            nodes = list(tape.nodes)
+            values = [node.values for node in nodes]
+            ad.backward(loss)
+            assert tape.nodes == nodes and unused in tape.nodes
+            assert all(node.backward_fn is None for node in tape.nodes)
+            assert all(node.values is v for node, v in zip(tape.nodes, values))
 
     def test_closed_tape_drops_graph(self):
         with ad.Tape() as tape:
@@ -417,7 +455,7 @@ class TestStructuralOps:
 
     def test_mean_all_gradient(self):
         rng = np.random.default_rng(9)
-        scalar_loss(ad.mean_all, rng.normal(size=(3, 4)))
+        scalar_loss(mean_all, rng.normal(size=(3, 4)))
 
     def test_rows_gather_scatter(self):
         # repeated ids must accumulate into the same row
@@ -442,6 +480,103 @@ class TestStructuralOps:
     def test_weighted_sum_shape_check(self):
         with pytest.raises(ShapeMismatchError):
             ad.weighted_sum(ad.Tensor(np.ones((2, 4, 3))), ad.Tensor(np.ones((2, 5))))
+
+
+# (rows, positions, state width, mask rows' lengths or None for random):
+# the word level pools ragged sentences gathered longest first, the
+# sentence level pools documents of a few sentences each
+ATTENTION_CASES = {
+    "word-ragged": (9, 7, 6, None),
+    "word-wide": (12, 25, 64, None),
+    "word-one-position": (4, 1, 6, [1, 1, 1, 1]),
+    "sentence-prefix": (3, 5, 6, [5, 2, 3]),
+    "sentence-one-doc": (1, 4, 6, [4]),
+}
+
+
+class TestAttentionPool:
+    @staticmethod
+    def pooled_and_grads(pool, states_values, params, mask, upstream):
+        for p in params:
+            p.grad = None
+        with ad.Tape():
+            states = ad.Tensor(states_values)
+            pooled, alpha = pool(states, *params, mask)
+            ad.backward(sum_all(mul(pooled, ad.Tensor(upstream))))
+        return pooled.values, alpha.values, [states.grad] + [p.grad for p in params]
+
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    def test_bitwise_equal_to_composition(self, case):
+        b, t, d, lengths = ATTENTION_CASES[case]
+        rng = np.random.default_rng(sorted(ATTENTION_CASES).index(case))
+        if lengths is None:
+            lengths = np.sort(rng.integers(1, t + 1, size=b))[::-1]
+        mask = (np.arange(t) < np.asarray(lengths)[:, None]).astype(np.float64)
+        params = [ad.Parameter(ad.xavier_init((d, d), "uniform", rng)),
+                  ad.Parameter(rng.normal(size=d) * 0.1),
+                  ad.Parameter(ad.xavier_init((d, 1), "uniform", rng))]
+        states = rng.normal(size=(b, t, d))
+        upstream = rng.normal(size=(b, d))
+        want = self.pooled_and_grads(composed_attention_pool, states, params, mask, upstream)
+        got = self.pooled_and_grads(ad.attention_pool, states, params, mask, upstream)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert (got[1][mask == 0] == 0.0).all()
+        for name, g, w in zip(("states", "w", "b", "u"), got[2], want[2]):
+            np.testing.assert_array_equal(g, w, err_msg=name)
+
+    def test_one_tape_node_and_alpha_takes_no_gradient(self):
+        rng = np.random.default_rng(1)
+        params = [ad.Tensor(rng.normal(size=s)) for s in ((3, 3), 3, (3, 1))]
+        with ad.Tape() as tape:
+            pooled, alpha = ad.attention_pool(ad.Tensor(rng.normal(size=(2, 4, 3))), *params,
+                                              np.ones((2, 4)))
+            assert tape.nodes == [pooled]
+        assert alpha.backward_fn is None and alpha.tape is None
+
+    def test_all_masked_row_rejected(self):
+        params = [ad.Tensor(np.ones(s)) for s in ((3, 3), 3, (3, 1))]
+        with pytest.raises(DegenerateInputError, match="all positions masked"):
+            ad.attention_pool(ad.Tensor(np.ones((2, 4, 3))), *params,
+                              np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+
+    def test_shape_checks(self):
+        states = ad.Tensor(np.ones((2, 4, 3)))
+        w, b, u = (ad.Tensor(np.ones(s)) for s in ((3, 3), 3, (3, 1)))
+        for args in ((states, w, b, u, np.ones((2, 5))),
+                     (states, ad.Tensor(np.ones((4, 3))), b, u, np.ones((2, 4))),
+                     (states, w, ad.Tensor(np.ones(4)), u, np.ones((2, 4))),
+                     (states, w, b, ad.Tensor(np.ones(3)), np.ones((2, 4))),
+                     (ad.Tensor(np.ones((8, 3))), w, b, u, np.ones((2, 4)))):
+            with pytest.raises(ShapeMismatchError):
+                ad.attention_pool(*args)
+
+
+class TestL1Loss:
+    def test_bitwise_equal_to_composition(self):
+        rng = np.random.default_rng(14)
+        output = rng.normal(size=(6, 1))
+        targets = rng.normal(size=(6, 1))
+        targets[2] = output[2]   # a zero difference takes zero gradient
+
+        def run(loss_of):
+            with ad.Tape():
+                out = ad.Tensor(output)
+                loss = loss_of(out)
+                ad.backward(loss)
+            return loss.values, out.grad
+
+        want = run(lambda out: mean_all(abs_(sub(out, ad.Tensor(targets)))))
+        got = run(lambda out: ad.l1_loss(out, targets))
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[1][2, 0] == 0.0
+
+    def test_empty_batch_and_shape_check(self):
+        with pytest.raises(DegenerateInputError):
+            ad.l1_loss(ad.Tensor(np.zeros((0, 1))), np.zeros((0, 1)))
+        with pytest.raises(ShapeMismatchError):
+            ad.l1_loss(ad.Tensor(np.zeros((3, 1))), np.zeros(3))
 
 
 class TestCrossEntropy:
@@ -480,9 +615,9 @@ class TestComposedGraph:
             e, a1, c1, cu, a2 = params
             x = ad.rows(e, ids)                                # [2,3,4]
             flat = ad.reshape(x, (6, 4))
-            h = ad.tanh(ad.add(ad.matmul(flat, a1), c1))       # [6,5]
+            h = tanh(ad.add(ad.matmul(flat, a1), c1))       # [6,5]
             scores = ad.reshape(ad.matmul(h, cu), (2, 3))
-            alpha = ad.softmax(scores, mask=mask)
+            alpha = softmax(scores, mask=mask)
             pooled = ad.weighted_sum(ad.reshape(h, (2, 3, 5)), alpha)
             logits = ad.matmul(pooled, a2)
             return ad.cross_entropy(logits, golds)

@@ -144,6 +144,21 @@ def test_unknown_config_key_rejected(tmp_path, capsys, probe_corpus):
     assert "error: config-error:" in err and "hidden" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "config must be a JSON object"),
+    ('{"model_kind": "awe"}', "missing required key 'task'"),
+    ('{"task": "classify",', "invalid JSON: "),
+])
+def test_malformed_config_file_one_line_error(tmp_path, capsys, probe_corpus, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
+    rc, _, err = run_cli(capsys, "prepare", probe_corpus, "--config", str(cfg),
+                         "--out", str(tmp_path / "d"))
+    assert rc == 1
+    assert err.startswith(f"error: config-error: {cfg}: {message}")
+    assert err.count("\n") == 1
+
+
 def test_corpus_error_names_line(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "a", "title": "t", "abstract": "", "body_text": "b", '
@@ -228,6 +243,17 @@ def test_train_seed_list_override(tmp_path, capsys, probe_corpus):
     manifest = json.load(open(os.path.join(data, "manifest.json")))
     assert manifest["seeds"] == [7]
     assert os.path.exists(os.path.join(data, "run-7.ckpt"))
+
+
+@pytest.mark.parametrize("seed_list, message", [
+    ("1,x", "--seed-list must be comma-separated integers, got '1,x'"),
+    (" , ", "--seed-list must name at least one seed"),
+])
+def test_train_bad_seed_list_one_line(tmp_path, capsys, probe_corpus, seed_list, message):
+    data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
+    rc, out, err = run_cli(capsys, "train", "--config", cfg, "--out", data, "--seed-list", seed_list)
+    assert rc == 1 and out == ""
+    assert err == f"error: config-error: {message}\n"
 
 
 def test_train_tagset_mismatch_rejected(tmp_path, capsys, probe_corpus):
@@ -392,6 +418,19 @@ def test_malformed_manifest_one_line_error(tmp_path, capsys, probe_corpus, corru
         assert err.count("\n") == 1
 
 
+def test_train_from_manifest_of_another_corpus_one_line(tmp_path, capsys, probe_corpus):
+    data = _trained_dir(tmp_path, capsys, probe_corpus)
+    path = os.path.join(data, "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest["corpus_sha256"] = "0" * 64
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    rc, out, err = run_cli(capsys, "train", "--from-manifest", path, "--out", data, "--force")
+    assert rc == 1 and out == ""
+    assert err == "error: config-error: manifest corpus hash does not match the prepared dataset\n"
+
+
 @pytest.mark.parametrize("name, command", [
     ("corpus.jsonl", ["prepare", "{corpus}", "--config", "{cfg}", "--out", "{data}"]),
     ("cfg.json", ["prepare", "{corpus}", "--config", "{cfg}", "--out", "{data}"]),
@@ -522,6 +561,19 @@ def test_manifest_records_embeddings_hash(tmp_path, capsys, probe_corpus):
     rc, out, err = run_cli(capsys, "train", "--from-manifest", path, "--out", data, "--force")
     assert rc == 1 and out == ""
     assert err == f"error: config-error: manifest embeddings hash does not match {emb}\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+def test_train_non_finite_embedding_one_line(tmp_path, capsys, probe_corpus, value):
+    data, _ = prepared_dir(tmp_path, capsys, probe_corpus)
+    with open(os.path.join(data, "vocab.json"), encoding="utf-8") as fh:
+        token = json.load(fh)[2]
+    emb = tmp_path / "emb.txt"
+    emb.write_text(f"{token} {value} " + " ".join(["0.5"] * 7) + "\n", encoding="utf-8")
+    cfg = write_config(tmp_path / "emb.json", embeddings=str(emb))
+    rc, _, err = run_cli(capsys, "train", "--config", cfg, "--out", data)
+    assert rc == 1
+    assert err == f"error: embedding-format: line 1: non-finite value for token {token!r}\n"
 
 
 def test_manifest_without_embeddings_hash_still_trains(tmp_path, capsys, probe_corpus):
@@ -762,6 +814,21 @@ def test_predict_rejects_non_string_fields(tmp_path, capsys, probe_corpus, doc):
     assert rc == 1 and out == ""
     assert err.startswith("error: corpus-format: line 2: field ")
     assert err.endswith(" must be a string\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("not json", "line 2: invalid JSON: Expecting value"),
+    ('{"title": "No id"}', "line 2: expected an object with an 'id' field"),
+    ('["x"]', "line 2: expected an object with an 'id' field"),
+])
+def test_predict_malformed_document_line_one_line(tmp_path, capsys, probe_corpus, line, message):
+    data = _trained_dir(tmp_path, capsys, probe_corpus)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": "ok", "title": "Fine"}\n' + line + "\n")
+    rc, out, err = run_cli(capsys, "predict", str(bad), "--checkpoint",
+                           os.path.join(data, "run-1.ckpt"), "--out", data)
+    assert rc == 1 and out == ""
+    assert err == f"error: corpus-format: {message}\n"
 
 
 def test_predict_accepts_unlabeled_docs(tmp_path, capsys, probe_corpus):

@@ -12,7 +12,7 @@ so it must match that one bitwise, values and gradients.
 import numpy as np
 import pytest
 
-from oracles import mul, mul_const, sigmoid, slice_last, stack, sum_all
+from oracles import mul, mul_const, sigmoid, slice_last, stack, sum_all, tanh
 from hanst import autodiff as ad
 from hanst import models as md
 from hanst.errors import ShapeMismatchError
@@ -27,10 +27,10 @@ def step_oracle(cell, x, h, c, m):
     n = cell.hidden
     i = sigmoid(slice_last(gates, 0, n))
     f = sigmoid(slice_last(gates, n, 2 * n))
-    g = ad.tanh(slice_last(gates, 2 * n, 3 * n))
+    g = tanh(slice_last(gates, 2 * n, 3 * n))
     o = sigmoid(slice_last(gates, 3 * n, 4 * n))
     c_new = ad.add(mul(f, c), mul(i, g))
-    h_new = mul(o, ad.tanh(c_new))
+    h_new = mul(o, tanh(c_new))
     c_out = ad.add(mul_const(c_new, m), mul_const(c, 1.0 - m))
     h_out = ad.add(mul_const(h_new, m), mul_const(h, 1.0 - m))
     return h_out, c_out

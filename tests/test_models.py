@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_grad, rel_err
-from oracles import mul
+from oracles import abs_, composed_attention_pool, mean_all, mul, sub
 from test_lstm_sequence import mask_blend_lstm_sequence
 from hanst import autodiff as ad
 from hanst import models as md
@@ -68,7 +68,8 @@ def dummy_mask_han_encode(model, batch):
 
     All B*S rows run the word BiLSTM and word attention; padding sentences do
     so under an all-ones mask, and the sentence mask later drops their
-    vectors. Both levels use the mask-blend LSTM op.
+    vectors. Both levels use the mask-blend LSTM op and the composed
+    attention pool.
     """
     def bilstm(layer, xs, mask):
         fw, bw = (mask_blend_lstm_sequence(xs, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask,
@@ -76,15 +77,18 @@ def dummy_mask_han_encode(model, batch):
                   for cell, reverse in ((layer.fw, False), (layer.bw, True)))
         return ad.concat([fw, bw], axis=2)
 
+    def attend(pool, states, mask):
+        return composed_attention_pool(states, pool.w, pool.b, pool.u, mask)
+
     b, s, t = batch.ids.shape
     token_mask = batch.token_mask.reshape(b * s, t)
     token_mask = np.where((token_mask.sum(axis=1) == 0)[:, None], 1.0, token_mask)
     words = ad.rows(model.embedding, batch.ids.reshape(b * s, t))
-    sent_vecs, word_alpha = model.word_attn.run(bilstm(model.word_bilstm, words, token_mask),
-                                                token_mask)
+    sent_vecs, word_alpha = attend(model.word_attn, bilstm(model.word_bilstm, words, token_mask),
+                                   token_mask)
     sent_seq = ad.reshape(sent_vecs, (b, s, 2 * model.config.bilstm_hidden))
-    doc, sent_alpha = model.sent_attn.run(bilstm(model.sent_bilstm, sent_seq, batch.sent_mask),
-                                          batch.sent_mask)
+    doc, sent_alpha = attend(model.sent_attn, bilstm(model.sent_bilstm, sent_seq, batch.sent_mask),
+                             batch.sent_mask)
     word_maps = word_alpha.values.reshape(b, s, t) * batch.sent_mask[:, :, None]
     return doc, word_maps, sent_alpha.values
 
@@ -327,7 +331,7 @@ class TestHan:
                 p.grad = None
             with ad.Tape():
                 doc, word_maps, sent_alpha = encode(m, batch)
-                ad.backward(ad.mean_all(mul(doc, ad.Tensor(up))))
+                ad.backward(mean_all(mul(doc, ad.Tensor(up))))
             return (doc.values, word_maps, sent_alpha), {n: p.grad for n, p in m.params.items()}
 
         want, want_grads = run(dummy_mask_han_encode)
@@ -449,7 +453,7 @@ class TestGradients:
 
         def loss_of(m):
             out = m.forward(batch)
-            return ad.mean_all(ad.abs_(ad.sub(out.output, ad.Tensor(target))))
+            return mean_all(abs_(sub(out.output, ad.Tensor(target))))
 
         with ad.Tape():
             ad.backward(loss_of(model))

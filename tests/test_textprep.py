@@ -323,6 +323,18 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingFormatError, match="line 2"):
             tp.load_embeddings(path, vocab, 2, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("value, problem", [
+        ("nan", "non-finite"), ("inf", "non-finite"), ("-Infinity", "non-finite"),
+        ("1e400", "non-finite"), ("0.5x", "non-numeric"),
+    ])
+    def test_bad_value_names_token_and_line(self, tmp_path, value, problem):
+        vocab = tp.build_vocabulary([["cat", "dog"]])
+        # a token outside the vocabulary is not read
+        path = self.write(tmp_path, ["cat 1.0 2.0", f"bird {value} 0.5", f"dog {value} 0.5"])
+        with pytest.raises(EmbeddingFormatError,
+                           match=rf"^line 3: {problem} value for token 'dog'$"):
+            tp.load_embeddings(path, vocab, 2, np.random.default_rng(0))
+
     def test_extra_file_tokens_ignored(self, tmp_path):
         vocab = tp.build_vocabulary([["cat"]])
         path = self.write(tmp_path, ["cat 1.0 2.0", "unrelated 9.0 9.0"])

@@ -217,6 +217,31 @@ class TestTrainEpoch:
         assert peak / mib < 400
         assert held / mib < 64
 
+    def test_paper_size_step_peak_memory(self):
+        # one paper-default HAN step on 4 documents of 20 sentences x 25
+        # tokens, above the model and optimizer state. Backward frees what
+        # each op saved once it has run, the word attention keeps only its
+        # tanh projection and weights, and the BPTT writes the gate gradients
+        # over the saved gates; keeping all of it peaked at 140 MiB.
+        config = md.default_model_config("han", "classify", vocab_size=10002)
+        rng = np.random.default_rng(0)
+        model = md.build_model(config, rng)
+        optimizer = Adam(model.params)
+        docs = [tagged_doc(f"d{i}", [[int(t) for t in rng.integers(2, 10002, size=25)]
+                                     for _ in range(20)], {"accepted": i % 2 == 0})
+                for i in range(4)]
+        batches = tr.make_batches(docs, "classify", 4)
+        mib = 1024.0 * 1024.0
+        gc.disable()
+        tracemalloc.start()
+        try:
+            tr.train_epoch(model, batches, optimizer, "cross-entropy", rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak / mib < 120
+
     def test_ragged_paper_size_step_peak_memory(self):
         # paper-default HAN on 4 documents of 4, 8, 16 and 32 words per
         # sentence cut at 4,000 characters: a (4, 166, 33) batch, 14% real
