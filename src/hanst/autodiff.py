@@ -55,10 +55,6 @@ class Tensor:
     def size(self) -> int:
         return self.values.size
 
-    def __repr__(self):
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"{type(self).__name__}(shape={self.shape}{tag})"
-
 
 class Parameter(Tensor):
     """A trainable leaf tensor."""
@@ -191,8 +187,6 @@ def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator | None
         raise ConfigurationError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
         return a
-    if rng is None:
-        raise ConfigurationError("dropout in training mode requires a seeded rng")
     keep = (rng.random(a.shape) >= p) / (1.0 - p)
     return _record(a.values * keep, lambda g: _accum(a, g * keep))
 

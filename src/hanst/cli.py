@@ -604,7 +604,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: io-error: {_one_line(str(exc))}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

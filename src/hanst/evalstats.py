@@ -62,6 +62,8 @@ def load_predictions(path) -> list[PredictionRecord]:
             if line.strip():
                 obj = json_object(line, f"{path}: line {n}", {"id": "str", "gold": "float", "pred": "float"})
                 records.append(PredictionRecord.from_json(obj))
+    if not records:
+        raise ConfigurationError(f"{path}: no predictions")
     return records
 
 
@@ -213,10 +215,6 @@ class SignificanceResult:
     system_b: str
     n: int
 
-    def __post_init__(self):
-        if not 0.0 <= self.p_value <= 1.0:
-            raise ConfigurationError(f"p-value out of range: {self.p_value}")
-
     def to_json(self) -> dict:
         return {"test_kind": self.test_kind, "statistic": self.statistic,
                 "p_value": self.p_value, "system_a": self.system_a,
@@ -305,11 +303,7 @@ def wilcoxon_signed_rank(errors_a, errors_b, system_a: str = "A",
 
 def vote_aggregate(runs: list[list[PredictionRecord]], task: str) -> list[PredictionRecord]:
     """Combine per-run predictions example-wise: modal class for
-    classification, mean score for regression."""
-    if task not in ("classify", "regress"):
-        raise ConfigurationError(f"task must be classify or regress, got {task!r}")
-    if not runs:
-        raise ConfigurationError("no runs to aggregate")
+    classification, mean score for regression. `runs` is not empty."""
     if task == "classify" and len(runs) % 2 == 0:
         raise ConfigurationError(f"classification voting needs an odd run count, got {len(runs)}")
     base = {rec.id: rec for rec in runs[0]}
@@ -338,10 +332,9 @@ def vote_aggregate(runs: list[list[PredictionRecord]], task: str) -> list[Predic
 
 
 def mean_std(values: list[float]) -> tuple[float, float]:
-    """Mean and sample standard deviation (n-1 denominator; 0 when n = 1)."""
+    """Mean and sample standard deviation of a non-empty list (n-1
+    denominator; 0 when n = 1)."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise UndefinedMetricError("no values to aggregate")
     if np.all(arr == arr[0]):
         return float(arr[0]), 0.0
     return float(np.mean(arr)), float(np.std(arr, ddof=1))

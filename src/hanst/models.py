@@ -162,8 +162,6 @@ class AttentionPool:
 
 
 def _add(params: dict[str, ad.Parameter], name: str, values: np.ndarray) -> ad.Parameter:
-    if name in params:
-        raise ConfigurationError(f"duplicate parameter name {name!r}")
     p = ad.Parameter(values, name=name)
     params[name] = p
     return p
@@ -192,7 +190,8 @@ class ForwardResult:
 
 
 class Model:
-    """Shared head, dropout, and parameter registry."""
+    """Shared head, dropout, and parameter registry. Each subclass defines
+    `_build(rng)`, `doc_dim()` and `encode(batch)`."""
 
     def __init__(self, config: ModelConfig, rng: np.random.Generator,
                  embeddings: np.ndarray | None = None):
@@ -209,15 +208,6 @@ class Model:
         self.head_w = _add(self.params, "head.w",
                            ad.xavier_init((self.doc_dim(), config.n_outputs), "uniform", rng))
         self.head_b = _add(self.params, "head.b", np.zeros(config.n_outputs))
-
-    def _build(self, rng):
-        raise NotImplementedError
-
-    def doc_dim(self) -> int:
-        raise NotImplementedError
-
-    def encode(self, batch: Batch):
-        raise NotImplementedError
 
     def forward(self, batch: Batch, training: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardResult:

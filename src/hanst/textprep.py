@@ -200,9 +200,6 @@ class Vocabulary:
     def encode(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 
-    def decode(self, idx: int) -> str:
-        return self.id_to_token[idx]
-
     def to_json_array(self) -> list[str]:
         return list(self.id_to_token)
 
@@ -341,13 +338,13 @@ def _encode_tokens(doc: RawDocument, parts: list[tuple[str, list[str]]], vocab: 
     merge = _ROLE_MERGE.get(tagset, {})
     sentences: list[list[int]] = []
     roles: list[str] = []
+    # no sentence is empty: a kept sentence is stripped and non-empty, and
+    # tokenize keeps every character that is not whitespace
     for role, tokens in parts:
         role = merge.get(role, role)
         ids = [lookup(t, UNK_ID) for t in tokens]
         if tagset != "none":
             ids = [vocab.encode(open_tag(role))] + ids + [vocab.encode(close_tag(role))]
-        elif not ids:
-            continue
         sentences.append(ids)
         roles.append(role)
     if not sentences:

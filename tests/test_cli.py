@@ -16,7 +16,7 @@ from hanst import cli
 from hanst import models as md
 from hanst import synth
 from hanst.corpus import load_corpus, save_corpus
-from hanst.textprep import Vocabulary
+from hanst.textprep import Vocabulary, tag_tokens
 
 
 def write_config(path, **overrides):
@@ -245,6 +245,18 @@ def test_train_seed_list_override(tmp_path, capsys, probe_corpus):
     assert os.path.exists(os.path.join(data, "run-7.ckpt"))
 
 
+def test_train_force_with_even_seed_count_removes_the_old_vote(tmp_path, capsys, probe_corpus):
+    # two classify runs cannot vote, so the one-seed run's vote must not survive them
+    data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
+    vote = os.path.join(data, "predictions-vote.jsonl")
+    assert run_cli(capsys, "train", "--config", cfg, "--out", data)[0] == 0
+    assert os.path.exists(vote)
+    rc, _, err = run_cli(capsys, "train", "--config", cfg, "--out", data, "--force",
+                         "--seed-list", "1,2")
+    assert rc == 0, err
+    assert not os.path.exists(vote)
+
+
 @pytest.mark.parametrize("seed_list, message", [
     ("1,x", "--seed-list must be comma-separated integers, got '1,x'"),
     (" , ", "--seed-list must name at least one seed"),
@@ -290,8 +302,24 @@ def _other_format_version(lines):
     return 1
 
 
+def _roles_not_one_per_sentence(lines):
+    doc = json.loads(lines[1])
+    doc["roles"].append("BODY_TEXT")
+    lines[1] = json.dumps(doc)
+    return 2
+
+
+def _empty_sentence(lines):
+    doc = json.loads(lines[1])
+    doc["sentences"].append([])
+    doc["roles"].append("BODY_TEXT")
+    lines[1] = json.dumps(doc)
+    return 2
+
+
 @pytest.mark.parametrize("corrupt", [_bad_json, _unknown_split, _missing_keys,
-                                     _other_format_version])
+                                     _other_format_version, _roles_not_one_per_sentence,
+                                     _empty_sentence])
 def test_malformed_prepared_file_one_line_error(tmp_path, capsys, probe_corpus, corrupt):
     data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
     path = os.path.join(data, "prepared.jsonl")
@@ -340,6 +368,24 @@ def test_config_value_types_checked(tmp_path, capsys, probe_corpus, key, value):
         assert rc == 1
         assert err.startswith(f"error: config-error: {cfg}: {key!r} must be ")
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, overrides, message", [
+    ("prepare", {"tagset": "bogus"},
+     "tagset must be one of ('full', 'reduced', 'none'), got 'bogus'"),
+    ("prepare", {"tagset": "full", "vocab_size": 3},
+     f"{len(tag_tokens('full'))} forced tokens exceed vocabulary cap 3"),
+    ("train", {"embedding_dim": 0}, "embedding_dim and bilstm_hidden must be positive"),
+    ("train", {"max_chars": 0}, "max_chars must be >= 1, got 0"),
+], ids=["unknown-tagset", "vocab-below-tag-count", "embedding-dim-0", "max-chars-0"])
+def test_config_value_out_of_range_one_line(tmp_path, capsys, probe_corpus, command,
+                                            overrides, message):
+    data, _ = prepared_dir(tmp_path, capsys, probe_corpus)
+    cfg = write_config(tmp_path / "bad.json", **overrides)
+    argv = ["prepare", probe_corpus] if command == "prepare" else ["train"]
+    rc, out, err = run_cli(capsys, *argv, "--config", cfg, "--out", data)
+    assert rc == 1 and out == ""
+    assert err == f"error: config-error: {message}\n"
 
 
 def test_task_label_missing_is_one_line(tmp_path, capsys, cites_corpus):
@@ -490,6 +536,47 @@ def test_failing_command_leaves_no_data_dir(tmp_path, capsys, probe_corpus, comm
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not data.exists()
+
+
+def test_failed_write_leaves_no_temp_file_and_the_target_untouched(tmp_path):
+    target = tmp_path / "report.json"
+    target.write_text("old", encoding="utf-8")
+
+    def half_write(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("new")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        cli._atomic_via(str(target), half_write)
+    assert os.listdir(tmp_path) == ["report.json"]
+    assert target.read_text(encoding="utf-8") == "old"
+
+
+def test_blank_lines_skipped_in_corpus_prepared_embeddings_and_documents(tmp_path, capsys,
+                                                                         probe_corpus):
+    with open(probe_corpus, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    results = {}
+    for name, blank in (("plain", []), ("spaced", ["", "  "])):
+        (tmp_path / name).mkdir()
+        corpus = tmp_path / name / "corpus.jsonl"
+        corpus.write_text("\n".join(lines[:3] + blank + lines[3:]) + "\n", encoding="utf-8")
+        emb = tmp_path / name / "emb.txt"
+        emb.write_text("\n".join(blank + ["paper " + " ".join(["0.5"] * 8)] + blank) + "\n",
+                       encoding="utf-8")
+        data, cfg = prepared_dir(tmp_path / name, capsys, str(corpus), embeddings=str(emb))
+        with open(os.path.join(data, "prepared.jsonl"), encoding="utf-8") as fh:
+            rows = fh.read().splitlines()
+        with open(os.path.join(data, "prepared.jsonl"), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(rows[:2] + blank + rows[2:]) + "\n")
+        assert run_cli(capsys, "train", "--config", cfg, "--out", data)[0] == 0
+        rc, out, err = run_cli(capsys, "predict", str(corpus), "--checkpoint",
+                               os.path.join(data, "run-1.ckpt"), "--out", data)
+        assert rc == 0, err
+        with open(os.path.join(data, "report.json"), encoding="utf-8") as fh:
+            results[name] = (rows[1:], fh.read(), out)
+    assert results["plain"] == results["spaced"]
 
 
 def test_threads_flag_removed():
@@ -941,6 +1028,39 @@ def test_version_1_checkpoint_is_refused(tmp_path, capsys, probe_corpus):
         assert err == "error: checkpoint-mismatch: unsupported checkpoint version 1\n"
 
 
+def _param_entry(header, name):
+    return next(entry for entry in header["params"] if entry["name"] == name)
+
+
+def _vocab_size_one(header):
+    header["model_config"]["vocab_size"] = 1
+
+
+def _unknown_parameter(header):
+    _param_entry(header, "head.b")["name"] = "head.bias"
+
+
+def _misshaped_parameter(header):
+    _param_entry(header, "head.b")["shape"] = [3]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_vocab_size_one, "config-error: vocab_size must include the specials, got 1"),
+    (_unknown_parameter,
+     "checkpoint-mismatch: checkpoint has unknown or repeated parameter 'head.bias'"),
+    (_misshaped_parameter,
+     "checkpoint-mismatch: parameter 'head.b': checkpoint shape (3,) != model shape (2,)"),
+], ids=["vocab-size-1", "unknown-parameter", "misshaped-parameter"])
+def test_malformed_checkpoint_header_one_line(tmp_path, capsys, probe_corpus, edit, message):
+    data = _trained_dir(tmp_path, capsys, probe_corpus)
+    ckpt = os.path.join(data, "run-1.ckpt")
+    _edit_checkpoint_header(ckpt, ckpt, edit)
+    for argv in (["evaluate"], ["predict", probe_corpus]):
+        rc, out, err = run_cli(capsys, *argv, "--checkpoint", ckpt, "--out", data)
+        assert rc == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # stats
 # ---------------------------------------------------------------------------
@@ -1019,6 +1139,25 @@ def test_significance_id_mismatch_lists_ids(tmp_path, capsys):
     assert rc == 1
     assert err.startswith("error: alignment-error:")
     assert "d1" in err and "d2" in err
+
+
+def test_significance_gold_disagreement_lists_ids(tmp_path, capsys):
+    rows_a = [{"id": f"d{i}", "gold": 1.0, "pred": 1.0, "seed": 1} for i in range(3)]
+    rows_b = [dict(row, gold=0.0) if row["id"] == "d1" else row for row in rows_a]
+    a = write_predictions(tmp_path / "a.jsonl", rows_a)
+    b = write_predictions(tmp_path / "b.jsonl", rows_b)
+    rc, out, err = run_cli(capsys, "significance", a, b, "--test", "mcnemar")
+    assert rc == 1 and out == ""
+    assert err == "error: alignment-error: gold labels disagree for ids: ['d1']\n"
+
+
+@pytest.mark.parametrize("test", ["mcnemar", "wilcoxon"])
+def test_significance_empty_predictions_file_is_named(tmp_path, capsys, test):
+    a = write_predictions(tmp_path / "a.jsonl", [{"id": "d0", "gold": 1.0, "pred": 1.0}])
+    empty = write_predictions(tmp_path / "empty.jsonl", [])
+    rc, out, err = run_cli(capsys, "significance", a, empty, "--test", test)
+    assert rc == 1 and out == ""
+    assert err == f"error: config-error: {empty}: no predictions\n"
 
 
 def test_significance_votes_across_seeds(tmp_path, capsys):

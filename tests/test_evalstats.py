@@ -207,6 +207,8 @@ class TestSpearman:
     def test_monotone(self):
         rho, _ = es.spearman_rho([1.0, 2.0, 3.0, 4.0], [10.0, 20.0, 30.0, 40.0])
         assert rho == 1.0
+        # n > 8 at |rho| = 1: the t statistic would divide by zero, so p is 0
+        assert es.spearman_rho(range(10), range(10)) == (1.0, 0.0)
 
     def test_reversed(self):
         rho, _ = es.spearman_rho([1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0])

@@ -14,6 +14,7 @@ from hanst.errors import (
     CheckpointMismatchError,
     ConfigurationError,
     DegenerateInputError,
+    ShapeMismatchError,
 )
 from hanst.textprep import PAD_ID, TaggedDocument
 
@@ -141,6 +142,12 @@ class TestModelConfig:
         assert (r.embedding_dim, r.bilstm_hidden, r.dropout_p, r.n_outputs) == (300, 100, 0.2, 1)
         with pytest.raises(ConfigurationError):
             md.default_model_config("awe", "rank", 10002)
+
+    def test_build_model_checks_embeddings_shape(self):
+        with pytest.raises(ShapeMismatchError,
+                           match=re.escape("embeddings (6, 4) vs configured (6, 3)")):
+            md.build_model(tiny_config("awe", vocab_size=6, dim=3), np.random.default_rng(0),
+                           embeddings=np.zeros((6, 4)))
 
 
 class TestAwe:

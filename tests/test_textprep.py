@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -259,8 +260,8 @@ class TestVocabulary:
     def test_empty_corpus(self):
         vocab = tp.build_vocabulary([])
         assert len(vocab) == 2
-        assert vocab.decode(tp.PAD_ID) == tp.PAD_TOKEN
-        assert vocab.decode(tp.UNK_ID) == tp.UNK_TOKEN
+        assert vocab.id_to_token[tp.PAD_ID] == tp.PAD_TOKEN
+        assert vocab.id_to_token[tp.UNK_ID] == tp.UNK_TOKEN
 
     def test_unknown_maps_to_unk(self):
         vocab = tp.build_vocabulary([["hello"]])
@@ -280,14 +281,14 @@ class TestVocabulary:
         vocab.save(path)
         arr = json.loads(path.read_text())
         assert isinstance(arr, list)
-        assert arr == [vocab.decode(i) for i in range(len(vocab))]
+        assert arr == [vocab.id_to_token[i] for i in range(len(vocab))]
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=3), max_size=20))
     def test_encoding_totality(self, tokens):
         vocab = tp.build_vocabulary([tokens], max_size=5)
         for t in tokens:
-            decoded = vocab.decode(vocab.encode(t))
+            decoded = vocab.id_to_token[vocab.encode(t)]
             assert decoded in (t, tp.UNK_TOKEN)
 
 
@@ -392,6 +393,21 @@ class TestCorpusIO:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a", "title": "t"}\n')
         with pytest.raises(CorpusFormatError, match="line 1"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ('[1, 2]', "line is not a JSON object"),
+        ('{"id": "b", "title": "t", "abstract": "", "body_text": "", "label": "yes"}',
+         "field 'label' must be an object"),
+        ('{"id": "b", "title": "t", "abstract": "", "body_text": "", '
+         '"label": {"accepted": true, "grade": 3}}', "document 'b': unknown label keys ['grade']"),
+    ])
+    def test_bad_line_reports_line_after_a_blank_one(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        save_corpus([make_doc(doc_id="a")], path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n" + line + "\n")
+        with pytest.raises(CorpusFormatError, match=re.escape(f"line 3: {message}")):
             load_corpus(path)
 
     def test_duplicate_id(self, tmp_path):
