@@ -90,15 +90,17 @@ def _active_tape() -> Tape | None:
     return _tape_stack[-1] if _tape_stack else None
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add g to t.grad. An op passes ``owned=True`` for an array it allocated
+    for this one parent, which becomes the first gradient as it is. Any other
+    array is copied first: one the op hands to two parents, or a view of the
+    op's own gradient, since the first gradient is later summed into in place."""
     # every op passes a gradient of its parent's own shape; any other shape
     # is a bug in that op, so it is raised rather than broadcast
     if g.shape != t.values.shape:
         raise ShapeMismatchError(f"gradient of shape {g.shape} for a tensor of shape {t.values.shape}")
-    # the first gradient is copied, never kept: an op may hand the same
-    # array to two parents, and the copy is later summed into in place
     if t.grad is None:
-        t.grad = g.copy()
+        t.grad = g if owned else g.copy()
     else:
         t.grad += g
 
@@ -152,8 +154,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     values = a.values @ b.values
 
     def bwd(g):
-        _accum(a, g @ b.values.T)
-        _accum(b, a.values.T @ g)
+        _accum(a, g @ b.values.T, owned=True)
+        _accum(b, a.values.T @ g, owned=True)
 
     return _record(values, bwd)
 
@@ -188,41 +190,13 @@ def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator | None
     if not training or p == 0.0:
         return a
     keep = (rng.random(a.shape) >= p) / (1.0 - p)
-    return _record(a.values * keep, lambda g: _accum(a, g * keep))
+    return _record(a.values * keep, lambda g: _accum(a, g * keep, owned=True))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     old = a.shape
     return _record(a.values.reshape(shape), lambda g: _accum(a, g.reshape(old)))
-
-
-def concat(parts: list[Tensor], axis: int) -> Tensor:
-    values = np.concatenate([t.values for t in parts], axis=axis)
-    sizes = [t.shape[axis] for t in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for t, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            key = [slice(None)] * g.ndim
-            key[axis] = slice(lo, hi)
-            _accum(t, g[tuple(key)])
-
-    return _record(values, bwd)
-
-
-def index_axis(a: Tensor, idx: int, axis: int) -> Tensor:
-    """Select one slice along ``axis`` (the axis is dropped)."""
-    values = np.take(a.values, idx, axis=axis)
-
-    def bwd(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.values)
-        key = [slice(None)] * a.ndim
-        key[axis] = idx
-        a.grad[tuple(key)] += g
-
-    return _record(values, bwd)
 
 
 def rows(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -242,7 +216,7 @@ def scatter_rows(a: Tensor, index: np.ndarray, n: int) -> Tensor:
     """Rows of a [R, ...] placed at the distinct rows ``index`` of [n, ...]; other rows are 0."""
     values = np.zeros((n,) + a.shape[1:])
     values[index] = a.values
-    return _record(values, lambda g: _accum(a, g[index]))
+    return _record(values, lambda g: _accum(a, g[index], owned=True))
 
 
 def weighted_sum(h: Tensor, alpha: Tensor) -> Tensor:
@@ -252,8 +226,8 @@ def weighted_sum(h: Tensor, alpha: Tensor) -> Tensor:
     values = np.einsum("btd,bt->bd", h.values, alpha.values)
 
     def bwd(g):
-        _accum(h, alpha.values[:, :, None] * g[:, None, :])
-        _accum(alpha, np.einsum("btd,bd->bt", h.values, g))
+        _accum(h, alpha.values[:, :, None] * g[:, None, :], owned=True)
+        _accum(alpha, np.einsum("btd,bd->bt", h.values, g), owned=True)
 
     return _record(values, bwd)
 
@@ -270,6 +244,8 @@ def attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor,
 
     On a tape the op is one node, pooled; alpha is returned for reading and
     takes no gradient. For backward it saves only proj [B*T,A] and alpha.
+    The backward writes tanh' over proj and lets go of it, so proj, tanh'
+    and the [B,T,D] gradient of the states are never three arrays at once.
     """
     if states.ndim != 3:
         raise ShapeMismatchError(f"attention_pool: states must be [B,T,D], got {states.shape}")
@@ -293,39 +269,44 @@ def attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor,
     pooled = np.einsum("btd,bt->bd", states.values, alpha)
 
     def bwd(g):
+        nonlocal proj
         d_alpha = np.einsum("btd,bd->bt", states.values, g)
         inner = (alpha * d_alpha).sum(axis=-1, keepdims=True)
         d_scores = (alpha * (d_alpha - inner)).reshape(bsz * t, 1)
-        _accum(u, proj.T @ d_scores)
-        # tanh' times the gradient of proj, with no third [B*T,A] array alive
-        d_pre = 1.0 - proj * proj
+        _accum(u, proj.T @ d_scores, owned=True)
+        # tanh' = 1 - proj*proj, written over proj (nothing reads it again)
+        d_pre, proj = proj, None
+        d_pre *= d_pre
+        np.subtract(1.0, d_pre, out=d_pre)
         d_pre *= d_scores @ u.values.T
-        _accum(b, d_pre.sum(axis=0))
-        _accum(w, flat.T @ d_pre)
+        _accum(b, d_pre.sum(axis=0), owned=True)
+        _accum(w, flat.T @ d_pre, owned=True)
         d_flat = (d_pre @ w.values.T).reshape(bsz, t, d)
         del d_pre
         d_flat += alpha[:, :, None] * g[:, None, :]
-        _accum(states, d_flat)
+        _accum(states, d_flat, owned=True)
 
     return _record(pooled, bwd), Tensor(alpha)
 
 
-def lstm_sequence(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Tensor,
-                  mask: np.ndarray, reverse: bool = False) -> Tensor:
-    """One direction of an LSTM over a whole sequence: xs [B,T,D] -> states [B,T,H].
+def lstm_sequence(xs: Tensor, fw: tuple[Tensor, Tensor, Tensor, Tensor],
+                  bw: tuple[Tensor, Tensor, Tensor, Tensor], mask: np.ndarray) -> Tensor:
+    """A bidirectional LSTM over a whole sequence: xs [B,T,D] -> states [B,T,2H].
 
-    Weights are stored transposed, w_ih [D,4H] and w_hh [H,4H]. Gate order
-    along the 4H axis: input, forget, cell, output. A step computes
+    fw and bw hold each direction's weights (w_ih, w_hh, b_ih, b_hh), stored
+    transposed: w_ih [D,4H] and w_hh [H,4H]. Gate order along the 4H axis:
+    input, forget, cell, output. A step computes
     gates = (x @ w_ih + b_ih) + (h @ w_hh + b_hh); the first term is
-    projected for all T steps in one GEMM. The state starts at zero and the
-    steps run over positions 0..T-1, or T-1..0 with ``reverse``.
+    projected for all T steps in one GEMM. The state starts at zero. The
+    forward direction steps over positions 0..T-1 and writes states[..., :H];
+    then the reverse direction steps over T-1..0 and writes states[..., H:].
 
     mask [B,T] gives each row's length: every row must be ones followed by
     zeros (what ``pad_batch`` makes), anything else raises
     ShapeMismatchError. A row takes steps only at its real positions. At a
     padded position its output repeats the carried state: the final state
     going forward, the zero state going backward. The final state of a row is
-    therefore its output at position T-1 (or 0 when reversed).
+    therefore its forward half at position T-1 and its reverse half at 0.
 
     The recurrence is packed. Rows are stepped longest first, so the k_i rows
     longer than position i are a prefix, and step i runs its GEMM and gate
@@ -334,26 +315,30 @@ def lstm_sequence(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Te
     one row can differ in the last bit from the same row of a larger product,
     so the recurrent GEMM takes at least min(2, B) rows and keeps k_i.
 
-    On a tape the op is one node. For backward it saves only the
-    post-activation gates [B,T,4H], tanh of the updated cell [B,T,H] and the
-    cell states after each step [B,T,H]; the hidden states are its output.
-    The backward-through-time does one GEMM per step over the same k_i rows,
-    for the gradient through w_hh into the previous state, and one GEMM each
-    for the gradients of xs, w_ih and w_hh over all steps, in the caller's
-    row order. It writes each step's gate gradients over that step's saved
-    gates once it has read them, so the saved array becomes the gate
-    gradients; this relies on ``backward`` running the closure only once.
-    Without a tape only the running state is kept.
+    On a tape the op is one node for both directions. For backward it saves
+    only each direction's post-activation gates [B,T,4H] and cell states
+    after each step [B,T,H]; the hidden states are its output, and tanh of a
+    cell is recomputed from the saved cells. The backward runs the reverse
+    direction, then the forward one, and lets go of a direction's saved
+    arrays once it is done with them. Each direction's backward-through-time
+    does one GEMM per step over the same k_i rows, for the gradient through
+    w_hh into the previous state, and one GEMM each for the gradients of xs,
+    w_ih and w_hh over all steps, in the caller's row order. It writes each
+    step's gate gradients over that step's saved gates once it has read them,
+    so the saved array becomes the gate gradients; this relies on
+    ``backward`` running the closure only once. Without a tape only the
+    running state is kept.
     """
     if xs.ndim != 3:
         raise ShapeMismatchError(f"lstm_sequence: input must be [B,T,D], got {xs.shape}")
     b, t, d = xs.shape
-    n = w_hh.shape[0]
-    if (w_ih.shape != (d, 4 * n) or w_hh.shape != (n, 4 * n)
-            or b_ih.shape != (4 * n,) or b_hh.shape != (4 * n,)):
-        raise ShapeMismatchError(
-            f"lstm_sequence: input {xs.shape} vs weights {w_ih.shape}, {w_hh.shape}, "
-            f"biases {b_ih.shape}, {b_hh.shape}")
+    n = fw[1].shape[0]
+    for w_ih, w_hh, b_ih, b_hh in (fw, bw):
+        if (w_ih.shape != (d, 4 * n) or w_hh.shape != (n, 4 * n)
+                or b_ih.shape != (4 * n,) or b_hh.shape != (4 * n,)):
+            raise ShapeMismatchError(
+                f"lstm_sequence: input {xs.shape} vs weights {w_ih.shape}, {w_hh.shape}, "
+                f"biases {b_ih.shape}, {b_hh.shape}")
     m = np.asarray(mask, dtype=DTYPE)
     if m.shape != (b, t):
         raise ShapeMismatchError(f"lstm_sequence: mask {m.shape} vs input {xs.shape}")
@@ -365,46 +350,52 @@ def lstm_sequence(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Te
     in_order = bool((order == np.arange(b)).all())
     inverse = np.argsort(order)
     floor = min(2, b)
-    steps = range(t - 1, -1, -1) if reverse else range(t)
     x_flat = xs.values.reshape(b * t, d)
-    proj = (x_flat @ w_ih.values + b_ih.values).reshape(b, t, 4 * n)
-    if not in_order:
-        proj = proj[order]
+    keep = _active_tape() is not None
 
-    tape = _active_tape()
-    states = np.empty((b, t, n))
-    if tape is not None:
-        acts = np.zeros((b, t, 4 * n))   # padded cells stay 0: no gradient there
-        tanh_c = np.empty((b, t, n))
-        cells = np.empty((b, t, n))
-    h = np.zeros((b, n))
-    c = np.zeros((b, n))
-    for i in steps:
-        k = active[i]
-        if k:
-            rec = (h[:max(k, floor)] @ w_hh.values)[:k] + b_hh.values
-            gates = proj[:k, i] + rec
-            act = _logistic(gates)
-            act[:, 2 * n:3 * n] = np.tanh(gates[:, 2 * n:3 * n])
-            c_new = act[:, n:2 * n] * c[:k] + act[:, :n] * act[:, 2 * n:3 * n]
-            tc = np.tanh(c_new)
-            c[:k] = c_new
-            h[:k] = act[:, 3 * n:] * tc
-            if tape is not None:
-                acts[:k, i] = act
-                tanh_c[:k, i] = tc
-        states[:, i] = h
-        if tape is not None:
-            cells[:, i] = c
-    if not in_order:
-        states = states[inverse]
-    if tape is None:
-        return Tensor(states)
-    prev = 1 if reverse else -1
+    def run(weights, reverse, states):
+        """Step one direction, writing its states [B,T,H] with the rows longest
+        first; on a tape, return the arrays it saved (gates, cells)."""
+        w_ih, w_hh, b_ih, b_hh = (p.values for p in weights)
+        proj = (x_flat @ w_ih + b_ih).reshape(b, t, 4 * n)
+        if not in_order:
+            proj = proj[order]
+        if keep:
+            acts = np.zeros((b, t, 4 * n))   # padded cells stay 0: no gradient there
+            cells = np.empty((b, t, n))
+        h = np.zeros((b, n))
+        c = np.zeros((b, n))
+        for i in range(t - 1, -1, -1) if reverse else range(t):
+            k = active[i]
+            if k:
+                rec = (h[:max(k, floor)] @ w_hh)[:k] + b_hh
+                gates = proj[:k, i] + rec
+                act = _logistic(gates)
+                act[:, 2 * n:3 * n] = np.tanh(gates[:, 2 * n:3 * n])
+                c_new = act[:, n:2 * n] * c[:k] + act[:, :n] * act[:, 2 * n:3 * n]
+                c[:k] = c_new
+                h[:k] = act[:, 3 * n:] * np.tanh(c_new)
+                if keep:
+                    acts[:k, i] = act
+            states[:, i] = h
+            if keep:
+                cells[:, i] = c
+        return (acts, cells) if keep else None
 
-    def bwd(g):
+    out = np.empty((b, t, 2 * n))
+    saved = [run(fw, False, out[:, :, :n]), run(bw, True, out[:, :, n:])]
+    if not in_order:
+        out = out[inverse]
+    if not keep:
+        return Tensor(out)
+
+    def run_bwd(g, states, weights, reverse, acts, cells):
+        """Backward of one direction, from its halves of the output and its gradient."""
+        w_ih, w_hh, b_ih, b_hh = weights
         if not in_order:
             g = g[order]
+        steps = range(t - 1, -1, -1) if reverse else range(t)
+        prev = 1 if reverse else -1
         w_hh_t = w_hh.values.T
         zeros = np.zeros((b, n))
         dh = np.zeros((b, n))
@@ -415,16 +406,16 @@ def lstm_sequence(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Te
             if not k:
                 continue
             act = acts[:k, i]
-            in_g, forget, cell, out = act[:, :n], act[:, n:2 * n], act[:, 2 * n:3 * n], act[:, 3 * n:]
-            tc = tanh_c[:k, i]
+            in_g, forget, cell, out_g = act[:, :n], act[:, n:2 * n], act[:, 2 * n:3 * n], act[:, 3 * n:]
+            tc = np.tanh(cells[:k, i])   # the forward's tanh of the same cells, bit for bit
             c_prev = zeros[:k] if i == steps[0] else cells[:k, i + prev]
             dh_k = dh[:k]
-            dc_new = dc[:k] + dh_k * out * (1.0 - tc * tc)
+            dc_new = dc[:k] + dh_k * out_g * (1.0 - tc * tc)
             # every gate is read before any of its slots in acts is written
             d_in = dc_new * cell * in_g * (1.0 - in_g)
             d_forget = dc_new * c_prev * forget * (1.0 - forget)
             d_cell = dc_new * in_g * (1.0 - cell * cell)
-            d_out = dh_k * tc * out * (1.0 - out)
+            d_out = dh_k * tc * out_g * (1.0 - out_g)
             dc[:k] = dc_new * forget
             act[:, :n] = d_in
             act[:, n:2 * n] = d_forget
@@ -438,14 +429,19 @@ def lstm_sequence(xs: Tensor, w_ih: Tensor, w_hh: Tensor, b_ih: Tensor, b_hh: Te
         else:
             h_prev[:, 1:] = states[:, :-1]
         flat = d_gates.reshape(b * t, 4 * n)
-        _accum(xs, (flat @ w_ih.values.T).reshape(b, t, d))
-        _accum(w_ih, x_flat.T @ flat)
-        _accum(w_hh, h_prev.reshape(b * t, n).T @ flat)
+        _accum(xs, (flat @ w_ih.values.T).reshape(b, t, d), owned=True)
+        _accum(w_ih, x_flat.T @ flat, owned=True)
+        _accum(w_hh, h_prev.reshape(b * t, n).T @ flat, owned=True)
         d_bias = flat.sum(axis=0)
         _accum(b_ih, d_bias)
         _accum(b_hh, d_bias)
 
-    return _record(states, bwd)
+    def bwd(g):
+        for lo, weights, reverse in ((n, bw, True), (0, fw, False)):
+            half = slice(lo, lo + n)
+            run_bwd(g[:, :, half], out[:, :, half], weights, reverse, *saved.pop())
+
+    return _record(out, bwd)
 
 
 def cross_entropy(logits: Tensor, golds: np.ndarray) -> Tensor:
@@ -465,7 +461,7 @@ def cross_entropy(logits: Tensor, golds: np.ndarray) -> Tensor:
     def bwd(g):
         grad = np.exp(logp)
         grad[np.arange(n), golds] -= 1.0
-        _accum(logits, g * grad / n)
+        _accum(logits, g * grad / n, owned=True)
 
     return _record(loss, bwd)
 
@@ -480,7 +476,7 @@ def l1_loss(output: Tensor, targets: np.ndarray) -> Tensor:
     diff = output.values - targets
     sign = np.sign(diff)
     n = diff.size
-    return _record(np.abs(diff).mean(), lambda g: _accum(output, g / n * sign))
+    return _record(np.abs(diff).mean(), lambda g: _accum(output, g / n * sign, owned=True))
 
 
 # ---------------------------------------------------------------------------

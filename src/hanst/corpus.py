@@ -18,7 +18,9 @@ JSON_TYPES = {"int": lambda v: type(v) is int, "float": lambda v: type(v) in (in
               "str": lambda v: type(v) is str, "bool": lambda v: type(v) is bool,
               "dict": lambda v: type(v) is dict, "list": lambda v: type(v) is list,
               "list[int]": lambda v: type(v) is list and all(type(x) is int for x in v),
-              "str | None": lambda v: v is None or type(v) is str}
+              "str | None": lambda v: v is None or type(v) is str,
+              "int | None": lambda v: v is None or type(v) is int,
+              "float | None": lambda v: v is None or type(v) in (int, float)}
 
 
 @contextmanager

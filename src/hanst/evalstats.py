@@ -11,7 +11,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .corpus import RawDocument, json_object, open_text
+from .corpus import RawDocument, check_fields, json_object, open_text
 from .errors import (
     AlignmentError,
     ConfigurationError,
@@ -60,8 +60,13 @@ def load_predictions(path) -> list[PredictionRecord]:
     with open_text(path) as fh:
         for n, line in enumerate(fh, start=1):
             if line.strip():
-                obj = json_object(line, f"{path}: line {n}", {"id": "str", "gold": "float", "pred": "float"})
-                records.append(PredictionRecord.from_json(obj))
+                where = f"{path}: line {n}"
+                obj = json_object(line, where, {"id": "str", "gold": "float", "pred": "float"})
+                check_fields(obj, {"prob": "float | None", "seed": "int | None"}, where, optional=True)
+                try:
+                    records.append(PredictionRecord.from_json(obj))
+                except ConfigurationError as exc:   # a prob outside [0, 1]
+                    raise ConfigurationError(f"{where}: {exc}") from None
     if not records:
         raise ConfigurationError(f"{path}: no predictions")
     return records

@@ -133,17 +133,17 @@ class BiLstmLayer:
         self.fw = LstmCell(f"{prefix}.fw", input_dim, hidden, params, rng)
         self.bw = LstmCell(f"{prefix}.bw", input_dim, hidden, params, rng)
 
-    def run(self, xs: ad.Tensor, mask: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
-        """Return the forward and backward per-position states, each [B,T,h].
+    def run(self, xs: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
+        """Return the per-position states [B,T,2h]: forward in [..., :h], backward in [..., h:].
 
-        Each mask row is ones followed by zeros. Rows step only at their real
-        positions and carry their state through the padded ones, so outputs
-        match a run over the unpadded sequence: a row's final forward state
-        is at position T-1 and its final backward state at position 0.
+        One tape node for both directions. Each mask row is ones followed by
+        zeros. Rows step only at their real positions and carry their state
+        through the padded ones, so outputs match a run over the unpadded
+        sequence: a row's final forward state is at position T-1 and its
+        final backward state at position 0.
         """
-        return tuple(ad.lstm_sequence(xs, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask,
-                                      reverse=reverse)
-                     for cell, reverse in ((self.fw, False), (self.bw, True)))
+        fw, bw = ((cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh) for cell in (self.fw, self.bw))
+        return ad.lstm_sequence(xs, fw, bw, mask)
 
 
 class AttentionPool:
@@ -252,9 +252,12 @@ class SentAvgBilstmModel(Model):
         sent_vecs = _masked_mean_rows(self.embedding, batch.ids.reshape(b * s, t),
                                       batch.token_mask.reshape(b * s, t))
         sent_vecs = ad.reshape(sent_vecs, (b, s, self.config.embedding_dim))
-        fw, bw = self.sent_bilstm.run(sent_vecs, batch.sent_mask)
-        final = [ad.index_axis(fw, s - 1, axis=1), ad.index_axis(bw, 0, axis=1)]
-        return ad.concat(final, axis=1), None, None
+        h = self.config.bilstm_hidden
+        # the final states are the forward half at position S-1 and the
+        # backward half at 0: rows 2(S-1) and 1 of a document's [2S, h] halves
+        halves = ad.reshape(self.sent_bilstm.run(sent_vecs, batch.sent_mask), (b * 2 * s, h))
+        final = ad.rows(halves, 2 * s * np.arange(b)[:, None] + [2 * (s - 1), 1])
+        return ad.reshape(final, (b, 2 * h)), None, None
 
 
 class HanModel(Model):
@@ -280,10 +283,12 @@ class HanModel(Model):
         The word level runs on the real sentences alone. Their rows of the
         [B*S,T] batch are gathered longest first, which is the order the
         packed word BiLSTM steps in, so it copies nothing to reorder them.
-        After the word BiLSTM and word attention, the sentence vectors are
-        scattered back into [B,S,2H]. Padding sentences get zero vectors
-        there, and the sentence-level mask never reads them. Their word
-        attention rows are zero.
+        Each BiLSTM writes both directions into one [...,2H] output that its
+        attention reads as it is. After the word BiLSTM and word attention,
+        the sentence vectors are scattered back into [B,S,2H]. Padding
+        sentences get zero vectors there, and the sentence-level mask never
+        reads them. Their word attention rows are zero. A training step
+        records 11 tape nodes: these 7, then dropout, the head and the loss.
         """
         b, s, t = batch.ids.shape
         token_mask = batch.token_mask.reshape(b * s, t)
@@ -291,12 +296,11 @@ class HanModel(Model):
         real = real[np.argsort(-token_mask[real].sum(axis=1), kind="stable")]
         token_mask = token_mask[real]
         words = ad.rows(self.embedding, batch.ids.reshape(b * s, t)[real])
-        word_states = ad.concat(self.word_bilstm.run(words, token_mask), axis=2)
-        sent_vecs, word_alpha = self.word_attn.run(word_states, token_mask)
+        sent_vecs, word_alpha = self.word_attn.run(self.word_bilstm.run(words, token_mask), token_mask)
         sent_seq = ad.reshape(ad.scatter_rows(sent_vecs, real, b * s),
                               (b, s, 2 * self.config.bilstm_hidden))
-        sent_states = ad.concat(self.sent_bilstm.run(sent_seq, batch.sent_mask), axis=2)
-        doc, sent_alpha = self.sent_attn.run(sent_states, batch.sent_mask)
+        doc, sent_alpha = self.sent_attn.run(self.sent_bilstm.run(sent_seq, batch.sent_mask),
+                                             batch.sent_mask)
         word_maps = np.zeros((b * s, t))
         word_maps[real] = word_alpha.values
         return doc, word_maps.reshape(b, s, t), sent_alpha.values
@@ -379,8 +383,11 @@ def load_checkpoint(path, vocab_sha256: str) -> Model:
         unknown = sorted(set(header["model_config"]) - set(schema))
         if unknown:
             raise CheckpointMismatchError(f"{path}: model_config has unknown keys {unknown}")
-        config = ModelConfig(**check_fields(header["model_config"], schema, f"{path}: model_config",
-                                            error=CheckpointMismatchError))
+        check_fields(header["model_config"], schema, f"{path}: model_config", error=CheckpointMismatchError)
+        try:
+            config = ModelConfig(**header["model_config"])
+        except ConfigurationError as exc:
+            raise CheckpointMismatchError(f"{path}: model_config: {exc}") from None
         if header["vocab_sha256"] != vocab_sha256:
             raise CheckpointMismatchError(
                 f"checkpoint vocabulary hash {header['vocab_sha256'][:12]}... does not match "

@@ -1,9 +1,12 @@
 """Reference code that hanst no longer runs, kept for the tests to compare against.
 
 - Tape ops of the per-step LSTM composition that `ad.lstm_sequence`
-  replaced: `mul`, `mul_const`, `sigmoid`, `stack`, `slice_last` and
-  `sum_all`. The step oracle in `test_lstm_sequence` is built from them, and
-  the autodiff tests use them to form scalar losses.
+  replaced: `mul`, `mul_const`, `sigmoid`, `stack`, `slice_last`, `sum_all`,
+  `index_axis` and `concat`. The step oracle in `test_lstm_sequence` is
+  built from them, and the autodiff tests use them to form scalar losses.
+  `concat` also joined the two one-direction LSTM outputs, and `index_axis`
+  picked the sentence-averaging model's final states, before one
+  bidirectional `lstm_sequence` node wrote both halves of one output.
 - Tape ops of the compositions that the fused ops replaced: `tanh` and
   `softmax`, from which `composed_attention_pool` builds the eight-node
   attention pool that `ad.attention_pool` fuses, and `sub`, `abs_` and
@@ -79,6 +82,34 @@ def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     return _record(a.values.sum(), lambda g: _accum(a, np.broadcast_to(g, a.shape)))
+
+
+def concat(parts: list[Tensor], axis: int) -> Tensor:
+    values = np.concatenate([t.values for t in parts], axis=axis)
+    sizes = [t.shape[axis] for t in parts]
+    offsets = np.cumsum([0] + sizes)
+
+    def bwd(g):
+        for t, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            key = [slice(None)] * g.ndim
+            key[axis] = slice(lo, hi)
+            _accum(t, g[tuple(key)])
+
+    return _record(values, bwd)
+
+
+def index_axis(a: Tensor, idx: int, axis: int) -> Tensor:
+    """Select one slice along ``axis`` (the axis is dropped)."""
+    values = np.take(a.values, idx, axis=axis)
+
+    def bwd(g):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.values)
+        key = [slice(None)] * a.ndim
+        key[axis] = idx
+        a.grad[tuple(key)] += g
+
+    return _record(values, bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

@@ -1,0 +1,110 @@
+"""Walk the backward of one paper-size HAN training step node by node under tracemalloc.
+
+Run from anywhere:
+
+    python tests/step_memory.py
+
+It takes one training step of the paper-default HAN (E=50, H=256) on each of
+two batches:
+
+- han-paper: 4 documents of 20 sentences x 25 tokens, the shape of the
+  benchmark's han-paper workload;
+- ragged: synth.heterogeneous_length_corpus(n_docs=4) cut at 4,000
+  characters, a (4, 166, 33) batch in which 14% of the cells are tokens.
+
+For each step it prints the peak of the forward pass and the memory the tape
+holds after it. Then, for each tape node in the order backward runs them, it
+prints the node's op, the shape of its value, the peak while the node ran and
+the memory held after it, once backward has released the node's own gradient.
+Last come the peak of the Adam step and of the whole step. Memory is counted
+from the start of the step, so the model, its optimizer state and the batch
+are not in it; tests/test_training.py bounds the two step peaks the same way.
+
+It uses only the standard library and numpy. pytest does not collect it (its
+name does not start with test_).
+"""
+
+import pathlib
+import sys
+import tracemalloc
+
+import numpy as np
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from hanst import autodiff as ad  # noqa: E402
+from hanst import models as md  # noqa: E402
+from hanst import synth  # noqa: E402
+from hanst import training as tr  # noqa: E402
+from hanst.textprep import TaggedDocument, prepare_corpus  # noqa: E402
+
+MIB = 1024.0 * 1024.0
+
+
+def han_paper_docs():
+    rng = np.random.default_rng(0)
+    docs = [TaggedDocument(id=f"d{i}",
+                           sentences=[[int(t) for t in rng.integers(2, 10002, size=25)]
+                                      for _ in range(20)],
+                           roles=["BODY_TEXT"] * 20, label={"accepted": i % 2 == 0})
+            for i in range(4)]
+    return 10002, docs
+
+
+def ragged_docs():
+    vocab, docs = prepare_corpus(synth.heterogeneous_length_corpus(n_docs=4), "none", 4000, 10000)
+    return len(vocab), docs
+
+
+def walk(name, vocab_size, docs):
+    rng = np.random.default_rng(0)
+    model = md.build_model(md.default_model_config("han", "classify", vocab_size=vocab_size), rng)
+    optimizer = ad.Adam(model.params)
+    batch = tr.make_batches(docs, "classify", len(docs))[0]
+    rows = []   # [op, shape, peak, held after], held filled in when the next node starts
+
+    def measured(op, shape, fn):
+        box = [fn]
+
+        def run(g):
+            current = tracemalloc.get_traced_memory()[0]
+            if rows:
+                rows[-1][3] = current
+            tracemalloc.reset_peak()
+            box.pop()(g)   # the closure, and what it saved, is freed when it returns
+            rows.append([op, shape, tracemalloc.get_traced_memory()[1], None])
+        return run
+
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            result = model.forward(batch, training=True, rng=rng)
+            loss = tr.compute_loss(result.output, batch.labels, "cross-entropy")
+            held, forward_peak = tracemalloc.get_traced_memory()
+            for node in tape.nodes:
+                op = node.backward_fn.__qualname__.split(".")[0]
+                node.backward_fn = measured(op, node.shape, node.backward_fn)
+            ad.backward(loss)
+            rows[-1][3] = tracemalloc.get_traced_memory()[0]
+        del result, loss
+        tracemalloc.reset_peak()
+        optimizer.step()
+        adam_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"{name}: batch {batch.ids.shape}, {len(rows)} tape nodes run by backward")
+    print(f"  {'forward':<32}  peak {forward_peak / MIB:8.1f} MiB  held {held / MIB:8.1f} MiB")
+    for op, shape, peak, after in rows:
+        print(f"  {op:<16}{str(shape):<16}  peak {peak / MIB:8.1f} MiB  held {after / MIB:8.1f} MiB")
+    print(f"  {'adam step':<32}  peak {adam_peak / MIB:8.1f} MiB")
+    step_peak = max([forward_peak, adam_peak] + [row[2] for row in rows])
+    print(f"  {'step':<32}  peak {step_peak / MIB:8.1f} MiB")
+
+
+def main():
+    walk("han-paper", *han_paper_docs())
+    walk("ragged", *ragged_docs())
+
+
+if __name__ == "__main__":
+    main()

@@ -7,6 +7,8 @@ from conftest import fd_grad, rel_err
 from oracles import (
     abs_,
     composed_attention_pool,
+    concat,
+    index_axis,
     mean_all,
     mul,
     mul_const,
@@ -300,6 +302,22 @@ class TestAdam:
         np.testing.assert_array_equal(run(), run())
 
 
+def arrays_held_by(objects, seen=None):
+    """Every array reachable from functions' closures and the lists and
+    tuples in them; tensors are not entered."""
+    seen = set() if seen is None else seen
+    for obj in objects:
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (list, tuple)):
+            yield from arrays_held_by(obj, seen)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            yield from arrays_held_by([cell.cell_contents for cell in obj.__closure__], seen)
+
+
 class TestBackward:
     def test_sum_grad_all_ones(self):
         with ad.Tape():
@@ -392,16 +410,45 @@ class TestBackward:
         assert float(w.grad) == 6.0
 
     def test_backward_releases_every_closure_and_keeps_the_nodes(self):
+        rng = np.random.default_rng(0)
+        lstm = tuple(ad.Tensor(rng.normal(size=s)) for s in ((5, 16), (4, 16), 16, 16))
+        pool = [ad.Tensor(rng.normal(size=s)) for s in ((8, 3), 3, (3, 1))]
+        mask = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
         with ad.Tape() as tape:
             w = ad.Tensor(np.array([1.0, -2.0]))
             unused = tanh(w)
-            loss = sum_all(mul(tanh(w), w))
+            states = ad.lstm_sequence(ad.Tensor(rng.normal(size=(2, 3, 5))), lstm, lstm, mask)
+            pooled, _ = ad.attention_pool(states, *pool, mask)
+            loss = ad.add(sum_all(mul(tanh(w), w)), sum_all(pooled))
             nodes = list(tape.nodes)
             values = [node.values for node in nodes]
+            closures = [node.backward_fn for node in nodes]
             ad.backward(loss)
             assert tape.nodes == nodes and unused in tape.nodes
             assert all(node.backward_fn is None for node in tape.nodes)
             assert all(node.values is v for node, v in zip(tape.nodes, values))
+        # even the closures kept here let go, as they ran, of the gates
+        # [2,3,16] and cells [2,3,4] that lstm_sequence saved per direction
+        # and of attention_pool's projection [6,3]
+        held = {a.shape for a in arrays_held_by(closures)}
+        assert held and not held & {(2, 3, 16), (2, 3, 4), (6, 3)}
+
+    def test_kept_first_gradients_are_never_shared(self):
+        # an op's own array becomes a first gradient as it is, but add's one
+        # array for its two parents is copied: a later gradient into `a` must
+        # not show up in `b`
+        rng = np.random.default_rng(2)
+        a_vals, b_vals, w_vals = rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), rng.normal(size=(3, 2))
+        with ad.Tape():
+            a, b, w = ad.Tensor(a_vals), ad.Tensor(b_vals), ad.Tensor(w_vals)
+            late = ad.matmul(a, w)   # a feeds two ops; this one's gradient comes last
+            s = ad.add(a, b)
+            ad.backward(ad.add(sum_all(mul(s, s)), sum_all(late)))
+        grads = [a.grad, b.grad, w.grad]
+        assert not any(np.shares_memory(x, y) for i, x in enumerate(grads) for y in grads[i + 1:])
+        np.testing.assert_allclose(b.grad, 2 * (a_vals + b_vals))
+        np.testing.assert_allclose(a.grad, 2 * (a_vals + b_vals) + np.ones((2, 2)) @ w_vals.T)
+        np.testing.assert_allclose(w.grad, a_vals.T @ np.ones((2, 2)))
 
     def test_closed_tape_drops_graph(self):
         with ad.Tape() as tape:
@@ -425,7 +472,7 @@ class TestStructuralOps:
         w = ad.Tensor(rng.normal(size=(2, 5)))
 
         def op(x, y):
-            return mul(ad.concat([x, y], axis=1), w)
+            return mul(concat([x, y], axis=1), w)
 
         scalar_loss(op, a, b, which=0)
         scalar_loss(op, a, b, which=1)
@@ -444,7 +491,7 @@ class TestStructuralOps:
     def test_index_axis_gradient(self):
         rng = np.random.default_rng(7)
         w = ad.Tensor(rng.normal(size=(2, 4)))
-        scalar_loss(lambda t: mul(ad.index_axis(t, 1, axis=1), w),
+        scalar_loss(lambda t: mul(index_axis(t, 1, axis=1), w),
                     rng.normal(size=(2, 3, 4)))
 
     def test_slice_last_gradient(self):

@@ -1045,7 +1045,8 @@ def _misshaped_parameter(header):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_vocab_size_one, "config-error: vocab_size must include the specials, got 1"),
+    (_vocab_size_one,
+     "checkpoint-mismatch: {ckpt}: model_config: vocab_size must include the specials, got 1"),
     (_unknown_parameter,
      "checkpoint-mismatch: checkpoint has unknown or repeated parameter 'head.bias'"),
     (_misshaped_parameter,
@@ -1058,7 +1059,7 @@ def test_malformed_checkpoint_header_one_line(tmp_path, capsys, probe_corpus, ed
     for argv in (["evaluate"], ["predict", probe_corpus]):
         rc, out, err = run_cli(capsys, *argv, "--checkpoint", ckpt, "--out", data)
         assert rc == 1 and out == ""
-        assert err == f"error: {message}\n"
+        assert err == f"error: {message.format(ckpt=ckpt)}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1180,6 +1181,12 @@ def test_significance_votes_across_seeds(tmp_path, capsys):
     ('{"id": "d1", "pred": 1.0}', "missing keys ['gold']"),
     ('{"id": "d1", "gold": 1.0}', "missing keys ['pred']"),
     ('{"id": "d1", "gold": 1.0, "pred": "1"}', "'pred' must be float"),
+    # the other lines' seed is 1: seeds of two types cannot be sorted
+    ('{"id": "d1", "gold": 1.0, "pred": 1.0, "seed": "x"}', "'seed' must be int | None, got 'x'"),
+    ('{"id": "d1", "gold": 1.0, "pred": 1.0, "seed": 1, "prob": "x"}',
+     "'prob' must be float | None, got 'x'"),
+    ('{"id": "d1", "gold": 1.0, "pred": 1.0, "seed": 1, "prob": 2.0}',
+     "probability must be in [0, 1], got 2.0"),
 ])
 def test_significance_malformed_predictions_name_the_line(tmp_path, capsys, row, message):
     good = [{"id": f"d{i}", "gold": 1.0, "pred": 1.0, "seed": 1} for i in range(3)]

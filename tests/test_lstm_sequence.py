@@ -1,18 +1,22 @@
-"""The fused `lstm_sequence` op against two references kept only here.
+"""The fused bidirectional `lstm_sequence` op against two references kept only here.
 
 `sequence_oracle` is the recurrent core the models ran before the op
 existed: one `LstmCell.step` of ~20 tape ops per time step, positions picked
 with `index_axis` and joined with `concat`/`stack`; the op matches it to
-1e-10. `mask_blend_lstm_sequence` is the fused op before its recurrence was
-packed: every row steps at every position and the mask blends the new state
-with the old. The packed op performs the same arithmetic on the real cells,
-so it must match that one bitwise, values and gradients.
+1e-10. `mask_blend_lstm_sequence` is one direction of the fused op before its
+recurrence was packed: every row steps at every position and the mask blends
+the new state with the old. The packed op performs the same arithmetic on the
+real cells, so it must match that one bitwise, values and gradients, and the
+concatenation of two of them, one per direction.
+
+Most cases test one direction: `one_direction` runs the op with the same
+weights both ways and keeps the half of the output the direction writes.
 """
 
 import numpy as np
 import pytest
 
-from oracles import mul, mul_const, sigmoid, slice_last, stack, sum_all, tanh
+from oracles import concat, index_axis, mul, mul_const, sigmoid, slice_last, stack, sum_all, tanh
 from hanst import autodiff as ad
 from hanst import models as md
 from hanst.errors import ShapeMismatchError
@@ -48,7 +52,7 @@ def direction_oracle(cell, steps, mask, order):
 
 def sequence_oracle(cell, xs, mask, reverse=False):
     t = xs.shape[1]
-    steps = [ad.index_axis(xs, i, axis=1) for i in range(t)]
+    steps = [index_axis(xs, i, axis=1) for i in range(t)]
     order = reversed(range(t)) if reverse else range(t)
     states, _ = direction_oracle(cell, steps, mask, order)
     return stack(states, axis=1)
@@ -57,11 +61,25 @@ def sequence_oracle(cell, xs, mask, reverse=False):
 def bilstm_oracle(layer, xs, mask):
     """(per-position states [B,T,2h], final forward, final backward)."""
     t = xs.shape[1]
-    steps = [ad.index_axis(xs, i, axis=1) for i in range(t)]
+    steps = [index_axis(xs, i, axis=1) for i in range(t)]
     fw, final_fw = direction_oracle(layer.fw, steps, mask, range(t))
     bw, final_bw = direction_oracle(layer.bw, steps, mask, reversed(range(t)))
-    per_pos = [ad.concat([fw[i], bw[i]], axis=1) for i in range(t)]
+    per_pos = [concat([fw[i], bw[i]], axis=1) for i in range(t)]
     return stack(per_pos, axis=1), final_fw, final_bw
+
+
+def one_direction(xs, w_ih, w_hh, b_ih, b_hh, mask, reverse=False):
+    """The half of `ad.lstm_sequence` that one direction writes, with these
+    weights in both directions. The other half takes no gradient, so its
+    direction adds only zeros to each gradient."""
+    weights = (w_ih, w_hh, b_ih, b_hh)
+    n = w_hh.shape[0]
+    both = ad.lstm_sequence(xs, weights, weights, mask)
+    return slice_last(both, n, 2 * n) if reverse else slice_last(both, 0, n)
+
+
+def weights_of(cell):
+    return cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh
 
 
 def rel(a, b):
@@ -118,7 +136,7 @@ def test_matches_step_oracle(kind, reverse, t):
     upstream = rng.normal(size=(b, t, hidden))
 
     def fused(x):
-        return ad.lstm_sequence(x, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask, reverse=reverse)
+        return one_direction(x, *weights_of(cell), mask, reverse=reverse)
 
     want, want_grads = grads_of(lambda x: sequence_oracle(cell, x, mask, reverse),
                                 cell, params, xs, upstream)
@@ -133,11 +151,10 @@ def test_masked_rows_carry_state():
     cell, _ = make_cell(3, 4, seed=1)
     xs = np.random.default_rng(2).normal(size=(2, 4, 3))
     mask = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
-    out = ad.lstm_sequence(ad.Tensor(xs), cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask).values
+    both = ad.lstm_sequence(ad.Tensor(xs), weights_of(cell), weights_of(cell), mask).values
+    out, rev = both[..., :4], both[..., 4:]
     np.testing.assert_array_equal(out[0, 2], out[0, 1])
     np.testing.assert_array_equal(out[0, 3], out[0, 1])
-    rev = ad.lstm_sequence(ad.Tensor(xs), cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask,
-                           reverse=True).values
     # reversed, the padded tail is seen first and leaves the zero state alone
     np.testing.assert_array_equal(rev[0, 2:], 0.0)
 
@@ -145,13 +162,14 @@ def test_masked_rows_carry_state():
 @pytest.mark.parametrize("reverse", [False, True])
 def test_no_tape_path_is_bit_identical(reverse):
     cell, _ = make_cell(3, 4, seed=3)
+    other, _ = make_cell(3, 4, seed=13)
     rng = np.random.default_rng(4)
     xs = rng.normal(size=(3, 6, 3))
     mask = masks(3, 6)["ragged"]
-    args = (cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask)
-    plain = ad.lstm_sequence(ad.Tensor(xs), *args, reverse=reverse)
+    pair = (weights_of(other), weights_of(cell)) if reverse else (weights_of(cell), weights_of(other))
+    plain = ad.lstm_sequence(ad.Tensor(xs), *pair, mask)
     with ad.Tape() as tape:
-        taped = ad.lstm_sequence(ad.Tensor(xs), *args, reverse=reverse)
+        taped = ad.lstm_sequence(ad.Tensor(xs), *pair, mask)
         assert tape.nodes == [taped]
     assert plain.tape is None
     np.testing.assert_array_equal(plain.values, taped.values)
@@ -180,9 +198,9 @@ def test_bilstm_layer_matches_composition():
         return [o.values for o in outs], [x.grad] + [p.grad for p in params.values()]
 
     def layer_outputs(x):
-        fw, bw = layer.run(x, mask)
-        return (ad.concat([fw, bw], axis=2), ad.index_axis(fw, x.shape[1] - 1, axis=1),
-                ad.index_axis(bw, 0, axis=1))
+        both = layer.run(x, mask)
+        return (both, index_axis(slice_last(both, 0, 4), x.shape[1] - 1, axis=1),
+                index_axis(slice_last(both, 4, 8), 0, axis=1))
 
     want_vals, want_grads = run(lambda x: bilstm_oracle(layer, x, mask))
     got_vals, got_grads = run(layer_outputs)
@@ -192,18 +210,23 @@ def test_bilstm_layer_matches_composition():
 
 def test_shape_checks():
     cell, _ = make_cell(3, 4, seed=6)
-    args = (cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh)
+    wide, _ = make_cell(3, 5, seed=6)
+    args = (weights_of(cell), weights_of(cell))
     with pytest.raises(ShapeMismatchError):
         ad.lstm_sequence(ad.Tensor(np.ones((2, 3))), *args, np.ones((2, 3)))
     with pytest.raises(ShapeMismatchError):
         ad.lstm_sequence(ad.Tensor(np.ones((2, 3, 5))), *args, np.ones((2, 3)))
     with pytest.raises(ShapeMismatchError):
         ad.lstm_sequence(ad.Tensor(np.ones((2, 3, 3))), *args, np.ones((2, 4)))
+    # the two directions must have one hidden size
+    with pytest.raises(ShapeMismatchError):
+        ad.lstm_sequence(ad.Tensor(np.ones((2, 3, 3))), weights_of(cell), weights_of(wide),
+                         np.ones((2, 3)))
 
 
 def test_mask_with_a_hole_rejected():
     cell, _ = make_cell(3, 4, seed=6)
-    args = (cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh)
+    args = (weights_of(cell), weights_of(cell))
     xs = ad.Tensor(np.ones((2, 3, 3)))
     for bad in ([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]], [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]],
                 [[1.0, 0.5, 0.0], [1.0, 1.0, 1.0]]):
@@ -222,8 +245,8 @@ def where_logistic(x):
 
 
 def mask_blend_lstm_sequence(xs, w_ih, w_hh, b_ih, b_hh, mask, reverse=False):
-    """`ad.lstm_sequence` as it was before packing: every row runs every step
-    and the mask blends new * m + old * (1 - m)."""
+    """One direction of `ad.lstm_sequence` as it was before packing: every
+    row runs every step and the mask blends new * m + old * (1 - m)."""
     b, t, d = xs.shape
     n = w_hh.shape[0]
     m = np.asarray(mask, dtype=ad.DTYPE)
@@ -325,13 +348,56 @@ def test_bitwise_equal_to_mask_blend(case, reverse):
             args = (cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask)
             want, want_grads = grads_of(lambda x: mask_blend_lstm_sequence(x, *args, reverse=reverse),
                                         cell, params, xs, upstream)
-            got, got_grads = grads_of(lambda x: ad.lstm_sequence(x, *args, reverse=reverse),
+            got, got_grads = grads_of(lambda x: one_direction(x, *args, reverse=reverse),
                                       cell, params, xs, upstream)
             np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(ad.lstm_sequence(ad.Tensor(xs), *args, reverse=reverse).values,
+            np.testing.assert_array_equal(one_direction(ad.Tensor(xs), *args, reverse=reverse).values,
                                           want)
             for name, expected in want_grads.items():
                 np.testing.assert_array_equal(got_grads[name], expected, err_msg=name)
+
+
+# (B, T, lengths): rows in order and out of order, one row, T = 1, equal lengths
+BIDIRECTIONAL_CASES = {
+    "in-order": (4, 6, [6, 5, 3, 1]),
+    "out-of-order": (5, 7, [2, 7, 3, 1, 7]),
+    "one-row": (1, 5, [3]),
+    "T1": (3, 1, [1, 1, 1]),
+    "equal": (3, 4, [4, 4, 4]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BIDIRECTIONAL_CASES))
+def test_bidirectional_bitwise_equal_to_two_mask_blends(case):
+    # one node for both directions is the concatenation of the two
+    # one-direction ops, bit for bit, in values and in every gradient
+    b, t, lengths = BIDIRECTIONAL_CASES[case]
+    rng = np.random.default_rng(300 + sorted(BIDIRECTIONAL_CASES).index(case))
+    fw_cell, fw_params = make_cell(3, 5, seed=21)
+    bw_cell, bw_params = make_cell(3, 5, seed=22)
+    params = list(fw_params.values()) + list(bw_params.values())
+    fw, bw = weights_of(fw_cell), weights_of(bw_cell)
+    mask = prefix_mask(lengths, t)
+    xs = rng.normal(size=(b, t, 3))
+    upstream = rng.normal(size=(b, t, 10))
+
+    def run(fn):
+        for p in params:
+            p.grad = None
+        with ad.Tape() as tape:
+            x = ad.Tensor(xs)
+            out = fn(x)
+            recorded = list(tape.nodes)
+            ad.backward(sum_all(mul(out, ad.Tensor(upstream))))
+        return recorded == [out], [out.values, x.grad] + [p.grad for p in params]
+
+    _, want = run(lambda x: concat([mask_blend_lstm_sequence(x, *fw, mask),
+                                    mask_blend_lstm_sequence(x, *bw, mask, reverse=True)], axis=2))
+    one_node, got = run(lambda x: ad.lstm_sequence(x, fw, bw, mask))
+    assert one_node
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    np.testing.assert_array_equal(ad.lstm_sequence(ad.Tensor(xs), fw, bw, mask).values, want[0])
 
 
 def test_where_logistic_is_bitwise_the_branch_free_form():
@@ -355,7 +421,7 @@ def test_paper_size_values_bitwise_gradients_to_rounding(reverse):
     args = (cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask)
     want, want_grads = grads_of(lambda x: mask_blend_lstm_sequence(x, *args, reverse=reverse),
                                 cell, params, xs, upstream)
-    got, got_grads = grads_of(lambda x: ad.lstm_sequence(x, *args, reverse=reverse),
+    got, got_grads = grads_of(lambda x: one_direction(x, *args, reverse=reverse),
                               cell, params, xs, upstream)
     np.testing.assert_array_equal(got, want)
     for name, expected in want_grads.items():

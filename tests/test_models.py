@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_grad, rel_err
-from oracles import abs_, composed_attention_pool, mean_all, mul, sub
+from oracles import abs_, composed_attention_pool, concat, index_axis, mean_all, mul, slice_last, sub
 from test_lstm_sequence import mask_blend_lstm_sequence
 from hanst import autodiff as ad
 from hanst import models as md
@@ -76,7 +76,7 @@ def dummy_mask_han_encode(model, batch):
         fw, bw = (mask_blend_lstm_sequence(xs, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask,
                                            reverse=reverse)
                   for cell, reverse in ((layer.fw, False), (layer.bw, True)))
-        return ad.concat([fw, bw], axis=2)
+        return concat([fw, bw], axis=2)
 
     def attend(pool, states, mask):
         return composed_attention_pool(states, pool.w, pool.b, pool.u, mask)
@@ -214,6 +214,37 @@ class TestSentAvgBilstm:
         h_bw, _ = lstm_step_oracle(sent_vec, zeros, zeros, m.sent_bilstm.bw)
         expected = np.concatenate([h_fw, h_bw])
         assert np.abs(doc.values[0] - expected).max() < 1e-10
+
+    def test_final_states_bitwise_equal_to_index_and_concat(self):
+        # documents of 3, 1 and 2 sentences: the doc vector picks the forward
+        # half at the last position and the backward half at the first, as
+        # index_axis and concat of the two halves did, values and gradients
+        m = self.build(hidden=5)
+        batch = batch_of([[2, 3], [4], [5, 6, 7]], [[8, 9]], [[10], [11, 2]])
+        up = np.random.default_rng(3).normal(size=(batch.size, 10))
+
+        def composed(model, batch):
+            b, s, t = batch.ids.shape
+            sent_vecs = md._masked_mean_rows(model.embedding, batch.ids.reshape(b * s, t),
+                                             batch.token_mask.reshape(b * s, t))
+            states = model.sent_bilstm.run(ad.reshape(sent_vecs, (b, s, 4)), batch.sent_mask)
+            final = [index_axis(slice_last(states, 0, 5), s - 1, axis=1),
+                     index_axis(slice_last(states, 5, 10), 0, axis=1)]
+            return concat(final, axis=1), None, None
+
+        def run(encode):
+            for p in m.params.values():
+                p.grad = None
+            with ad.Tape():
+                doc, _, _ = encode(m, batch)
+                ad.backward(mean_all(mul(doc, ad.Tensor(up))))
+            return doc.values, {n: p.grad for n, p in m.params.items()}
+
+        want, want_grads = run(composed)
+        got, got_grads = run(md.SentAvgBilstmModel.encode)
+        np.testing.assert_array_equal(got, want)
+        for name, expected in want_grads.items():
+            np.testing.assert_array_equal(got_grads[name], expected, err_msg=name)
 
 
 class TestHan:
