@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from . import models as md
 from . import training as tr
-from .corpus import (SPLITS, TEXT_FIELDS, RawDocument, check_document_fields, check_fields,
+from .corpus import (DOCUMENT_FIELDS, SPLITS, TEXT_FIELDS, RawDocument, check_fields,
                      json_object, load_corpus, open_text)
 from .errors import (AlignmentError, CheckpointMismatchError, ConfigurationError,
                      CorpusFormatError, DegenerateInputError, HanstError,
@@ -33,8 +33,8 @@ from .evalstats import (PredictionRecord, build_report, corpus_citation_stats,
                         histogram_csv_lines, inverse_citation_score, load_predictions,
                         mcnemar_exact, save_predictions, vote_aggregate,
                         wilcoxon_signed_rank)
-from .textprep import (TaggedDocument, Vocabulary, encode_document, load_embeddings,
-                       prepare_corpus, tag_tokens)
+from .textprep import (DEFAULT_VOCAB_SIZE, TaggedDocument, Vocabulary, encode_document,
+                       load_embeddings, prepare_corpus, tag_tokens)
 # not called here; perfbench/probe.py traces them under these names on this module
 from .textprep import build_vocabulary, tokenize  # noqa: F401
 
@@ -137,17 +137,21 @@ def _parse_seed_list(text: str) -> tuple[int, ...]:
     return seeds
 
 
-def make_train_config(raw: dict, vocab_size: int,
-                      seed_list: str | None = None) -> tr.TrainConfig:
-    """Resolve a config dict against task defaults into a TrainConfig."""
+def make_train_config(raw: dict, vocab_size: int, seed_list: str | None = None,
+                      where: str = "config") -> tr.TrainConfig:
+    """Resolve a config dict against task defaults into a TrainConfig; a value
+    out of range raises a ConfigurationError that starts with `where`."""
     model_over = {k: raw[k] for k in _MODEL_OVERRIDES if k in raw}
     model_over["vocab_size"] = vocab_size   # the prepared size, not the config's cap
-    model = dataclasses.replace(
-        md.default_model_config(raw["model_kind"], raw["task"], vocab_size), **model_over)
     train_over = {k: raw[k] for k in _TRAIN_OVERRIDES if k in raw}
     if seed_list:
         train_over["seeds"] = _parse_seed_list(seed_list)
-    return tr.default_train_config(model=model, **train_over)
+    try:
+        model = dataclasses.replace(
+            md.default_model_config(raw["model_kind"], raw["task"], vocab_size), **model_over)
+        return tr.default_train_config(model=model, **train_over)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
 
 
 def resolved_config(config: tr.TrainConfig, embeddings_path: str | None) -> dict:
@@ -238,11 +242,17 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     if not args.config:
         raise ConfigurationError("--config is required for this command")
     raw = load_config_file(args.config)
+    # resolved as train resolves it, so prepare refuses what train would; the
+    # vocabulary is not built yet, and 2 (PAD and UNK) is the least size it can have
+    model = make_train_config(raw, 2, where=args.config).model
+    tagset, max_chars = model.tagset, model.max_chars
     data_dir = data_dir_from(args)
     docs = load_corpus(args.corpus)
-    tagset = raw.get("tagset", md.ModelConfig.tagset)
-    max_chars = raw.get("max_chars", md.ModelConfig.max_chars)
-    vocab, encoded = prepare_corpus(docs, tagset, max_chars, raw.get("vocab_size", 10000))
+    try:
+        vocab, encoded = prepare_corpus(docs, tagset, max_chars,
+                                        raw.get("vocab_size", DEFAULT_VOCAB_SIZE))
+    except ConfigurationError as exc:   # a vocab_size cap with no room for the tags
+        raise ConfigurationError(f"{args.config}: {exc}") from None
     meta = {"kind": PREPARED_KIND, "format_version": FORMAT_VERSION,
             "tagset": tagset, "max_chars": max_chars, "vocab_size": len(vocab),
             "corpus_sha256": file_sha256(args.corpus),
@@ -299,10 +309,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise ConfigurationError("manifest corpus hash does not match the prepared dataset")
         if manifest_in["vocab_sha256"] != meta["vocab_sha256"]:
             raise ConfigurationError("manifest vocabulary hash does not match the prepared dataset")
-        raw = manifest_in["config"]
+        raw, where = manifest_in["config"], f"{args.from_manifest}: config"
     else:
-        raw = load_config_file(args.config)
-    config = make_train_config(raw, len(vocab), seed_list=args.seed_list)
+        raw, where = load_config_file(args.config), args.config
+    config = make_train_config(raw, len(vocab), seed_list=args.seed_list, where=where)
     _check_preparation(config.model, meta, ConfigurationError)
 
     manifest_path = os.path.join(data_dir, MANIFEST_NAME)
@@ -384,7 +394,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         manifest = _load_manifest(args.manifest)
         if manifest["vocab_sha256"] != vocab_hash:
             raise CheckpointMismatchError("manifest vocabulary hash does not match the data directory")
-        config = make_train_config(manifest["config"], len(vocab))
+        config = make_train_config(manifest["config"], len(vocab), where=f"{args.manifest}: config")
         task, batch_size = config.task, config.batch_size
         base = os.path.dirname(os.path.abspath(args.manifest))
         runs = []
@@ -417,16 +427,12 @@ def _load_predict_docs(path: str) -> list[RawDocument]:
         for n, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON: {exc.msg}", line_number=n) from exc
-            if not isinstance(obj, dict) or "id" not in obj:
-                raise CorpusFormatError("expected an object with an 'id' field", line_number=n)
-            check_document_fields(obj, n)
+            where = f"{path}: line {n}"
+            obj = json_object(line, where, {"id": "str"}, error=CorpusFormatError)
+            check_fields(obj, DOCUMENT_FIELDS, where, optional=True, error=CorpusFormatError)
             title, abstract, body = (obj.get(key, "") for key in TEXT_FIELDS)
             if not (title or abstract or body):
-                raise DegenerateInputError(f"line {n}: document {obj['id']!r} has no text")
+                raise DegenerateInputError(f"{where}: document {obj['id']!r} has no text")
             # a fixed label: RawDocument needs one, and whatever the line holds is not read
             docs.append(RawDocument(id=obj["id"], title=title, abstract=abstract,
                                     body_text=body, label={"accepted": False}, split="test"))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import reprlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -12,6 +13,9 @@ from .errors import ConfigurationError, CorpusFormatError, TextDecodeError
 SPLITS = ("train", "valid", "test")
 LABEL_KEYS = ("accepted", "citation_count")
 TEXT_FIELDS = ("title", "abstract", "body_text")
+# the fields of a document line; a corpus line also needs its label
+DOCUMENT_FIELDS = {"id": "str", **dict.fromkeys(TEXT_FIELDS, "str")}
+_CORPUS_FIELDS = {**DOCUMENT_FIELDS, "label": "dict"}
 
 # value checks by the type name a schema gives: a bool is no int, an int is a float
 JSON_TYPES = {"int": lambda v: type(v) is int, "float": lambda v: type(v) in (int, float),
@@ -45,17 +49,19 @@ def check_fields(obj, schema: dict[str, str], where: str, optional: bool = False
         raise error(f"{where}: missing keys {missing}")
     for key, type_name in schema.items():
         if key in obj and not JSON_TYPES[type_name](obj[key]):
-            raise error(f"{where}: {key!r} must be {type_name}, got {obj[key]!r}")
+            # reprlib bounds the line a whole document body of the wrong type would fill
+            raise error(f"{where}: {key!r} must be {type_name}, got {reprlib.repr(obj[key])}")
     return obj
 
 
-def json_object(text: str, where: str, schema: dict[str, str] | None = None) -> dict:
+def json_object(text: str, where: str, schema: dict[str, str] | None = None,
+                error=ConfigurationError) -> dict:
     """Parse one JSON object; errors start with `where`, e.g. "<path>: line 3"."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{where}: invalid JSON: {exc.msg}") from None
-    return check_fields(obj, schema or {}, where)
+        raise error(f"{where}: invalid JSON: {exc.msg}") from None
+    return check_fields(obj, schema or {}, where, error=error)
 
 
 @dataclass
@@ -102,42 +108,24 @@ class RawDocument:
                 "body_text": self.body_text, "label": dict(self.label), "split": self.split}
 
 
-def check_document_fields(obj: dict, line_number: int) -> None:
-    """A document line's `id` and each text field it holds must be strings."""
-    for key in ("id",) + TEXT_FIELDS:
-        if key in obj and not isinstance(obj[key], str):
-            raise CorpusFormatError(f"field {key!r} must be a string", line_number=line_number)
-
-
 def load_corpus(path) -> list[RawDocument]:
-    """Read one RawDocument per JSONL line; errors carry the line number."""
+    """Read one RawDocument per JSONL line; errors start with "<path>: line N"."""
     docs = []
     seen: set[str] = set()
     with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+        for n, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"invalid JSON: {exc}", line_number=lineno) from None
-            if not isinstance(obj, dict):
-                raise CorpusFormatError("line is not a JSON object", line_number=lineno)
-            missing = {"id", *TEXT_FIELDS, "label"} - set(obj)
-            if missing:
-                raise CorpusFormatError(f"missing fields {sorted(missing)}", line_number=lineno)
-            check_document_fields(obj, lineno)
-            if not isinstance(obj["label"], dict):
-                raise CorpusFormatError("field 'label' must be an object", line_number=lineno)
+            where = f"{path}: line {n}"
+            obj = json_object(line, where, _CORPUS_FIELDS, error=CorpusFormatError)
             try:
                 doc = RawDocument(id=obj["id"], title=obj["title"], abstract=obj["abstract"],
                                   body_text=obj["body_text"], label=obj["label"],
                                   split=obj.get("split", "train"))
             except CorpusFormatError as exc:
-                raise CorpusFormatError(str(exc), line_number=lineno) from None
+                raise CorpusFormatError(f"{where}: {exc}") from None
             if doc.id in seen:
-                raise CorpusFormatError(f"duplicate document id {doc.id!r}", line_number=lineno)
+                raise CorpusFormatError(f"{where}: duplicate document id {doc.id!r}")
             seen.add(doc.id)
             docs.append(doc)
     return docs

@@ -41,20 +41,11 @@ class AlignmentError(HanstError):
     code = "alignment-error"
 
 
-class _LineFormatError(HanstError):
-    """Format error in a line-oriented file; renders the offending line."""
-
-    def __init__(self, message, line_number=None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-
-
-class EmbeddingFormatError(_LineFormatError):
+class EmbeddingFormatError(HanstError):
     code = "embedding-format"
 
 
-class CorpusFormatError(_LineFormatError):
+class CorpusFormatError(HanstError):
     code = "corpus-format"
 
 

@@ -18,7 +18,7 @@ from .errors import (
     DegenerateInputError,
     ShapeMismatchError,
 )
-from .textprep import PAD_ID, TAGSETS, TaggedDocument
+from .textprep import PAD_ID, TaggedDocument, check_settings
 
 MODEL_KINDS = ("awe", "sent_avg_bilstm", "han")
 # each head kind and the task it serves
@@ -52,10 +52,7 @@ class ModelConfig:
             raise ConfigurationError("embedding_dim and bilstm_hidden must be positive")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigurationError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if self.tagset not in TAGSETS:
-            raise ConfigurationError(f"unknown tagset {self.tagset!r}")
-        if self.max_chars < 1:
-            raise ConfigurationError(f"max_chars must be >= 1, got {self.max_chars}")
+        check_settings(self.tagset, self.max_chars)
 
     @property
     def task(self) -> str:
@@ -184,7 +181,6 @@ def _masked_mean_rows(emb: ad.Tensor, ids: np.ndarray, mask: np.ndarray) -> ad.T
 @dataclass
 class ForwardResult:
     output: ad.Tensor                     # [B, n_outputs]
-    doc_vectors: ad.Tensor                # [B, doc_dim]
     word_attention: np.ndarray | None = None   # [B, S, T]
     sent_attention: np.ndarray | None = None   # [B, S]
 
@@ -214,8 +210,7 @@ class Model:
         doc, word_alpha, sent_alpha = self.encode(batch)
         dropped = ad.dropout(doc, self.config.dropout_p, training=training, rng=rng)
         output = ad.add(ad.matmul(dropped, self.head_w), self.head_b)
-        return ForwardResult(output=output, doc_vectors=doc,
-                             word_attention=word_alpha, sent_attention=sent_alpha)
+        return ForwardResult(output=output, word_attention=word_alpha, sent_attention=sent_alpha)
 
 
 class AweModel(Model):
@@ -378,7 +373,8 @@ def load_checkpoint(path, vocab_sha256: str) -> Model:
         header = check_fields(_read_header(fh, path), _HEADER_KEYS, str(path),
                               error=CheckpointMismatchError)
         if header.get("format_version") != CHECKPOINT_VERSION:
-            raise CheckpointMismatchError(f"unsupported checkpoint version {header.get('format_version')!r}")
+            raise CheckpointMismatchError(
+                f"{path}: unsupported checkpoint version {header.get('format_version')!r}")
         schema = {f.name: f.type for f in fields(ModelConfig)}   # "int", "float" or "str"
         unknown = sorted(set(header["model_config"]) - set(schema))
         if unknown:
@@ -390,7 +386,7 @@ def load_checkpoint(path, vocab_sha256: str) -> Model:
             raise CheckpointMismatchError(f"{path}: model_config: {exc}") from None
         if header["vocab_sha256"] != vocab_sha256:
             raise CheckpointMismatchError(
-                f"checkpoint vocabulary hash {header['vocab_sha256'][:12]}... does not match "
+                f"{path}: checkpoint vocabulary hash {header['vocab_sha256'][:12]}... does not match "
                 f"session vocabulary {vocab_sha256[:12]}...")
         model = build_model(config, np.random.default_rng(0))
         missing = set(model.params)
@@ -399,12 +395,12 @@ def load_checkpoint(path, vocab_sha256: str) -> Model:
                          error=CheckpointMismatchError)
             name, shape = entry["name"], tuple(entry["shape"])
             if name not in missing:
-                raise CheckpointMismatchError(f"checkpoint has unknown or repeated parameter {name!r}")
+                raise CheckpointMismatchError(f"{path}: unknown or repeated parameter {name!r}")
             missing.discard(name)
             param = model.params[name]
             if param.shape != shape:
                 raise CheckpointMismatchError(
-                    f"parameter {name!r}: checkpoint shape {shape} != model shape {param.shape}")
+                    f"{path}: parameter {name!r}: checkpoint shape {shape} != model shape {param.shape}")
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
@@ -413,7 +409,7 @@ def load_checkpoint(path, vocab_sha256: str) -> Model:
             if not np.isfinite(param.values).all():
                 raise CheckpointMismatchError(f"{path}: parameter {name!r} holds NaN or inf")
         if missing:
-            raise CheckpointMismatchError(f"checkpoint lacks parameters {sorted(missing)}")
+            raise CheckpointMismatchError(f"{path}: lacks parameters {sorted(missing)}")
         if fh.read(1):
             raise CheckpointMismatchError(f"{path}: trailing bytes after the last parameter")
     return model

@@ -21,6 +21,7 @@ PAD_ID = 0
 UNK_ID = 1
 
 TAGSETS = ("full", "reduced", "none")
+DEFAULT_VOCAB_SIZE = 10000   # the content-token cap when a config sets no vocab_size
 
 _ROLE_MERGE = {"full": {}, "reduced": {"TITLE": "TITLE_ABSTRACT", "ABSTRACT": "TITLE_ABSTRACT"}}
 
@@ -112,7 +113,8 @@ def segment_sentences(text: str, max_chars: int | None = None) -> list[str]:
 # tags
 # ---------------------------------------------------------------------------
 
-def _check_settings(tagset: str, max_chars: int) -> None:
+def check_settings(tagset: str, max_chars: int) -> None:
+    """The rule for the two settings that decide how a document is encoded."""
     if tagset not in TAGSETS:
         raise ConfigurationError(f"tagset must be one of {TAGSETS}, got {tagset!r}")
     if max_chars < 1:
@@ -229,7 +231,7 @@ class Vocabulary:
         return hashlib.sha256(payload).hexdigest()
 
 
-def build_vocabulary(token_lists, max_size: int = 10000,
+def build_vocabulary(token_lists, max_size: int = DEFAULT_VOCAB_SIZE,
                      forced_tokens: list[str] | None = None) -> Vocabulary:
     """Top-frequency vocabulary with lexicographic tie-breaking.
 
@@ -265,25 +267,23 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, rng: np.random.Generator)
     """
     matrix = xavier_init((len(vocab), dim), "uniform", rng)
     with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for n, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
                 continue
             token, vals = parts[0], parts[1:]
             if len(vals) != dim:
                 raise EmbeddingFormatError(
-                    f"expected {dim} values for token {token!r}, found {len(vals)}",
-                    line_number=lineno)
+                    f"{path}: line {n}: expected {dim} values for token {token!r}, found {len(vals)}")
             if token in vocab:
                 try:
                     row = np.array([float(v) for v in vals])
                 except ValueError:
-                    raise EmbeddingFormatError(f"non-numeric value for token {token!r}",
-                                               line_number=lineno) from None
+                    raise EmbeddingFormatError(
+                        f"{path}: line {n}: non-numeric value for token {token!r}") from None
                 # float() reads nan, inf and overflowing literals such as 1e400
                 if not np.isfinite(row).all():
-                    raise EmbeddingFormatError(f"non-finite value for token {token!r}",
-                                               line_number=lineno)
+                    raise EmbeddingFormatError(f"{path}: line {n}: non-finite value for token {token!r}")
                 matrix[vocab.encode(token)] = row
     matrix[PAD_ID] = 0.0
     return matrix
@@ -357,7 +357,7 @@ def encode_document(doc: RawDocument, vocab: Vocabulary, tagset: str,
                     max_chars: int) -> TaggedDocument:
     """Segment as far as the cutoff reaches, truncate, tokenize, tag, and map
     to ids."""
-    _check_settings(tagset, max_chars)
+    check_settings(tagset, max_chars)
     return _encode_tokens(doc, _tokenized(doc, max_chars), vocab, tagset)
 
 
@@ -372,7 +372,7 @@ def prepare_corpus(docs: list[RawDocument], tagset: str, max_chars: int,
     Only train documents' tokens are held until the vocabulary is built, and
     each list is dropped as soon as its document is encoded.
     """
-    _check_settings(tagset, max_chars)
+    check_settings(tagset, max_chars)
     held = {i: _tokenized(doc, max_chars) for i, doc in enumerate(docs) if doc.split == "train"}
     token_lists = [tokens for parts in held.values() for _, tokens in parts]
     if not token_lists:

@@ -167,8 +167,7 @@ def test_corpus_error_names_line(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "prepare", str(bad), "--config", cfg,
                          "--out", str(tmp_path / "d"))
     assert rc == 1
-    assert err.startswith("error: corpus-format:")
-    assert "line 2" in err
+    assert err == f"error: corpus-format: {bad}: line 2: invalid JSON: Expecting value\n"
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +223,12 @@ def test_train_classify_with_mae_rejected(tmp_path, capsys, probe_corpus):
 
 
 def test_train_regress_with_resample_rejected(tmp_path, capsys, cites_corpus):
-    data, cfg = prepared_dir(tmp_path, capsys, cites_corpus, task="regress", resample=True)
+    # prepare refuses this config too, so the data is prepared without resample
+    data, _ = prepared_dir(tmp_path, capsys, cites_corpus, task="regress")
+    cfg = write_config(tmp_path / "bad.json", task="regress", resample=True)
     rc, _, err = run_cli(capsys, "train", "--config", cfg, "--out", data)
     assert rc == 1
-    assert err == "error: config-error: resample applies to the classify task only, not 'regress'\n"
+    assert err == f"error: config-error: {cfg}: resample applies to the classify task only, not 'regress'\n"
 
 
 @pytest.mark.parametrize("sources", [[], ["--config", "c.json", "--from-manifest", "m.json"]])
@@ -334,6 +335,21 @@ def test_malformed_prepared_file_one_line_error(tmp_path, capsys, probe_corpus, 
     assert err.count("\n") == 1
 
 
+def test_prepared_file_of_another_kind_one_line_error(tmp_path, capsys, probe_corpus):
+    data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
+    path = os.path.join(data, "prepared.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    meta = json.loads(lines[0])
+    meta["kind"] = "hanst-manifest"
+    lines[0] = json.dumps(meta)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    rc, out, err = run_cli(capsys, "train", "--config", cfg, "--out", data)
+    assert rc == 1 and out == ""
+    assert err == f"error: config-error: {path}: not a prepared dataset\n"
+
+
 @pytest.mark.parametrize("token_id, ok", [("a", False), (10 ** 6, False), (-3, False),
                                           (True, False), ("size", False), ("size-1", True)])
 def test_prepared_token_ids_checked(tmp_path, capsys, probe_corpus, token_id, ok):
@@ -377,7 +393,19 @@ def test_config_value_types_checked(tmp_path, capsys, probe_corpus, key, value):
      f"{len(tag_tokens('full'))} forced tokens exceed vocabulary cap 3"),
     ("train", {"embedding_dim": 0}, "embedding_dim and bilstm_hidden must be positive"),
     ("train", {"max_chars": 0}, "max_chars must be >= 1, got 0"),
-], ids=["unknown-tagset", "vocab-below-tag-count", "embedding-dim-0", "max-chars-0"])
+    # prepare resolves the config as train does, so it refuses these too
+    ("prepare", {"task": "bogus"}, "task must be one of ['classify', 'regress'], got 'bogus'"),
+    ("prepare", {"model_kind": "nope"},
+     "model_kind must be one of ('awe', 'sent_avg_bilstm', 'han'), got 'nope'"),
+    ("prepare", {"embedding_dim": 0, "dropout_p": 3},
+     "embedding_dim and bilstm_hidden must be positive"),
+    ("prepare", {"dropout_p": 3}, "dropout_p must be in [0, 1), got 3"),
+    ("prepare", {"task": "regress", "resample": True},
+     "resample applies to the classify task only, not 'regress'"),
+    ("prepare", {"max_chars": 0}, "max_chars must be >= 1, got 0"),
+], ids=["unknown-tagset", "vocab-below-tag-count", "embedding-dim-0", "max-chars-0",
+        "prepare-unknown-task", "prepare-unknown-model-kind", "prepare-embedding-dim-0",
+        "prepare-dropout-3", "prepare-resample-regress", "prepare-max-chars-0"])
 def test_config_value_out_of_range_one_line(tmp_path, capsys, probe_corpus, command,
                                             overrides, message):
     data, _ = prepared_dir(tmp_path, capsys, probe_corpus)
@@ -385,7 +413,7 @@ def test_config_value_out_of_range_one_line(tmp_path, capsys, probe_corpus, comm
     argv = ["prepare", probe_corpus] if command == "prepare" else ["train"]
     rc, out, err = run_cli(capsys, *argv, "--config", cfg, "--out", data)
     assert rc == 1 and out == ""
-    assert err == f"error: config-error: {message}\n"
+    assert err == f"error: config-error: {cfg}: {message}\n"
 
 
 def test_task_label_missing_is_one_line(tmp_path, capsys, cites_corpus):
@@ -446,9 +474,20 @@ def _manifest_config_unknown_key(manifest, text):
     return json.dumps(manifest), "config: unknown config keys: ['bogus']"
 
 
+def _manifest_other_kind(manifest, text):
+    manifest["kind"] = "hanst-prepared"
+    return json.dumps(manifest), "not an experiment manifest"
+
+
+def _manifest_config_out_of_range(manifest, text):
+    manifest["config"]["dropout_p"] = 3
+    return json.dumps(manifest), "config: dropout_p must be in [0, 1), got 3"
+
+
 @pytest.mark.parametrize("corrupt", [_manifest_bad_json, _manifest_missing_keys,
                                      _manifest_seed_without_checkpoint, _manifest_config_type,
-                                     _manifest_config_unknown_key])
+                                     _manifest_config_unknown_key, _manifest_other_kind,
+                                     _manifest_config_out_of_range])
 def test_malformed_manifest_one_line_error(tmp_path, capsys, probe_corpus, corrupt):
     data = _trained_dir(tmp_path, capsys, probe_corpus)
     path = os.path.join(data, "manifest.json")
@@ -660,7 +699,7 @@ def test_train_non_finite_embedding_one_line(tmp_path, capsys, probe_corpus, val
     cfg = write_config(tmp_path / "emb.json", embeddings=str(emb))
     rc, _, err = run_cli(capsys, "train", "--config", cfg, "--out", data)
     assert rc == 1
-    assert err == f"error: embedding-format: line 1: non-finite value for token {token!r}\n"
+    assert err == f"error: embedding-format: {emb}: line 1: non-finite value for token {token!r}\n"
 
 
 def test_manifest_without_embeddings_hash_still_trains(tmp_path, capsys, probe_corpus):
@@ -881,8 +920,7 @@ def test_predict_rejects_empty_document(tmp_path, capsys, probe_corpus):
     rc, _, err = run_cli(capsys, "predict", str(bad), "--checkpoint",
                          os.path.join(data, "run-1.ckpt"), "--out", data)
     assert rc == 1
-    assert err.startswith("error: degenerate-input:")
-    assert "line 1" in err
+    assert err == f"error: degenerate-input: {bad}: line 1: document 'x' has no text\n"
 
 
 @pytest.mark.parametrize("doc", [
@@ -899,14 +937,14 @@ def test_predict_rejects_non_string_fields(tmp_path, capsys, probe_corpus, doc):
     rc, out, err = run_cli(capsys, "predict", str(bad), "--checkpoint",
                            os.path.join(data, "run-1.ckpt"), "--out", data)
     assert rc == 1 and out == ""
-    assert err.startswith("error: corpus-format: line 2: field ")
-    assert err.endswith(" must be a string\n")
+    key = next(k for k in ("id", "title", "abstract", "body_text") if type(doc.get(k, "")) is not str)
+    assert err == f"error: corpus-format: {bad}: line 2: {key!r} must be str, got {doc[key]!r}\n"
 
 
 @pytest.mark.parametrize("line, message", [
     ("not json", "line 2: invalid JSON: Expecting value"),
-    ('{"title": "No id"}', "line 2: expected an object with an 'id' field"),
-    ('["x"]', "line 2: expected an object with an 'id' field"),
+    ('{"title": "No id"}', "line 2: missing keys ['id']"),
+    ('["x"]', "line 2: expected a JSON object"),
 ])
 def test_predict_malformed_document_line_one_line(tmp_path, capsys, probe_corpus, line, message):
     data = _trained_dir(tmp_path, capsys, probe_corpus)
@@ -915,7 +953,7 @@ def test_predict_malformed_document_line_one_line(tmp_path, capsys, probe_corpus
     rc, out, err = run_cli(capsys, "predict", str(bad), "--checkpoint",
                            os.path.join(data, "run-1.ckpt"), "--out", data)
     assert rc == 1 and out == ""
-    assert err == f"error: corpus-format: {message}\n"
+    assert err == f"error: corpus-format: {bad}: {message}\n"
 
 
 def test_predict_accepts_unlabeled_docs(tmp_path, capsys, probe_corpus):
@@ -1025,7 +1063,7 @@ def test_version_1_checkpoint_is_refused(tmp_path, capsys, probe_corpus):
     for argv in (["evaluate"], ["predict", probe_corpus]):
         rc, out, err = run_cli(capsys, *argv, "--checkpoint", ckpt, "--out", data)
         assert rc == 1 and out == ""
-        assert err == "error: checkpoint-mismatch: unsupported checkpoint version 1\n"
+        assert err == f"error: checkpoint-mismatch: {ckpt}: unsupported checkpoint version 1\n"
 
 
 def _param_entry(header, name):
@@ -1044,14 +1082,27 @@ def _misshaped_parameter(header):
     _param_entry(header, "head.b")["shape"] = [3]
 
 
+def _missing_parameter(header):
+    header["params"].remove(_param_entry(header, "head.b"))
+
+
+def _other_vocabulary(header):
+    header["vocab_sha256"] = "0" * 64
+
+
 @pytest.mark.parametrize("edit, message", [
     (_vocab_size_one,
      "checkpoint-mismatch: {ckpt}: model_config: vocab_size must include the specials, got 1"),
     (_unknown_parameter,
-     "checkpoint-mismatch: checkpoint has unknown or repeated parameter 'head.bias'"),
+     "checkpoint-mismatch: {ckpt}: unknown or repeated parameter 'head.bias'"),
     (_misshaped_parameter,
-     "checkpoint-mismatch: parameter 'head.b': checkpoint shape (3,) != model shape (2,)"),
-], ids=["vocab-size-1", "unknown-parameter", "misshaped-parameter"])
+     "checkpoint-mismatch: {ckpt}: parameter 'head.b': checkpoint shape (3,) != model shape (2,)"),
+    (_missing_parameter, "checkpoint-mismatch: {ckpt}: lacks parameters ['head.b']"),
+    (_other_vocabulary,
+     "checkpoint-mismatch: {ckpt}: checkpoint vocabulary hash 000000000000... does not match "
+     "session vocabulary {vocab}..."),
+], ids=["vocab-size-1", "unknown-parameter", "misshaped-parameter", "missing-parameter",
+        "other-vocabulary"])
 def test_malformed_checkpoint_header_one_line(tmp_path, capsys, probe_corpus, edit, message):
     data = _trained_dir(tmp_path, capsys, probe_corpus)
     ckpt = os.path.join(data, "run-1.ckpt")
@@ -1059,7 +1110,8 @@ def test_malformed_checkpoint_header_one_line(tmp_path, capsys, probe_corpus, ed
     for argv in (["evaluate"], ["predict", probe_corpus]):
         rc, out, err = run_cli(capsys, *argv, "--checkpoint", ckpt, "--out", data)
         assert rc == 1 and out == ""
-        assert err == f"error: {message.format(ckpt=ckpt)}\n"
+        vocab = Vocabulary.load(os.path.join(data, "vocab.json")).sha256()[:12]
+        assert err == f"error: {message.format(ckpt=ckpt, vocab=vocab)}\n"
 
 
 # ---------------------------------------------------------------------------

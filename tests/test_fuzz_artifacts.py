@@ -2,10 +2,12 @@
 
 One tiny experiment (AWE, dim 8, 1 epoch, 1 seed) is prepared and trained
 once. Each example restores it, truncates one of its files or changes one
-byte, and runs the commands that read that file. Each command must return
-0 or 1 without raising, and on 1 print exactly one `error: ` line. A damaged
-file may still load (a changed digit is still a valid file), so success is
-allowed too.
+byte, and runs the commands that read that file: a file of the data
+directory, or one the user supplies (corpus, config, embeddings, documents to
+predict on). Each command must return 0 or 1 without raising, and on 1 print
+exactly one `error: ` line; a corpus-format or embedding-format error names
+the damaged file. A damaged file may still load (a changed digit is still a
+valid file), so success is allowed too.
 """
 
 import contextlib
@@ -26,7 +28,15 @@ CONFIG = {"task": "classify", "model_kind": "awe", "tagset": "none", "epochs": 1
 
 CKPT = ["--checkpoint", "{data}/run-1.ckpt", "--out", "{data}"]
 MANIFEST = "{data}/manifest.json"
-COMMANDS = {
+PREPARE = ["prepare", "{corpus}", "--config", "{cfg}", "--out", "{data}"]
+# the files the user supplies, kept beside the data directory
+OUTSIDE = {
+    "corpus.jsonl": [PREPARE, ["stats", "{corpus}", "--out", "{data}"]],
+    "cfg.json": [PREPARE, ["train", "--config", "{cfg}", "--force", "--out", "{data}"]],
+    "emb.txt": [["train", "--config", "{emb_cfg}", "--force", "--out", "{data}"]],
+    "docs.jsonl": [["predict", "{docs}", *CKPT]],
+}
+COMMANDS = {**OUTSIDE,
     "prepared.jsonl": [["train", "--config", "{cfg}", "--force", "--out", "{data}"],
                        ["evaluate", *CKPT]],
     "vocab.json": [["evaluate", *CKPT], ["predict", "{docs}", *CKPT]],
@@ -49,31 +59,42 @@ def run(argv: list[str]) -> tuple[int, str]:
 def experiment(tmp_path_factory):
     base = str(tmp_path_factory.mktemp("fuzz"))
     paths = {"base": base, "data": os.path.join(base, "data"),
-             "cfg": os.path.join(base, "cfg.json"), "docs": os.path.join(base, "docs.jsonl")}
+             "corpus": os.path.join(base, "corpus.jsonl"), "cfg": os.path.join(base, "cfg.json"),
+             "emb_cfg": os.path.join(base, "emb-cfg.json"), "docs": os.path.join(base, "docs.jsonl")}
     docs = synth.tag_probe_corpus(n_docs=40)
-    corpus = os.path.join(base, "corpus.jsonl")
-    save_corpus(docs, corpus)
+    save_corpus(docs, paths["corpus"])
     with open(paths["cfg"], "w", encoding="utf-8") as fh:
         json.dump(CONFIG, fh)
     with open(paths["docs"], "w", encoding="utf-8") as fh:
         for doc in docs[:3]:
             fh.write(json.dumps({"id": doc.id, "title": doc.title, "abstract": doc.abstract,
                                  "body_text": doc.body_text}) + "\n")
-    assert run(["prepare", corpus, "--config", paths["cfg"], "--out", paths["data"]])[0] == 0
+    assert run([part.format(**paths) for part in PREPARE])[0] == 0
+    with open(os.path.join(paths["data"], "vocab.json"), encoding="utf-8") as fh:
+        tokens = json.load(fh)[2:8]
+    with open(os.path.join(base, "emb.txt"), "w", encoding="utf-8") as fh:
+        for i, token in enumerate(tokens):
+            fh.write(f"{token} " + " ".join(f"{(i + k) / 16:.4f}" for k in range(8)) + "\n")
+    with open(paths["emb_cfg"], "w", encoding="utf-8") as fh:
+        json.dump({**CONFIG, "embeddings": os.path.join(base, "emb.txt")}, fh)
     assert run(["train", "--config", paths["cfg"], "--out", paths["data"]])[0] == 0
     shutil.copy(os.path.join(paths["data"], "predictions-1.jsonl"), base)
     files = {}
-    for name in os.listdir(paths["data"]):
-        with open(os.path.join(paths["data"], name), "rb") as fh:
+    for name in os.listdir(paths["data"]) + list(OUTSIDE):
+        with open(where(paths, name), "rb") as fh:
             files[name] = fh.read()
     return paths, files
+
+
+def where(paths: dict, name: str) -> str:
+    return os.path.join(paths["base"] if name in OUTSIDE else paths["data"], name)
 
 
 def restore(paths: dict, files: dict[str, bytes]) -> None:
     shutil.rmtree(paths["data"])
     os.mkdir(paths["data"])
     for name, content in files.items():
-        with open(os.path.join(paths["data"], name), "wb") as fh:
+        with open(where(paths, name), "wb") as fh:
             fh.write(content)
 
 
@@ -89,7 +110,7 @@ def test_damaged_file_fails_with_one_error_line(experiment, name, data):
     else:
         damaged = content[:at] + bytes([content[at] ^ data.draw(st.integers(1, 255))]) + content[at + 1:]
     restore(paths, files)
-    with open(os.path.join(paths["data"], name), "wb") as fh:
+    with open(where(paths, name), "wb") as fh:
         fh.write(damaged)
     for command in COMMANDS[name]:
         argv = [part.format(**paths) for part in command]
@@ -97,3 +118,5 @@ def test_damaged_file_fails_with_one_error_line(experiment, name, data):
         assert rc in (0, 1), argv
         if rc == 1:
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        if err.startswith(("error: corpus-format: ", "error: embedding-format: ")):
+            assert f": {where(paths, name)}: line " in err, (argv, err)

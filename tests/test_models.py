@@ -393,8 +393,9 @@ class TestHeadForward:
 
     def test_affine_oracle(self):
         m = md.build_model(tiny_config("awe", vocab_size=6, dim=3), np.random.default_rng(1))
-        result = m.forward(batch_of([[2, 3, 4]]))
-        doc = result.doc_vectors.values
+        batch = batch_of([[2, 3, 4]])
+        result = m.forward(batch)
+        doc = m.encode(batch)[0].values
         expected = doc @ m.head_w.values + m.head_b.values
         np.testing.assert_allclose(result.output.values, expected, atol=1e-12)
 

@@ -333,7 +333,7 @@ class TestLoadEmbeddings:
         # a token outside the vocabulary is not read
         path = self.write(tmp_path, ["cat 1.0 2.0", f"bird {value} 0.5", f"dog {value} 0.5"])
         with pytest.raises(EmbeddingFormatError,
-                           match=rf"^line 3: {problem} value for token 'dog'$"):
+                           match=rf"^{re.escape(str(path))}: line 3: {problem} value for token 'dog'$"):
             tp.load_embeddings(path, vocab, 2, np.random.default_rng(0))
 
     def test_extra_file_tokens_ignored(self, tmp_path):
@@ -396,9 +396,9 @@ class TestCorpusIO:
             load_corpus(path)
 
     @pytest.mark.parametrize("line, message", [
-        ('[1, 2]', "line is not a JSON object"),
+        ('[1, 2]', "expected a JSON object"),
         ('{"id": "b", "title": "t", "abstract": "", "body_text": "", "label": "yes"}',
-         "field 'label' must be an object"),
+         "'label' must be dict, got 'yes'"),
         ('{"id": "b", "title": "t", "abstract": "", "body_text": "", '
          '"label": {"accepted": true, "grade": 3}}', "document 'b': unknown label keys ['grade']"),
     ])
@@ -407,8 +407,16 @@ class TestCorpusIO:
         save_corpus([make_doc(doc_id="a")], path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("\n" + line + "\n")
-        with pytest.raises(CorpusFormatError, match=re.escape(f"line 3: {message}")):
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(f'{path}: line 3: {message}')}$"):
             load_corpus(path)
+
+    def test_field_of_the_wrong_type_is_shown_shortened(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        line = {**make_doc(doc_id="a").to_json(), "body_text": list(range(100_000))}
+        path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(CorpusFormatError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"{path}: line 1: 'body_text' must be str, got [0, 1, 2, 3, 4, 5, ...]"
 
     def test_duplicate_id(self, tmp_path):
         docs = [make_doc(doc_id="a")]
