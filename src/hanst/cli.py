@@ -18,6 +18,7 @@ import pathlib
 import sys
 import tempfile
 import time
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .evalstats import (PredictionRecord, build_report, corpus_citation_stats,
                         mcnemar_exact, save_predictions, vote_aggregate,
                         wilcoxon_signed_rank)
 from .textprep import (DEFAULT_VOCAB_SIZE, TaggedDocument, Vocabulary, encode_document,
-                       load_embeddings, prepare_corpus, tag_tokens)
+                       load_embeddings, prepare_corpus)
 # not called here; perfbench/probe.py traces them under these names on this module
 from .textprep import build_vocabulary, tokenize  # noqa: F401
 
@@ -79,7 +80,7 @@ def _atomic_via(path: str, write_fn) -> None:
 def file_sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
 
@@ -141,6 +142,8 @@ def make_train_config(raw: dict, vocab_size: int, seed_list: str | None = None,
                       where: str = "config") -> tr.TrainConfig:
     """Resolve a config dict against task defaults into a TrainConfig; a value
     out of range raises a ConfigurationError that starts with `where`."""
+    if raw.get("vocab_size", 1) < 1:   # the config's cap, which prepare reads
+        raise ConfigurationError(f"{where}: vocab_size must be >= 1, got {raw['vocab_size']}")
     model_over = {k: raw[k] for k in _MODEL_OVERRIDES if k in raw}
     model_over["vocab_size"] = vocab_size   # the prepared size, not the config's cap
     train_over = {k: raw[k] for k in _TRAIN_OVERRIDES if k in raw}
@@ -165,14 +168,17 @@ def resolved_config(config: tr.TrainConfig, embeddings_path: str | None) -> dict
 # prepared-dataset persistence
 # ---------------------------------------------------------------------------
 
-def write_prepared(path: str, meta: dict, docs: list[TaggedDocument],
-                   splits: list[str]) -> None:
-    lines = [json.dumps(meta, sort_keys=True)]
-    for doc, split in zip(docs, splits):
-        lines.append(json.dumps({"id": doc.id, "split": split, "label": doc.label,
-                                 "roles": doc.roles, "sentences": doc.sentences},
-                                sort_keys=True))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+def write_prepared(path: str, meta: dict, docs: Iterable[TaggedDocument],
+                   splits: Iterable[str]) -> None:
+    """Write the meta line, then each document's line as `docs` yields it."""
+    def write(tmp: str) -> None:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(meta, sort_keys=True) + "\n")
+            for doc, split in zip(docs, splits):
+                fh.write(json.dumps({"id": doc.id, "split": split, "label": doc.label,
+                                     "roles": doc.roles, "sentences": doc.sentences},
+                                    sort_keys=True) + "\n")
+    _atomic_via(path, write)
 
 
 _META_KEYS = {"kind": "str", "format_version": "int", "tagset": "str", "max_chars": "int",
@@ -247,25 +253,21 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     model = make_train_config(raw, 2, where=args.config).model
     tagset, max_chars = model.tagset, model.max_chars
     data_dir = data_dir_from(args)
-    docs = load_corpus(args.corpus)
     try:
-        vocab, encoded = prepare_corpus(docs, tagset, max_chars,
-                                        raw.get("vocab_size", DEFAULT_VOCAB_SIZE))
+        vocab, store = prepare_corpus(load_corpus(args.corpus), tagset, max_chars,
+                                      raw.get("vocab_size", DEFAULT_VOCAB_SIZE))
     except ConfigurationError as exc:   # a vocab_size cap with no room for the tags
         raise ConfigurationError(f"{args.config}: {exc}") from None
     meta = {"kind": PREPARED_KIND, "format_version": FORMAT_VERSION,
             "tagset": tagset, "max_chars": max_chars, "vocab_size": len(vocab),
             "corpus_sha256": file_sha256(args.corpus),
-            "vocab_sha256": vocab.sha256(), "n_docs": len(docs)}
+            "vocab_sha256": vocab.sha256(), "n_docs": len(store.splits)}
     _atomic_via(os.path.join(data_dir, VOCAB_NAME), vocab.save)
-    write_prepared(os.path.join(data_dir, PREPARED_NAME), meta, encoded,
-                   [doc.split for doc in docs])
+    write_prepared(os.path.join(data_dir, PREPARED_NAME), meta, store, store.splits)
 
-    tag_ids = {vocab.encode(tok) for tok in tag_tokens(tagset)}
     print(f"{'split':<6} {'docs':>6} {'avg_words':>10} {'median_words':>13}")
-    for split in ("train", "valid", "test"):
-        counts = [sum(1 for sent in enc.sentences for t in sent if t not in tag_ids)
-                  for enc, doc in zip(encoded, docs) if doc.split == split]
+    for split in SPLITS:
+        counts = [n for n, s in zip(store.content_tokens(), store.splits) if s == split]
         avg = float(np.mean(counts)) if counts else 0.0
         median = float(np.median(counts)) if counts else 0.0
         print(f"{split:<6} {len(counts):>6} {avg:>10.1f} {median:>13.1f}")
@@ -478,7 +480,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     data_dir = data_dir_from(args)
-    stats = corpus_citation_stats(load_corpus(args.corpus), truncate_at=args.truncate_at,
+    stats = corpus_citation_stats(list(load_corpus(args.corpus)), truncate_at=args.truncate_at,
                                   bin_width=args.bin_width)
     for group in sorted(stats.group_means):
         print(f"{group}: mean citations {stats.group_means[group]:.2f} "

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import reprlib
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -108,9 +109,9 @@ class RawDocument:
                 "body_text": self.body_text, "label": dict(self.label), "split": self.split}
 
 
-def load_corpus(path) -> list[RawDocument]:
-    """Read one RawDocument per JSONL line; errors start with "<path>: line N"."""
-    docs = []
+def load_corpus(path) -> Iterator[RawDocument]:
+    """Yield one RawDocument per JSONL line as it is read; errors start with
+    "<path>: line N", and come only when iteration reaches that line."""
     seen: set[str] = set()
     with open_text(path) as fh:
         for n, line in enumerate(fh, start=1):
@@ -127,8 +128,7 @@ def load_corpus(path) -> list[RawDocument]:
             if doc.id in seen:
                 raise CorpusFormatError(f"{where}: duplicate document id {doc.id!r}")
             seen.add(doc.id)
-            docs.append(doc)
-    return docs
+            yield doc
 
 
 def save_corpus(docs: list[RawDocument], path) -> None:

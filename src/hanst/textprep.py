@@ -6,8 +6,10 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -23,6 +25,7 @@ UNK_ID = 1
 TAGSETS = ("full", "reduced", "none")
 DEFAULT_VOCAB_SIZE = 10000   # the content-token cap when a config sets no vocab_size
 
+_ROLES = ("TITLE", "ABSTRACT", "BODY_TEXT")   # in document order
 _ROLE_MERGE = {"full": {}, "reduced": {"TITLE": "TITLE_ABSTRACT", "ABSTRACT": "TITLE_ABSTRACT"}}
 
 
@@ -37,7 +40,7 @@ def close_tag(role: str) -> str:
 def tag_tokens(tagset: str) -> list[str]:
     if tagset == "none":
         return []
-    roles = ("TITLE_ABSTRACT", "BODY_TEXT") if tagset == "reduced" else ("TITLE", "ABSTRACT", "BODY_TEXT")
+    roles = ("TITLE_ABSTRACT", "BODY_TEXT") if tagset == "reduced" else _ROLES
     return [t for role in roles for t in (open_tag(role), close_tag(role))]
 
 
@@ -175,7 +178,7 @@ def tokenize(sentence: str) -> list[str]:
 
     Text never yields a structure tag or a reserved token: a multi-character
     token starts with an alphanumeric character, so `<` is always a token of
-    its own. Tags enter a document only as ids (see _encode_tokens).
+    its own. Tags enter a document only as ids (see TokenStore.__iter__).
     """
     return _TOKEN_RE.findall(sentence.lower())
 
@@ -231,28 +234,22 @@ class Vocabulary:
         return hashlib.sha256(payload).hexdigest()
 
 
-def build_vocabulary(token_lists, max_size: int = DEFAULT_VOCAB_SIZE,
+def build_vocabulary(counts: Counter, max_size: int = DEFAULT_VOCAB_SIZE,
                      forced_tokens: list[str] | None = None) -> Vocabulary:
-    """Top-frequency vocabulary with lexicographic tie-breaking.
+    """Top-frequency vocabulary over token `counts`, ties broken lexicographically.
 
     ``forced_tokens`` (the structure tags) are always retained and count
     against ``max_size``. Ids follow (frequency desc, token asc) order over
     the retained set.
     """
-    forced = list(dict.fromkeys(forced_tokens or []))
+    forced = set(forced_tokens or [])
     if len(forced) > max_size:
         raise ConfigurationError(f"{len(forced)} forced tokens exceed vocabulary cap {max_size}")
-    counts = Counter()
-    for tokens in token_lists:
-        counts.update(tokens)
-    ordered = sorted(counts, key=lambda t: (-counts[t], t))
-    retained = set(forced)
-    for token in ordered:
-        if len(retained) >= max_size:
-            break
-        retained.add(token)
-    content = sorted(retained, key=lambda t: (-counts[t], t))
-    return Vocabulary(content)
+    def order(token: str) -> tuple[int, str]:
+        return -counts[token], token
+
+    free = [t for t in sorted(counts, key=order) if t not in forced]
+    return Vocabulary(sorted(forced.union(free[: max_size - len(forced)]), key=order))
 
 
 # ---------------------------------------------------------------------------
@@ -322,35 +319,65 @@ def kept_sentences(doc: RawDocument, max_chars: int) -> list[tuple[str, str]]:
     return parts[: len(kept)]
 
 
-def _tokenized(doc: RawDocument, max_chars: int) -> list[tuple[str, list[str]]]:
-    return [(role, tokenize(sent)) for role, sent in kept_sentences(doc, max_chars)]
+class TokenStore:
+    """Documents' kept sentences as untagged token ids in one flat int32 array,
+    with each sentence's length and each document's id, label, split and roles.
 
-
-def _encode_tokens(doc: RawDocument, parts: list[tuple[str, list[str]]], vocab: Vocabulary,
-                   tagset: str) -> TaggedDocument:
-    """Map each kept sentence's untagged tokens to ids, with its role's tag ids
-    around them unless tagset is "none".
-
-    Documents with no text at all yield a single UNK sentence so downstream
-    batching never sees an empty document.
+    `add` gives each new token the next provisional id and counts train tokens;
+    once `vocab` is set, iterating encodes one document at a time.
     """
-    lookup = vocab.token_to_id.get
-    merge = _ROLE_MERGE.get(tagset, {})
-    sentences: list[list[int]] = []
-    roles: list[str] = []
-    # no sentence is empty: a kept sentence is stripped and non-empty, and
-    # tokenize keeps every character that is not whitespace
-    for role, tokens in parts:
-        role = merge.get(role, role)
-        ids = [lookup(t, UNK_ID) for t in tokens]
-        if tagset != "none":
-            ids = [vocab.encode(open_tag(role))] + ids + [vocab.encode(close_tag(role))]
-        sentences.append(ids)
-        roles.append(role)
-    if not sentences:
-        sentences = [[UNK_ID]]
-        roles = ["BODY_TEXT"]
-    return TaggedDocument(id=doc.id, sentences=sentences, roles=roles, label=dict(doc.label))
+
+    def __init__(self, tagset: str):
+        self.tagset = tagset
+        self.vocab: Vocabulary | None = None
+        self.counts: Counter = Counter()
+        self.first_seen: dict[str, int] = {}
+        self.ids = array("i")
+        self.lengths = array("i")
+        self.splits: list[str] = []
+        self.docs: list[tuple[str, dict, bytes, int]] = []
+
+    def add(self, doc: RawDocument, max_chars: int) -> None:
+        kept = kept_sentences(doc, max_chars)
+        sentences = [tokenize(sent) for _, sent in kept]
+        tokens = list(chain.from_iterable(sentences))
+        if doc.split == "train":
+            self.counts.update(tokens)
+        first_seen = self.first_seen
+        self.ids.extend([first_seen.setdefault(t, len(first_seen)) for t in tokens])
+        self.lengths.extend(map(len, sentences))
+        self.splits.append(doc.split)
+        self.docs.append((doc.id, doc.label, bytes(_ROLES.index(role) for role, _ in kept),
+                          len(tokens)))
+
+    def content_tokens(self) -> list[int]:
+        """Each document's untagged tokens; one with no text encodes as one UNK."""
+        return [max(n, 1) for *_, n in self.docs]
+
+    def __iter__(self):
+        """Each document's kept sentences as ids, with its role's tag ids around
+        each unless tagset is "none". A document with no text at all yields a
+        single UNK sentence so downstream batching never sees an empty one."""
+        vocab, merge = self.vocab, _ROLE_MERGE.get(self.tagset, {})
+        names = [merge.get(role, role) for role in _ROLES]
+        remap = np.array([vocab.token_to_id.get(t, UNK_ID) for t in self.first_seen],
+                         dtype=np.intc)
+        ids, start, first = np.frombuffer(self.ids, dtype=np.intc), 0, 0
+        for doc_id, label, codes, n_tokens in self.docs:
+            # a take per document: take casts int32 indices to intp, which for
+            # the whole store would hold 8 more bytes per token
+            flat = iter(remap.take(ids[start:start + n_tokens]).tolist())
+            # no sentence is empty: a kept sentence is stripped and non-empty, and
+            # tokenize keeps every character that is not whitespace
+            sentences = [list(islice(flat, n)) for n in self.lengths[first:first + len(codes)]]
+            roles = [names[code] for code in codes]
+            start, first = start + n_tokens, first + len(codes)
+            if self.tagset != "none":
+                sentences = [[vocab.encode(open_tag(role))] + sent + [vocab.encode(close_tag(role))]
+                             for role, sent in zip(roles, sentences)]
+            if not sentences:
+                sentences, roles = [[UNK_ID]], ["BODY_TEXT"]
+            yield TaggedDocument(id=doc_id, sentences=sentences, roles=roles, label=dict(label))
 
 
 def encode_document(doc: RawDocument, vocab: Vocabulary, tagset: str,
@@ -358,29 +385,25 @@ def encode_document(doc: RawDocument, vocab: Vocabulary, tagset: str,
     """Segment as far as the cutoff reaches, truncate, tokenize, tag, and map
     to ids."""
     check_settings(tagset, max_chars)
-    return _encode_tokens(doc, _tokenized(doc, max_chars), vocab, tagset)
+    store = TokenStore(tagset)
+    store.add(doc, max_chars)
+    store.vocab = vocab
+    return next(iter(store))
 
 
-def prepare_corpus(docs: list[RawDocument], tagset: str, max_chars: int,
-                   vocab_size: int) -> tuple[Vocabulary, list[TaggedDocument]]:
-    """Build the vocabulary from the train documents, then encode every
-    document.
-
-    The result equals build_vocabulary over the untagged tokens of the train
-    documents' kept sentences, tags forced in, followed by encode_document on
-    each document; but each kept sentence is segmented and tokenized once.
-    Only train documents' tokens are held until the vocabulary is built, and
-    each list is dropped as soon as its document is encoded.
+def prepare_corpus(docs, tagset: str, max_chars: int,
+                   vocab_size: int) -> tuple[Vocabulary, TokenStore]:
+    """Read `docs`, any iterable of RawDocument, once into a TokenStore and
+    build the vocabulary from its train counts, tags forced in. Iterating the
+    store yields, in order, encode_document of each document with that
+    vocabulary; each kept sentence is segmented and tokenized once.
     """
     check_settings(tagset, max_chars)
-    held = {i: _tokenized(doc, max_chars) for i, doc in enumerate(docs) if doc.split == "train"}
-    token_lists = [tokens for parts in held.values() for _, tokens in parts]
-    if not token_lists:
+    store = TokenStore(tagset)
+    for doc in docs:
+        store.add(doc, max_chars)
+    if not store.counts:
         raise DegenerateInputError("train split has no text to build a vocabulary from")
-    vocab = build_vocabulary(token_lists, max_size=vocab_size, forced_tokens=tag_tokens(tagset))
-    del token_lists
-    encoded = []
-    for i, doc in enumerate(docs):
-        parts = held.pop(i) if doc.split == "train" else _tokenized(doc, max_chars)
-        encoded.append(_encode_tokens(doc, parts, vocab, tagset))
-    return vocab, encoded
+    store.vocab = build_vocabulary(store.counts, max_size=vocab_size,
+                                   forced_tokens=tag_tokens(tagset))
+    return store.vocab, store

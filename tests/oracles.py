@@ -13,7 +13,7 @@
   `mean_all`, whose composition `ad.l1_loss` fuses.
 - Structure tags as text: `inject_tags` wraps each raw sentence in its role's
   tags and `strip_tags` removes what `TAG_RE` matches. hanst tags token ids
-  instead (`textprep._encode_tokens`), and `tokenize` never reads a tag out
+  instead (`textprep.TokenStore`), and `tokenize` never reads a tag out
   of text; the text form is the reference for criterion 03.
 - `split_corpus`, the train split the old prepare built its vocabulary from.
 """

@@ -52,8 +52,8 @@ def han_paper_docs():
 
 
 def ragged_docs():
-    vocab, docs = prepare_corpus(synth.heterogeneous_length_corpus(n_docs=4), "none", 4000, 10000)
-    return len(vocab), docs
+    vocab, store = prepare_corpus(synth.heterogeneous_length_corpus(n_docs=4), "none", 4000, 10000)
+    return len(vocab), list(store)
 
 
 def walk(name, vocab_size, docs):

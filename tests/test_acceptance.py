@@ -37,7 +37,8 @@ def report(num: int, ok: bool, text: str) -> bool:
 # ---------------------------------------------------------------------------
 
 def encode_splits(docs, tagset, vocab_cap=200):
-    vocab, encoded = prepare_corpus(docs, tagset, 20000, vocab_cap)
+    vocab, store = prepare_corpus(docs, tagset, 20000, vocab_cap)
+    encoded = list(store)
     return vocab, {name: [enc for enc, doc in zip(encoded, docs) if doc.split == name]
                    for name in SPLITS}
 

@@ -3,20 +3,27 @@
 The oracle is the original segmenter: it copies the rest of the text at
 every punctuation mark, and the original prepare segmented every field in
 full before the cutoff and tokenized each train sentence twice. Both live on
-here only as the reference the fast path must reproduce exactly.
+here only as the reference the fast path must reproduce exactly. The last
+test bounds how prepare's peak memory grows with the corpus.
 """
 
+import contextlib
 import dataclasses
+import gc
+import io
+import json
 import time
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import split_corpus
-from hanst import synth
+from hanst import cli, synth
 from hanst import textprep as tp
-from hanst.corpus import RawDocument
+from hanst.corpus import RawDocument, save_corpus
 from hanst.errors import DegenerateInputError
 
 
@@ -81,10 +88,9 @@ def oracle_encode_document(doc, vocab, tagset, max_chars) -> tp.TaggedDocument:
 
 
 def oracle_prepare(docs, tagset, max_chars, vocab_size):
-    token_lists = [tp.tokenize(sent)
-                   for doc in split_corpus(docs)["train"]
-                   for _, sent in oracle_kept(doc, max_chars)]
-    vocab = tp.build_vocabulary(token_lists, max_size=vocab_size,
+    counts = Counter(token for doc in split_corpus(docs)["train"]
+                     for _, sent in oracle_kept(doc, max_chars) for token in tp.tokenize(sent))
+    vocab = tp.build_vocabulary(counts, max_size=vocab_size,
                                 forced_tokens=tp.tag_tokens(tagset))
     return vocab, [oracle_encode_document(doc, vocab, tagset, max_chars) for doc in docs]
 
@@ -200,7 +206,7 @@ def test_prepare_corpus_matches_old_composition(corpus, tagset, max_chars, vocab
     vocab, encoded = tp.prepare_corpus(docs, tagset, max_chars, vocab_size)
     want_vocab, want_encoded = oracle_prepare(docs, tagset, max_chars, vocab_size)
     assert vocab.to_json_array() == want_vocab.to_json_array()
-    assert encoded == want_encoded
+    assert list(encoded) == want_encoded
     assert [tp.encode_document(d, vocab, tagset, max_chars) for d in docs] == want_encoded
 
 
@@ -208,3 +214,37 @@ def test_prepare_corpus_needs_train_text():
     docs = [make_raw("", "", "Only test text.", split="test")]
     with pytest.raises(DegenerateInputError):
         tp.prepare_corpus(docs, "full", 100, 50)
+
+
+# ---------------------------------------------------------------------------
+# memory
+# ---------------------------------------------------------------------------
+
+def traced_prepare(tmp_path, n_docs):
+    """Peak traced bytes of `hanst prepare` on `n_docs` heterogeneous
+    documents at the default 20,000-char cutoff, and the tokens it kept."""
+    corpus, out = tmp_path / f"corpus-{n_docs}.jsonl", tmp_path / f"data-{n_docs}"
+    save_corpus(synth.heterogeneous_length_corpus(n_docs=n_docs), corpus)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"task": "classify", "model_kind": "han", "tagset": "none"}))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["prepare", str(corpus), "--config", str(cfg), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(out / "prepared.jsonl", encoding="utf-8") as fh:
+        fh.readline()
+        kept = sum(len(sent) for line in fh for sent in json.loads(line)["sentences"])
+    return peak, kept
+
+
+def test_prepare_peak_grows_by_the_token_store_alone(tmp_path):
+    # the token ids cost 4 bytes each; holding every train token as a str
+    # until the vocabulary is built, as prepare once did, costs about 96 here
+    (small_peak, small_kept), (large_peak, large_kept) = (
+        traced_prepare(tmp_path, n) for n in (8, 32))
+    per_token = (large_peak - small_peak) / (large_kept - small_kept)
+    assert per_token <= 8, f"{per_token:.1f} bytes of peak per kept token"

@@ -116,7 +116,7 @@ def test_prepare_reports_per_split_rows(tmp_path, capsys, probe_corpus):
 
 @pytest.mark.parametrize("tagset", ["none", "reduced", "full"])
 def test_prepare_reads_tag_text_as_text(tmp_path, capsys, probe_corpus, tagset):
-    docs = load_corpus(probe_corpus)
+    docs = list(load_corpus(probe_corpus))
     for i, title in enumerate(["Uses the <PAD> token", "Uses the <TITLE> token"]):
         docs[i] = dataclasses.replace(docs[i], title=title, split="train")
     corpus = tmp_path / "tag-text.jsonl"
@@ -168,6 +168,31 @@ def test_corpus_error_names_line(tmp_path, capsys):
                          "--out", str(tmp_path / "d"))
     assert rc == 1
     assert err == f"error: corpus-format: {bad}: line 2: invalid JSON: Expecting value\n"
+
+
+@pytest.mark.parametrize("last, message", [
+    ("not json", "invalid JSON: Expecting value"),
+    (None, "duplicate document id 'pos0'"),
+], ids=["malformed", "repeated-id"])
+def test_prepare_failing_on_the_last_line_writes_nothing(tmp_path, capsys, probe_corpus,
+                                                          last, message):
+    # every earlier document is read and tokenized before the last line fails
+    with open(probe_corpus, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines + [last or lines[0]]) + "\n", encoding="utf-8")
+    want = f"error: corpus-format: {bad}: line {len(lines) + 1}: {message}\n"
+    cfg = write_config(tmp_path / "cfg.json")
+    fresh = tmp_path / "fresh"
+    assert run_cli(capsys, "prepare", str(bad), "--config", cfg, "--out", str(fresh)) == (1, "", want)
+    assert not fresh.exists()
+    assert not [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")]
+
+    data = tmp_path / "data"
+    assert run_cli(capsys, "prepare", probe_corpus, "--config", cfg, "--out", str(data))[0] == 0
+    before = {name: (data / name).read_bytes() for name in os.listdir(data)}
+    assert run_cli(capsys, "prepare", str(bad), "--config", cfg, "--out", str(data)) == (1, "", want)
+    assert {name: (data / name).read_bytes() for name in os.listdir(data)} == before
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +428,13 @@ def test_config_value_types_checked(tmp_path, capsys, probe_corpus, key, value):
     ("prepare", {"task": "regress", "resample": True},
      "resample applies to the classify task only, not 'regress'"),
     ("prepare", {"max_chars": 0}, "max_chars must be >= 1, got 0"),
+    ("prepare", {"vocab_size": 0}, "vocab_size must be >= 1, got 0"),
+    ("prepare", {"vocab_size": -5}, "vocab_size must be >= 1, got -5"),
+    ("train", {"vocab_size": 0}, "vocab_size must be >= 1, got 0"),
 ], ids=["unknown-tagset", "vocab-below-tag-count", "embedding-dim-0", "max-chars-0",
         "prepare-unknown-task", "prepare-unknown-model-kind", "prepare-embedding-dim-0",
-        "prepare-dropout-3", "prepare-resample-regress", "prepare-max-chars-0"])
+        "prepare-dropout-3", "prepare-resample-regress", "prepare-max-chars-0",
+        "prepare-vocab-size-0", "prepare-vocab-size-negative", "train-vocab-size-0"])
 def test_config_value_out_of_range_one_line(tmp_path, capsys, probe_corpus, command,
                                             overrides, message):
     data, _ = prepared_dir(tmp_path, capsys, probe_corpus)

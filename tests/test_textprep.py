@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ class TestApplyCutoff:
 
     def test_invalid_limits(self):
         doc = make_doc()
-        vocab = tp.build_vocabulary([["a"]])
+        vocab = tp.build_vocabulary(Counter(["a"]))
         for max_chars in (0, -5):
             with pytest.raises(ConfigurationError, match="max_chars must be >= 1"):
                 tp.encode_document(doc, vocab, "none", max_chars)
@@ -227,48 +228,47 @@ class TestTokenize:
 
 class TestVocabulary:
     def test_small_corpus_keeps_everything(self):
-        vocab = tp.build_vocabulary([["a", "b", "c"], ["d", "e", "a"]])
+        vocab = tp.build_vocabulary(Counter(["a", "b", "c", "d", "e", "a"]))
         assert len(vocab) == 5 + 2
 
     def test_tie_broken_lexicographically(self):
-        vocab = tp.build_vocabulary([["zebra", "apple"]], max_size=1)
+        vocab = tp.build_vocabulary(Counter(["zebra", "apple"]), max_size=1)
         assert "apple" in vocab
         assert "zebra" not in vocab
 
     def test_frequency_order_gives_lower_ids(self):
-        vocab = tp.build_vocabulary([["b", "b", "a"]])
+        vocab = tp.build_vocabulary(Counter(["b", "b", "a"]))
         assert vocab.encode("b") < vocab.encode("a")
 
     def test_cap_keeps_most_frequent(self):
         # 12000 distinct tokens, frequency = token index + 1
-        token_lists = [[f"t{i:05d}"] * (i + 1) for i in range(12000)]
-        vocab = tp.build_vocabulary(token_lists, max_size=10000)
+        counts = Counter({f"t{i:05d}": i + 1 for i in range(12000)})
+        vocab = tp.build_vocabulary(counts, max_size=10000)
         assert len(vocab) == 10000 + 2
-        counts = {f"t{i:05d}": i + 1 for i in range(12000)}
         kept = [t for t in vocab.to_json_array()[2:]]
         expected = set(sorted(counts, key=lambda t: (-counts[t], t))[:10000])
         assert set(kept) == expected
 
     def test_forced_tags_survive_and_count_against_cap(self):
         tags = tp.tag_tokens("full")
-        token_lists = [[f"w{i}"] * 5 for i in range(20)]
-        vocab = tp.build_vocabulary(token_lists, max_size=10, forced_tokens=tags)
+        vocab = tp.build_vocabulary(Counter({f"w{i}": 5 for i in range(20)}), max_size=10,
+                                    forced_tokens=tags)
         for t in tags:
             assert t in vocab
         assert len(vocab) == 10 + 2
 
     def test_empty_corpus(self):
-        vocab = tp.build_vocabulary([])
+        vocab = tp.build_vocabulary(Counter())
         assert len(vocab) == 2
         assert vocab.id_to_token[tp.PAD_ID] == tp.PAD_TOKEN
         assert vocab.id_to_token[tp.UNK_ID] == tp.UNK_TOKEN
 
     def test_unknown_maps_to_unk(self):
-        vocab = tp.build_vocabulary([["hello"]])
+        vocab = tp.build_vocabulary(Counter(["hello"]))
         assert vocab.encode("unseen") == tp.UNK_ID
 
     def test_save_load_round_trip(self, tmp_path):
-        vocab = tp.build_vocabulary([["a", "b", "b"]])
+        vocab = tp.build_vocabulary(Counter(["a", "b", "b"]))
         path = tmp_path / "vocab.json"
         vocab.save(path)
         loaded = tp.Vocabulary.load(path)
@@ -276,7 +276,7 @@ class TestVocabulary:
         assert loaded.sha256() == vocab.sha256()
 
     def test_persisted_as_json_array_ordered_by_id(self, tmp_path):
-        vocab = tp.build_vocabulary([["y", "x"]])
+        vocab = tp.build_vocabulary(Counter(["y", "x"]))
         path = tmp_path / "vocab.json"
         vocab.save(path)
         arr = json.loads(path.read_text())
@@ -286,7 +286,7 @@ class TestVocabulary:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=3), max_size=20))
     def test_encoding_totality(self, tokens):
-        vocab = tp.build_vocabulary([tokens], max_size=5)
+        vocab = tp.build_vocabulary(Counter(tokens), max_size=5)
         for t in tokens:
             decoded = vocab.id_to_token[vocab.encode(t)]
             assert decoded in (t, tp.UNK_TOKEN)
@@ -299,27 +299,27 @@ class TestLoadEmbeddings:
         return path
 
     def test_file_rows_copied(self, tmp_path):
-        vocab = tp.build_vocabulary([["cat", "dog"]])
+        vocab = tp.build_vocabulary(Counter(["cat", "dog"]))
         path = self.write(tmp_path, ["cat 1.0 2.0", "dog 3.0 4.0"])
         mat = tp.load_embeddings(path, vocab, 2, np.random.default_rng(0))
         np.testing.assert_array_equal(mat[vocab.encode("cat")], [1.0, 2.0])
         np.testing.assert_array_equal(mat[vocab.encode("dog")], [3.0, 4.0])
 
     def test_pad_row_zero(self, tmp_path):
-        vocab = tp.build_vocabulary([["cat"]])
+        vocab = tp.build_vocabulary(Counter(["cat"]))
         path = self.write(tmp_path, ["cat 1.0 2.0"])
         mat = tp.load_embeddings(path, vocab, 2, np.random.default_rng(0))
         np.testing.assert_array_equal(mat[tp.PAD_ID], [0.0, 0.0])
 
     def test_missing_token_within_xavier_bound(self, tmp_path):
-        vocab = tp.build_vocabulary([["cat", "dog"]])
+        vocab = tp.build_vocabulary(Counter(["cat", "dog"]))
         path = self.write(tmp_path, ["cat 1.0 2.0"])
         mat = tp.load_embeddings(path, vocab, 2, np.random.default_rng(0))
         bound = np.sqrt(6.0 / (len(vocab) + 2))
         assert np.abs(mat[vocab.encode("dog")]).max() <= bound
 
     def test_dimension_mismatch_reports_line(self, tmp_path):
-        vocab = tp.build_vocabulary([["cat", "dog"]])
+        vocab = tp.build_vocabulary(Counter(["cat", "dog"]))
         path = self.write(tmp_path, ["cat 1.0 2.0", "dog 3.0"])
         with pytest.raises(EmbeddingFormatError, match="line 2"):
             tp.load_embeddings(path, vocab, 2, np.random.default_rng(0))
@@ -329,7 +329,7 @@ class TestLoadEmbeddings:
         ("1e400", "non-finite"), ("0.5x", "non-numeric"),
     ])
     def test_bad_value_names_token_and_line(self, tmp_path, value, problem):
-        vocab = tp.build_vocabulary([["cat", "dog"]])
+        vocab = tp.build_vocabulary(Counter(["cat", "dog"]))
         # a token outside the vocabulary is not read
         path = self.write(tmp_path, ["cat 1.0 2.0", f"bird {value} 0.5", f"dog {value} 0.5"])
         with pytest.raises(EmbeddingFormatError,
@@ -337,7 +337,7 @@ class TestLoadEmbeddings:
             tp.load_embeddings(path, vocab, 2, np.random.default_rng(0))
 
     def test_extra_file_tokens_ignored(self, tmp_path):
-        vocab = tp.build_vocabulary([["cat"]])
+        vocab = tp.build_vocabulary(Counter(["cat"]))
         path = self.write(tmp_path, ["cat 1.0 2.0", "unrelated 9.0 9.0"])
         mat = tp.load_embeddings(path, vocab, 2, np.random.default_rng(0))
         assert mat.shape == (len(vocab), 2)
@@ -347,16 +347,16 @@ class TestEncodeDocument:
     def test_cutoff_is_tagset_independent(self):
         body = " ".join(f"Sentence number {i} is here." for i in range(200))
         doc = make_doc(body=body)
-        vocab = tp.build_vocabulary([tp.tokenize(s) for _, s in inject_tags(doc, "none")],
-                                    forced_tokens=tp.tag_tokens("full"))
+        counts = Counter(t for _, s in inject_tags(doc, "none") for t in tp.tokenize(s))
+        vocab = tp.build_vocabulary(counts, forced_tokens=tp.tag_tokens("full"))
         lengths = {tagset: len(tp.encode_document(doc, vocab, tagset, 300).sentences)
                    for tagset in ("full", "reduced", "none")}
         assert len(set(lengths.values())) == 1
 
     def test_tagged_sentences_bracketed_by_tag_ids(self):
         doc = make_doc()
-        sents = [tp.tokenize(s) for _, s in inject_tags(doc, "full")]
-        vocab = tp.build_vocabulary(sents, forced_tokens=tp.tag_tokens("full"))
+        counts = Counter(t for _, s in inject_tags(doc, "full") for t in tp.tokenize(s))
+        vocab = tp.build_vocabulary(counts, forced_tokens=tp.tag_tokens("full"))
         enc = tp.encode_document(doc, vocab, "full", 20000)
         for ids, role in zip(enc.sentences, enc.roles):
             assert ids[0] == vocab.encode(tp.open_tag(role))
@@ -364,13 +364,13 @@ class TestEncodeDocument:
 
     def test_empty_document_yields_unk_sentence(self):
         doc = make_doc(title="", abstract="", body="")
-        vocab = tp.build_vocabulary([])
+        vocab = tp.build_vocabulary(Counter())
         enc = tp.encode_document(doc, vocab, "none", 20000)
         assert enc.sentences == [[tp.UNK_ID]]
 
     def test_label_carried_through(self):
         doc = make_doc(label={"citation_count": 7})
-        vocab = tp.build_vocabulary([["a"]])
+        vocab = tp.build_vocabulary(Counter(["a"]))
         enc = tp.encode_document(doc, vocab, "none", 5)
         assert enc.label == {"citation_count": 7}
 
@@ -387,13 +387,13 @@ class TestCorpusIO:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a", "title": "t", "abstract": "", "body_text": "", "label": {"accepted": true}}\n{broken\n')
         with pytest.raises(CorpusFormatError, match="line 2"):
-            load_corpus(path)
+            list(load_corpus(path))
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a", "title": "t"}\n')
         with pytest.raises(CorpusFormatError, match="line 1"):
-            load_corpus(path)
+            list(load_corpus(path))
 
     @pytest.mark.parametrize("line, message", [
         ('[1, 2]', "expected a JSON object"),
@@ -408,22 +408,33 @@ class TestCorpusIO:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("\n" + line + "\n")
         with pytest.raises(CorpusFormatError, match=f"^{re.escape(f'{path}: line 3: {message}')}$"):
-            load_corpus(path)
+            list(load_corpus(path))
 
     def test_field_of_the_wrong_type_is_shown_shortened(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         line = {**make_doc(doc_id="a").to_json(), "body_text": list(range(100_000))}
         path.write_text(json.dumps(line) + "\n")
         with pytest.raises(CorpusFormatError) as info:
-            load_corpus(path)
+            list(load_corpus(path))
         assert str(info.value) == f"{path}: line 1: 'body_text' must be str, got [0, 1, 2, 3, 4, 5, ...]"
+
+    def test_reads_one_line_per_document_asked_for(self, tmp_path):
+        # a lazy reader: the bad second line is not read until the second document is asked for
+        path = tmp_path / "c.jsonl"
+        save_corpus([make_doc(doc_id="a")], path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("{broken\n")
+        docs = load_corpus(path)
+        assert next(docs).id == "a"
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: line 2: invalid JSON"):
+            next(docs)
 
     def test_duplicate_id(self, tmp_path):
         docs = [make_doc(doc_id="a")]
         path = tmp_path / "c.jsonl"
         save_corpus(docs + docs, path)
         with pytest.raises(CorpusFormatError, match="duplicate"):
-            load_corpus(path)
+            list(load_corpus(path))
 
     def test_label_validation(self):
         with pytest.raises(CorpusFormatError):

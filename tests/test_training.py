@@ -257,7 +257,7 @@ class TestTrainEpoch:
         config = md.default_model_config("han", "classify", vocab_size=len(vocab))
         rng = np.random.default_rng(0)
         model = md.build_model(config, rng)
-        batches = tr.make_batches(docs, "classify", 4)
+        batches = tr.make_batches(list(docs), "classify", 4)
         assert batches[0].ids.shape == (4, 166, 33)
         mib = 1024.0 * 1024.0
         gc.disable()
