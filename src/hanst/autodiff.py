@@ -219,17 +219,12 @@ def scatter_rows(a: Tensor, index: np.ndarray, n: int) -> Tensor:
     return _record(values, lambda g: _accum(a, g[index], owned=True))
 
 
-def weighted_sum(h: Tensor, alpha: Tensor) -> Tensor:
-    """Attention pooling: h [B,T,D] weighted by alpha [B,T] -> [B,D]."""
-    if h.ndim != 3 or alpha.shape != h.shape[:2]:
-        raise ShapeMismatchError(f"weighted_sum: states {h.shape} vs weights {alpha.shape}")
-    values = np.einsum("btd,bt->bd", h.values, alpha.values)
-
-    def bwd(g):
-        _accum(h, alpha.values[:, :, None] * g[:, None, :], owned=True)
-        _accum(alpha, np.einsum("btd,bd->bt", h.values, g), owned=True)
-
-    return _record(values, bwd)
+def weighted_sum(h: Tensor, weights: np.ndarray) -> Tensor:
+    """Pooling of h [B,T,D] by constant weights [B,T] -> [B,D]; only h takes a gradient."""
+    if h.ndim != 3 or weights.shape != h.shape[:2]:
+        raise ShapeMismatchError(f"weighted_sum: states {h.shape} vs weights {weights.shape}")
+    values = np.einsum("btd,bt->bd", h.values, weights)
+    return _record(values, lambda g: _accum(h, weights[:, :, None] * g[:, None, :], owned=True))
 
 
 def attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor,

@@ -26,7 +26,7 @@ from . import __version__
 from . import models as md
 from . import training as tr
 from .corpus import (DOCUMENT_FIELDS, SPLITS, TEXT_FIELDS, RawDocument, check_fields,
-                     json_object, load_corpus, open_text)
+                     check_label, json_object, load_corpus, open_text)
 from .errors import (AlignmentError, CheckpointMismatchError, ConfigurationError,
                      CorpusFormatError, DegenerateInputError, HanstError,
                      OutputExistsError)
@@ -202,6 +202,7 @@ def load_prepared(data_dir: str) -> tuple[dict, dict[str, list[TaggedDocument]]]
     if not os.path.exists(path):
         raise ConfigurationError(f"no prepared dataset at {path}; run the prepare command first")
     by_split: dict[str, list[TaggedDocument]] = {name: [] for name in SPLITS}
+    seen: set[str] = set()
     with open_text(path) as fh:
         meta = _prepared_line(path, 1, fh.readline(), _META_KEYS)
         for n, line in enumerate(fh, start=2):
@@ -210,7 +211,11 @@ def load_prepared(data_dir: str) -> tuple[dict, dict[str, list[TaggedDocument]]]
             obj = _prepared_line(path, n, line, _DOC_KEYS)
             if obj["split"] not in SPLITS:
                 raise ConfigurationError(f"{path}: line {n}: unknown split {obj['split']!r}")
+            if obj["id"] in seen:
+                raise ConfigurationError(f"{path}: line {n}: duplicate document id {obj['id']!r}")
+            seen.add(obj["id"])
             try:
+                check_label(obj["label"], f"document {obj['id']!r}", ConfigurationError)
                 doc = TaggedDocument(id=obj["id"], sentences=obj["sentences"],
                                      roles=obj["roles"], label=obj["label"])
                 if not all(type(t) is int and 0 <= t < meta["vocab_size"]
@@ -219,6 +224,8 @@ def load_prepared(data_dir: str) -> tuple[dict, dict[str, list[TaggedDocument]]]
             except (ConfigurationError, TypeError) as exc:
                 raise ConfigurationError(f"{path}: line {n}: {exc}") from None
             by_split[obj["split"]].append(doc)
+    if len(seen) != meta["n_docs"]:
+        raise ConfigurationError(f"{path}: header says {meta['n_docs']} documents, found {len(seen)}")
     return meta, by_split
 
 
@@ -480,8 +487,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     data_dir = data_dir_from(args)
-    stats = corpus_citation_stats(list(load_corpus(args.corpus)), truncate_at=args.truncate_at,
-                                  bin_width=args.bin_width)
+    stats = corpus_citation_stats([doc.label for doc in load_corpus(args.corpus)],
+                                  truncate_at=args.truncate_at, bin_width=args.bin_width)
     for group in sorted(stats.group_means):
         print(f"{group}: mean citations {stats.group_means[group]:.2f} "
               f"± {stats.group_stds[group]:.2f} (n={stats.group_sizes[group]})")

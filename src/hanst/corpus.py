@@ -65,6 +65,21 @@ def json_object(text: str, where: str, schema: dict[str, str] | None = None,
     return check_fields(obj, schema or {}, where, error=error)
 
 
+def check_label(label: dict, where: str, error) -> None:
+    """Raise `error`, starting with `where`, unless `label` holds `accepted` (a
+    bool) and/or `citation_count` (a non-negative int) and no other key."""
+    if not any(k in label for k in LABEL_KEYS):
+        raise error(f"{where}: label must contain 'accepted' or 'citation_count'")
+    unknown = set(label) - set(LABEL_KEYS)
+    if unknown:
+        raise error(f"{where}: unknown label keys {sorted(unknown)}")
+    if type(label.get("accepted", False)) is not bool:
+        raise error(f"{where}: 'accepted' must be a boolean")
+    count = label.get("citation_count", 0)
+    if type(count) is not int or count < 0:
+        raise error(f"{where}: 'citation_count' must be a non-negative integer")
+
+
 @dataclass
 class RawDocument:
     """One paper: title/abstract/body text plus a task label.
@@ -82,27 +97,9 @@ class RawDocument:
     split: str = "train"
 
     def __post_init__(self):
-        if not any(k in self.label for k in LABEL_KEYS):
-            raise CorpusFormatError(f"document {self.id!r}: label must contain 'accepted' or 'citation_count'")
-        unknown = set(self.label) - set(LABEL_KEYS)
-        if unknown:
-            raise CorpusFormatError(f"document {self.id!r}: unknown label keys {sorted(unknown)}")
-        if "accepted" in self.label and not isinstance(self.label["accepted"], bool):
-            raise CorpusFormatError(f"document {self.id!r}: 'accepted' must be a boolean")
-        if "citation_count" in self.label:
-            n = self.label["citation_count"]
-            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-                raise CorpusFormatError(f"document {self.id!r}: 'citation_count' must be a non-negative integer")
+        check_label(self.label, f"document {self.id!r}", CorpusFormatError)
         if self.split not in SPLITS:
             raise CorpusFormatError(f"document {self.id!r}: split must be one of {SPLITS}, got {self.split!r}")
-
-    @property
-    def accepted(self) -> bool:
-        return self.label["accepted"]
-
-    @property
-    def citation_count(self) -> int:
-        return self.label["citation_count"]
 
     def to_json(self) -> dict:
         return {"id": self.id, "title": self.title, "abstract": self.abstract,

@@ -11,7 +11,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .corpus import RawDocument, check_fields, json_object, open_text
+from .corpus import check_fields, json_object, open_text
 from .errors import (
     AlignmentError,
     ConfigurationError,
@@ -374,26 +374,27 @@ class CitationStats:
     histogram: list[tuple[int, int, int, str]]   # (bin_start, bin_end, count, group)
 
 
-def corpus_citation_stats(docs: list[RawDocument], truncate_at: int = 100,
+def corpus_citation_stats(labels: list[dict], truncate_at: int = 100,
                           bin_width: int = 5) -> CitationStats:
     """Group citation means/stds, right-truncated histograms, and the rank
-    correlation between acceptance and citation count.
+    correlation between acceptance and citation count, from the documents' labels.
 
     Every document must carry a citation count. When every document also
     carries the acceptance flag the groups are accepted and rejected;
     otherwise there is one group, "all", and rho and p are NaN.
     """
-    if not all("citation_count" in d.label for d in docs):
+    if not all("citation_count" in lb for lb in labels):
         raise DegenerateInputError("citation statistics need a citation count on every document")
-    if all("accepted" in d.label for d in docs):
-        groups = {"accepted": [d.citation_count for d in docs if d.accepted],
-                  "rejected": [d.citation_count for d in docs if not d.accepted]}
+    if all("accepted" in lb for lb in labels):
+        groups = {"accepted": [lb["citation_count"] for lb in labels if lb["accepted"]],
+                  "rejected": [lb["citation_count"] for lb in labels if not lb["accepted"]]}
         for name, counts in groups.items():
             if not counts:
                 raise DegenerateInputError(f"no documents in group {name!r}")
-        rho, p = spearman_rho([float(d.accepted) for d in docs], [float(d.citation_count) for d in docs])
+        rho, p = spearman_rho([float(lb["accepted"]) for lb in labels],
+                              [float(lb["citation_count"]) for lb in labels])
     else:
-        groups = {"all": [d.citation_count for d in docs]}
+        groups = {"all": [lb["citation_count"] for lb in labels]}
         rho = p = float("nan")
     means = {g: float(np.mean(v)) for g, v in groups.items()}
     stds = {g: float(np.std(v)) for g, v in groups.items()}

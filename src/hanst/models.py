@@ -171,7 +171,7 @@ def _masked_mean_rows(emb: ad.Tensor, ids: np.ndarray, mask: np.ndarray) -> ad.T
     """
     gathered = ad.rows(emb, ids)
     counts = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
-    return ad.weighted_sum(gathered, ad.Tensor(mask / counts))
+    return ad.weighted_sum(gathered, mask / counts)
 
 
 # ---------------------------------------------------------------------------

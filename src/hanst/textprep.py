@@ -8,6 +8,7 @@ import json
 import re
 from array import array
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -74,18 +75,16 @@ def _is_abbreviation(text: str, end: int) -> bool:
     return False
 
 
-def segment_sentences(text: str, max_chars: int | None = None) -> list[str]:
-    """Split on sentence-final punctuation followed by whitespace and a
-    capital letter or digit, honoring an abbreviation stop-list.
+def segment_sentences(text: str) -> Iterator[str]:
+    """Yield sentences split on sentence-final punctuation followed by
+    whitespace and a capital letter or digit, honoring an abbreviation
+    stop-list.
 
     The outputs are slices of the input, so their concatenation (modulo the
-    whitespace separators between them) reconstructs the input. With
-    ``max_chars``, return after the first sentence whose running length (one
-    separator counted between sentences) passes it: apply_cutoff at
-    ``max_chars`` keeps nothing after that sentence.
+    whitespace separators between them) reconstructs the input. Each sentence
+    is found only when it is pulled, so a caller that stops pulling stops
+    the scan there.
     """
-    pieces = []
-    reach = -1
     start = 0
     for m in _BOUNDARY_RE.finditer(text):
         end = m.end()
@@ -100,16 +99,11 @@ def segment_sentences(text: str, max_chars: int | None = None) -> list[str]:
         if "." in m.group() and _is_abbreviation(text, end):
             continue
         # never empty: the slice holds the punctuation that ends it
-        piece = text[start:end].strip()
-        pieces.append(piece)
+        yield text[start:end].strip()
         start = end
-        reach += 1 + len(piece)
-        if max_chars is not None and reach > max_chars:
-            return pieces
     piece = text[start:].strip()
     if piece:
-        pieces.append(piece)
-    return pieces
+        yield piece
 
 
 # ---------------------------------------------------------------------------
@@ -122,25 +116,6 @@ def check_settings(tagset: str, max_chars: int) -> None:
         raise ConfigurationError(f"tagset must be one of {TAGSETS}, got {tagset!r}")
     if max_chars < 1:
         raise ConfigurationError(f"max_chars must be >= 1, got {max_chars}")
-
-
-def _segment_fields(doc: RawDocument, max_chars: int) -> list[tuple[str, str]]:
-    """(role, raw sentence) pairs of title, abstract and body, in order.
-
-    The title is one sentence regardless of punctuation. No field is
-    segmented further than apply_cutoff at ``max_chars`` can reach.
-    """
-    title = doc.title.strip()
-    parts = [("TITLE", title)] if title else []
-    # running length of the pairs so far, counted as apply_cutoff counts it
-    reach = len(title) if title else -1
-    for role, text in (("ABSTRACT", doc.abstract), ("BODY_TEXT", doc.body_text)):
-        if reach > max_chars:
-            break
-        sentences = segment_sentences(text, max_chars - reach - 1)
-        parts.extend((role, sent) for sent in sentences)
-        reach += sum(1 + len(sent) for sent in sentences)
-    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +285,22 @@ def kept_sentences(doc: RawDocument, max_chars: int) -> list[tuple[str, str]]:
     """The (role, raw sentence) pairs of a document that the cutoff keeps,
     untagged and before roles are merged.
 
-    The cutoff is measured on raw untagged sentences so every tagset sees the
-    same underlying content. No field is segmented further than the cutoff
-    can reach; apply_cutoff alone decides what is kept.
+    The title is one sentence regardless of punctuation. The cutoff is
+    measured on raw untagged sentences so every tagset sees the same
+    underlying content. Sentences are pulled up to the first one whose
+    running length passes ``max_chars``; apply_cutoff alone decides what is kept.
     """
-    parts = _segment_fields(doc, max_chars)
-    kept = apply_cutoff([sent for _, sent in parts], max_chars)
-    return parts[: len(kept)]
+    title = doc.title.strip()
+    # a field's segmenter starts only once the fields before it are used up
+    fields = (((role, sent) for sent in segment_sentences(text))
+              for role, text in (("ABSTRACT", doc.abstract), ("BODY_TEXT", doc.body_text)))
+    pulled, reach = [], -1
+    for role, sent in chain([("TITLE", title)] if title else [], chain.from_iterable(fields)):
+        pulled.append((role, sent))
+        reach += 1 + len(sent)
+        if reach > max_chars:
+            break
+    return pulled[: len(apply_cutoff([sent for _, sent in pulled], max_chars))]
 
 
 class TokenStore:

@@ -10,7 +10,9 @@
 - Tape ops of the compositions that the fused ops replaced: `tanh` and
   `softmax`, from which `composed_attention_pool` builds the eight-node
   attention pool that `ad.attention_pool` fuses, and `sub`, `abs_` and
-  `mean_all`, whose composition `ad.l1_loss` fuses.
+  `mean_all`, whose composition `ad.l1_loss` fuses. `weighted_sum` is the
+  pool's last node: `ad.weighted_sum` with weights that take a gradient,
+  which the models' constant weights never need.
 - Structure tags as text: `inject_tags` wraps each raw sentence in its role's
   tags and `strip_tags` removes what `TAG_RE` matches. hanst tags token ids
   instead (`textprep.TokenStore`), and `tokenize` never reads a tag out
@@ -162,6 +164,17 @@ def mean_all(a: Tensor) -> Tensor:
     return _record(a.values.mean(), lambda g: _accum(a, np.broadcast_to(g / n, a.shape)))
 
 
+def weighted_sum(h: Tensor, alpha: Tensor) -> Tensor:
+    """`ad.weighted_sum` with weights that take a gradient: h [B,T,D] by alpha [B,T] -> [B,D]."""
+    values = np.einsum("btd,bt->bd", h.values, alpha.values)
+
+    def bwd(g):
+        _accum(h, alpha.values[:, :, None] * g[:, None, :], owned=True)
+        _accum(alpha, np.einsum("btd,bd->bt", h.values, g), owned=True)
+
+    return _record(values, bwd)
+
+
 def composed_attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor,
                             mask: np.ndarray) -> tuple[Tensor, Tensor]:
     """`ad.attention_pool` as the eight tape nodes it replaced: (pooled, alpha)."""
@@ -170,7 +183,7 @@ def composed_attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor,
     proj = tanh(ad.add(ad.matmul(flat, w), b))
     scores = ad.reshape(ad.matmul(proj, u), (bsz, t))
     alpha = softmax(scores, mask=mask.astype(bool))
-    return ad.weighted_sum(states, alpha), alpha
+    return weighted_sum(states, alpha), alpha
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from oracles import (
     sub,
     sum_all,
     tanh,
+    weighted_sum,
 )
 from hanst import autodiff as ad
 from hanst.errors import (
@@ -517,16 +518,27 @@ class TestStructuralOps:
         h = rng.normal(size=(2, 4, 3))
         alpha = rng.normal(size=(2, 4))
         w = ad.Tensor(rng.normal(size=(2, 3)))
+        scalar_loss(lambda hs: mul(ad.weighted_sum(hs, alpha), w), h)
 
+        # the oracle form, whose weights take a gradient too
         def op(hs, al):
-            return mul(ad.weighted_sum(hs, al), w)
+            return mul(weighted_sum(hs, al), w)
 
         scalar_loss(op, h, alpha, which=0)
         scalar_loss(op, h, alpha, which=1)
 
+        grads = []
+        for pool in (lambda hs: ad.weighted_sum(hs, alpha),
+                     lambda hs: weighted_sum(hs, ad.Tensor(alpha))):
+            with ad.Tape():
+                hs = ad.Tensor(h)
+                ad.backward(sum_all(mul(pool(hs), w)))
+            grads.append(hs.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
+
     def test_weighted_sum_shape_check(self):
         with pytest.raises(ShapeMismatchError):
-            ad.weighted_sum(ad.Tensor(np.ones((2, 4, 3))), ad.Tensor(np.ones((2, 5))))
+            ad.weighted_sum(ad.Tensor(np.ones((2, 4, 3))), np.ones((2, 5)))
 
 
 # (rows, positions, state width, mask rows' lengths or None for random):
@@ -665,7 +677,7 @@ class TestComposedGraph:
             h = tanh(ad.add(ad.matmul(flat, a1), c1))       # [6,5]
             scores = ad.reshape(ad.matmul(h, cu), (2, 3))
             alpha = softmax(scores, mask=mask)
-            pooled = ad.weighted_sum(ad.reshape(h, (2, 3, 5)), alpha)
+            pooled = weighted_sum(ad.reshape(h, (2, 3, 5)), alpha)
             logits = ad.matmul(pooled, a2)
             return ad.cross_entropy(logits, golds)
 

@@ -15,6 +15,7 @@ import json
 import time
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -127,30 +128,18 @@ class TestSegmenterMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(edged_texts)
     def test_generated_text(self, text):
-        assert tp.segment_sentences(text) == oracle_segment_sentences(text)
+        assert list(tp.segment_sentences(text)) == oracle_segment_sentences(text)
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=200))
     def test_arbitrary_text(self, text):
-        assert tp.segment_sentences(text) == oracle_segment_sentences(text)
-
-    @settings(max_examples=400, deadline=None)
-    @given(edged_texts, st.integers(0, 40), st.integers(-2, 2))
-    def test_max_chars_stops_at_first_sentence_past_it(self, text, k, delta):
-        full = tp.segment_sentences(text)
-        lengths = running_lengths(full)
-        # limits at and around a sentence end, where an off-by-one shows
-        max_chars = (lengths[k % len(lengths)] if lengths else 0) + delta
-        bounded = tp.segment_sentences(text, max_chars)
-        assert bounded == full[: len(bounded)]
-        past = [i for i, n in enumerate(lengths) if n > max_chars]
-        assert len(bounded) == (past[0] + 1 if past else len(full))
+        assert list(tp.segment_sentences(text)) == oracle_segment_sentences(text)
 
     def test_segments_long_body_in_linear_time(self):
         sentence = "Results in Fig. 2 hold for e.g. large inputs as J. Smith showed. "
         body = sentence * (1_600_000 // len(sentence) + 1)
         start = time.perf_counter()
-        out = tp.segment_sentences(body)
+        out = list(tp.segment_sentences(body))
         elapsed = time.perf_counter() - start
         assert len(out) == body.count("showed.")
         assert elapsed < 1.5, f"segmenting {len(body)} chars took {elapsed:.2f} s"
@@ -165,18 +154,34 @@ def make_raw(title, abstract, body, split="train"):
                        label={"accepted": True}, split=split)
 
 
+def counting_segmenter(pulled: list):
+    """tp.segment_sentences that appends each sentence to `pulled` as it is pulled."""
+    original = tp.segment_sentences
+
+    def segment(text):
+        for sent in original(text):
+            pulled.append(sent)
+            yield sent
+    return segment
+
+
 @settings(max_examples=400, deadline=None)
 @given(texts, edged_texts, edged_texts, st.integers(0, 60), st.integers(-2, 2))
-def test_fields_segmented_only_as_far_as_the_cutoff_reaches(title, abstract, body, k, delta):
+def test_kept_sentences_pull_only_up_to_the_first_sentence_past_the_cutoff(
+        title, abstract, body, k, delta):
     doc = make_raw(title, abstract, body)
     full = oracle_parts(doc)
     lengths = running_lengths([s for _, s in full])
+    # limits at and around a sentence end, where an off-by-one shows
     limit = max(1, (lengths[k % len(lengths)] if lengths else 1) + delta)
-    parts = tp._segment_fields(doc, limit)
-    assert parts == full[: len(parts)]
+    want = oracle_kept(doc, limit)
+    pulled = []
+    with mock.patch.object(tp, "segment_sentences", counting_segmenter(pulled)):
+        assert tp.kept_sentences(doc, limit) == want
     past = [i for i, n in enumerate(lengths) if n > limit]
-    assert len(parts) == (past[0] + 1 if past else len(full))
-    assert tp.kept_sentences(doc, limit) == oracle_kept(doc, limit)
+    reach = past[0] + 1 if past else len(full)
+    titled = 1 if title.strip() else 0
+    assert pulled == [s for _, s in full[titled:reach]]
 
 
 @settings(max_examples=200, deadline=None)

@@ -343,9 +343,23 @@ def _empty_sentence(lines):
     return 2
 
 
+def _label_not_boolean(lines):
+    # unchecked, this ended in a ValueError traceback inside training
+    doc = json.loads(lines[1])
+    doc["label"] = {"accepted": "yes"}
+    lines[1] = json.dumps(doc)
+    return 2
+
+
+def _line_repeated(lines):
+    # unchecked, the document trained twice and train exited 0
+    lines.append(lines[1])
+    return len(lines)
+
+
 @pytest.mark.parametrize("corrupt", [_bad_json, _unknown_split, _missing_keys,
                                      _other_format_version, _roles_not_one_per_sentence,
-                                     _empty_sentence])
+                                     _empty_sentence, _label_not_boolean, _line_repeated])
 def test_malformed_prepared_file_one_line_error(tmp_path, capsys, probe_corpus, corrupt):
     data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
     path = os.path.join(data, "prepared.jsonl")
@@ -373,6 +387,20 @@ def test_prepared_file_of_another_kind_one_line_error(tmp_path, capsys, probe_co
     rc, out, err = run_cli(capsys, "train", "--config", cfg, "--out", data)
     assert rc == 1 and out == ""
     assert err == f"error: config-error: {path}: not a prepared dataset\n"
+
+
+def test_prepared_file_short_of_its_header_count_one_line_error(tmp_path, capsys, probe_corpus):
+    # unchecked, a file with its last lines cut trained and exited 0
+    data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
+    path = os.path.join(data, "prepared.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    n_docs = json.loads(lines[0])["n_docs"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines[:-5]) + "\n")
+    rc, out, err = run_cli(capsys, "train", "--config", cfg, "--out", data)
+    assert rc == 1 and out == ""
+    assert err == f"error: config-error: {path}: header says {n_docs} documents, found {n_docs - 5}\n"
 
 
 @pytest.mark.parametrize("token_id, ok", [("a", False), (10 ** 6, False), (-3, False),
@@ -1301,18 +1329,18 @@ def test_synth_generators_deterministic():
 
 def test_tag_probe_label_matches_title_keyword():
     for doc in synth.tag_probe_corpus(n_docs=200):
-        assert doc.accepted == (synth.KEYWORD in doc.title.lower())
-        if not doc.accepted:
+        assert doc.label["accepted"] == (synth.KEYWORD in doc.title.lower())
+        if not doc.label["accepted"]:
             assert synth.KEYWORD in doc.body_text.lower()
 
 
 def test_imbalanced_corpus_minority_fraction():
     docs = synth.imbalanced_corpus(n_docs=500)
-    minority = [d for d in docs if d.accepted]
+    minority = [d for d in docs if d.label["accepted"]]
     assert len(minority) == 39  # 7.8% of 500
     assert all(synth.MINORITY_MARKER in d.body_text.lower() for d in minority)
     assert all(synth.MINORITY_MARKER not in d.body_text.lower()
-               for d in docs if not d.accepted)
+               for d in docs if not d.label["accepted"])
 
 
 def test_heterogeneous_corpus_every_doc_exceeds_char_limit():

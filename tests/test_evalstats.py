@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hanst import evalstats as es
-from hanst.corpus import RawDocument
 from hanst.errors import (
     AlignmentError,
     ConfigurationError,
@@ -427,42 +426,39 @@ class TestPredictionRecords:
         assert es.load_predictions(path) == records
 
 
-def stats_doc(i, accepted, citations):
-    return RawDocument(id=f"d{i}", title="t", abstract="", body_text="",
-                       label={"accepted": accepted, "citation_count": citations})
+def stats_label(accepted, citations):
+    return {"accepted": accepted, "citation_count": citations}
 
 
 class TestCorpusCitationStats:
     def test_constructed_correlation(self):
         rng = np.random.default_rng(10)
-        docs = [stats_doc(i, True, 10 + int(rng.integers(0, 4))) for i in range(30)]
-        docs += [stats_doc(100 + i, False, int(rng.integers(0, 4))) for i in range(30)]
-        stats = es.corpus_citation_stats(docs)
+        labels = [stats_label(True, 10 + int(rng.integers(0, 4))) for _ in range(30)]
+        labels += [stats_label(False, int(rng.integers(0, 4))) for _ in range(30)]
+        stats = es.corpus_citation_stats(labels)
         assert stats.rho > 0.5
         assert stats.group_means["accepted"] > stats.group_means["rejected"]
         assert stats.group_sizes == {"accepted": 30, "rejected": 30}
 
     def test_all_zero_citations_surfaces_undefined(self):
-        docs = [stats_doc(i, i % 2 == 0, 0) for i in range(10)]
+        labels = [stats_label(i % 2 == 0, 0) for i in range(10)]
         with pytest.raises(UndefinedMetricError):
-            es.corpus_citation_stats(docs)
+            es.corpus_citation_stats(labels)
 
     def test_one_group_empty(self):
-        docs = [stats_doc(i, True, i) for i in range(5)]
+        labels = [stats_label(True, i) for i in range(5)]
         with pytest.raises(DegenerateInputError):
-            es.corpus_citation_stats(docs)
+            es.corpus_citation_stats(labels)
 
     def test_missing_label_kind(self):
-        docs = [stats_doc(0, True, 3),
-                RawDocument(id="x", title="", abstract="", body_text="",
-                            label={"accepted": False})]
+        labels = [stats_label(True, 3), {"accepted": False}]
         with pytest.raises(DegenerateInputError):
-            es.corpus_citation_stats(docs)
+            es.corpus_citation_stats(labels)
 
     def test_histogram_truncation_and_csv(self):
-        docs = [stats_doc(0, True, 2), stats_doc(1, True, 250),
-                stats_doc(2, False, 7), stats_doc(3, False, 3)]
-        stats = es.corpus_citation_stats(docs, truncate_at=10, bin_width=5)
+        labels = [stats_label(True, 2), stats_label(True, 250),
+                stats_label(False, 7), stats_label(False, 3)]
+        stats = es.corpus_citation_stats(labels, truncate_at=10, bin_width=5)
         lines = es.histogram_csv_lines(stats)
         assert lines[0] == "bin_start,bin_end,count,group"
         rows = [line.split(",") for line in lines[1:]]
@@ -476,11 +472,10 @@ class TestCorpusCitationStats:
 
     def test_citation_counts_only_give_one_all_group(self):
         counts = [0, 3, 4, 9, 12, 250]
-        docs = [RawDocument(id=f"c{i}", title="t", abstract="", body_text="",
-                            label={"citation_count": c}) for i, c in enumerate(counts)]
+        labels = [{"citation_count": c} for c in counts]
         # acceptance flags on only some documents still give the single group
-        docs[0].label["accepted"] = True
-        stats = es.corpus_citation_stats(docs, truncate_at=10, bin_width=4)
+        labels[0]["accepted"] = True
+        stats = es.corpus_citation_stats(labels, truncate_at=10, bin_width=4)
         assert stats.group_sizes == {"all": 6}
         assert stats.group_means == {"all": float(np.mean(counts))}
         assert stats.group_stds == {"all": float(np.std(counts))}
@@ -490,7 +485,7 @@ class TestCorpusCitationStats:
             "bin_start,bin_end,count,group", "0,4,2,all", "4,8,1,all", "8,10,1,all"]
 
     def test_truncated_docs_still_in_group_stats(self):
-        docs = [stats_doc(0, True, 2), stats_doc(1, True, 250),
-                stats_doc(2, False, 0), stats_doc(3, False, 4)]
-        stats = es.corpus_citation_stats(docs, truncate_at=10)
+        labels = [stats_label(True, 2), stats_label(True, 250),
+                stats_label(False, 0), stats_label(False, 4)]
+        stats = es.corpus_citation_stats(labels, truncate_at=10)
         assert stats.group_means["accepted"] == 126.0
