@@ -120,35 +120,6 @@ def running_lengths(sentences):
     return out
 
 
-# ---------------------------------------------------------------------------
-# segmenter
-# ---------------------------------------------------------------------------
-
-class TestSegmenterMatchesOracle:
-    @settings(max_examples=300, deadline=None)
-    @given(edged_texts)
-    def test_generated_text(self, text):
-        assert list(tp.segment_sentences(text)) == oracle_segment_sentences(text)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.text(max_size=200))
-    def test_arbitrary_text(self, text):
-        assert list(tp.segment_sentences(text)) == oracle_segment_sentences(text)
-
-    def test_segments_long_body_in_linear_time(self):
-        sentence = "Results in Fig. 2 hold for e.g. large inputs as J. Smith showed. "
-        body = sentence * (1_600_000 // len(sentence) + 1)
-        start = time.perf_counter()
-        out = list(tp.segment_sentences(body))
-        elapsed = time.perf_counter() - start
-        assert len(out) == body.count("showed.")
-        assert elapsed < 1.5, f"segmenting {len(body)} chars took {elapsed:.2f} s"
-
-
-# ---------------------------------------------------------------------------
-# bounded cut and one-pass prepare
-# ---------------------------------------------------------------------------
-
 def make_raw(title, abstract, body, split="train"):
     return RawDocument(id="d", title=title, abstract=abstract, body_text=body,
                        label={"accepted": True}, split=split)
@@ -165,10 +136,52 @@ def counting_segmenter(pulled: list):
     return segment
 
 
+# ---------------------------------------------------------------------------
+# segmenter
+# ---------------------------------------------------------------------------
+
+class TestSegmenterMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(edged_texts)
+    def test_generated_text(self, text):
+        assert list(tp.segment_sentences(text)) == oracle_segment_sentences(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=200))
+    def test_arbitrary_text(self, text):
+        assert list(tp.segment_sentences(text)) == oracle_segment_sentences(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(edged_texts, st.integers(0, 40), st.integers(-2, 2))
+    def test_max_chars_stops_at_first_sentence_past_it(self, text, k, delta):
+        full = oracle_segment_sentences(text)
+        lengths = running_lengths(full)
+        # limits at and around a sentence end, where an off-by-one shows
+        max_chars = (lengths[k % len(lengths)] if lengths else 0) + delta
+        pulled = []
+        with mock.patch.object(tp, "segment_sentences", counting_segmenter(pulled)):
+            tp.kept_sentences(make_raw("", "", text), max_chars)
+        assert pulled == full[: len(pulled)]
+        past = [i for i, n in enumerate(lengths) if n > max_chars]
+        assert len(pulled) == (past[0] + 1 if past else len(full))
+
+    def test_segments_long_body_in_linear_time(self):
+        sentence = "Results in Fig. 2 hold for e.g. large inputs as J. Smith showed. "
+        body = sentence * (1_600_000 // len(sentence) + 1)
+        start = time.perf_counter()
+        out = list(tp.segment_sentences(body))
+        elapsed = time.perf_counter() - start
+        assert len(out) == body.count("showed.")
+        assert elapsed < 1.5, f"segmenting {len(body)} chars took {elapsed:.2f} s"
+
+
+# ---------------------------------------------------------------------------
+# bounded cut and one-pass prepare
+# ---------------------------------------------------------------------------
+
 @settings(max_examples=400, deadline=None)
 @given(texts, edged_texts, edged_texts, st.integers(0, 60), st.integers(-2, 2))
-def test_kept_sentences_pull_only_up_to_the_first_sentence_past_the_cutoff(
-        title, abstract, body, k, delta):
+def test_fields_segmented_only_as_far_as_the_cutoff_reaches(title, abstract, body, k, delta):
     doc = make_raw(title, abstract, body)
     full = oracle_parts(doc)
     lengths = running_lengths([s for _, s in full])
