@@ -25,6 +25,9 @@ DTYPE = np.float64
 
 _tape_stack: list["Tape"] = []
 
+# float64 values in about 1 MiB: the row block attention_pool's backward works in
+_BLOCK_FLOATS = 1 << 17
+
 
 class Tensor:
     """A dense n-dimensional value with an optional gradient slot.
@@ -231,22 +234,26 @@ def attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor,
                    mask: np.ndarray) -> tuple[Tensor, Tensor]:
     """Attention pooling of states [B,T,D] into pooled [B,D] and weights alpha [B,T].
 
-    proj = tanh(states @ w + b) is scored against the context vector u [A,1],
-    and alpha is the softmax of the scores over the positions where mask is
-    true, stabilized by max-subtraction. Masked positions get alpha exactly
-    0, and every row must have at least one unmasked position. pooled is the
-    alpha-weighted sum of the states.
+    proj = tanh(states @ w + b), with a square w [D,D] and b [D], is scored
+    against the context vector u [D,1], and alpha is the softmax of the
+    scores over the positions where mask is true, stabilized by
+    max-subtraction. Masked positions get alpha exactly 0, and every row must
+    have at least one unmasked position. pooled is the alpha-weighted sum of
+    the states.
 
     On a tape the op is one node, pooled; alpha is returned for reading and
-    takes no gradient. For backward it saves only proj [B*T,A] and alpha.
-    The backward writes tanh' over proj and lets go of it, so proj, tanh'
-    and the [B,T,D] gradient of the states are never three arrays at once.
+    takes no gradient. The forward computes proj in one [B*T,D] array, adding
+    b and taking tanh in place, and saves only proj and alpha for backward.
+    The backward writes tanh' over proj, multiplies in the score gradient,
+    and then overwrites it, one block of whole rows of about 1 MiB at a time,
+    with the gradient of the states; so beyond what the tape holds it
+    allocates only block-sized temporaries. Since w is square that gradient
+    has proj's shape. It relies on ``backward`` running the closure once.
     """
     if states.ndim != 3:
         raise ShapeMismatchError(f"attention_pool: states must be [B,T,D], got {states.shape}")
     bsz, t, d = states.shape
-    a = w.shape[1] if w.ndim == 2 else -1
-    if w.shape != (d, a) or b.shape != (a,) or u.shape != (a, 1):
+    if w.shape != (d, d) or b.shape != (d,) or u.shape != (d, 1):
         raise ShapeMismatchError(
             f"attention_pool: states {states.shape} vs w {w.shape}, b {b.shape}, u {u.shape}")
     m = np.asarray(mask, dtype=bool)
@@ -255,7 +262,9 @@ def attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor,
     if not m.any(axis=-1).all():
         raise DegenerateInputError("attention_pool: some row has all positions masked")
     flat = states.values.reshape(bsz * t, d)
-    proj = np.tanh(flat @ w.values + b.values)
+    proj = flat @ w.values
+    proj += b.values
+    np.tanh(proj, out=proj)
     scores = (proj @ u.values).reshape(bsz, t)
     shifted = np.where(m, scores, -np.inf)
     shifted = shifted - shifted.max(axis=-1, keepdims=True)
@@ -273,12 +282,22 @@ def attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor,
         d_pre, proj = proj, None
         d_pre *= d_pre
         np.subtract(1.0, d_pre, out=d_pre)
-        d_pre *= d_scores @ u.values.T
+        # blocks of whole documents, split evenly: a product of a few rows
+        # can round differently from the same rows of a larger one
+        n_blocks = min(bsz, -(-bsz * t * d // _BLOCK_FLOATS))
+        edges = [bsz * j // n_blocks * t for j in range(n_blocks + 1)]
+        blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+        for rows in blocks:
+            d_pre[rows] *= d_scores[rows] @ u.values.T
         _accum(b, d_pre.sum(axis=0), owned=True)
         _accum(w, flat.T @ d_pre, owned=True)
-        d_flat = (d_pre @ w.values.T).reshape(bsz, t, d)
-        del d_pre
-        d_flat += alpha[:, :, None] * g[:, None, :]
+        # the gradient of the states, written over d_pre's rows block by block
+        d_flat = d_pre.reshape(bsz, t, d)
+        w_t = w.values.T
+        for rows in blocks:
+            d_pre[rows] = d_pre[rows] @ w_t
+            docs = slice(rows.start // t, rows.stop // t)
+            d_flat[docs] += alpha[docs, :, None] * g[docs, None, :]
         _accum(states, d_flat, owned=True)
 
     return _record(pooled, bwd), Tensor(alpha)
@@ -311,18 +330,22 @@ def lstm_sequence(xs: Tensor, fw: tuple[Tensor, Tensor, Tensor, Tensor],
     so the recurrent GEMM takes at least min(2, B) rows and keeps k_i.
 
     On a tape the op is one node for both directions. For backward it saves
-    only each direction's post-activation gates [B,T,4H] and cell states
-    after each step [B,T,H]; the hidden states are its output, and tanh of a
-    cell is recomputed from the saved cells. The backward runs the reverse
-    direction, then the forward one, and lets go of a direction's saved
-    arrays once it is done with them. Each direction's backward-through-time
+    only each direction's post-activation gates [B,T,4H], 0 in the padded
+    cells. It holds no other array per direction: the input projection is
+    computed in place, and each step writes its gates over its own slice of
+    the projection, which nothing reads again; so the projection becomes the
+    saved gates. The hidden states are the op's output. The backward runs the
+    reverse direction, then the forward one, and lets go of a direction's
+    gates once it is done with them. A direction's backward first recomputes
+    its cells [B,T,H] from the gates with the forward's own expression, so
+    they and their tanh are bitwise the forward's. Its backward-through-time
     does one GEMM per step over the same k_i rows, for the gradient through
-    w_hh into the previous state, and one GEMM each for the gradients of xs,
-    w_ih and w_hh over all steps, in the caller's row order. It writes each
-    step's gate gradients over that step's saved gates once it has read them,
-    so the saved array becomes the gate gradients; this relies on
-    ``backward`` running the closure only once. Without a tape only the
-    running state is kept.
+    w_hh into the previous state. It writes each step's gate gradients over
+    that step's gates once it has read them, so the saved array becomes the
+    gate gradients; this relies on ``backward`` running the closure only
+    once. The cells' buffer then holds the previous hidden states, for one
+    GEMM each for the gradients of xs, w_ih and w_hh over all steps, in the
+    caller's row order. Without a tape nothing is saved.
     """
     if xs.ndim != 3:
         raise ShapeMismatchError(f"lstm_sequence: input must be [B,T,D], got {xs.shape}")
@@ -350,14 +373,14 @@ def lstm_sequence(xs: Tensor, fw: tuple[Tensor, Tensor, Tensor, Tensor],
 
     def run(weights, reverse, states):
         """Step one direction, writing its states [B,T,H] with the rows longest
-        first; on a tape, return the arrays it saved (gates, cells)."""
+        first; on a tape, return its post-activation gates [B,T,4H], written
+        over its input projection, with 0 in the padded cells."""
         w_ih, w_hh, b_ih, b_hh = (p.values for p in weights)
-        proj = (x_flat @ w_ih + b_ih).reshape(b, t, 4 * n)
+        proj = x_flat @ w_ih
+        proj += b_ih
+        proj = proj.reshape(b, t, 4 * n)
         if not in_order:
             proj = proj[order]
-        if keep:
-            acts = np.zeros((b, t, 4 * n))   # padded cells stay 0: no gradient there
-            cells = np.empty((b, t, n))
         h = np.zeros((b, n))
         c = np.zeros((b, n))
         for i in range(t - 1, -1, -1) if reverse else range(t):
@@ -370,12 +393,10 @@ def lstm_sequence(xs: Tensor, fw: tuple[Tensor, Tensor, Tensor, Tensor],
                 c_new = act[:, n:2 * n] * c[:k] + act[:, :n] * act[:, 2 * n:3 * n]
                 c[:k] = c_new
                 h[:k] = act[:, 3 * n:] * np.tanh(c_new)
-                if keep:
-                    acts[:k, i] = act
+                proj[:k, i] = act
+            proj[k:, i] = 0.0   # no gradient there
             states[:, i] = h
-            if keep:
-                cells[:, i] = c
-        return (acts, cells) if keep else None
+        return proj if keep else None
 
     out = np.empty((b, t, 2 * n))
     saved = [run(fw, False, out[:, :, :n]), run(bw, True, out[:, :, n:])]
@@ -384,15 +405,24 @@ def lstm_sequence(xs: Tensor, fw: tuple[Tensor, Tensor, Tensor, Tensor],
     if not keep:
         return Tensor(out)
 
-    def run_bwd(g, states, weights, reverse, acts, cells):
+    def run_bwd(g, states, weights, reverse, acts):
         """Backward of one direction, from its halves of the output and its gradient."""
         w_ih, w_hh, b_ih, b_hh = weights
         if not in_order:
             g = g[order]
         steps = range(t - 1, -1, -1) if reverse else range(t)
         prev = 1 if reverse else -1
-        w_hh_t = w_hh.values.T
         zeros = np.zeros((b, n))
+        # the cell after each step, by the forward's own expression; a row's
+        # cell is 0 until its first step, and a padded cell is never read
+        cells = np.zeros((b, t, n))
+        for i in steps:
+            k = active[i]
+            if k:
+                act = acts[:k, i]
+                c_prev = zeros[:k] if i == steps[0] else cells[:k, i + prev]
+                cells[:k, i] = act[:, n:2 * n] * c_prev + act[:, :n] * act[:, 2 * n:3 * n]
+        w_hh_t = w_hh.values.T
         dh = np.zeros((b, n))
         dc = np.zeros((b, n))
         for i in reversed(steps):
@@ -418,11 +448,13 @@ def lstm_sequence(xs: Tensor, fw: tuple[Tensor, Tensor, Tensor, Tensor],
             act[:, 3 * n:] = d_out
             dh[:k] = (acts[:max(k, floor), i] @ w_hh_t)[:k]
         d_gates = acts if in_order else acts[inverse]
-        h_prev = np.zeros((b, t, n))
+        h_prev, cells = cells, None   # the cells are done with; the buffer holds h_prev
         if reverse:
             h_prev[:, :-1] = states[:, 1:]
+            h_prev[:, -1] = 0.0
         else:
             h_prev[:, 1:] = states[:, :-1]
+            h_prev[:, 0] = 0.0
         flat = d_gates.reshape(b * t, 4 * n)
         _accum(xs, (flat @ w_ih.values.T).reshape(b, t, d), owned=True)
         _accum(w_ih, x_flat.T @ flat, owned=True)
@@ -434,7 +466,7 @@ def lstm_sequence(xs: Tensor, fw: tuple[Tensor, Tensor, Tensor, Tensor],
     def bwd(g):
         for lo, weights, reverse in ((n, bw, True), (0, fw, False)):
             half = slice(lo, lo + n)
-            run_bwd(g[:, :, half], out[:, :, half], weights, reverse, *saved.pop())
+            run_bwd(g[:, :, half], out[:, :, half], weights, reverse, saved.pop())
 
     return _record(out, bwd)
 

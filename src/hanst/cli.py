@@ -26,7 +26,7 @@ from . import __version__
 from . import models as md
 from . import training as tr
 from .corpus import (DOCUMENT_FIELDS, SPLITS, TEXT_FIELDS, RawDocument, check_fields,
-                     check_label, json_object, load_corpus, open_text)
+                     check_label, check_task_label, json_object, load_corpus, open_text)
 from .errors import (AlignmentError, CheckpointMismatchError, ConfigurationError,
                      CorpusFormatError, DegenerateInputError, HanstError,
                      OutputExistsError)
@@ -35,7 +35,7 @@ from .evalstats import (PredictionRecord, build_report, corpus_citation_stats,
                         mcnemar_exact, save_predictions, vote_aggregate,
                         wilcoxon_signed_rank)
 from .textprep import (DEFAULT_VOCAB_SIZE, TaggedDocument, Vocabulary, encode_document,
-                       load_embeddings, prepare_corpus)
+                       load_embeddings, prepare_corpus, tag_tokens)
 # not called here; perfbench/probe.py traces them under these names on this module
 from .textprep import build_vocabulary, tokenize  # noqa: F401
 
@@ -142,8 +142,9 @@ def make_train_config(raw: dict, vocab_size: int, seed_list: str | None = None,
                       where: str = "config") -> tr.TrainConfig:
     """Resolve a config dict against task defaults into a TrainConfig; a value
     out of range raises a ConfigurationError that starts with `where`."""
-    if raw.get("vocab_size", 1) < 1:   # the config's cap, which prepare reads
-        raise ConfigurationError(f"{where}: vocab_size must be >= 1, got {raw['vocab_size']}")
+    cap = raw.get("vocab_size", DEFAULT_VOCAB_SIZE)   # the config's cap, which prepare reads
+    if cap < 1:
+        raise ConfigurationError(f"{where}: vocab_size must be >= 1, got {cap}")
     model_over = {k: raw[k] for k in _MODEL_OVERRIDES if k in raw}
     model_over["vocab_size"] = vocab_size   # the prepared size, not the config's cap
     train_over = {k: raw[k] for k in _TRAIN_OVERRIDES if k in raw}
@@ -152,6 +153,9 @@ def make_train_config(raw: dict, vocab_size: int, seed_list: str | None = None,
     try:
         model = dataclasses.replace(
             md.default_model_config(raw["model_kind"], raw["task"], vocab_size), **model_over)
+        forced = len(tag_tokens(model.tagset))
+        if forced > cap:
+            raise ConfigurationError(f"{forced} forced tokens exceed vocabulary cap {cap}")
         return tr.default_train_config(model=model, **train_over)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{where}: {exc}") from None
@@ -197,7 +201,10 @@ def _prepared_line(path: str, n: int, line: str, keys: dict[str, str]) -> dict:
     return check_fields(obj, keys, where)
 
 
-def load_prepared(data_dir: str) -> tuple[dict, dict[str, list[TaggedDocument]]]:
+def load_prepared(data_dir: str, task: str | None = None
+                  ) -> tuple[dict, dict[str, list[TaggedDocument]]]:
+    """The prepared dataset's header and its documents by split. Given a task,
+    every label must hold the key that task trains on."""
     path = os.path.join(data_dir, PREPARED_NAME)
     if not os.path.exists(path):
         raise ConfigurationError(f"no prepared dataset at {path}; run the prepare command first")
@@ -223,6 +230,8 @@ def load_prepared(data_dir: str) -> tuple[dict, dict[str, list[TaggedDocument]]]
                     raise ConfigurationError(f"token ids must be ints in [0, {meta['vocab_size']})")
             except (ConfigurationError, TypeError) as exc:
                 raise ConfigurationError(f"{path}: line {n}: {exc}") from None
+            if task is not None:
+                check_task_label(doc.label, task, f"{path}: line {n}")
             by_split[obj["split"]].append(doc)
     if len(seen) != meta["n_docs"]:
         raise ConfigurationError(f"{path}: header says {meta['n_docs']} documents, found {len(seen)}")
@@ -257,14 +266,11 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     raw = load_config_file(args.config)
     # resolved as train resolves it, so prepare refuses what train would; the
     # vocabulary is not built yet, and 2 (PAD and UNK) is the least size it can have
-    model = make_train_config(raw, 2, where=args.config).model
-    tagset, max_chars = model.tagset, model.max_chars
+    config = make_train_config(raw, 2, where=args.config)
+    tagset, max_chars = config.model.tagset, config.model.max_chars
     data_dir = data_dir_from(args)
-    try:
-        vocab, store = prepare_corpus(load_corpus(args.corpus), tagset, max_chars,
-                                      raw.get("vocab_size", DEFAULT_VOCAB_SIZE))
-    except ConfigurationError as exc:   # a vocab_size cap with no room for the tags
-        raise ConfigurationError(f"{args.config}: {exc}") from None
+    vocab, store = prepare_corpus(load_corpus(args.corpus, config.task), tagset, max_chars,
+                                  raw.get("vocab_size", DEFAULT_VOCAB_SIZE))
     meta = {"kind": PREPARED_KIND, "format_version": FORMAT_VERSION,
             "tagset": tagset, "max_chars": max_chars, "vocab_size": len(vocab),
             "corpus_sha256": file_sha256(args.corpus),
@@ -309,18 +315,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     if bool(args.config) == bool(args.from_manifest):
         raise ConfigurationError("pass exactly one of --config or --from-manifest")
     data_dir = data_dir_from(args)
-    meta, by_split = load_prepared(data_dir)
-    vocab = _load_matching_vocab(data_dir, meta)
-
     if args.from_manifest:
         manifest_in = _load_manifest(args.from_manifest)
+        raw, where = manifest_in["config"], f"{args.from_manifest}: config"
+    else:
+        raw, where = load_config_file(args.config), args.config
+    meta, by_split = load_prepared(data_dir, raw["task"])
+    vocab = _load_matching_vocab(data_dir, meta)
+    if args.from_manifest:
         if manifest_in["corpus_sha256"] != meta["corpus_sha256"]:
             raise ConfigurationError("manifest corpus hash does not match the prepared dataset")
         if manifest_in["vocab_sha256"] != meta["vocab_sha256"]:
             raise ConfigurationError("manifest vocabulary hash does not match the prepared dataset")
-        raw, where = manifest_in["config"], f"{args.from_manifest}: config"
-    else:
-        raw, where = load_config_file(args.config), args.config
     config = make_train_config(raw, len(vocab), seed_list=args.seed_list, where=where)
     _check_preparation(config.model, meta, ConfigurationError)
 

@@ -13,6 +13,8 @@ from .errors import ConfigurationError, CorpusFormatError, TextDecodeError
 
 SPLITS = ("train", "valid", "test")
 LABEL_KEYS = ("accepted", "citation_count")
+# the label each task trains on
+TASK_LABELS = {"classify": "accepted", "regress": "citation_count"}
 TEXT_FIELDS = ("title", "abstract", "body_text")
 # the fields of a document line; a corpus line also needs its label
 DOCUMENT_FIELDS = {"id": "str", **dict.fromkeys(TEXT_FIELDS, "str")}
@@ -80,6 +82,15 @@ def check_label(label: dict, where: str, error) -> None:
         raise error(f"{where}: 'citation_count' must be a non-negative integer")
 
 
+def check_task_label(label: dict, task: str, where: str) -> None:
+    """Raise ConfigurationError, starting with `where`, unless `label` holds
+    the key that `task` trains on; a task with no such key is left to the
+    config checks."""
+    key = TASK_LABELS.get(task)
+    if key is not None and key not in label:
+        raise ConfigurationError(f"{where}: task {task!r} needs the label {key!r}")
+
+
 @dataclass
 class RawDocument:
     """One paper: title/abstract/body text plus a task label.
@@ -106,9 +117,10 @@ class RawDocument:
                 "body_text": self.body_text, "label": dict(self.label), "split": self.split}
 
 
-def load_corpus(path) -> Iterator[RawDocument]:
+def load_corpus(path, task: str | None = None) -> Iterator[RawDocument]:
     """Yield one RawDocument per JSONL line as it is read; errors start with
-    "<path>: line N", and come only when iteration reaches that line."""
+    "<path>: line N", and come only when iteration reaches that line. Given a
+    task, every label must hold the key that task trains on."""
     seen: set[str] = set()
     with open_text(path) as fh:
         for n, line in enumerate(fh, start=1):
@@ -122,6 +134,8 @@ def load_corpus(path) -> Iterator[RawDocument]:
                                   split=obj.get("split", "train"))
             except CorpusFormatError as exc:
                 raise CorpusFormatError(f"{where}: {exc}") from None
+            if task is not None:
+                check_task_label(doc.label, task, where)
             if doc.id in seen:
                 raise CorpusFormatError(f"{where}: duplicate document id {doc.id!r}")
             seen.add(doc.id)

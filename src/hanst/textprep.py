@@ -215,16 +215,19 @@ def build_vocabulary(counts: Counter, max_size: int = DEFAULT_VOCAB_SIZE,
 
     ``forced_tokens`` (the structure tags) are always retained and count
     against ``max_size``. Ids follow (frequency desc, token asc) order over
-    the retained set.
+    the retained set. Only iteration and ``counts.get`` are read, so any
+    object with those two will do in place of a Counter (see _TrainCounts).
+    The ranking holds a few machine words per token and no object per token.
     """
     forced = set(forced_tokens or [])
     if len(forced) > max_size:
         raise ConfigurationError(f"{len(forced)} forced tokens exceed vocabulary cap {max_size}")
-    def order(token: str) -> tuple[int, str]:
-        return -counts[token], token
-
-    free = [t for t in sorted(counts, key=order) if t not in forced]
-    return Vocabulary(sorted(forced.union(free[: max_size - len(forced)]), key=order))
+    # token asc, then a stable sort by frequency desc
+    free = sorted(t for t in counts if t not in forced)
+    by_count = np.argsort(np.fromiter((-counts.get(t, 0) for t in free), np.int64, len(free)),
+                          kind="stable")
+    kept = forced.union(free[i] for i in by_count[: max_size - len(forced)].tolist())
+    return Vocabulary(sorted(kept, key=lambda t: (-counts.get(t, 0), t)))
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +306,34 @@ def kept_sentences(doc: RawDocument, max_chars: int) -> list[tuple[str, str]]:
     return pulled[: len(apply_cutoff([sent for _, sent in pulled], max_chars))]
 
 
+class _TrainCounts:
+    """A TokenStore's train tokens and their counts, read by provisional id;
+    build_vocabulary reads it as it reads a Counter."""
+
+    def __init__(self, ids: dict[str, int], counts: np.ndarray):
+        self.ids, self.counts = ids, counts
+
+    def __iter__(self):
+        return (token for token, n in zip(self.ids, self.counts) if n)
+
+    def get(self, token: str, default: int) -> int:
+        i = self.ids.get(token, len(self.counts))
+        return int(self.counts[i]) if i < len(self.counts) else default
+
+
 class TokenStore:
     """Documents' kept sentences as untagged token ids in one flat int32 array,
     with each sentence's length and each document's id, label, split and roles.
 
-    `add` gives each new token the next provisional id and counts train tokens;
+    `add` gives each new token the next provisional id and counts train tokens
+    by that id, so each distinct token is held once, as a key of `first_seen`;
     once `vocab` is set, iterating encodes one document at a time.
     """
 
     def __init__(self, tagset: str):
         self.tagset = tagset
         self.vocab: Vocabulary | None = None
-        self.counts: Counter = Counter()
+        self.counts = np.zeros(0, dtype=np.int64)   # train count by provisional id
         self.first_seen: dict[str, int] = {}
         self.ids = array("i")
         self.lengths = array("i")
@@ -324,15 +343,17 @@ class TokenStore:
     def add(self, doc: RawDocument, max_chars: int) -> None:
         kept = kept_sentences(doc, max_chars)
         sentences = [tokenize(sent) for _, sent in kept]
-        tokens = list(chain.from_iterable(sentences))
-        if doc.split == "train":
-            self.counts.update(tokens)
         first_seen = self.first_seen
-        self.ids.extend([first_seen.setdefault(t, len(first_seen)) for t in tokens])
+        ids = [first_seen.setdefault(t, len(first_seen)) for t in chain.from_iterable(sentences)]
+        if doc.split == "train":
+            if len(first_seen) > len(self.counts):   # at least doubles: amortized O(1) per id
+                self.counts = np.pad(self.counts, (0, len(first_seen)))
+            np.add.at(self.counts, ids, 1)
+        self.ids.extend(ids)
         self.lengths.extend(map(len, sentences))
         self.splits.append(doc.split)
         self.docs.append((doc.id, doc.label, bytes(_ROLES.index(role) for role, _ in kept),
-                          len(tokens)))
+                          len(ids)))
 
     def content_tokens(self) -> list[int]:
         """Each document's untagged tokens; one with no text encodes as one UNK."""
@@ -386,8 +407,8 @@ def prepare_corpus(docs, tagset: str, max_chars: int,
     store = TokenStore(tagset)
     for doc in docs:
         store.add(doc, max_chars)
-    if not store.counts:
+    if not store.counts.any():
         raise DegenerateInputError("train split has no text to build a vocabulary from")
-    store.vocab = build_vocabulary(store.counts, max_size=vocab_size,
-                                   forced_tokens=tag_tokens(tagset))
+    store.vocab = build_vocabulary(_TrainCounts(store.first_seen, store.counts),
+                                   max_size=vocab_size, forced_tokens=tag_tokens(tagset))
     return store.vocab, store

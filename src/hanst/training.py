@@ -10,6 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import models as md
+from .corpus import TASK_LABELS
 from .errors import (
     ConfigurationError,
     DegenerateInputError,
@@ -78,7 +79,7 @@ def default_train_config(task: str, model: md.ModelConfig, **overrides) -> Train
 
 def gold_value(label: dict, task: str) -> float:
     """Class index (1 = accepted) or citation-score target."""
-    key = "accepted" if task == "classify" else "citation_count"
+    key = TASK_LABELS[task]
     if key not in label:
         raise ConfigurationError(f"task {task!r} needs the label {key!r} on every document")
     return float(int(label[key])) if task == "classify" else citation_score(label[key])

@@ -5,12 +5,15 @@ Run from anywhere:
     python tests/step_memory.py
 
 It takes one training step of the paper-default HAN (E=50, H=256) on each of
-two batches:
+three batches:
 
 - han-paper: 4 documents of 20 sentences x 25 tokens, the shape of the
   benchmark's han-paper workload;
 - ragged: synth.heterogeneous_length_corpus(n_docs=4) cut at 4,000
-  characters, a (4, 166, 33) batch in which 14% of the cells are tokens.
+  characters, a (4, 166, 33) batch in which 14% of the cells are tokens;
+- 20k: the same corpus cut at the paper's 20,000 characters, the (4, 832, 33)
+  worst batch. Its step peaks above 1 GiB, so it takes a while and needs
+  about 2 GiB of memory.
 
 For each step it prints the peak of the forward pass and the memory the tape
 holds after it. Then, for each tape node in the order backward runs them, it
@@ -51,8 +54,8 @@ def han_paper_docs():
     return 10002, docs
 
 
-def ragged_docs():
-    vocab, store = prepare_corpus(synth.heterogeneous_length_corpus(n_docs=4), "none", 4000, 10000)
+def ragged_docs(max_chars):
+    vocab, store = prepare_corpus(synth.heterogeneous_length_corpus(n_docs=4), "none", max_chars, 10000)
     return len(vocab), list(store)
 
 
@@ -103,7 +106,8 @@ def walk(name, vocab_size, docs):
 
 def main():
     walk("han-paper", *han_paper_docs())
-    walk("ragged", *ragged_docs())
+    walk("ragged", *ragged_docs(4000))
+    walk("20k", *ragged_docs(20000))
 
 
 if __name__ == "__main__":

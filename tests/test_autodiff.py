@@ -413,12 +413,23 @@ class TestBackward:
     def test_backward_releases_every_closure_and_keeps_the_nodes(self):
         rng = np.random.default_rng(0)
         lstm = tuple(ad.Tensor(rng.normal(size=s)) for s in ((5, 16), (4, 16), 16, 16))
-        pool = [ad.Tensor(rng.normal(size=s)) for s in ((8, 3), 3, (3, 1))]
+        pool = [ad.Tensor(rng.normal(size=s)) for s in ((8, 8), 8, (8, 1))]
         mask = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
         with ad.Tape() as tape:
             w = ad.Tensor(np.array([1.0, -2.0]))
             unused = tanh(w)
-            states = ad.lstm_sequence(ad.Tensor(rng.normal(size=(2, 3, 5))), lstm, lstm, mask)
+            xs = ad.Tensor(rng.normal(size=(2, 3, 5)))
+            states = ad.lstm_sequence(xs, lstm, lstm, mask)
+            # beside its output and a view of its input, lstm_sequence saves
+            # one gates array per direction and nothing else: no cells, no
+            # separate projection. A padded cell's gates are 0.
+            lstm_held = list(arrays_held_by([states.backward_fn]))
+            gates = [a for a in lstm_held if a.shape == (2, 3, 16)]
+            assert len(gates) == 2
+            for gate in gates:
+                assert (gate[1, 1:] == 0).all() and (gate[0] != 0).all() and (gate[1, 0] != 0).all()
+            assert all(a is states.values or np.shares_memory(a, xs.values)
+                       for a in lstm_held if a.ndim > 1 and a.shape != (2, 3, 16))
             pooled, _ = ad.attention_pool(states, *pool, mask)
             loss = ad.add(sum_all(mul(tanh(w), w)), sum_all(pooled))
             nodes = list(tape.nodes)
@@ -429,10 +440,12 @@ class TestBackward:
             assert all(node.backward_fn is None for node in tape.nodes)
             assert all(node.values is v for node, v in zip(tape.nodes, values))
         # even the closures kept here let go, as they ran, of the gates
-        # [2,3,16] and cells [2,3,4] that lstm_sequence saved per direction
-        # and of attention_pool's projection [6,3]
-        held = {a.shape for a in arrays_held_by(closures)}
-        assert held and not held & {(2, 3, 16), (2, 3, 4), (6, 3)}
+        # [2,3,16] that lstm_sequence saved per direction and of
+        # attention_pool's projection [6,8]; what is left of that shape is
+        # the view of the states attention_pool reads
+        held = list(arrays_held_by(closures))
+        assert held and not {a.shape for a in held} & {(2, 3, 16), (2, 3, 4)}
+        assert all(np.shares_memory(a, states.values) for a in held if a.shape == (6, 8))
 
     def test_kept_first_gradients_are_never_shared(self):
         # an op's own array becomes a first gradient as it is, but add's one
@@ -547,6 +560,8 @@ class TestStructuralOps:
 ATTENTION_CASES = {
     "word-ragged": (9, 7, 6, None),
     "word-wide": (12, 25, 64, None),
+    # the han-paper word level: several of the backward's row blocks
+    "word-blocks": (80, 25, 512, None),
     "word-one-position": (4, 1, 6, [1, 1, 1, 1]),
     "sentence-prefix": (3, 5, 6, [5, 2, 3]),
     "sentence-one-doc": (1, 4, 6, [4]),
@@ -604,6 +619,9 @@ class TestAttentionPool:
         w, b, u = (ad.Tensor(np.ones(s)) for s in ((3, 3), 3, (3, 1)))
         for args in ((states, w, b, u, np.ones((2, 5))),
                      (states, ad.Tensor(np.ones((4, 3))), b, u, np.ones((2, 4))),
+                     # a consistent but non-square w [D,A]: w must be square
+                     (states, ad.Tensor(np.ones((3, 4))), ad.Tensor(np.ones(4)),
+                      ad.Tensor(np.ones((4, 1))), np.ones((2, 4))),
                      (states, w, ad.Tensor(np.ones(4)), u, np.ones((2, 4))),
                      (states, w, b, ad.Tensor(np.ones(3)), np.ones((2, 4))),
                      (ad.Tensor(np.ones((8, 3))), w, b, u, np.ones((2, 4)))):

@@ -473,12 +473,27 @@ def test_config_value_out_of_range_one_line(tmp_path, capsys, probe_corpus, comm
     assert err == f"error: config-error: {cfg}: {message}\n"
 
 
-def test_task_label_missing_is_one_line(tmp_path, capsys, cites_corpus):
-    # a classification config over a corpus that only has citation counts
-    data, cfg = prepared_dir(tmp_path, capsys, cites_corpus)
-    rc, _, err = run_cli(capsys, "train", "--config", cfg, "--out", data)
-    assert rc == 1
-    assert err == "error: config-error: task 'classify' needs the label 'accepted' on every document\n"
+def test_task_label_missing_is_one_line(tmp_path, capsys, cites_corpus, probe_corpus):
+    # a classification config over a corpus that only has citation counts:
+    # prepare refuses its first document
+    cfg = write_config(tmp_path / "cfg.json")
+    rc, out, err = run_cli(capsys, "prepare", cites_corpus, "--config", cfg,
+                           "--out", str(tmp_path / "cites"))
+    assert rc == 1 and out == ""
+    assert err == f"error: config-error: {cites_corpus}: line 1: task 'classify' needs the label 'accepted'\n"
+    # train names the line of a hand-edited prepared dataset
+    data, cfg = prepared_dir(tmp_path / "probe", capsys, probe_corpus)
+    path = os.path.join(data, "prepared.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    doc = json.loads(lines[2])
+    doc["label"] = {"citation_count": 3}
+    lines[2] = json.dumps(doc) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    rc, out, err = run_cli(capsys, "train", "--config", cfg, "--out", data)
+    assert rc == 1 and out == ""
+    assert err == f"error: config-error: {path}: line 3: task 'classify' needs the label 'accepted'\n"
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")

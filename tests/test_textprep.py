@@ -256,6 +256,12 @@ class TestVocabulary:
         for t in tags:
             assert t in vocab
         assert len(vocab) == 10 + 2
+        # a forced token that is counted ranks by its count
+        vocab = tp.build_vocabulary(Counter({"w": 5, tags[0]: 9}), max_size=len(tags) + 1,
+                                    forced_tokens=tags)
+        assert vocab.id_to_token[2] == tags[0] and "w" in vocab
+        with pytest.raises(ConfigurationError, match=f"{len(tags)} forced tokens exceed vocabulary cap 3"):
+            tp.build_vocabulary(Counter({"w": 1}), max_size=3, forced_tokens=tags)
 
     def test_empty_corpus(self):
         vocab = tp.build_vocabulary(Counter())
