@@ -151,31 +151,21 @@ def backward(loss: Tensor) -> None:
 # ops
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    values = a.values @ b.values
+def linear(x: Tensor, w: Tensor, b: Tensor, keep: np.ndarray | None = None) -> Tensor:
+    """(x * keep) @ w + b for x [N,D], w [D,K] and b [K], as one tape node; keep
+    is a constant mask of x's shape (inverted dropout's), or None for x @ w + b."""
+    if (x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],)
+            or keep is not None and keep.shape != x.shape):
+        raise ShapeMismatchError(f"linear: x {x.shape}, w {w.shape}, b {b.shape}, keep {getattr(keep, 'shape', None)}")
+    kept = x.values if keep is None else x.values * keep
 
     def bwd(g):
-        _accum(a, g @ b.values.T, owned=True)
-        _accum(b, a.values.T @ g, owned=True)
+        dx = g @ w.values.T
+        _accum(x, dx if keep is None else dx * keep, owned=True)
+        _accum(w, kept.T @ g, owned=True)
+        _accum(b, g.sum(axis=0), owned=True)
 
-    return _record(values, bwd)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; ``b`` may be a 1-D bias broadcast over the last axis."""
-    if a.shape == b.shape:
-        def bwd(g):
-            _accum(a, g)
-            _accum(b, g)
-    elif b.ndim == 1 and a.ndim >= 1 and a.shape[-1] == b.shape[0]:
-        def bwd(g):
-            _accum(a, g)
-            _accum(b, g.reshape(-1, b.shape[0]).sum(axis=0))
-    else:
-        raise ShapeMismatchError(f"add: incompatible shapes {a.shape} + {b.shape}")
-    return _record(a.values + b.values, bwd)
+    return _record(kept @ w.values + b.values, bwd)
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -184,16 +174,6 @@ def _logistic(x: np.ndarray) -> np.ndarray:
     # bitwise the two-branch form without a data-dependent select.
     e = np.exp(-np.abs(x))
     return np.maximum(e, x >= 0) / (1.0 + e)
-
-
-def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-p); identity in eval mode."""
-    if not 0.0 <= p < 1.0:
-        raise ConfigurationError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return a
-    keep = (rng.random(a.shape) >= p) / (1.0 - p)
-    return _record(a.values * keep, lambda g: _accum(a, g * keep, owned=True))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -215,11 +195,12 @@ def rows(table: Tensor, ids: np.ndarray) -> Tensor:
     return _record(values, bwd)
 
 
-def scatter_rows(a: Tensor, index: np.ndarray, n: int) -> Tensor:
-    """Rows of a [R, ...] placed at the distinct rows ``index`` of [n, ...]; other rows are 0."""
-    values = np.zeros((n,) + a.shape[1:])
-    values[index] = a.values
-    return _record(values, lambda g: _accum(a, g[index], owned=True))
+def scatter_rows(a: Tensor, index: np.ndarray, shape) -> Tensor:
+    """Rows of a [R, ...] at the distinct rows ``index`` of zeros of ``shape`` viewed as [n, ...]."""
+    values = np.zeros(shape)
+    flat = values.reshape((-1,) + a.shape[1:])
+    flat[index] = a.values
+    return _record(values, lambda g: _accum(a, g.reshape(flat.shape)[index], owned=True))
 
 
 def weighted_sum(h: Tensor, weights: np.ndarray) -> Tensor:

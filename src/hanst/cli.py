@@ -47,6 +47,7 @@ REPORT_NAME = "report.json"
 HISTOGRAM_NAME = "citation-histogram.csv"
 PREPARED_KIND = "hanst-prepared"
 MANIFEST_KIND = "hanst-manifest"
+_KIND_NAMES = {PREPARED_KIND: "a prepared dataset", MANIFEST_KIND: "an experiment manifest"}
 FORMAT_VERSION = 1
 PREDICT_BATCH = 32
 
@@ -190,14 +191,22 @@ _META_KEYS = {"kind": "str", "format_version": "int", "tagset": "str", "max_char
 _DOC_KEYS = {"id": "str", "split": "str", "label": "dict", "roles": "list", "sentences": "list"}
 
 
+def _check_kind(obj: dict, kind: str, path: str, where: str | None = None) -> None:
+    """Refuse the header `obj` of the file at `path` unless it names `kind` and
+    this FORMAT_VERSION; a version error starts with `where` (default: path)."""
+    if obj.get("kind") != kind:
+        raise ConfigurationError(f"{path}: not {_KIND_NAMES[kind]}")
+    version = obj.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ConfigurationError(f"{where or path}: format_version {version!r} is not {FORMAT_VERSION}")
+
+
 def _prepared_line(path: str, n: int, line: str, keys: dict[str, str]) -> dict:
     """Parse line n of a prepared dataset: a JSON object with `keys`."""
     where = f"{path}: line {n}"
     obj = json_object(line, where)
-    if n == 1 and obj.get("kind") != PREPARED_KIND:
-        raise ConfigurationError(f"{path}: not a prepared dataset")
-    if n == 1 and obj.get("format_version") != FORMAT_VERSION:
-        raise ConfigurationError(f"{where}: format_version {obj.get('format_version')!r} is not {FORMAT_VERSION}")
+    if n == 1:
+        _check_kind(obj, PREPARED_KIND, path, where)
     return check_fields(obj, keys, where)
 
 
@@ -238,10 +247,15 @@ def load_prepared(data_dir: str, task: str | None = None
     return meta, by_split
 
 
-def _load_matching_vocab(data_dir: str, meta: dict) -> Vocabulary:
-    """The data directory's vocabulary, refused unless it is the one the
-    prepared dataset was encoded with."""
-    vocab = Vocabulary.load(os.path.join(data_dir, VOCAB_NAME))
+def _load_vocab(data_dir: str) -> Vocabulary:
+    path = os.path.join(data_dir, VOCAB_NAME)
+    if not os.path.exists(path):
+        raise ConfigurationError(f"no vocabulary at {path}; run the prepare command first")
+    return Vocabulary.load(path)
+
+
+def _check_vocab(vocab: Vocabulary, meta: dict) -> Vocabulary:
+    """`vocab`, refused unless it is the one the prepared dataset was encoded with."""
     if vocab.sha256() != meta["vocab_sha256"] or len(vocab) != meta["vocab_size"]:
         raise CheckpointMismatchError("vocabulary file does not match the prepared dataset")
     return vocab
@@ -298,8 +312,7 @@ _MANIFEST_KEYS = {"config": "dict", "corpus_sha256": "str", "vocab_sha256": "str
 def _load_manifest(path: str) -> dict:
     with open_text(path) as fh:
         manifest = json_object(fh.read(), path)
-    if manifest.get("kind") != MANIFEST_KIND:
-        raise ConfigurationError(f"{path}: not an experiment manifest")
+    _check_kind(manifest, MANIFEST_KIND, path)
     check_fields(manifest, _MANIFEST_KEYS, path)
     # absent from manifests of configs without embeddings, and from older ones
     check_fields(manifest, {"embeddings_sha256": "str"}, path, optional=True)
@@ -321,7 +334,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         raw, where = load_config_file(args.config), args.config
     meta, by_split = load_prepared(data_dir, raw["task"])
-    vocab = _load_matching_vocab(data_dir, meta)
+    vocab = _check_vocab(_load_vocab(data_dir), meta)
     if args.from_manifest:
         if manifest_in["corpus_sha256"] != meta["corpus_sha256"]:
             raise ConfigurationError("manifest corpus hash does not match the prepared dataset")
@@ -398,32 +411,36 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if bool(args.manifest) == bool(args.checkpoint):
         raise ConfigurationError("pass exactly one of --manifest or --checkpoint")
     data_dir = data_dir_from(args)
-    meta, by_split = load_prepared(data_dir)
-    vocab = _load_matching_vocab(data_dir, meta)
-    vocab_hash = meta["vocab_sha256"]
+    # the task comes first, so that load_prepared checks every label against it
+    vocab = _load_vocab(data_dir)
+    if args.manifest:
+        manifest = _load_manifest(args.manifest)
+        task = manifest["config"]["task"]
+    else:
+        model = md.load_checkpoint(args.checkpoint, vocab.sha256())
+        task = model.config.task
+    meta, by_split = load_prepared(data_dir, task)
+    _check_vocab(vocab, meta)
     docs = by_split[args.split]
     if not docs:
         raise DegenerateInputError(f"split {args.split!r} has no documents")
 
     if args.manifest:
-        manifest = _load_manifest(args.manifest)
-        if manifest["vocab_sha256"] != vocab_hash:
+        if manifest["vocab_sha256"] != meta["vocab_sha256"]:
             raise CheckpointMismatchError("manifest vocabulary hash does not match the data directory")
-        config = make_train_config(manifest["config"], len(vocab), where=f"{args.manifest}: config")
-        task, batch_size = config.task, config.batch_size
+        batch_size = make_train_config(manifest["config"], len(vocab),
+                                       where=f"{args.manifest}: config").batch_size
         base = os.path.dirname(os.path.abspath(args.manifest))
         runs = []
         for seed in manifest["seeds"]:
             rel = manifest["checkpoints"][str(seed)]
             path = rel if os.path.isabs(rel) else os.path.join(base, rel)
-            model = md.load_checkpoint(path, vocab_hash)
+            model = md.load_checkpoint(path, meta["vocab_sha256"])
             _check_preparation(model.config, meta, CheckpointMismatchError)
             runs.append(tr.predict(model, docs, task, batch_size, seed=int(seed)))
         per_run, _ = tr.summarize_runs(runs, task)
     else:
-        model = md.load_checkpoint(args.checkpoint, vocab_hash)
         _check_preparation(model.config, meta, CheckpointMismatchError)
-        task = model.config.task
         records = tr.predict(model, docs, task, PREDICT_BATCH)
         per_run = {name: [value] for name, value in tr.run_metrics(records, task).items()}
 
@@ -455,11 +472,7 @@ def _load_predict_docs(path: str) -> list[RawDocument]:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    data_dir = data_dir_from(args)
-    vocab_path = os.path.join(data_dir, VOCAB_NAME)
-    if not os.path.exists(vocab_path):
-        raise ConfigurationError(f"no vocabulary at {vocab_path}; run the prepare command first")
-    vocab = Vocabulary.load(vocab_path)
+    vocab = _load_vocab(data_dir_from(args))
     model = md.load_checkpoint(args.checkpoint, vocab.sha256())
     task = model.config.task
     if args.attention and model.config.model_kind != "han":
@@ -549,7 +562,7 @@ def cmd_significance(args: argparse.Namespace) -> int:
         errors_b = [abs(agg_b[i].pred - agg_b[i].gold) for i in ids]
         result = wilcoxon_signed_rank(errors_a, errors_b,
                                       system_a=name_a, system_b=name_b)
-    print(json.dumps(result.to_json(), indent=2, sort_keys=True))
+    print(json.dumps(dataclasses.asdict(result), indent=2, sort_keys=True))
     return 0
 
 

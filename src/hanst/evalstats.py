@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import permutations
 
 import numpy as np
@@ -39,10 +39,6 @@ class PredictionRecord:
         if self.prob is not None and not 0.0 <= self.prob <= 1.0:
             raise ConfigurationError(f"probability must be in [0, 1], got {self.prob}")
 
-    def to_json(self) -> dict:
-        return {"id": self.id, "gold": self.gold, "pred": self.pred,
-                "prob": self.prob, "seed": self.seed}
-
     @classmethod
     def from_json(cls, obj: dict) -> "PredictionRecord":
         return cls(id=obj["id"], gold=obj["gold"], pred=obj["pred"],
@@ -52,7 +48,7 @@ class PredictionRecord:
 def save_predictions(records: list[PredictionRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+            fh.write(json.dumps(asdict(rec), sort_keys=True) + "\n")
 
 
 def load_predictions(path) -> list[PredictionRecord]:
@@ -219,11 +215,6 @@ class SignificanceResult:
     system_a: str
     system_b: str
     n: int
-
-    def to_json(self) -> dict:
-        return {"test_kind": self.test_kind, "statistic": self.statistic,
-                "p_value": self.p_value, "system_a": self.system_a,
-                "system_b": self.system_b, "n": self.n}
 
 
 def mcnemar_exact(golds, preds_a, preds_b, system_a: str = "A",

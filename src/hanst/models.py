@@ -208,8 +208,10 @@ class Model:
     def forward(self, batch: Batch, training: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardResult:
         doc, word_alpha, sent_alpha = self.encode(batch)
-        dropped = ad.dropout(doc, self.config.dropout_p, training=training, rng=rng)
-        output = ad.add(ad.matmul(dropped, self.head_w), self.head_b)
+        p = self.config.dropout_p
+        # inverted dropout: survivors scaled by 1/(1-p), none in eval mode
+        keep = (rng.random(doc.shape) >= p) / (1.0 - p) if training and p > 0.0 else None
+        output = ad.linear(doc, self.head_w, self.head_b, keep)
         return ForwardResult(output=output, word_attention=word_alpha, sent_attention=sent_alpha)
 
 
@@ -226,8 +228,6 @@ class AweModel(Model):
         b, s, t = batch.ids.shape
         ids = batch.ids.reshape(b, s * t)
         mask = batch.token_mask.reshape(b, s * t)
-        if (mask.sum(axis=1) == 0).any():
-            raise DegenerateInputError("document with no unmasked tokens")
         doc = _masked_mean_rows(self.embedding, ids, mask)
         return doc, None, None
 
@@ -283,7 +283,8 @@ class HanModel(Model):
         the sentence vectors are scattered back into [B,S,2H]. Padding
         sentences get zero vectors there, and the sentence-level mask never
         reads them. Their word attention rows are zero. A training step
-        records 11 tape nodes: these 7, then dropout, the head and the loss.
+        records 8 tape nodes, one per layer: these 6, the head's linear and
+        the loss.
         """
         b, s, t = batch.ids.shape
         token_mask = batch.token_mask.reshape(b * s, t)
@@ -292,8 +293,7 @@ class HanModel(Model):
         token_mask = token_mask[real]
         words = ad.rows(self.embedding, batch.ids.reshape(b * s, t)[real])
         sent_vecs, word_alpha = self.word_attn.run(self.word_bilstm.run(words, token_mask), token_mask)
-        sent_seq = ad.reshape(ad.scatter_rows(sent_vecs, real, b * s),
-                              (b, s, 2 * self.config.bilstm_hidden))
+        sent_seq = ad.scatter_rows(sent_vecs, real, (b, s, 2 * self.config.bilstm_hidden))
         doc, sent_alpha = self.sent_attn.run(self.sent_bilstm.run(sent_seq, batch.sent_mask),
                                              batch.sent_mask)
         word_maps = np.zeros((b * s, t))

@@ -278,6 +278,8 @@ class TaggedDocument:
     label: dict
 
     def __post_init__(self):
+        if not self.sentences:
+            raise ConfigurationError(f"document {self.id!r}: no sentences")
         if len(self.sentences) != len(self.roles):
             raise ConfigurationError(f"document {self.id!r}: {len(self.sentences)} sentences vs {len(self.roles)} roles")
         if any(len(s) == 0 for s in self.sentences):

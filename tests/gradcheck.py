@@ -1,3 +1,5 @@
+"""Finite-difference gradient checks shared by the tests."""
+
 import numpy as np
 
 

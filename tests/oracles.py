@@ -7,6 +7,9 @@
   `concat` also joined the two one-direction LSTM outputs, and `index_axis`
   picked the sentence-averaging model's final states, before one
   bidirectional `lstm_sequence` node wrote both halves of one output.
+- The generic tape ops of the head, `dropout`, `matmul` and `add`, which
+  `ad.linear` fuses into one node that must match them bit for bit. The
+  step oracle and `composed_attention_pool` build on `matmul` and `add` too.
 - Tape ops of the compositions that the fused ops replaced: `tanh` and
   `softmax`, from which `composed_attention_pool` builds the eight-node
   attention pool that `ad.attention_pool` fuses, and `sub`, `abs_` and
@@ -35,6 +38,43 @@ from hanst.errors import ConfigurationError, DegenerateInputError, ShapeMismatch
 # ---------------------------------------------------------------------------
 # tape ops
 # ---------------------------------------------------------------------------
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeMismatchError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
+    values = a.values @ b.values
+
+    def bwd(g):
+        _accum(a, g @ b.values.T, owned=True)
+        _accum(b, a.values.T @ g, owned=True)
+
+    return _record(values, bwd)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum; ``b`` may be a 1-D bias broadcast over the last axis."""
+    if a.shape == b.shape:
+        def bwd(g):
+            _accum(a, g)
+            _accum(b, g)
+    elif b.ndim == 1 and a.ndim >= 1 and a.shape[-1] == b.shape[0]:
+        def bwd(g):
+            _accum(a, g)
+            _accum(b, g.reshape(-1, b.shape[0]).sum(axis=0))
+    else:
+        raise ShapeMismatchError(f"add: incompatible shapes {a.shape} + {b.shape}")
+    return _record(a.values + b.values, bwd)
+
+
+def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout: survivors scaled by 1/(1-p); identity in eval mode."""
+    if not 0.0 <= p < 1.0:
+        raise ConfigurationError(f"dropout probability must be in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return a
+    keep = (rng.random(a.shape) >= p) / (1.0 - p)
+    return _record(a.values * keep, lambda g: _accum(a, g * keep, owned=True))
+
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
@@ -180,8 +220,8 @@ def composed_attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor,
     """`ad.attention_pool` as the eight tape nodes it replaced: (pooled, alpha)."""
     bsz, t, d = states.shape
     flat = ad.reshape(states, (bsz * t, d))
-    proj = tanh(ad.add(ad.matmul(flat, w), b))
-    scores = ad.reshape(ad.matmul(proj, u), (bsz, t))
+    proj = tanh(add(matmul(flat, w), b))
+    scores = ad.reshape(matmul(proj, u), (bsz, t))
     alpha = softmax(scores, mask=mask.astype(bool))
     return weighted_sum(states, alpha), alpha
 

@@ -15,7 +15,7 @@ from itertools import permutations, product
 import numpy as np
 import scipy.stats
 
-from conftest import fd_grad
+from gradcheck import fd_grad
 from oracles import inject_tags, strip_tags
 from hanst import autodiff as ad
 from hanst import cli

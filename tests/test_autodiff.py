@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_grad, rel_err
+from gradcheck import fd_grad, rel_err
 from oracles import (
     abs_,
+    add,
     composed_attention_pool,
     concat,
+    dropout,
     index_axis,
+    matmul,
     mean_all,
     mul,
     mul_const,
@@ -55,27 +58,73 @@ def scalar_loss(op, *arrays, which: int = 0, step: float = 1e-5, tol: float = 1e
     assert rel_err(analytic, numeric) < tol
 
 
+class TestLinear:
+    """`ad.linear` against the three generic ops it fused, kept in tests/oracles.py."""
+
+    @staticmethod
+    def outputs_and_grads(head, arrays, upstream):
+        with ad.Tape() as tape:
+            tensors = [ad.Tensor(a) for a in arrays]
+            out = head(*tensors)
+            nodes = len(tape.nodes)
+            ad.backward(sum_all(mul(out, ad.Tensor(upstream))))
+        return nodes, [out.values] + [t.grad for t in tensors]
+
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_bitwise_equal_to_dropout_matmul_add(self, p):
+        rng = np.random.default_rng(15)
+        arrays = [rng.normal(size=(6, 7)), rng.normal(size=(7, 3)), rng.normal(size=3)]
+        upstream = rng.normal(size=(6, 3))
+        keep = (np.random.default_rng(3).random((6, 7)) >= p) / (1.0 - p) if p else None
+        n_want, want = self.outputs_and_grads(
+            lambda x, w, b: add(matmul(dropout(x, p, True, np.random.default_rng(3)), w), b),
+            arrays, upstream)
+        n_got, got = self.outputs_and_grads(lambda x, w, b: ad.linear(x, w, b, keep), arrays, upstream)
+        assert (n_want, n_got) == ((3 if p else 2), 1)
+        for name, g, w in zip(("values", "x", "w", "b"), got, want):
+            np.testing.assert_array_equal(g, w, err_msg=name)
+        if p:
+            assert (got[1][keep == 0] == 0).all() and (keep == 0).any()
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_gradients_match_finite_differences(self, masked):
+        rng = np.random.default_rng(16)
+        arrays = [rng.normal(size=(4, 5)), rng.normal(size=(5, 2)), rng.normal(size=2)]
+        keep = (rng.random((4, 5)) >= 0.3) / 0.7 if masked else None
+        for which in range(3):
+            scalar_loss(lambda x, w, b: ad.linear(x, w, b, keep), *arrays, which=which)
+
+    def test_shape_mismatch(self):
+        x, w, b = ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 4))), ad.Tensor(np.ones(4))
+        for args in ((x, ad.Tensor(np.ones((2, 4))), b),
+                     (x, w, ad.Tensor(np.ones(3))),
+                     (ad.Tensor(np.ones((2, 1, 3))), w, b),
+                     (x, w, b, np.ones((3, 2)))):
+            with pytest.raises(ShapeMismatchError, match="linear"):
+                ad.linear(*args)
+
+
 class TestMatmul:
     def test_identity(self):
         a = ad.Tensor(np.eye(2))
         b = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(ad.matmul(a, b).values, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(matmul(a, b).values, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_orthogonal_rows(self):
         a = ad.Tensor([[1.0, 0.0]])
         b = ad.Tensor([[0.0], [1.0]])
-        np.testing.assert_array_equal(ad.matmul(a, b).values, [[0.0]])
+        np.testing.assert_array_equal(matmul(a, b).values, [[0.0]])
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(4, 2))
-        scalar_loss(ad.matmul, a, b, which=0)
-        scalar_loss(ad.matmul, a, b, which=1)
+        scalar_loss(matmul, a, b, which=0)
+        scalar_loss(matmul, a, b, which=1)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(2, 3\)"):
-            ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
+            matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
 
 
 class TestElementwise:
@@ -95,7 +144,7 @@ class TestElementwise:
             with pytest.raises(ShapeMismatchError):
                 op(a, b)
         with pytest.raises(ShapeMismatchError):
-            ad.add(a, b)
+            add(a, b)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(-3, 3), min_size=1, max_size=6))
@@ -113,7 +162,7 @@ class TestElementwise:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(n, m))
         b = rng.normal(size=(n, m))
-        for op in (ad.add, mul, sub):
+        for op in (add, mul, sub):
             scalar_loss(op, a, b, which=0)
             scalar_loss(op, a, b, which=1)
 
@@ -121,8 +170,8 @@ class TestElementwise:
         rng = np.random.default_rng(1)
         a = rng.normal(size=(3, 5))
         b = rng.normal(size=5)
-        scalar_loss(ad.add, a, b, which=0)
-        scalar_loss(ad.add, a, b, which=1)
+        scalar_loss(add, a, b, which=0)
+        scalar_loss(add, a, b, which=1)
 
     def test_const_ops(self):
         rng = np.random.default_rng(2)
@@ -189,36 +238,36 @@ class TestSoftmax:
 class TestDropout:
     def test_p_zero_identity(self):
         x = ad.Tensor([1.0, 2.0])
-        assert ad.dropout(x, 0.0, training=True, rng=np.random.default_rng(0)) is x
+        assert dropout(x, 0.0, training=True, rng=np.random.default_rng(0)) is x
 
     def test_eval_identity(self):
         x = ad.Tensor([1.0, 2.0])
-        assert ad.dropout(x, 0.5, training=False) is x
+        assert dropout(x, 0.5, training=False) is x
 
     def test_zero_fraction(self):
         rng = np.random.default_rng(7)
         x = ad.Tensor(np.ones(10 ** 5))
-        out = ad.dropout(x, 0.5, training=True, rng=rng)
+        out = dropout(x, 0.5, training=True, rng=rng)
         frac = float((out.values == 0.0).mean())
         assert abs(frac - 0.5) < 0.01
 
     def test_survivors_scaled(self):
         rng = np.random.default_rng(8)
-        out = ad.dropout(ad.Tensor(np.ones(1000)), 0.2, training=True, rng=rng)
+        out = dropout(ad.Tensor(np.ones(1000)), 0.2, training=True, rng=rng)
         kept = out.values[out.values != 0.0]
         np.testing.assert_allclose(kept, 1.0 / 0.8)
 
     def test_invalid_probability(self):
         for p in (-0.1, 1.0, 1.5):
             with pytest.raises(ConfigurationError):
-                ad.dropout(ad.Tensor([1.0]), p, training=True, rng=np.random.default_rng(0))
+                dropout(ad.Tensor([1.0]), p, training=True, rng=np.random.default_rng(0))
 
     def test_gradient_uses_same_mask(self):
         rng = np.random.default_rng(9)
         x = np.ones(100)
         with ad.Tape():
             t = ad.Tensor(x)
-            out = ad.dropout(t, 0.5, training=True, rng=rng)
+            out = dropout(t, 0.5, training=True, rng=rng)
             ad.backward(sum_all(out))
         np.testing.assert_array_equal(t.grad, out.values)
 
@@ -356,7 +405,7 @@ class TestBackward:
         # y = w*w + w: dL/dw = 2w + 1
         with ad.Tape():
             w = ad.Tensor(np.array(4.0))
-            ad.backward(sum_all(ad.add(mul(w, w), w)))
+            ad.backward(sum_all(add(mul(w, w), w)))
         assert float(w.grad) == 9.0
 
     def test_long_chain_no_recursion_error(self):
@@ -375,7 +424,7 @@ class TestBackward:
             a = ad.Tensor(np.array([1.0, 2.0]))
             b = ad.Tensor(np.array([3.0, 4.0]))
             scaled = mul_const(a, 3.0)
-            ad.backward(sum_all(ad.add(ad.add(a, b), scaled)))
+            ad.backward(sum_all(add(add(a, b), scaled)))
         np.testing.assert_array_equal(a.grad, [4.0, 4.0])
         np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
@@ -431,7 +480,7 @@ class TestBackward:
             assert all(a is states.values or np.shares_memory(a, xs.values)
                        for a in lstm_held if a.ndim > 1 and a.shape != (2, 3, 16))
             pooled, _ = ad.attention_pool(states, *pool, mask)
-            loss = ad.add(sum_all(mul(tanh(w), w)), sum_all(pooled))
+            loss = add(sum_all(mul(tanh(w), w)), sum_all(pooled))
             nodes = list(tape.nodes)
             values = [node.values for node in nodes]
             closures = [node.backward_fn for node in nodes]
@@ -455,9 +504,9 @@ class TestBackward:
         a_vals, b_vals, w_vals = rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), rng.normal(size=(3, 2))
         with ad.Tape():
             a, b, w = ad.Tensor(a_vals), ad.Tensor(b_vals), ad.Tensor(w_vals)
-            late = ad.matmul(a, w)   # a feeds two ops; this one's gradient comes last
-            s = ad.add(a, b)
-            ad.backward(ad.add(sum_all(mul(s, s)), sum_all(late)))
+            late = matmul(a, w)   # a feeds two ops; this one's gradient comes last
+            s = add(a, b)
+            ad.backward(add(sum_all(mul(s, s)), sum_all(late)))
         grads = [a.grad, b.grad, w.grad]
         assert not any(np.shares_memory(x, y) for i, x in enumerate(grads) for y in grads[i + 1:])
         np.testing.assert_allclose(b.grad, 2 * (a_vals + b_vals))
@@ -548,6 +597,14 @@ class TestStructuralOps:
                 ad.backward(sum_all(mul(pool(hs), w)))
             grads.append(hs.grad)
         assert grads[0].tobytes() == grads[1].tobytes()
+
+    def test_scatter_rows_gradient(self):
+        rng = np.random.default_rng(17)
+        w = ad.Tensor(rng.normal(size=(2, 3, 4)))
+        out = ad.scatter_rows(ad.Tensor(np.ones((3, 4))), np.array([4, 0, 2]), (2, 3, 4))
+        np.testing.assert_array_equal(out.values.reshape(6, 4).any(axis=1), [1, 0, 1, 0, 1, 0])
+        scalar_loss(lambda t: mul(ad.scatter_rows(t, np.array([4, 0, 2]), (2, 3, 4)), w),
+                    rng.normal(size=(3, 4)))
 
     def test_weighted_sum_shape_check(self):
         with pytest.raises(ShapeMismatchError):
@@ -692,11 +749,11 @@ class TestComposedGraph:
             e, a1, c1, cu, a2 = params
             x = ad.rows(e, ids)                                # [2,3,4]
             flat = ad.reshape(x, (6, 4))
-            h = tanh(ad.add(ad.matmul(flat, a1), c1))       # [6,5]
-            scores = ad.reshape(ad.matmul(h, cu), (2, 3))
+            h = tanh(add(matmul(flat, a1), c1))       # [6,5]
+            scores = ad.reshape(matmul(h, cu), (2, 3))
             alpha = softmax(scores, mask=mask)
             pooled = weighted_sum(ad.reshape(h, (2, 3, 5)), alpha)
-            logits = ad.matmul(pooled, a2)
+            logits = matmul(pooled, a2)
             return ad.cross_entropy(logits, golds)
 
         arrays = [emb, w1, b1, u, w2]

@@ -343,6 +343,14 @@ def _empty_sentence(lines):
     return 2
 
 
+def _no_sentences(lines):
+    # unchecked, HAN and AWE failed naming no file, and sent_avg_bilstm trained on it
+    doc = json.loads(lines[1])
+    doc["sentences"], doc["roles"] = [], []
+    lines[1] = json.dumps(doc)
+    return 2
+
+
 def _label_not_boolean(lines):
     # unchecked, this ended in a ValueError traceback inside training
     doc = json.loads(lines[1])
@@ -359,7 +367,8 @@ def _line_repeated(lines):
 
 @pytest.mark.parametrize("corrupt", [_bad_json, _unknown_split, _missing_keys,
                                      _other_format_version, _roles_not_one_per_sentence,
-                                     _empty_sentence, _label_not_boolean, _line_repeated])
+                                     _empty_sentence, _no_sentences, _label_not_boolean,
+                                     _line_repeated])
 def test_malformed_prepared_file_one_line_error(tmp_path, capsys, probe_corpus, corrupt):
     data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
     path = os.path.join(data, "prepared.jsonl")
@@ -481,8 +490,9 @@ def test_task_label_missing_is_one_line(tmp_path, capsys, cites_corpus, probe_co
                            "--out", str(tmp_path / "cites"))
     assert rc == 1 and out == ""
     assert err == f"error: config-error: {cites_corpus}: line 1: task 'classify' needs the label 'accepted'\n"
-    # train names the line of a hand-edited prepared dataset
+    # train and both forms of evaluate name the line of a hand-edited prepared dataset
     data, cfg = prepared_dir(tmp_path / "probe", capsys, probe_corpus)
+    assert run_cli(capsys, "train", "--config", cfg, "--out", data)[0] == 0
     path = os.path.join(data, "prepared.jsonl")
     with open(path, encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -491,9 +501,12 @@ def test_task_label_missing_is_one_line(tmp_path, capsys, cites_corpus, probe_co
     lines[2] = json.dumps(doc) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
-    rc, out, err = run_cli(capsys, "train", "--config", cfg, "--out", data)
-    assert rc == 1 and out == ""
-    assert err == f"error: config-error: {path}: line 3: task 'classify' needs the label 'accepted'\n"
+    for argv in (["train", "--config", cfg, "--force"],
+                 ["evaluate", "--manifest", os.path.join(data, "manifest.json")],
+                 ["evaluate", "--checkpoint", os.path.join(data, "run-1.ckpt")]):
+        rc, out, err = run_cli(capsys, *argv, "--out", data)
+        assert rc == 1 and out == ""
+        assert err == f"error: config-error: {path}: line 3: task 'classify' needs the label 'accepted'\n"
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -551,6 +564,12 @@ def _manifest_other_kind(manifest, text):
     return json.dumps(manifest), "not an experiment manifest"
 
 
+def _manifest_other_format_version(manifest, text):
+    # unchecked, evaluate and train --from-manifest read the file and exited 0
+    manifest["format_version"] = 99
+    return json.dumps(manifest), f"format_version 99 is not {cli.FORMAT_VERSION}"
+
+
 def _manifest_config_out_of_range(manifest, text):
     manifest["config"]["dropout_p"] = 3
     return json.dumps(manifest), "config: dropout_p must be in [0, 1), got 3"
@@ -559,7 +578,7 @@ def _manifest_config_out_of_range(manifest, text):
 @pytest.mark.parametrize("corrupt", [_manifest_bad_json, _manifest_missing_keys,
                                      _manifest_seed_without_checkpoint, _manifest_config_type,
                                      _manifest_config_unknown_key, _manifest_other_kind,
-                                     _manifest_config_out_of_range])
+                                     _manifest_other_format_version, _manifest_config_out_of_range])
 def test_malformed_manifest_one_line_error(tmp_path, capsys, probe_corpus, corrupt):
     data = _trained_dir(tmp_path, capsys, probe_corpus)
     path = os.path.join(data, "manifest.json")
@@ -871,6 +890,19 @@ def test_vocab_not_an_array_of_strings_is_one_line(tmp_path, capsys, probe_corpu
     message = ("vocabulary tokens must be distinct" if text == _REPEATED_TOKEN_VOCAB
                else "vocabulary must be a JSON array of strings")
     assert err == f"error: config-error: {path}: {message}\n"
+
+
+def test_commands_before_prepare_name_the_missing_file(tmp_path, capsys):
+    # evaluate reads the vocabulary first, to load the checkpoint that gives its task
+    cfg = write_config(tmp_path / "cfg.json")
+    data = str(tmp_path / "data")
+    for argv, name in ((["train", "--config", cfg], "prepared dataset at {data}/prepared.jsonl"),
+                       (["evaluate", "--checkpoint", "run-1.ckpt"], "vocabulary at {data}/vocab.json"),
+                       (["predict", "docs.jsonl", "--checkpoint", "run-1.ckpt"],
+                        "vocabulary at {data}/vocab.json")):
+        rc, out, err = run_cli(capsys, *argv, "--out", data)
+        assert rc == 1 and out == ""
+        assert err == f"error: config-error: no {name.format(data=data)}; run the prepare command first\n"
 
 
 def test_evaluate_needs_exactly_one_source(tmp_path, capsys, probe_corpus):

@@ -16,7 +16,8 @@ weights both ways and keeps the half of the output the direction writes.
 import numpy as np
 import pytest
 
-from oracles import concat, index_axis, mul, mul_const, sigmoid, slice_last, stack, sum_all, tanh
+from oracles import (add, concat, index_axis, matmul, mul, mul_const, sigmoid, slice_last, stack,
+                     sum_all, tanh)
 from hanst import autodiff as ad
 from hanst import models as md
 from hanst.errors import ShapeMismatchError
@@ -26,17 +27,17 @@ TOL = 1e-10
 
 def step_oracle(cell, x, h, c, m):
     """One update, gated by mask column m [B,1]: masked rows keep state."""
-    gates = ad.add(ad.add(ad.matmul(x, cell.w_ih), cell.b_ih),
-                   ad.add(ad.matmul(h, cell.w_hh), cell.b_hh))
+    gates = add(add(matmul(x, cell.w_ih), cell.b_ih),
+                   add(matmul(h, cell.w_hh), cell.b_hh))
     n = cell.hidden
     i = sigmoid(slice_last(gates, 0, n))
     f = sigmoid(slice_last(gates, n, 2 * n))
     g = tanh(slice_last(gates, 2 * n, 3 * n))
     o = sigmoid(slice_last(gates, 3 * n, 4 * n))
-    c_new = ad.add(mul(f, c), mul(i, g))
+    c_new = add(mul(f, c), mul(i, g))
     h_new = mul(o, tanh(c_new))
-    c_out = ad.add(mul_const(c_new, m), mul_const(c, 1.0 - m))
-    h_out = ad.add(mul_const(h_new, m), mul_const(h, 1.0 - m))
+    c_out = add(mul_const(c_new, m), mul_const(c, 1.0 - m))
+    h_out = add(mul_const(h_new, m), mul_const(h, 1.0 - m))
     return h_out, c_out
 
 
@@ -191,7 +192,7 @@ def test_bilstm_layer_matches_composition():
         with ad.Tape():
             x = ad.Tensor(xs)
             outs = fn(x)
-            loss = ad.add(ad.add(sum_all(mul(outs[0], ad.Tensor(up[0]))),
+            loss = add(add(sum_all(mul(outs[0], ad.Tensor(up[0]))),
                                  sum_all(mul(outs[1], ad.Tensor(up[1])))),
                           sum_all(mul(outs[2], ad.Tensor(up[2]))))
             ad.backward(loss)

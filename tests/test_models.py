@@ -5,11 +5,12 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import fd_grad, rel_err
+from gradcheck import fd_grad, rel_err
 from oracles import abs_, composed_attention_pool, concat, index_axis, mean_all, mul, slice_last, sub
 from test_lstm_sequence import mask_blend_lstm_sequence
 from hanst import autodiff as ad
 from hanst import models as md
+from hanst import training as tr
 from hanst.errors import (
     CheckpointMismatchError,
     ConfigurationError,
@@ -178,13 +179,6 @@ class TestAwe:
         a, _, _ = m.encode(batch_of([[3, 4, 5], [6, 7]]))
         b, _, _ = m.encode(batch_of([[5, 3, 4], [7, 6]]))
         np.testing.assert_allclose(a.values, b.values, atol=1e-12)
-
-    def test_all_pad_document_rejected(self):
-        m = self.build()
-        batch = batch_of([[3]])
-        batch.token_mask[:] = 0.0
-        with pytest.raises(DegenerateInputError):
-            m.encode(batch)
 
 
 class TestSentAvgBilstm:
@@ -414,6 +408,55 @@ class TestHeadForward:
         c = m.forward(batch, training=True, rng=np.random.default_rng(0))
         d = m.forward(batch, training=True, rng=np.random.default_rng(1))
         assert not np.array_equal(c.output.values, d.output.values)
+
+    @staticmethod
+    def unit_head_model(p):
+        """A 1-d AWE regressor whose every document vector is 1 and whose head
+        is the identity, so its outputs are the dropout mask itself."""
+        m = md.build_model(tiny_config("awe", vocab_size=4, dim=1, head="regress-1", dropout=p),
+                           np.random.default_rng(0))
+        m.embedding.values[:] = 1.0
+        m.head_w.values[:] = 1.0
+        return m
+
+    def test_no_dropout_in_eval_or_at_p_zero(self):
+        batch = batch_of(*[[[2]]] * 50)
+        for p, training in ((0.5, False), (0.0, True)):
+            rng = np.random.default_rng(4)
+            out = self.unit_head_model(p).forward(batch, training=training, rng=rng).output.values
+            np.testing.assert_array_equal(out, np.ones((50, 1)))
+            assert rng.random() == np.random.default_rng(4).random()   # no mask was drawn
+
+    def test_survivors_scaled(self):
+        out = self.unit_head_model(0.2).forward(batch_of(*[[[2]]] * 4000), training=True,
+                                                rng=np.random.default_rng(8)).output.values
+        assert abs(float((out == 0.0).mean()) - 0.2) < 0.02
+        np.testing.assert_allclose(out[out != 0.0], 1.0 / 0.8)
+
+    def test_gradient_uses_the_forwards_mask(self):
+        m = self.unit_head_model(0.5)
+        with ad.Tape():
+            out = m.forward(batch_of(*[[[2]]] * 100), training=True,
+                            rng=np.random.default_rng(9)).output
+            # every output lies above the target, so each takes gradient 1/100
+            ad.backward(ad.l1_loss(out, np.full((100, 1), -1.0)))
+        kept = out.values[:, 0]
+        assert 0 < (kept == 0).sum() < 100
+        # the embedding's gradient sums what the mask kept of each document
+        np.testing.assert_allclose(m.embedding.grad[2], kept.sum() / 100, rtol=1e-12)
+        np.testing.assert_allclose(m.head_w.grad, [[kept.sum() / 100]], rtol=1e-12)
+
+    @pytest.mark.parametrize("head,loss_kind,loss_op", [("classify-2", "cross-entropy", "cross_entropy"),
+                                                        ("regress-1", "mae", "l1_loss")])
+    def test_han_step_records_one_node_per_layer(self, head, loss_kind, loss_op):
+        m = md.build_model(tiny_config("han", head=head, dropout=0.5), np.random.default_rng(0))
+        batch = ragged_han_batch()
+        with ad.Tape() as tape:
+            out = m.forward(batch, training=True, rng=np.random.default_rng(1)).output
+            tr.compute_loss(out, np.zeros(batch.size), loss_kind)
+            ops = [node.backward_fn.__qualname__.split(".")[0] for node in tape.nodes]
+        assert ops == ["rows", "lstm_sequence", "attention_pool", "scatter_rows",
+                       "lstm_sequence", "attention_pool", "linear", loss_op]
 
 
 class TestCountParameters:
