@@ -25,6 +25,9 @@ DTYPE = np.float64
 
 _tape_stack: list["Tape"] = []
 
+# the optimizer a running backward hands each Parameter's gradient to, if any
+_optimizer: "Adam | None" = None
+
 # float64 values in about 1 MiB: the row block attention_pool's backward works in
 _BLOCK_FLOATS = 1 << 17
 
@@ -94,15 +97,21 @@ def _active_tape() -> Tape | None:
 
 
 def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
-    """Add g to t.grad. An op passes ``owned=True`` for an array it allocated
-    for this one parent, which becomes the first gradient as it is. Any other
+    """Add g to t.grad, or, in a backward with an optimizer, hand a
+    Parameter's gradient to it, which updates the parameter at once. An op
+    passes ``owned=True`` for an array it allocated for this one parent, which
+    becomes the first gradient (or the update's scratch) as it is. Any other
     array is copied first: one the op hands to two parents, or a view of the
-    op's own gradient, since the first gradient is later summed into in place."""
+    op's own gradient, since the first gradient is later written in place.
+    An op accumulates into a Parameter only after its last read of the
+    parameter's values."""
     # every op passes a gradient of its parent's own shape; any other shape
     # is a bug in that op, so it is raised rather than broadcast
     if g.shape != t.values.shape:
         raise ShapeMismatchError(f"gradient of shape {g.shape} for a tensor of shape {t.values.shape}")
-    if t.grad is None:
+    if _optimizer is not None and isinstance(t, Parameter):
+        _optimizer.update(t, g if owned else g.copy())
+    elif t.grad is None:
         t.grad = g if owned else g.copy()
     else:
         t.grad += g
@@ -118,7 +127,7 @@ def _record(values: np.ndarray, backward_fn) -> Tensor:
     return out
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor, optimizer: "Adam | None" = None) -> None:
     """Populate ``grad`` on every tensor that contributed to ``loss``.
 
     Tensors off the path keep ``grad is None``. Each tape node is visited
@@ -127,7 +136,14 @@ def backward(loss: Tensor) -> None:
     taken off it before it runs, so the arrays an op saved for its gradient
     are freed as the walk goes on; the nodes and their values stay on the
     tape. A second backward on the same tape raises ConfigurationError.
+
+    With an optimizer, a Parameter's gradient never lands on ``grad``: the
+    op that computes it hands it to ``optimizer.update`` after its last read
+    of the parameter, which applies the update there, so no more than one
+    op's parameter gradients are alive at once. So each parameter must feed
+    one op, as in the models. ``optimizer.step()`` then closes the step.
     """
+    global _optimizer
     if loss.values.ndim != 0:
         raise NonScalarLossError(f"loss must be scalar, got shape {loss.shape}")
     tape = loss.tape
@@ -139,12 +155,16 @@ def backward(loss: Tensor) -> None:
         raise ConfigurationError("backward already ran on this tape; a tape allows one backward")
     tape.backward_done = True
     loss.grad = np.ones((), dtype=DTYPE)
-    for node in reversed(tape.nodes):
-        backward_fn, node.backward_fn = node.backward_fn, None
-        if node.grad is None:
-            continue
-        backward_fn(node.grad)
-        node.grad = None
+    _optimizer = optimizer
+    try:
+        for node in reversed(tape.nodes):
+            backward_fn, node.backward_fn = node.backward_fn, None
+            if node.grad is None:
+                continue
+            backward_fn(node.grad)
+            node.grad = None
+    finally:
+        _optimizer = None
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +208,9 @@ def rows(table: Tensor, ids: np.ndarray) -> Tensor:
     values = table.values[ids]
 
     def bwd(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.values)
-        np.add.at(table.grad, ids, g)
+        grad = np.zeros_like(table.values)
+        np.add.at(grad, ids, g)
+        _accum(table, grad, owned=True)
 
     return _record(values, bwd)
 
@@ -258,7 +278,7 @@ def attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor,
         d_alpha = np.einsum("btd,bd->bt", states.values, g)
         inner = (alpha * d_alpha).sum(axis=-1, keepdims=True)
         d_scores = (alpha * (d_alpha - inner)).reshape(bsz * t, 1)
-        _accum(u, proj.T @ d_scores, owned=True)
+        d_u = proj.T @ d_scores
         # tanh' = 1 - proj*proj, written over proj (nothing reads it again)
         d_pre, proj = proj, None
         d_pre *= d_pre
@@ -271,7 +291,7 @@ def attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor,
         for rows in blocks:
             d_pre[rows] *= d_scores[rows] @ u.values.T
         _accum(b, d_pre.sum(axis=0), owned=True)
-        _accum(w, flat.T @ d_pre, owned=True)
+        d_w = flat.T @ d_pre
         # the gradient of the states, written over d_pre's rows block by block
         d_flat = d_pre.reshape(bsz, t, d)
         w_t = w.values.T
@@ -280,6 +300,9 @@ def attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor,
             docs = slice(rows.start // t, rows.stop // t)
             d_flat[docs] += alpha[docs, :, None] * g[docs, None, :]
         _accum(states, d_flat, owned=True)
+        # u and w only now, when nothing reads their values again
+        _accum(u, d_u, owned=True)
+        _accum(w, d_w, owned=True)
 
     return _record(pooled, bwd), Tensor(alpha)
 
@@ -326,7 +349,10 @@ def lstm_sequence(xs: Tensor, fw: tuple[Tensor, Tensor, Tensor, Tensor],
     gate gradients; this relies on ``backward`` running the closure only
     once. The cells' buffer then holds the previous hidden states, for one
     GEMM each for the gradients of xs, w_ih and w_hh over all steps, in the
-    caller's row order. Without a tape nothing is saved.
+    caller's row order. A direction hands over its four weight gradients as
+    soon as its backward ends, so with an optimizer the reverse direction is
+    updated before the forward one's backward starts. Without a tape nothing
+    is saved.
     """
     if xs.ndim != 3:
         raise ShapeMismatchError(f"lstm_sequence: input must be [B,T,D], got {xs.shape}")
@@ -521,39 +547,51 @@ ADAM_EPSILON = 1e-8
 class Adam:
     """Adam with bias correction; state lives per parameter name.
 
-    Parameters whose grad is None this step are skipped, so an update with
-    all-zero gradients leaves parameters bit-identical (fixed point).
+    ``backward(loss, optimizer)`` hands each parameter's gradient to
+    ``update`` as soon as it is final, and ``step`` then closes the step. A
+    parameter that takes no gradient in a step is not updated, so an update
+    with all-zero gradients leaves parameters bit-identical (fixed point).
     """
 
     def __init__(self, params: dict[str, Parameter], lr: float = 0.005):
-        self.params = params
         self.lr = lr
         self.step_count = 0
         self.m = {name: np.zeros_like(p.values) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.values) for name, p in params.items()}
+        self._names = {id(p): name for name, p in params.items()}
+        self._updated: set[str] = set()
+
+    def update(self, p: Parameter, g: np.ndarray) -> None:
+        """Apply p's update for step step_count + 1 from its gradient g, which
+        it overwrites. A second update of p in one step raises
+        ConfigurationError. A non-finite g raises NonFiniteGradientError before
+        p changes; parameters updated earlier in the step stay updated."""
+        name = self._names[id(p)]
+        if name in self._updated:
+            raise ConfigurationError(f"parameter {name!r} took a second gradient in one step")
+        if not np.isfinite(g).all():
+            raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
+        self._updated.add(name)
+        t = self.step_count + 1
+        m = self.m[name]
+        v = self.v[name]
+        # the expressions of m, v and the update, term for term, in place
+        scratch = np.multiply(1.0 - ADAM_BETA2, g, out=np.empty_like(g))
+        scratch *= g
+        g *= 1.0 - ADAM_BETA1
+        m *= ADAM_BETA1
+        m += g
+        v *= ADAM_BETA2
+        v += scratch
+        np.divide(m, 1.0 - ADAM_BETA1 ** t, out=g)
+        np.divide(v, 1.0 - ADAM_BETA2 ** t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPSILON
+        g /= scratch
+        g *= self.lr
+        p.values -= g
 
     def step(self) -> None:
+        """Close the step whose updates backward applied."""
         self.step_count += 1
-        grads = {}
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            if not np.isfinite(p.grad).all():
-                raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
-            grads[name] = p.grad
-        t = self.step_count
-        bc1 = 1.0 - ADAM_BETA1 ** t
-        bc2 = 1.0 - ADAM_BETA2 ** t
-        for name, g in grads.items():
-            m = self.m[name]
-            v = self.v[name]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
-            self.params[name].values -= self.lr * update
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
+        self._updated.clear()

@@ -136,6 +136,8 @@ def _parse_seed_list(text: str) -> tuple[int, ...]:
         raise ConfigurationError(f"--seed-list must be comma-separated integers, got {text!r}") from exc
     if not seeds:
         raise ConfigurationError("--seed-list must name at least one seed")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigurationError(f"--seed-list repeats a seed, got {text!r}")
     return seeds
 
 

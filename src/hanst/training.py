@@ -56,9 +56,13 @@ class TrainConfig:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if self.resample and self.task != "classify":
             raise ConfigurationError(f"resample applies to the classify task only, not {self.task!r}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigurationError(f"lr must be a finite number > 0, got {self.lr}")
         if not self.seeds:
             raise ConfigurationError("at least one seed required")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigurationError(f"seeds must be distinct, got {list(self.seeds)}")
 
     @property
     def loss(self) -> str:
@@ -147,10 +151,10 @@ def compute_loss(output: ad.Tensor, golds: np.ndarray, kind: str) -> ad.Tensor:
 
 def train_epoch(model: md.Model, batches: list[md.Batch], optimizer: ad.Adam,
                 loss_kind: str, rng: np.random.Generator, epoch: int = 0) -> float:
-    """One optimizer step per batch; returns the mean train loss."""
+    """One optimizer step per batch, its updates applied inside backward;
+    returns the mean train loss."""
     losses = []
     for index, batch in enumerate(batches):
-        optimizer.zero_grad()
         with ad.Tape():
             result = model.forward(batch, training=True, rng=rng)
             loss = compute_loss(result.output, batch.labels, loss_kind)
@@ -158,7 +162,7 @@ def train_epoch(model: md.Model, batches: list[md.Batch], optimizer: ad.Adam,
             if not math.isfinite(value):
                 raise TrainingAbortedError(
                     f"non-finite loss {value} at epoch {epoch}, batch {index}")
-            ad.backward(loss)
+            ad.backward(loss, optimizer)
         optimizer.step()
         # drop this step's graph before the next forward pass builds another
         del result, loss
@@ -249,7 +253,6 @@ def train_single_run(config: TrainConfig, train_docs: list[TaggedDocument],
 
     for name, values in best_params.items():
         model.params[name].values = values
-    optimizer.zero_grad()
     test_predictions = predict(model, test_docs, config.task, config.batch_size,
                                seed=seed) if test_docs else []
     return RunRecord(seed=seed, train_losses=train_losses, valid_metrics=valid_metrics,

@@ -21,6 +21,10 @@
   instead (`textprep.TokenStore`), and `tokenize` never reads a tag out
   of text; the text form is the reference for criterion 03.
 - `split_corpus`, the train split the old prepare built its vocabulary from.
+- `TwoPassAdam`, Adam's step as it ran after a whole backward: it checked
+  every parameter's ``grad`` for finiteness, then updated each in turn with
+  whole-array temporaries. `ad.Adam.update` applies the same expressions
+  inside backward and must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from hanst import autodiff as ad
 from hanst import textprep as tp
 from hanst.autodiff import DTYPE, Tensor, _accum, _logistic, _record
 from hanst.corpus import SPLITS, RawDocument
-from hanst.errors import ConfigurationError, DegenerateInputError, ShapeMismatchError
+from hanst.errors import (ConfigurationError, DegenerateInputError, NonFiniteGradientError,
+                          ShapeMismatchError)
 
 # ---------------------------------------------------------------------------
 # tape ops
@@ -224,6 +229,43 @@ def composed_attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor,
     scores = ad.reshape(matmul(proj, u), (bsz, t))
     alpha = softmax(scores, mask=mask.astype(bool))
     return weighted_sum(states, alpha), alpha
+
+
+# ---------------------------------------------------------------------------
+# optimizer
+# ---------------------------------------------------------------------------
+
+class TwoPassAdam(ad.Adam):
+    """`ad.Adam` whose step reads the gradients a plain ``ad.backward(loss)``
+    left on ``grad``, then clears them."""
+
+    def __init__(self, params: dict[str, ad.Parameter], lr: float = 0.005):
+        super().__init__(params, lr)
+        self.params = params
+
+    def step(self) -> None:
+        self.step_count += 1
+        grads = {}
+        for name, p in self.params.items():
+            if p.grad is None:
+                continue
+            if not np.isfinite(p.grad).all():
+                raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
+            grads[name] = p.grad
+        t = self.step_count
+        bc1 = 1.0 - ad.ADAM_BETA1 ** t
+        bc2 = 1.0 - ad.ADAM_BETA2 ** t
+        for name, g in grads.items():
+            m = self.m[name]
+            v = self.v[name]
+            m *= ad.ADAM_BETA1
+            m += (1.0 - ad.ADAM_BETA1) * g
+            v *= ad.ADAM_BETA2
+            v += (1.0 - ad.ADAM_BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + ad.ADAM_EPSILON)
+            self.params[name].values -= self.lr * update
+        for p in self.params.values():
+            p.grad = None
 
 
 # ---------------------------------------------------------------------------

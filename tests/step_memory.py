@@ -19,9 +19,12 @@ For each step it prints the peak of the forward pass and the memory the tape
 holds after it. Then, for each tape node in the order backward runs them, it
 prints the node's op, the shape of its value, the peak while the node ran and
 the memory held after it, once backward has released the node's own gradient.
-Last come the peak of the Adam step and of the whole step. Memory is counted
-from the start of the step, so the model, its optimizer state and the batch
-are not in it; tests/test_training.py bounds the two step peaks the same way.
+Backward applies each parameter's Adam update inside the op that computes
+its gradient, so a node's row includes the updates of its parameters. Last
+comes the peak of the whole step. Memory is counted from the start of the
+step, so the model, its optimizer state and the batch are not in it;
+tests/test_training.py bounds the han-paper and ragged step peaks the same
+way.
 
 It uses only the standard library and numpy. pytest does not collect it (its
 name does not start with test_).
@@ -87,20 +90,16 @@ def walk(name, vocab_size, docs):
             for node in tape.nodes:
                 op = node.backward_fn.__qualname__.split(".")[0]
                 node.backward_fn = measured(op, node.shape, node.backward_fn)
-            ad.backward(loss)
+            ad.backward(loss, optimizer)
             rows[-1][3] = tracemalloc.get_traced_memory()[0]
-        del result, loss
-        tracemalloc.reset_peak()
         optimizer.step()
-        adam_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     print(f"{name}: batch {batch.ids.shape}, {len(rows)} tape nodes run by backward")
     print(f"  {'forward':<32}  peak {forward_peak / MIB:8.1f} MiB  held {held / MIB:8.1f} MiB")
     for op, shape, peak, after in rows:
         print(f"  {op:<16}{str(shape):<16}  peak {peak / MIB:8.1f} MiB  held {after / MIB:8.1f} MiB")
-    print(f"  {'adam step':<32}  peak {adam_peak / MIB:8.1f} MiB")
-    step_peak = max([forward_peak, adam_peak] + [row[2] for row in rows])
+    step_peak = max([forward_peak] + [row[2] for row in rows])
     print(f"  {'step':<32}  peak {step_peak / MIB:8.1f} MiB")
 
 

@@ -290,54 +290,69 @@ class TestXavierInit:
             ad.xavier_init((3, 3), "cauchy", rng)
 
 
+def adam_step(opt, *grads):
+    """One step on backward's path: each (parameter, gradient) pair to
+    ``update``, as ``backward(loss, opt)`` hands them over, then ``step``."""
+    for p, g in grads:
+        opt.update(p, np.array(g, dtype=float))
+    opt.step()
+
+
 class TestAdam:
     def test_zero_grad_is_fixed_point(self):
         p = ad.Parameter(np.array([1.0, -2.0, 3.0]))
         before = p.values.copy()
         opt = ad.Adam({"w": p}, lr=0.005)
-        p.grad = np.zeros(3)
-        opt.step()
+        adam_step(opt, (p, np.zeros(3)))
         np.testing.assert_array_equal(p.values, before)
 
     def test_first_step_magnitude(self):
         # bias correction makes the very first update ~ lr * sign(g)
         p = ad.Parameter(np.array(2.0))
         opt = ad.Adam({"w": p}, lr=0.005)
-        p.grad = np.array(0.37)
-        opt.step()
+        adam_step(opt, (p, 0.37))
         assert abs(abs(2.0 - float(p.values)) - 0.005) < 1e-6
 
     def test_converges_on_quadratic(self):
         p = ad.Parameter(np.array(0.0))
         opt = ad.Adam({"w": p}, lr=0.05)
         for _ in range(200):
-            p.grad = 2.0 * (p.values - 3.0)
-            opt.step()
+            adam_step(opt, (p, 2.0 * (p.values - 3.0)))
         assert abs(float(p.values) - 3.0) < 0.1
 
     def test_non_finite_gradient_names_parameter(self):
-        p = ad.Parameter(np.array([1.0]))
-        opt = ad.Adam({"w_out": p})
-        p.grad = np.array([np.nan])
-        with pytest.raises(NonFiniteGradientError, match="w_out"):
-            opt.step()
+        # backward runs a's node first, so a is updated; w_out's gradient is
+        # checked before w_out changes
+        a = ad.Parameter(np.array([1.0]))
+        w = ad.Parameter(np.array([1.0]))
+        opt = ad.Adam({"a": a, "w_out": w})
+        with ad.Tape():
+            loss = sum_all(add(mul(w, ad.Tensor([np.inf])), mul(a, ad.Tensor([1.0]))))
+            with pytest.raises(NonFiniteGradientError, match="'w_out'"):
+                ad.backward(loss, opt)
+        assert a.values[0] != 1.0 and w.values[0] == 1.0
+        assert a.grad is None and w.grad is None
 
     def test_skips_parameters_without_grad(self):
         a = ad.Parameter(np.array(1.0))
         b = ad.Parameter(np.array(5.0))
         opt = ad.Adam({"a": a, "b": b})
-        a.grad = np.array(1.0)
-        opt.step()
+        adam_step(opt, (a, 1.0))
         assert float(b.values) == 5.0
         assert float(a.values) != 1.0
+        assert float(opt.m["b"]) == float(opt.v["b"]) == 0.0
 
     def test_step_counter_increments(self):
+        # a step's updates use its number, step_count + 1, and step() closes it
         p = ad.Parameter(np.array(0.0))
-        opt = ad.Adam({"w": p})
+        opt = ad.Adam({"w": p}, lr=0.5)
         for i in range(3):
-            p.grad = np.array(1.0)
+            opt.update(p, np.array(1.0))
+            assert opt.step_count == i
             opt.step()
             assert opt.step_count == i + 1
+        # a constant gradient, bias-corrected by that number, moves p by lr each step
+        np.testing.assert_allclose(p.values, -1.5, rtol=1e-6)
 
     def test_deterministic_trajectories(self):
         def run():
@@ -345,11 +360,21 @@ class TestAdam:
             p = ad.Parameter(rng.normal(size=(4, 3)))
             opt = ad.Adam({"w": p}, lr=0.01)
             for _ in range(20):
-                p.grad = rng.normal(size=(4, 3))
-                opt.step()
+                adam_step(opt, (p, rng.normal(size=(4, 3))))
             return p.values
 
         np.testing.assert_array_equal(run(), run())
+
+    def test_second_gradient_in_one_step_raises(self):
+        # w feeds two nodes, so backward hands it two gradients
+        w = ad.Parameter(np.array([2.0]))
+        opt = ad.Adam({"w": w})
+        with ad.Tape():
+            loss = sum_all(add(mul_const(w, 3.0), w))
+            with pytest.raises(ConfigurationError, match="'w' took a second gradient in one step"):
+                ad.backward(loss, opt)
+        opt.step()
+        adam_step(opt, (w, [1.0]))   # the next step takes one again
 
 
 def arrays_held_by(objects, seen=None):

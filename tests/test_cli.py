@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import hanst
+from hanst import autodiff as ad
 from hanst import cli
 from hanst import models as md
 from hanst import synth
@@ -292,6 +293,68 @@ def test_train_bad_seed_list_one_line(tmp_path, capsys, probe_corpus, seed_list,
     rc, out, err = run_cli(capsys, "train", "--config", cfg, "--out", data, "--seed-list", seed_list)
     assert rc == 1 and out == ""
     assert err == f"error: config-error: {message}\n"
+
+
+def test_repeated_seeds_one_line(tmp_path, capsys, probe_corpus):
+    # [1, 1, 1] trained seed 1 three times over one run-1.ckpt, and reported
+    # a three-run vote with std 0
+    data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
+    bad = write_config(tmp_path / "bad.json", seeds=[1, 1, 1])
+    repeated = f"{bad}: seeds must be distinct, got [1, 1, 1]"
+    for argv, message in ((["prepare", probe_corpus, "--config", bad], repeated),
+                          (["train", "--config", bad], repeated),
+                          (["train", "--config", cfg, "--seed-list", "2,1,2"],
+                           "--seed-list repeats a seed, got '2,1,2'")):
+        rc, out, err = run_cli(capsys, *argv, "--out", data)
+        assert rc == 1 and out == ""
+        assert err == f"error: config-error: {message}\n"
+    assert not os.path.exists(os.path.join(data, "manifest.json"))
+
+
+@pytest.mark.parametrize("text, shown", [("-0.005", "-0.005"), ("0", "0"), ("NaN", "nan"),
+                                         ("1e400", "inf")])
+def test_lr_must_be_finite_and_positive_one_line(tmp_path, capsys, probe_corpus, text, shown):
+    # -0.005 trained by gradient ascent and 0 never moved the model, both
+    # exiting 0; NaN and 1e400 ended in a training-aborted line naming no file
+    data = _trained_dir(tmp_path, capsys, probe_corpus)
+    cfg = write_config(tmp_path / "bad.json", lr="LR")
+    manifest = os.path.join(data, "manifest.json")
+    with open(manifest, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["config"]["lr"] = "LR"
+    with open(manifest, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    for path in (cfg, manifest):   # the value as JSON text, as a user writes it
+        with open(path, encoding="utf-8") as fh:
+            edited = fh.read().replace('"LR"', text)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(edited)
+    for argv, where in ((["prepare", probe_corpus, "--config", cfg], cfg),
+                        (["train", "--config", cfg, "--force"], cfg),
+                        (["train", "--from-manifest", manifest, "--force"], f"{manifest}: config"),
+                        (["evaluate", "--manifest", manifest], f"{manifest}: config")):
+        rc, out, err = run_cli(capsys, *argv, "--out", data)
+        assert rc == 1 and out == ""
+        assert err == f"error: config-error: {where}: lr must be a finite number > 0, got {shown}\n"
+
+
+def test_non_finite_gradient_is_one_line(tmp_path, capsys, probe_corpus, monkeypatch):
+    # a gradient can be non-finite under a finite loss; this one is made so in
+    # the head, whose backward hands w over to Adam before b
+    data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
+    linear = ad.linear
+
+    def poisoned(x, w, b, keep=None):
+        out = linear(x, w, b, keep)
+        backward_fn = out.backward_fn
+        out.backward_fn = backward_fn and (lambda g: backward_fn(g * np.inf))
+        return out
+
+    monkeypatch.setattr(ad, "linear", poisoned)
+    rc, out, err = run_cli(capsys, "train", "--config", cfg, "--out", data)
+    assert rc == 1 and out == ""
+    assert err == "error: non-finite-gradient: non-finite gradient for parameter 'head.w'\n"
+    assert not os.path.exists(os.path.join(data, "manifest.json"))
 
 
 def test_train_tagset_mismatch_rejected(tmp_path, capsys, probe_corpus):
