@@ -307,8 +307,12 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-_MANIFEST_KEYS = {"config": "dict", "corpus_sha256": "str", "vocab_sha256": "str",
-                  "seeds": "list[int]", "checkpoints": "dict"}
+_MANIFEST_KEYS = {"config": "dict", "corpus_sha256": "str", "vocab_sha256": "str"}
+
+
+def checkpoint_name(seed: int) -> str:
+    """The file, beside the manifest, that holds the selected model of `seed`."""
+    return f"run-{seed}.ckpt"
 
 
 def _load_manifest(path: str) -> dict:
@@ -320,29 +324,31 @@ def _load_manifest(path: str) -> dict:
     check_fields(manifest, {"embeddings_sha256": "str"}, path, optional=True)
     manifest["config"].pop("loss", None)   # manifests written before loss followed the task
     _check_config(f"{path}: config", manifest["config"])
-    for seed in manifest["seeds"]:
-        if type(manifest["checkpoints"].get(str(seed))) is not str:
-            raise ConfigurationError(f"{path}: no checkpoint for seed {seed}")
     return manifest
+
+
+def _manifest_config(manifest: dict, path: str, meta: dict, vocab_size: int,
+                     seed_list: str | None = None) -> tr.TrainConfig:
+    """The manifest's resolved config, refused unless the manifest was written
+    for the corpus and vocabulary of the prepared dataset `meta` heads."""
+    for key, name in (("corpus_sha256", "corpus"), ("vocab_sha256", "vocabulary")):
+        if manifest[key] != meta[key]:
+            raise ConfigurationError(f"manifest {name} hash does not match the prepared dataset")
+    return make_train_config(manifest["config"], vocab_size, seed_list, where=f"{path}: config")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     if bool(args.config) == bool(args.from_manifest):
         raise ConfigurationError("pass exactly one of --config or --from-manifest")
     data_dir = data_dir_from(args)
-    if args.from_manifest:
-        manifest_in = _load_manifest(args.from_manifest)
-        raw, where = manifest_in["config"], f"{args.from_manifest}: config"
-    else:
-        raw, where = load_config_file(args.config), args.config
+    manifest_in = _load_manifest(args.from_manifest) if args.from_manifest else None
+    raw = manifest_in["config"] if manifest_in else load_config_file(args.config)
     meta, by_split = load_prepared(data_dir, raw["task"])
     vocab = _check_vocab(_load_vocab(data_dir), meta)
-    if args.from_manifest:
-        if manifest_in["corpus_sha256"] != meta["corpus_sha256"]:
-            raise ConfigurationError("manifest corpus hash does not match the prepared dataset")
-        if manifest_in["vocab_sha256"] != meta["vocab_sha256"]:
-            raise ConfigurationError("manifest vocabulary hash does not match the prepared dataset")
-    config = make_train_config(raw, len(vocab), seed_list=args.seed_list, where=where)
+    if manifest_in:
+        config = _manifest_config(manifest_in, args.from_manifest, meta, len(vocab), args.seed_list)
+    else:
+        config = make_train_config(raw, len(vocab), args.seed_list, where=args.config)
     _check_preparation(config.model, meta, ConfigurationError)
 
     manifest_path = os.path.join(data_dir, MANIFEST_NAME)
@@ -351,7 +357,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     embeddings_path = raw.get("embeddings")
     embeddings_sha256 = file_sha256(embeddings_path) if embeddings_path else None
-    if args.from_manifest and manifest_in.get("embeddings_sha256", embeddings_sha256) != embeddings_sha256:
+    if manifest_in and manifest_in.get("embeddings_sha256", embeddings_sha256) != embeddings_sha256:
         raise ConfigurationError(f"manifest embeddings hash does not match {embeddings_path}")
     embeddings = load_embeddings(embeddings_path, vocab, config.model.embedding_dim,
                                  np.random.default_rng(0)) if embeddings_path else None
@@ -366,12 +372,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     result = tr.run_experiment(config, by_split["train"], by_split["valid"],
                                by_split["test"], embeddings=embeddings, log_fn=log_fn)
 
-    checkpoints: dict[str, str] = {}
     for run in result.runs:
-        name = f"run-{run.seed}.ckpt"
-        _atomic_via(os.path.join(data_dir, name),
+        _atomic_via(os.path.join(data_dir, checkpoint_name(run.seed)),
                     lambda p, m=run.model: md.save_checkpoint(m, meta["vocab_sha256"], p))
-        checkpoints[str(run.seed)] = name
         log_lines = [json.dumps(e, sort_keys=True) for e in events.get(run.seed, [])]
         log_lines.append(json.dumps({"seed": run.seed, "event": "selected",
                                      "epoch": run.selected_epoch}, sort_keys=True))
@@ -392,9 +395,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 "tool_version": __version__,
                 "config": resolved_config(config, embeddings_path),
                 "corpus_sha256": meta["corpus_sha256"],
-                "vocab_sha256": meta["vocab_sha256"],
-                "seeds": list(config.seeds), "checkpoints": checkpoints,
-                "report": REPORT_NAME}
+                "vocab_sha256": meta["vocab_sha256"]}
     if embeddings_sha256:
         manifest["embeddings_sha256"] = embeddings_sha256
     _atomic_write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -428,18 +429,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise DegenerateInputError(f"split {args.split!r} has no documents")
 
     if args.manifest:
-        if manifest["vocab_sha256"] != meta["vocab_sha256"]:
-            raise CheckpointMismatchError("manifest vocabulary hash does not match the data directory")
-        batch_size = make_train_config(manifest["config"], len(vocab),
-                                       where=f"{args.manifest}: config").batch_size
+        config = _manifest_config(manifest, args.manifest, meta, len(vocab))
         base = os.path.dirname(os.path.abspath(args.manifest))
         runs = []
-        for seed in manifest["seeds"]:
-            rel = manifest["checkpoints"][str(seed)]
-            path = rel if os.path.isabs(rel) else os.path.join(base, rel)
-            model = md.load_checkpoint(path, meta["vocab_sha256"])
+        for seed in config.seeds:
+            model = md.load_checkpoint(os.path.join(base, checkpoint_name(seed)), meta["vocab_sha256"])
             _check_preparation(model.config, meta, CheckpointMismatchError)
-            runs.append(tr.predict(model, docs, task, batch_size, seed=int(seed)))
+            runs.append(tr.predict(model, docs, task, config.batch_size, seed=seed))
         per_run, _ = tr.summarize_runs(runs, task)
     else:
         _check_preparation(model.config, meta, CheckpointMismatchError)

@@ -59,6 +59,9 @@ def load_predictions(path) -> list[PredictionRecord]:
                 where = f"{path}: line {n}"
                 obj = json_object(line, where, {"id": "str", "gold": "float", "pred": "float"})
                 check_fields(obj, {"prob": "float | None", "seed": "int | None"}, where, optional=True)
+                for key in ("gold", "pred"):   # json reads NaN and Infinity
+                    if not math.isfinite(obj[key]):
+                        raise ConfigurationError(f"{where}: {key!r} must be finite, got {obj[key]}")
                 try:
                     records.append(PredictionRecord.from_json(obj))
                 except ConfigurationError as exc:   # a prob outside [0, 1]
@@ -374,6 +377,9 @@ def corpus_citation_stats(labels: list[dict], truncate_at: int = 100,
     carries the acceptance flag the groups are accepted and rejected;
     otherwise there is one group, "all", and rho and p are NaN.
     """
+    for name, value in (("truncate_at", truncate_at), ("bin_width", bin_width)):
+        if value < 1:
+            raise ConfigurationError(f"{name} must be >= 1, got {value}")
     if not all("citation_count" in lb for lb in labels):
         raise DegenerateInputError("citation statistics need a citation count on every document")
     if all("accepted" in lb for lb in labels):

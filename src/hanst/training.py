@@ -63,6 +63,8 @@ class TrainConfig:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigurationError(f"seeds must be distinct, got {list(self.seeds)}")
+        if min(self.seeds) < 0:   # numpy's generators take no negative seed
+            raise ConfigurationError(f"seeds must be non-negative, got {list(self.seeds)}")
 
     @property
     def loss(self) -> str:

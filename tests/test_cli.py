@@ -268,7 +268,7 @@ def test_train_seed_list_override(tmp_path, capsys, probe_corpus):
     data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
     assert run_cli(capsys, "train", "--config", cfg, "--out", data, "--seed-list", "7")[0] == 0
     manifest = json.load(open(os.path.join(data, "manifest.json")))
-    assert manifest["seeds"] == [7]
+    assert manifest["config"]["seeds"] == [7]
     assert os.path.exists(os.path.join(data, "run-7.ckpt"))
 
 
@@ -287,12 +287,14 @@ def test_train_force_with_even_seed_count_removes_the_old_vote(tmp_path, capsys,
 @pytest.mark.parametrize("seed_list, message", [
     ("1,x", "--seed-list must be comma-separated integers, got '1,x'"),
     (" , ", "--seed-list must name at least one seed"),
+    # ended in numpy's "expected non-negative integer" traceback
+    ("-1", "{cfg}: seeds must be non-negative, got [-1]"),
 ])
 def test_train_bad_seed_list_one_line(tmp_path, capsys, probe_corpus, seed_list, message):
     data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
     rc, out, err = run_cli(capsys, "train", "--config", cfg, "--out", data, "--seed-list", seed_list)
     assert rc == 1 and out == ""
-    assert err == f"error: config-error: {message}\n"
+    assert err == f"error: config-error: {message.format(cfg=cfg)}\n"
 
 
 def test_repeated_seeds_one_line(tmp_path, capsys, probe_corpus):
@@ -301,8 +303,13 @@ def test_repeated_seeds_one_line(tmp_path, capsys, probe_corpus):
     data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
     bad = write_config(tmp_path / "bad.json", seeds=[1, 1, 1])
     repeated = f"{bad}: seeds must be distinct, got [1, 1, 1]"
+    negative = write_config(tmp_path / "negative.json", seeds=[2, -1])
     for argv, message in ((["prepare", probe_corpus, "--config", bad], repeated),
                           (["train", "--config", bad], repeated),
+                          (["prepare", probe_corpus, "--config", negative],
+                           f"{negative}: seeds must be non-negative, got [2, -1]"),
+                          (["train", "--config", negative],
+                           f"{negative}: seeds must be non-negative, got [2, -1]"),
                           (["train", "--config", cfg, "--seed-list", "2,1,2"],
                            "--seed-list repeats a seed, got '2,1,2'")):
         rc, out, err = run_cli(capsys, *argv, "--out", data)
@@ -603,13 +610,8 @@ def _manifest_bad_json(manifest, text):
 
 
 def _manifest_missing_keys(manifest, text):
-    del manifest["checkpoints"]
-    return json.dumps(manifest), "missing keys ['checkpoints']"
-
-
-def _manifest_seed_without_checkpoint(manifest, text):
-    manifest["seeds"] = [1, 2]
-    return json.dumps(manifest), "no checkpoint for seed 2"
+    del manifest["vocab_sha256"]
+    return json.dumps(manifest), "missing keys ['vocab_sha256']"
 
 
 def _manifest_config_type(manifest, text):
@@ -639,9 +641,9 @@ def _manifest_config_out_of_range(manifest, text):
 
 
 @pytest.mark.parametrize("corrupt", [_manifest_bad_json, _manifest_missing_keys,
-                                     _manifest_seed_without_checkpoint, _manifest_config_type,
-                                     _manifest_config_unknown_key, _manifest_other_kind,
-                                     _manifest_other_format_version, _manifest_config_out_of_range])
+                                     _manifest_config_type, _manifest_config_unknown_key,
+                                     _manifest_other_kind, _manifest_other_format_version,
+                                     _manifest_config_out_of_range])
 def test_malformed_manifest_one_line_error(tmp_path, capsys, probe_corpus, corrupt):
     data = _trained_dir(tmp_path, capsys, probe_corpus)
     path = os.path.join(data, "manifest.json")
@@ -655,6 +657,68 @@ def test_malformed_manifest_one_line_error(tmp_path, capsys, probe_corpus, corru
         assert rc == 1
         assert err.startswith(f"error: config-error: {path}: {message}")
         assert err.count("\n") == 1
+
+
+def _edit_manifest(path, edit):
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    edit(manifest)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+
+
+def test_evaluate_manifest_seed_without_checkpoint_one_line(tmp_path, capsys, probe_corpus):
+    # the seeds come from the config; each names its checkpoint beside the manifest
+    data = _trained_dir(tmp_path, capsys, probe_corpus)
+    path = os.path.join(data, "manifest.json")
+    _edit_manifest(path, lambda m: m["config"].update(seeds=[1, 2]))
+    rc, out, err = run_cli(capsys, "evaluate", "--manifest", path, "--out", data)
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.path.join(data, "run-2.ckpt") in err
+
+
+def test_evaluate_manifest_reads_seeds_from_its_config(tmp_path, capsys, probe_corpus):
+    # a top-level "seeds": [1, 1, 1] evaluated run-1.ckpt three times, std 0
+    data = _trained_dir(tmp_path, capsys, probe_corpus)
+    path = os.path.join(data, "manifest.json")
+    _edit_manifest(path, lambda m: m.update(seeds=[1, 1, 1]))
+    rc, out, err = run_cli(capsys, "evaluate", "--manifest", path, "--out", data)
+    assert rc == 0, err
+    for entry in json.loads(out)["metrics"].values():
+        assert len(entry["per_run"]) == 1
+
+
+def test_manifest_without_seeds_or_checkpoints_keys(tmp_path, capsys, probe_corpus):
+    # older manifests carry "seeds", "checkpoints" and "report"; newer ones none of them
+    data = _trained_dir(tmp_path, capsys, probe_corpus, seeds=[1, 2, 3])
+    path = os.path.join(data, "manifest.json")
+    _edit_manifest(path, lambda m: m.update(seeds=[1, 2, 3], report="report.json",
+                                            checkpoints={str(s): f"run-{s}.ckpt" for s in (1, 2, 3)}))
+    report = open(os.path.join(data, "report.json"), "rb").read()
+    rc, out, err = run_cli(capsys, "evaluate", "--manifest", path, "--out", data)
+    assert rc == 0, err
+    assert out.encode() == report
+    _edit_manifest(path, lambda m: [m.pop(key) for key in ("seeds", "checkpoints", "report")])
+    rc, out, err = run_cli(capsys, "evaluate", "--manifest", path, "--out", data)
+    assert rc == 0, err
+    assert out.encode() == report
+    rc, _, err = run_cli(capsys, "train", "--from-manifest", path, "--out", data, "--force")
+    assert rc == 0, err
+    assert open(os.path.join(data, "report.json"), "rb").read() == report
+
+
+def test_manifest_against_another_corpus_one_line(tmp_path, capsys, probe_corpus):
+    # evaluate checked the vocabulary hash alone, as a checkpoint-mismatch
+    data = _trained_dir(tmp_path / "a", capsys, probe_corpus)
+    other_corpus = str(tmp_path / "other.jsonl")
+    save_corpus(synth.tag_probe_corpus(n_docs=40), other_corpus)
+    other, _ = prepared_dir(tmp_path / "b", capsys, other_corpus)
+    path = os.path.join(data, "manifest.json")
+    for argv in (["evaluate", "--manifest", path], ["train", "--from-manifest", path]):
+        rc, out, err = run_cli(capsys, *argv, "--out", other)
+        assert rc == 1 and out == ""
+        assert err == "error: config-error: manifest corpus hash does not match the prepared dataset\n"
 
 
 def test_train_from_manifest_of_another_corpus_one_line(tmp_path, capsys, probe_corpus):
@@ -800,11 +864,9 @@ def test_manifest_lists_required_fields(tmp_path, capsys, probe_corpus):
     data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
     assert run_cli(capsys, "train", "--config", cfg, "--out", data)[0] == 0
     manifest = json.load(open(os.path.join(data, "manifest.json")))
-    for key in ("config", "corpus_sha256", "vocab_sha256", "seeds",
-                "tool_version", "checkpoints", "report"):
-        assert key in manifest
-    assert manifest["checkpoints"] == {"1": "run-1.ckpt"}
-    assert "embeddings_sha256" not in manifest   # the config names no embeddings file
+    # no embeddings_sha256: the config names no embeddings file
+    assert set(manifest) == {"kind", "format_version", "tool_version", "config",
+                             "corpus_sha256", "vocab_sha256"}
 
 
 def test_manifest_with_loss_key_still_evaluates(tmp_path, capsys, probe_corpus):
@@ -1316,6 +1378,21 @@ def test_stats_rejects_missing_citations(tmp_path, capsys, probe_corpus):
     assert err.startswith("error: degenerate-input:")
 
 
+@pytest.mark.parametrize("option, message", [
+    # 0 ended in range()'s ValueError traceback; the negative values exited 0
+    # with a header-only histogram
+    ("--bin-width=0", "bin_width must be >= 1, got 0"),
+    ("--bin-width=-5", "bin_width must be >= 1, got -5"),
+    ("--truncate-at=-3", "truncate_at must be >= 1, got -3"),
+])
+def test_stats_bad_bin_options_one_line(tmp_path, capsys, cites_corpus, option, message):
+    data = str(tmp_path / "data")
+    rc, out, err = run_cli(capsys, "stats", cites_corpus, option, "--out", data)
+    assert rc == 1 and out == ""
+    assert err == f"error: config-error: {message}\n"
+    assert not os.path.exists(data)
+
+
 # ---------------------------------------------------------------------------
 # significance
 # ---------------------------------------------------------------------------
@@ -1406,6 +1483,9 @@ def test_significance_votes_across_seeds(tmp_path, capsys):
      "'prob' must be float | None, got 'x'"),
     ('{"id": "d1", "gold": 1.0, "pred": 1.0, "seed": 1, "prob": 2.0}',
      "probability must be in [0, 1], got 2.0"),
+    # json reads both; McNemar then ended in a ValueError traceback
+    ('{"id": "d1", "gold": NaN, "pred": 1.0, "seed": 1}', "'gold' must be finite, got nan"),
+    ('{"id": "d1", "gold": 1.0, "pred": -Infinity, "seed": 1}', "'pred' must be finite, got -inf"),
 ])
 def test_significance_malformed_predictions_name_the_line(tmp_path, capsys, row, message):
     good = [{"id": f"d{i}", "gold": 1.0, "pred": 1.0, "seed": 1} for i in range(3)]

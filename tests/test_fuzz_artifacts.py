@@ -40,7 +40,8 @@ COMMANDS = {**OUTSIDE,
     "prepared.jsonl": [["train", "--config", "{cfg}", "--force", "--out", "{data}"],
                        ["evaluate", *CKPT]],
     "vocab.json": [["evaluate", *CKPT], ["predict", "{docs}", *CKPT]],
-    "run-1.ckpt": [["evaluate", *CKPT], ["predict", "{docs}", *CKPT]],
+    "run-1.ckpt": [["evaluate", *CKPT], ["predict", "{docs}", *CKPT],
+                   ["evaluate", "--manifest", MANIFEST, "--out", "{data}"]],
     "manifest.json": [["evaluate", "--manifest", MANIFEST, "--out", "{data}"],
                       ["train", "--from-manifest", MANIFEST, "--force", "--out", "{data}"]],
     "predictions-1.jsonl": [["significance", "{data}/predictions-1.jsonl",
