@@ -188,12 +188,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor, keep: np.ndarray | None = None) -> T
     return _record(kept @ w.values + b.values, bwd)
 
 
-def _logistic(x: np.ndarray) -> np.ndarray:
+def _logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # numerically safe: exp only ever sees non-positive arguments. The
     # numerator is 1 where x >= 0 (e <= 1 there) and e elsewhere, which is
-    # bitwise the two-branch form without a data-dependent select.
+    # bitwise the two-branch form without a data-dependent select. `out` may
+    # be x: x is read before the result is written.
     e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    return np.divide(np.maximum(e, x >= 0), 1.0 + e, out=out)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -393,14 +394,15 @@ def lstm_sequence(xs: Tensor, fw: tuple[Tensor, Tensor, Tensor, Tensor],
         for i in range(t - 1, -1, -1) if reverse else range(t):
             k = active[i]
             if k:
-                rec = (h[:max(k, floor)] @ w_hh)[:k] + b_hh
-                gates = proj[:k, i] + rec
-                act = _logistic(gates)
-                act[:, 2 * n:3 * n] = np.tanh(gates[:, 2 * n:3 * n])
-                c_new = act[:, n:2 * n] * c[:k] + act[:, :n] * act[:, 2 * n:3 * n]
+                act = proj[:k, i]   # the gates, activated in place
+                act += (h[:max(k, floor)] @ w_hh)[:k] + b_hh
+                sig, cell, out_gate = act[:, :2 * n], act[:, 2 * n:3 * n], act[:, 3 * n:]
+                _logistic(sig, out=sig)
+                np.tanh(cell, out=cell)
+                _logistic(out_gate, out=out_gate)
+                c_new = act[:, n:2 * n] * c[:k] + act[:, :n] * cell
                 c[:k] = c_new
-                h[:k] = act[:, 3 * n:] * np.tanh(c_new)
-                proj[:k, i] = act
+                h[:k] = out_gate * np.tanh(c_new)
             proj[k:, i] = 0.0   # no gradient there
             states[:, i] = h
         return proj if keep else None

@@ -17,7 +17,6 @@ import os
 import pathlib
 import sys
 import tempfile
-import time
 from collections.abc import Iterable
 
 import numpy as np
@@ -362,20 +361,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     embeddings = load_embeddings(embeddings_path, vocab, config.model.embedding_dim,
                                  np.random.default_rng(0)) if embeddings_path else None
 
-    events: dict[int, list[dict]] = {}
-
-    def log_fn(event: dict) -> None:
-        stamped = dict(event)
-        stamped["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        events.setdefault(event["seed"], []).append(stamped)
-
     result = tr.run_experiment(config, by_split["train"], by_split["valid"],
-                               by_split["test"], embeddings=embeddings, log_fn=log_fn)
+                               by_split["test"], embeddings=embeddings)
 
     for run in result.runs:
         _atomic_via(os.path.join(data_dir, checkpoint_name(run.seed)),
                     lambda p, m=run.model: md.save_checkpoint(m, meta["vocab_sha256"], p))
-        log_lines = [json.dumps(e, sort_keys=True) for e in events.get(run.seed, [])]
+        log_lines = [json.dumps(e, sort_keys=True) for e in run.log]
         log_lines.append(json.dumps({"seed": run.seed, "event": "selected",
                                      "epoch": run.selected_epoch}, sort_keys=True))
         _atomic_write_text(os.path.join(data_dir, f"train-log-{run.seed}.jsonl"),
@@ -410,6 +402,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
+def _predict_checkpoint(path: str, meta: dict, docs: list[TaggedDocument], task: str,
+                        batch_size: int, seed: int) -> list[PredictionRecord]:
+    """The predictions of the checkpoint at `path`, refused unless it was
+    trained on the prepared dataset `meta` heads. `evaluate --manifest` runs
+    it in a seed worker, so it predicts with the bits `train` did."""
+    model = md.load_checkpoint(path, meta["vocab_sha256"])
+    _check_preparation(model.config, meta, CheckpointMismatchError)
+    return tr.predict(model, docs, task, batch_size, seed=seed)
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if bool(args.manifest) == bool(args.checkpoint):
         raise ConfigurationError("pass exactly one of --manifest or --checkpoint")
@@ -431,11 +433,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.manifest:
         config = _manifest_config(manifest, args.manifest, meta, len(vocab))
         base = os.path.dirname(os.path.abspath(args.manifest))
-        runs = []
-        for seed in config.seeds:
-            model = md.load_checkpoint(os.path.join(base, checkpoint_name(seed)), meta["vocab_sha256"])
-            _check_preparation(model.config, meta, CheckpointMismatchError)
-            runs.append(tr.predict(model, docs, task, config.batch_size, seed=seed))
+        runs = tr.run_seeds(_predict_checkpoint, [
+            (os.path.join(base, checkpoint_name(seed)), meta, docs, task, config.batch_size, seed)
+            for seed in config.seeds])
         per_run, _ = tr.summarize_runs(runs, task)
     else:
         _check_preparation(model.config, meta, CheckpointMismatchError)
@@ -609,7 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("stats", parents=[out], help="corpus citation/acceptance statistics")
     p.add_argument("corpus", help="corpus JSONL file")
     p.add_argument("--truncate-at", type=int, default=100,
-                   help="histogram upper bound (excluded counts still enter the stats)")
+                   help="histogram upper bound (excluded counts still enter the stats); "
+                        "rows stop at the bin of the largest count")
     p.add_argument("--bin-width", type=int, default=5)
     p.set_defaults(func=cmd_stats)
 

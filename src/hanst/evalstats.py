@@ -396,12 +396,14 @@ def corpus_citation_stats(labels: list[dict], truncate_at: int = 100,
     means = {g: float(np.mean(v)) for g, v in groups.items()}
     stds = {g: float(np.std(v)) for g, v in groups.items()}
     sizes = {g: len(v) for g, v in groups.items()}
+    # rows run to the bin that holds the largest count below truncate_at
+    top = min(max(lb["citation_count"] for lb in labels), truncate_at - 1)
+    n_bins = top // bin_width + 1
     histogram = []
     for group, counts in groups.items():
-        for start in range(0, truncate_at, bin_width):
-            end = min(start + bin_width, truncate_at)
-            hits = sum(1 for c in counts if start <= c < end)
-            histogram.append((start, end, hits, group))
+        hits = np.bincount([c // bin_width for c in counts if c < truncate_at], minlength=n_bins)
+        histogram.extend((i * bin_width, min((i + 1) * bin_width, truncate_at), int(n), group)
+                         for i, n in enumerate(hits))
     return CitationStats(group_means=means, group_stds=stds, group_sizes=sizes,
                          rho=rho, p_value=p, histogram=histogram)
 

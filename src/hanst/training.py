@@ -4,6 +4,9 @@ multi-run experiment orchestration."""
 from __future__ import annotations
 
 import math
+import os
+import signal
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,13 +217,13 @@ class RunRecord:
     valid_metrics: list[float]
     selected_epoch: int
     test_predictions: list[PredictionRecord]
+    log: list[dict] = field(repr=False)   # one event per epoch, stamped as it ends
     model: md.Model = field(repr=False)   # the selected snapshot, without gradients
 
 
 def train_single_run(config: TrainConfig, train_docs: list[TaggedDocument],
                      valid_docs: list[TaggedDocument], test_docs: list[TaggedDocument],
-                     seed: int, embeddings: np.ndarray | None = None,
-                     log_fn=None) -> RunRecord:
+                     seed: int, embeddings: np.ndarray | None = None) -> RunRecord:
     """One seeded training: resample/shuffle per epoch, validate on the
     natural split, keep the snapshot of the last best epoch, then test it.
 
@@ -234,6 +237,7 @@ def train_single_run(config: TrainConfig, train_docs: list[TaggedDocument],
 
     train_losses: list[float] = []
     valid_metrics: list[float] = []
+    log: list[dict] = []
     best_params: dict[str, np.ndarray] = {}
     for epoch in range(config.epochs):
         if config.resample:
@@ -249,9 +253,9 @@ def train_single_run(config: TrainConfig, train_docs: list[TaggedDocument],
         valid_metrics.append(metric)
         if select_best(valid_metrics) == epoch:
             best_params = {n: p.values.copy() for n, p in model.params.items()}
-        if log_fn is not None:
-            log_fn({"seed": seed, "epoch": epoch, "train_loss": train_loss,
-                    "valid_metric": metric})
+        log.append({"seed": seed, "epoch": epoch, "train_loss": train_loss,
+                    "valid_metric": metric,
+                    "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())})
 
     for name, values in best_params.items():
         model.params[name].values = values
@@ -259,7 +263,75 @@ def train_single_run(config: TrainConfig, train_docs: list[TaggedDocument],
                                seed=seed) if test_docs else []
     return RunRecord(seed=seed, train_losses=train_losses, valid_metrics=valid_metrics,
                      selected_epoch=select_best(valid_metrics),
-                     test_predictions=test_predictions, model=model)
+                     test_predictions=test_predictions, log=log, model=model)
+
+
+# ---------------------------------------------------------------------------
+# seed workers
+# ---------------------------------------------------------------------------
+
+# set while the forkserver starts, so its BLAS and every worker's runs one
+# thread, whatever this process runs: the per-worker limit of joblib's loky
+_ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def _seed_context():
+    """The forkserver context the seed workers fork from. Its server starts
+    once per process, with one BLAS thread and the package imported, so a
+    worker costs a fork, not an interpreter start."""
+    import multiprocessing.forkserver   # on first use: the other commands start no worker
+
+    context = multiprocessing.get_context("forkserver")
+    # cli for evaluate's workers; numpy imports random and ma lazily, on a
+    # seed's first default_rng and unique
+    context.set_forkserver_preload(["hanst.cli", "numpy.random", "numpy.ma"])
+    saved = {name: os.environ.pop(name, None) for name in _ONE_THREAD}
+    os.environ.update(_ONE_THREAD)
+    try:
+        multiprocessing.forkserver.ensure_running()   # the server inherits os.environ as it starts
+    finally:
+        for name in _ONE_THREAD:
+            del os.environ[name]
+        os.environ.update({name: value for name, value in saved.items() if value is not None})
+    return context
+
+
+def _start_worker(errstate: dict) -> None:
+    """First call in each seed worker: the caller's numpy error state, and
+    Ctrl-C left to the caller, which stops its workers itself."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    np.seterr(**errstate)
+
+
+def run_seeds(fn, jobs: list[tuple]) -> list:
+    """`[fn(*job) for job in jobs]`, each call in its own worker process, all
+    at once; `fn` must be importable by name.
+
+    A worker's BLAS runs one thread whatever this process's environment, so
+    what a call computes depends neither on the thread count nor on how many
+    calls run together. It runs under the caller's numpy error state. The
+    error of the first failing job in order is raised as that job raised it;
+    a worker that dies raises TrainingAbortedError. On any error, Ctrl-C
+    included, the workers still running are stopped before this returns.
+    Peak memory is the sum over the workers.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(max_workers=len(jobs), mp_context=_seed_context(),
+                               initializer=_start_worker, initargs=(np.geterr(),))
+    try:
+        futures = [pool.submit(fn, *job) for job in jobs]
+        return [future.result() for future in futures]
+    except BrokenProcessPool as exc:   # the pool has stopped every worker
+        raise TrainingAbortedError(f"a worker process died: {exc}") from None
+    except BaseException:
+        # no public way to stop a running call before Python 3.14
+        for worker in list(pool._processes.values()):
+            worker.terminate()
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +374,14 @@ def summarize_runs(runs: list[list[PredictionRecord]], task: str
 
 
 def run_experiment(config: TrainConfig, train_docs, valid_docs, test_docs,
-                   embeddings: np.ndarray | None = None, log_fn=None) -> ExperimentResult:
-    """Train once per seed; aggregate test metrics and vote predictions.
+                   embeddings: np.ndarray | None = None) -> ExperimentResult:
+    """Train every seed at once, each in its own worker (see run_seeds);
+    aggregate test metrics and vote predictions.
 
-    A TrainingAbortedError from any run propagates.
+    The error of the first failing seed in config order propagates.
     """
-    runs = [train_single_run(config, train_docs, valid_docs, test_docs, seed,
-                             embeddings=embeddings, log_fn=log_fn)
-            for seed in config.seeds]
+    runs = run_seeds(train_single_run, [(config, train_docs, valid_docs, test_docs, seed,
+                                         embeddings) for seed in config.seeds])
     per_run, vote = summarize_runs(
         [r.test_predictions for r in runs if r.test_predictions], config.task)
     return ExperimentResult(runs=runs, per_run_metrics=per_run, vote_predictions=vote)

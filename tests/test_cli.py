@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 import hanst
-from hanst import autodiff as ad
 from hanst import cli
 from hanst import models as md
 from hanst import synth
 from hanst.corpus import load_corpus, save_corpus
+from hanst.errors import CheckpointMismatchError
 from hanst.textprep import Vocabulary, tag_tokens
 
 
@@ -345,22 +345,34 @@ def test_lr_must_be_finite_and_positive_one_line(tmp_path, capsys, probe_corpus,
         assert err == f"error: config-error: {where}: lr must be a finite number > 0, got {shown}\n"
 
 
-def test_non_finite_gradient_is_one_line(tmp_path, capsys, probe_corpus, monkeypatch):
-    # a gradient can be non-finite under a finite loss; this one is made so in
-    # the head, whose backward hands w over to Adam before b
+def test_seed_worker_failure_is_one_line(tmp_path, capsys, probe_corpus):
+    # finite embeddings near the float64 limit overflow AWE's document mean
+    # inside the seed workers; a fresh interpreter shows whatever a worker
+    # prints, numpy's overflow warnings included
     data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
-    linear = ad.linear
+    emb = tmp_path / "huge.txt"
+    emb.write_text("".join(f"{token} {' '.join(['1e308'] * 8)}\n"
+                           for token in Vocabulary.load(os.path.join(data, "vocab.json")).id_to_token))
+    cfg = write_config(tmp_path / "huge.json", embeddings=str(emb), seeds=[1, 2, 3])
+    proc = run_python("-m", "hanst", "train", "--config", cfg, "--out", data)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: training-aborted: non-finite loss nan at epoch 0, batch 0\n"
+    assert not os.path.exists(os.path.join(data, "manifest.json"))
 
-    def poisoned(x, w, b, keep=None):
-        out = linear(x, w, b, keep)
-        backward_fn = out.backward_fn
-        out.backward_fn = backward_fn and (lambda g: backward_fn(g * np.inf))
-        return out
 
-    monkeypatch.setattr(ad, "linear", poisoned)
+def test_dead_seed_worker_is_one_line(tmp_path, capsys, probe_corpus, monkeypatch):
+    from test_training import ExitsWhenUnpickled
+
+    data, _ = prepared_dir(tmp_path, capsys, probe_corpus)
+    emb = tmp_path / "emb.txt"
+    emb.write_text("")
+    cfg = write_config(tmp_path / "emb.json", embeddings=str(emb), seeds=[1, 2, 3])
+    # the parent never unpickles the embeddings; every seed worker does, and dies
+    monkeypatch.setattr(cli, "load_embeddings", lambda *args: ExitsWhenUnpickled())
     rc, out, err = run_cli(capsys, "train", "--config", cfg, "--out", data)
     assert rc == 1 and out == ""
-    assert err == "error: non-finite-gradient: non-finite gradient for parameter 'head.w'\n"
+    assert err.startswith("error: training-aborted: a worker process died: ")
+    assert err.count("\n") == 1
     assert not os.path.exists(os.path.join(data, "manifest.json"))
 
 
@@ -676,6 +688,19 @@ def test_evaluate_manifest_seed_without_checkpoint_one_line(tmp_path, capsys, pr
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert os.path.join(data, "run-2.ckpt") in err
+
+
+def test_predict_checkpoint_predicts_with_the_checkpoint_train_wrote(tmp_path, capsys,
+                                                                   probe_corpus):
+    # what evaluate --manifest runs in each seed worker
+    data = _trained_dir(tmp_path, capsys, probe_corpus)
+    meta, by_split = cli.load_prepared(data, "classify")
+    path = os.path.join(data, "run-1.ckpt")
+    got = cli._predict_checkpoint(path, meta, by_split["test"], "classify", 8, 1)
+    want = [json.loads(line) for line in open(os.path.join(data, "predictions-1.jsonl"))]
+    assert [dataclasses.asdict(r) for r in got] == want
+    with pytest.raises(CheckpointMismatchError, match="tagset 'full'"):
+        cli._predict_checkpoint(path, dict(meta, tagset="full"), by_split["test"], "classify", 8, 1)
 
 
 def test_evaluate_manifest_reads_seeds_from_its_config(tmp_path, capsys, probe_corpus):

@@ -484,6 +484,22 @@ class TestCorpusCitationStats:
         assert es.histogram_csv_lines(stats) == [
             "bin_start,bin_end,count,group", "0,4,2,all", "4,8,1,all", "8,10,1,all"]
 
+    def test_rows_stop_at_the_bin_of_the_largest_count(self):
+        # a bound of 10^9 wrote 2 * 2 * 10^8 rows, each bin a scan of every count
+        labels = [stats_label(True, 2), stats_label(True, 17),
+                  stats_label(False, 7), stats_label(False, 3)]
+        stats = es.corpus_citation_stats(labels, truncate_at=10 ** 9, bin_width=5)
+        assert stats.histogram == [
+            (0, 5, 1, "accepted"), (5, 10, 0, "accepted"), (10, 15, 0, "accepted"),
+            (15, 20, 1, "accepted"),
+            (0, 5, 1, "rejected"), (5, 10, 1, "rejected"), (10, 15, 0, "rejected"),
+            (15, 20, 0, "rejected")]
+        # the bin of the largest count ends at the bound when the bound cuts it
+        stats = es.corpus_citation_stats(labels, truncate_at=16, bin_width=5)
+        assert stats.histogram[:4] == [
+            (0, 5, 1, "accepted"), (5, 10, 0, "accepted"), (10, 15, 0, "accepted"),
+            (15, 16, 0, "accepted")]
+
     def test_truncated_docs_still_in_group_stats(self):
         labels = [stats_label(True, 2), stats_label(True, 250),
                 stats_label(False, 0), stats_label(False, 4)]

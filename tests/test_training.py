@@ -1,5 +1,10 @@
 import gc
 import math
+import multiprocessing
+import os
+import re
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,8 +16,9 @@ from hanst import models as md
 from hanst import synth
 from hanst import training as tr
 from hanst.autodiff import Adam, Tensor
-from hanst.errors import ConfigurationError, DegenerateInputError, TrainingAbortedError
-from hanst.evalstats import PredictionRecord
+from hanst.errors import (ConfigurationError, DegenerateInputError, NonFiniteGradientError,
+                          TrainingAbortedError)
+from hanst.evalstats import PredictionRecord, mae
 from hanst.textprep import TaggedDocument, prepare_corpus
 
 
@@ -402,6 +408,43 @@ class TestTrainSingleRun:
         with pytest.raises(ConfigurationError):
             tr.train_single_run(config, [], classify_corpus(), [], seed=1)
 
+    def test_regression_selects_on_negated_mae(self):
+        rng = np.random.default_rng(0)
+        docs = [tagged_doc(f"d{i}", [[int(t) for t in rng.integers(2, 12, size=3)]],
+                           {"citation_count": int(rng.integers(0, 50))})
+                for i in range(12)]
+        config = tiny_train_config("regress", epochs=3, batch_size=4)
+        record = tr.train_single_run(config, docs, docs, docs, seed=2)
+        golds = [tr.gold_value(d.label, "regress") for d in docs]
+        preds = [r.pred for r in tr.predict(record.model, docs, "regress", 4)]
+        assert record.valid_metrics[record.selected_epoch] == -mae(golds, preds) < 0
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_non_finite_gradient_names_the_head(self, monkeypatch):
+        # a gradient can be non-finite under a finite loss; this one is made so
+        # in the head, whose backward hands w over to Adam before b
+        linear = ad.linear
+
+        def poisoned(x, w, b, keep=None):
+            out = linear(x, w, b, keep)
+            backward_fn = out.backward_fn
+            out.backward_fn = backward_fn and (lambda g: backward_fn(g * np.inf))
+            return out
+
+        monkeypatch.setattr(ad, "linear", poisoned)
+        docs = classify_corpus()
+        with pytest.raises(NonFiniteGradientError,
+                           match=r"^non-finite gradient for parameter 'head\.w'$"):
+            tr.train_single_run(tiny_train_config(), docs, docs, docs, seed=1)
+
+    def test_log_has_one_stamped_event_per_epoch(self):
+        _, record = self.run_once(epochs=3)
+        assert [(e["seed"], e["epoch"]) for e in record.log] == [(1, 0), (1, 1), (1, 2)]
+        assert [e["train_loss"] for e in record.log] == record.train_losses
+        assert [e["valid_metric"] for e in record.log] == record.valid_metrics
+        assert all(re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", e["timestamp"])
+                   for e in record.log)
+
 
 class TestRunExperiment:
     def test_aggregates_and_vote(self):
@@ -440,6 +483,70 @@ class TestRunExperiment:
         config = tiny_train_config(epochs=4, seeds=(1, 2, 3), lr=1e200, resample=True)
         with pytest.raises(TrainingAbortedError, match="non-finite loss"):
             tr.run_experiment(config, docs, docs, docs)
+
+    def test_runs_match_single_runs_in_this_process(self):
+        # seed workers give the runs that training here gives, at these sizes
+        # (where one and two BLAS threads round alike)
+        docs = classify_corpus()
+        config = tiny_train_config(epochs=4, seeds=(3, 1), resample=True)
+        result = tr.run_experiment(config, docs, docs, docs)
+        for run, seed in zip(result.runs, (3, 1)):
+            alone = tr.train_single_run(config, docs, docs, docs, seed)
+            assert run.seed == seed and run.train_losses == alone.train_losses
+            assert [(e["epoch"], e["train_loss"]) for e in run.log] == \
+                [(e["epoch"], e["train_loss"]) for e in alone.log]
+            for name, p in alone.model.params.items():
+                np.testing.assert_array_equal(run.model.params[name].values, p.values)
+
+
+class ExitsWhenUnpickled:
+    """Ends the process that unpickles it: a worker that dies."""
+
+    def __reduce__(self):
+        return os._exit, (70,)
+
+
+class TestRunSeeds:
+    def test_results_in_job_order(self):
+        labels = [({"citation_count": n}, "regress") for n in (0, 1, 3)]
+        assert tr.run_seeds(tr.gold_value, labels) == [tr.gold_value(*job) for job in labels]
+
+    def test_workers_run_one_blas_thread_under_the_callers_errstate(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        names = [("OPENBLAS_NUM_THREADS",), ("OMP_NUM_THREADS",), ("MKL_NUM_THREADS",)]
+        assert tr.run_seeds(os.getenv, names) == ["1", "1", "1"]
+        # this process's environment is left as it was
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2" and "OMP_NUM_THREADS" not in os.environ
+        with np.errstate(over="ignore", divide="raise", invalid="warn", under="print"):
+            assert tr.run_seeds(np.geterr, [()]) == [np.geterr()]
+
+    def test_worker_start_takes_errstate_and_leaves_ctrl_c_to_the_caller(self):
+        handler, errstate = signal.getsignal(signal.SIGINT), np.geterr()
+        try:
+            tr._start_worker(dict(errstate, over="raise"))
+            assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+            assert np.geterr() == dict(errstate, over="raise")
+        finally:
+            signal.signal(signal.SIGINT, handler)
+            np.seterr(**errstate)
+
+    def test_first_failing_job_in_order_raises_and_stops_the_rest(self):
+        start = time.monotonic()
+        with pytest.raises(ConfigurationError, match="needs the label 'accepted'"):
+            tr.run_seeds(tr.gold_value, [({"accepted": True}, "classify"),
+                                         ({"citation_count": 1}, "classify"),
+                                         ({"accepted": True}, "regress")])
+        with pytest.raises(TypeError):
+            tr.run_seeds(time.sleep, [("one",), (60,)])
+        # the sleeping worker was stopped, not waited for
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_training_aborted(self):
+        with pytest.raises(TrainingAbortedError, match="^a worker process died: "):
+            tr.run_seeds(len, [(ExitsWhenUnpickled(),), ([1, 2],)])
+        assert multiprocessing.active_children() == []
 
 
 class TestSummarizeRuns:
