@@ -197,10 +197,16 @@ def _logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(np.maximum(e, x >= 0), 1.0 + e, out=out)
 
 
+def _lengths(op: str, lengths, rows: int, width: int) -> np.ndarray:
+    """lengths as an integer array [rows], each in 0..width, or ShapeMismatchError."""
+    lengths = np.asarray(lengths)
+    if lengths.shape != (rows,) or lengths.dtype.kind not in "iu" or ((lengths < 0) | (lengths > width)).any():
+        raise ShapeMismatchError(f"{op}: lengths must be {rows} integers in 0..{width}, got {lengths}")
+    return lengths
+
+
 def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    old = a.shape
-    return _record(a.values.reshape(shape), lambda g: _accum(a, g.reshape(old)))
+    return _record(a.values.reshape(shape), lambda g: _accum(a, g.reshape(a.shape)))
 
 
 def rows(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -233,15 +239,14 @@ def weighted_sum(h: Tensor, weights: np.ndarray) -> Tensor:
 
 
 def attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor,
-                   mask: np.ndarray) -> tuple[Tensor, Tensor]:
+                   lengths: np.ndarray) -> tuple[Tensor, Tensor]:
     """Attention pooling of states [B,T,D] into pooled [B,D] and weights alpha [B,T].
 
     proj = tanh(states @ w + b), with a square w [D,D] and b [D], is scored
     against the context vector u [D,1], and alpha is the softmax of the
-    scores over the positions where mask is true, stabilized by
-    max-subtraction. Masked positions get alpha exactly 0, and every row must
-    have at least one unmasked position. pooled is the alpha-weighted sum of
-    the states.
+    scores over each row's first lengths[r] positions, stabilized by
+    max-subtraction. Padded positions get alpha exactly 0, and every length
+    must lie in 1..T. pooled is the alpha-weighted sum of the states.
 
     On a tape the op is one node, pooled; alpha is returned for reading and
     takes no gradient. The forward computes proj in one [B*T,D] array, adding
@@ -258,11 +263,10 @@ def attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor,
     if w.shape != (d, d) or b.shape != (d,) or u.shape != (d, 1):
         raise ShapeMismatchError(
             f"attention_pool: states {states.shape} vs w {w.shape}, b {b.shape}, u {u.shape}")
-    m = np.asarray(mask, dtype=bool)
-    if m.shape != (bsz, t):
-        raise ShapeMismatchError(f"attention_pool: mask {m.shape} vs states {states.shape}")
-    if not m.any(axis=-1).all():
+    lengths = _lengths("attention_pool", lengths, bsz, t)
+    if not lengths.all():
         raise DegenerateInputError("attention_pool: some row has all positions masked")
+    m = np.arange(t) < lengths[:, None]
     flat = states.values.reshape(bsz * t, d)
     proj = flat @ w.values
     proj += b.values
@@ -309,7 +313,7 @@ def attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor,
 
 
 def lstm_sequence(xs: Tensor, fw: tuple[Tensor, Tensor, Tensor, Tensor],
-                  bw: tuple[Tensor, Tensor, Tensor, Tensor], mask: np.ndarray) -> Tensor:
+                  bw: tuple[Tensor, Tensor, Tensor, Tensor], lengths: np.ndarray) -> Tensor:
     """A bidirectional LSTM over a whole sequence: xs [B,T,D] -> states [B,T,2H].
 
     fw and bw hold each direction's weights (w_ih, w_hh, b_ih, b_hh), stored
@@ -320,9 +324,8 @@ def lstm_sequence(xs: Tensor, fw: tuple[Tensor, Tensor, Tensor, Tensor],
     forward direction steps over positions 0..T-1 and writes states[..., :H];
     then the reverse direction steps over T-1..0 and writes states[..., H:].
 
-    mask [B,T] gives each row's length: every row must be ones followed by
-    zeros (what ``pad_batch`` makes), anything else raises
-    ShapeMismatchError. A row takes steps only at its real positions. At a
+    lengths [B] gives each row's count of real positions, in 0..T; they come
+    first in the row. A row takes steps only at its real positions. At a
     padded position its output repeats the carried state: the final state
     going forward, the zero state going backward. The final state of a row is
     therefore its forward half at position T-1 and its reverse half at 0.
@@ -365,13 +368,8 @@ def lstm_sequence(xs: Tensor, fw: tuple[Tensor, Tensor, Tensor, Tensor],
             raise ShapeMismatchError(
                 f"lstm_sequence: input {xs.shape} vs weights {w_ih.shape}, {w_hh.shape}, "
                 f"biases {b_ih.shape}, {b_hh.shape}")
-    m = np.asarray(mask, dtype=DTYPE)
-    if m.shape != (b, t):
-        raise ShapeMismatchError(f"lstm_sequence: mask {m.shape} vs input {xs.shape}")
-    lengths = m.sum(axis=1).astype(np.int64)
-    if not np.array_equal(m, np.arange(t) < lengths[:, None]):
-        raise ShapeMismatchError("lstm_sequence: each mask row must be ones followed by zeros")
-    active = m.sum(axis=0).astype(np.int64).tolist()   # rows still running at each position
+    lengths = _lengths("lstm_sequence", lengths, b, t)
+    active = (lengths[:, None] > np.arange(t)).sum(axis=0).tolist()   # rows running at each position
     order = np.argsort(-lengths, kind="stable")   # longest first, ties in their own order
     in_order = bool((order == np.arange(b)).all())
     inverse = np.argsort(order)

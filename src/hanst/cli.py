@@ -367,11 +367,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     for run in result.runs:
         _atomic_via(os.path.join(data_dir, checkpoint_name(run.seed)),
                     lambda p, m=run.model: md.save_checkpoint(m, meta["vocab_sha256"], p))
-        log_lines = [json.dumps(e, sort_keys=True) for e in run.log]
-        log_lines.append(json.dumps({"seed": run.seed, "event": "selected",
-                                     "epoch": run.selected_epoch}, sort_keys=True))
         _atomic_write_text(os.path.join(data_dir, f"train-log-{run.seed}.jsonl"),
-                           "\n".join(log_lines) + "\n")
+                           "".join(json.dumps(e, sort_keys=True) + "\n" for e in run.log))
         _atomic_via(os.path.join(data_dir, f"predictions-{run.seed}.jsonl"),
                     lambda p, r=run: save_predictions(r.test_predictions, p))
     vote_path = os.path.join(data_dir, "predictions-vote.jsonl")

@@ -187,22 +187,16 @@ def spearman_rho(x, y) -> tuple[float, float]:
     rho = _pearson(rx, ry)
     if n <= 8:
         threshold = abs(rho) - 1e-12
-        hits = 0
-        total = 0
-        for perm in permutations(ry):
-            total += 1
-            if abs(_pearson(rx, np.array(perm))) >= threshold:
-                hits += 1
-        p = hits / total
+        hits = sum(abs(_pearson(rx, np.array(perm))) >= threshold for perm in permutations(ry))
+        p = hits / math.factorial(n)
+    elif abs(rho) >= 1.0:
+        p = 0.0
     else:
-        if abs(rho) >= 1.0:
-            p = 0.0
-        else:
-            t2 = rho * rho * (n - 2) / (1.0 - rho * rho)
-            df = n - 2
-            # imported here: it costs ~0.3 s and ~18 MiB, and only `stats` gets here
-            from scipy.special import betainc
-            p = float(betainc(df / 2.0, 0.5, df / (df + t2)))
+        t2 = rho * rho * (n - 2) / (1.0 - rho * rho)
+        df = n - 2
+        # imported here: it costs ~0.3 s and ~18 MiB, and only `stats` gets here
+        from scipy.special import betainc
+        p = float(betainc(df / 2.0, 0.5, df / (df + t2)))
     return rho, p
 
 

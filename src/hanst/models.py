@@ -69,17 +69,25 @@ class ModelConfig:
 
 @dataclass
 class Batch:
-    """Right-padded id tensors with float masks (1 = real, 0 = padding)."""
+    """Right-padded ids and the length of every row: a row's real entries come first."""
 
-    ids: np.ndarray          # [B, S, T] int64
-    token_mask: np.ndarray   # [B, S, T]
-    sent_mask: np.ndarray    # [B, S]
+    ids: np.ndarray             # [B, S, T] int64
+    token_lengths: np.ndarray   # [B, S] int64: tokens per sentence, 0 for a padding sentence
+    sent_lengths: np.ndarray    # [B] int64: sentences per document
     doc_ids: list[str] = field(default_factory=list)
     labels: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return self.ids.shape[0]
+
+    @property
+    def token_mask(self) -> np.ndarray:   # [B, S, T] from the lengths: 1.0 = token, 0.0 = padding
+        return (np.arange(self.ids.shape[2]) < self.token_lengths[..., None]).astype(ad.DTYPE)
+
+    @property
+    def sent_mask(self) -> np.ndarray:   # [B, S] from the lengths: 1.0 = sentence, 0.0 = padding
+        return (np.arange(self.ids.shape[1]) < self.sent_lengths[:, None]).astype(ad.DTYPE)
 
 
 def pad_batch(docs: list[TaggedDocument], labels=None) -> Batch:
@@ -89,14 +97,13 @@ def pad_batch(docs: list[TaggedDocument], labels=None) -> Batch:
     s = max(len(d.sentences) for d in docs)
     t = max(len(sent) for d in docs for sent in d.sentences)
     ids = np.full((b, s, t), PAD_ID, dtype=np.int64)
-    token_mask = np.zeros((b, s, t))
-    sent_mask = np.zeros((b, s))
+    token_lengths = np.zeros((b, s), dtype=np.int64)
     for i, doc in enumerate(docs):
         for j, sent in enumerate(doc.sentences):
             ids[i, j, : len(sent)] = sent
-            token_mask[i, j, : len(sent)] = 1.0
-        sent_mask[i, : len(doc.sentences)] = 1.0
-    return Batch(ids=ids, token_mask=token_mask, sent_mask=sent_mask,
+            token_lengths[i, j] = len(sent)
+    return Batch(ids=ids, token_lengths=token_lengths,
+                 sent_lengths=np.array([len(d.sentences) for d in docs], dtype=np.int64),
                  doc_ids=[d.id for d in docs],
                  labels=None if labels is None else np.asarray(labels))
 
@@ -126,21 +133,20 @@ class BiLstmLayer:
 
     def __init__(self, prefix: str, input_dim: int, hidden: int,
                  params: dict[str, ad.Parameter], rng: np.random.Generator):
-        self.hidden = hidden
         self.fw = LstmCell(f"{prefix}.fw", input_dim, hidden, params, rng)
         self.bw = LstmCell(f"{prefix}.bw", input_dim, hidden, params, rng)
 
-    def run(self, xs: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
+    def run(self, xs: ad.Tensor, lengths: np.ndarray) -> ad.Tensor:
         """Return the per-position states [B,T,2h]: forward in [..., :h], backward in [..., h:].
 
-        One tape node for both directions. Each mask row is ones followed by
-        zeros. Rows step only at their real positions and carry their state
+        One tape node for both directions. Row r's first lengths[r] positions
+        are real. Rows step only at their real positions and carry their state
         through the padded ones, so outputs match a run over the unpadded
         sequence: a row's final forward state is at position T-1 and its
         final backward state at position 0.
         """
         fw, bw = ((cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh) for cell in (self.fw, self.bw))
-        return ad.lstm_sequence(xs, fw, bw, mask)
+        return ad.lstm_sequence(xs, fw, bw, lengths)
 
 
 class AttentionPool:
@@ -148,14 +154,14 @@ class AttentionPool:
 
     def __init__(self, prefix: str, dim: int, params: dict[str, ad.Parameter],
                  rng: np.random.Generator):
-        self.dim = dim
         self.w = _add(params, f"{prefix}.w", ad.xavier_init((dim, dim), "uniform", rng))
         self.b = _add(params, f"{prefix}.b", np.zeros(dim))
         self.u = _add(params, f"{prefix}.u", ad.xavier_init((dim, 1), "uniform", rng))
 
-    def run(self, states: ad.Tensor, mask: np.ndarray):
-        """Pool [B,T,D] into [B,D]; returns (pooled, weights [B,T])."""
-        return ad.attention_pool(states, self.w, self.b, self.u, mask)
+    def run(self, states: ad.Tensor, lengths: np.ndarray):
+        """Pool [B,T,D] into [B,D] over each row's first lengths[r] states;
+        returns (pooled, weights [B,T])."""
+        return ad.attention_pool(states, self.w, self.b, self.u, lengths)
 
 
 def _add(params: dict[str, ad.Parameter], name: str, values: np.ndarray) -> ad.Parameter:
@@ -225,10 +231,8 @@ class AweModel(Model):
         return self.config.embedding_dim
 
     def encode(self, batch: Batch):
-        b, s, t = batch.ids.shape
-        ids = batch.ids.reshape(b, s * t)
-        mask = batch.token_mask.reshape(b, s * t)
-        doc = _masked_mean_rows(self.embedding, ids, mask)
+        b = batch.size
+        doc = _masked_mean_rows(self.embedding, batch.ids.reshape(b, -1), batch.token_mask.reshape(b, -1))
         return doc, None, None
 
 
@@ -250,7 +254,7 @@ class SentAvgBilstmModel(Model):
         h = self.config.bilstm_hidden
         # the final states are the forward half at position S-1 and the
         # backward half at 0: rows 2(S-1) and 1 of a document's [2S, h] halves
-        halves = ad.reshape(self.sent_bilstm.run(sent_vecs, batch.sent_mask), (b * 2 * s, h))
+        halves = ad.reshape(self.sent_bilstm.run(sent_vecs, batch.sent_lengths), (b * 2 * s, h))
         final = ad.rows(halves, 2 * s * np.arange(b)[:, None] + [2 * (s - 1), 1])
         return ad.reshape(final, (b, 2 * h)), None, None
 
@@ -281,21 +285,21 @@ class HanModel(Model):
         Each BiLSTM writes both directions into one [...,2H] output that its
         attention reads as it is. After the word BiLSTM and word attention,
         the sentence vectors are scattered back into [B,S,2H]. Padding
-        sentences get zero vectors there, and the sentence-level mask never
-        reads them. Their word attention rows are zero. A training step
-        records 8 tape nodes, one per layer: these 6, the head's linear and
-        the loss.
+        sentences get zero vectors there, past each document's sentence
+        count, so the sentence level never reads them. Their word attention
+        rows are zero. A training step records 8 tape nodes, one per layer:
+        these 6, the head's linear and the loss.
         """
         b, s, t = batch.ids.shape
-        token_mask = batch.token_mask.reshape(b * s, t)
-        real = np.flatnonzero(batch.sent_mask.reshape(b * s))
-        real = real[np.argsort(-token_mask[real].sum(axis=1), kind="stable")]
-        token_mask = token_mask[real]
+        lengths = batch.token_lengths.reshape(b * s)
+        real = np.flatnonzero(np.arange(s) < batch.sent_lengths[:, None])
+        real = real[np.argsort(-lengths[real], kind="stable")]
+        lengths = lengths[real]
         words = ad.rows(self.embedding, batch.ids.reshape(b * s, t)[real])
-        sent_vecs, word_alpha = self.word_attn.run(self.word_bilstm.run(words, token_mask), token_mask)
+        sent_vecs, word_alpha = self.word_attn.run(self.word_bilstm.run(words, lengths), lengths)
         sent_seq = ad.scatter_rows(sent_vecs, real, (b, s, 2 * self.config.bilstm_hidden))
-        doc, sent_alpha = self.sent_attn.run(self.sent_bilstm.run(sent_seq, batch.sent_mask),
-                                             batch.sent_mask)
+        doc, sent_alpha = self.sent_attn.run(self.sent_bilstm.run(sent_seq, batch.sent_lengths),
+                                             batch.sent_lengths)
         word_maps = np.zeros((b * s, t))
         word_maps[real] = word_alpha.values
         return doc, word_maps.reshape(b, s, t), sent_alpha.values

@@ -67,12 +67,9 @@ def _is_abbreviation(text: str, end: int) -> bool:
     while start > 0 and not text[start - 1].isspace():
         start -= 1
     word = text[start:end]
-    if word.lower() in _ABBREVIATIONS:
-        return True
-    # single-capital initials such as "J." in author names
-    if len(word) == 2 and word[0].isupper() and word[0].isalpha() and word[1] == ".":
-        return True
-    return False
+    # or a single-capital initial such as "J." in author names
+    return word.lower() in _ABBREVIATIONS or (
+        len(word) == 2 and word[0].isupper() and word[0].isalpha() and word[1] == ".")
 
 
 def segment_sentences(text: str) -> Iterator[str]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import os
 import signal
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -213,11 +214,8 @@ def select_best(history: list[float]) -> int:
 @dataclass
 class RunRecord:
     seed: int
-    train_losses: list[float]
-    valid_metrics: list[float]
-    selected_epoch: int
     test_predictions: list[PredictionRecord]
-    log: list[dict] = field(repr=False)   # one event per epoch, stamped as it ends
+    log: list[dict] = field(repr=False)   # the train log: each epoch's event, then the selected one
     model: md.Model = field(repr=False)   # the selected snapshot, without gradients
 
 
@@ -235,7 +233,6 @@ def train_single_run(config: TrainConfig, train_docs: list[TaggedDocument],
     optimizer = ad.Adam(model.params, lr=config.lr)
     labels = [gold_value(d.label, config.task) for d in train_docs]
 
-    train_losses: list[float] = []
     valid_metrics: list[float] = []
     log: list[dict] = []
     best_params: dict[str, np.ndarray] = {}
@@ -249,7 +246,6 @@ def train_single_run(config: TrainConfig, train_docs: list[TaggedDocument],
         train_loss = train_epoch(model, batches, optimizer, config.loss, rng, epoch=epoch)
         metric = validation_metric(predict(model, valid_docs, config.task,
                                            config.batch_size, seed=seed), config.task)
-        train_losses.append(train_loss)
         valid_metrics.append(metric)
         if select_best(valid_metrics) == epoch:
             best_params = {n: p.values.copy() for n, p in model.params.items()}
@@ -259,11 +255,10 @@ def train_single_run(config: TrainConfig, train_docs: list[TaggedDocument],
 
     for name, values in best_params.items():
         model.params[name].values = values
+    log.append({"seed": seed, "event": "selected", "epoch": select_best(valid_metrics)})
     test_predictions = predict(model, test_docs, config.task, config.batch_size,
                                seed=seed) if test_docs else []
-    return RunRecord(seed=seed, train_losses=train_losses, valid_metrics=valid_metrics,
-                     selected_epoch=select_best(valid_metrics),
-                     test_predictions=test_predictions, log=log, model=model)
+    return RunRecord(seed=seed, test_predictions=test_predictions, log=log, model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -285,22 +280,36 @@ def _seed_context():
     # cli for evaluate's workers; numpy imports random and ma lazily, on a
     # seed's first default_rng and unique
     context.set_forkserver_preload(["hanst.cli", "numpy.random", "numpy.ma"])
-    saved = {name: os.environ.pop(name, None) for name in _ONE_THREAD}
-    os.environ.update(_ONE_THREAD)
+    # the server ignores this process's sys.path: it finds the package through PYTHONPATH
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(_ONE_THREAD, PYTHONPATH=os.pathsep.join(filter(None, [root, os.getenv("PYTHONPATH")])))
+    saved = {name: os.environ.pop(name, None) for name in env}
+    os.environ.update(env)
     try:
         multiprocessing.forkserver.ensure_running()   # the server inherits os.environ as it starts
     finally:
-        for name in _ONE_THREAD:
+        for name in env:
             del os.environ[name]
         os.environ.update({name: value for name, value in saved.items() if value is not None})
     return context
 
 
 def _start_worker(errstate: dict) -> None:
-    """First call in each seed worker: the caller's numpy error state, and
-    Ctrl-C left to the caller, which stops its workers itself."""
+    """First call in each seed worker: the caller's numpy error state,
+    Ctrl-C left to the caller, which stops its workers itself, and a thread
+    that ends the worker once the caller is gone, however it went."""
+    import multiprocessing
+
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     np.seterr(**errstate)
+    # the pipe the job came through, whose write end only the caller holds
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def exit_when_orphaned():
+        os.read(sentinel, 1)   # returns at end of file: the caller is gone
+        os._exit(1)
+
+    threading.Thread(target=exit_when_orphaned, daemon=True).start()
 
 
 def run_seeds(fn, jobs: list[tuple]) -> list:

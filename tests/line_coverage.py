@@ -4,7 +4,8 @@ Run from anywhere, with the same arguments pytest takes (default: tests/):
 
     python tests/line_coverage.py [pytest args]
 
-It installs a sys.settrace hook before hanst is imported, runs pytest in this
+It installs a sys.settrace hook before hanst is imported, for this thread and
+(threading.settrace) every thread started after it, runs pytest in this
 interpreter, and prints each line of src/hanst/*.py that has code (as listed by
 its code objects' co_lines) but never ran, then the count. __main__.py is
 skipped: the suite runs it only in a child interpreter, which the hook cannot
@@ -19,6 +20,7 @@ not collected by pytest (its name does not start with test_).
 
 import pathlib
 import sys
+import threading
 import types
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -87,10 +89,12 @@ def main(argv: list[str]) -> int:
 
     failed = FailedTests()
     sys.settrace(_trace_calls)
+    threading.settrace(_trace_calls)
     try:
         status = pytest.main(argv or [str(ROOT / "tests")], plugins=[failed])
     finally:
         sys.settrace(None)
+        threading.settrace(None)
 
     missed = unexecuted()
     print()

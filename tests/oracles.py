@@ -221,13 +221,14 @@ def weighted_sum(h: Tensor, alpha: Tensor) -> Tensor:
 
 
 def composed_attention_pool(states: Tensor, w: Tensor, b: Tensor, u: Tensor,
-                            mask: np.ndarray) -> tuple[Tensor, Tensor]:
-    """`ad.attention_pool` as the eight tape nodes it replaced: (pooled, alpha)."""
+                            lengths) -> tuple[Tensor, Tensor]:
+    """`ad.attention_pool` as the eight tape nodes it replaced: (pooled, alpha),
+    each row softmaxed over its first lengths[r] positions."""
     bsz, t, d = states.shape
     flat = ad.reshape(states, (bsz * t, d))
     proj = tanh(add(matmul(flat, w), b))
     scores = ad.reshape(matmul(proj, u), (bsz, t))
-    alpha = softmax(scores, mask=mask.astype(bool))
+    alpha = softmax(scores, mask=np.arange(t) < np.asarray(lengths)[:, None])
     return weighted_sum(states, alpha), alpha
 
 

@@ -1,4 +1,4 @@
-"""Walk the backward of one paper-size HAN training step node by node under tracemalloc.
+"""Walk the backward of one paper-size training step node by node under tracemalloc.
 
 Run from anywhere:
 
@@ -15,6 +15,11 @@ three batches:
   worst batch. Its step peaks above 1 GiB, so it takes a while and needs
   about 2 GiB of memory.
 
+Then it takes one step of each model kind at the regress defaults (E=300,
+H=100) on synth.heterogeneous_length_corpus(n_docs=16) cut at 4,000
+characters, one batch of 16 documents (regress batches hold 64), with
+citation-count labels.
+
 For each step it prints the peak of the forward pass and the memory the tape
 holds after it. Then, for each tape node in the order backward runs them, it
 prints the node's op, the shape of its value, the peak while the node ran and
@@ -30,6 +35,7 @@ It uses only the standard library and numpy. pytest does not collect it (its
 name does not start with test_).
 """
 
+import dataclasses
 import pathlib
 import sys
 import tracemalloc
@@ -57,16 +63,18 @@ def han_paper_docs():
     return 10002, docs
 
 
-def ragged_docs(max_chars):
-    vocab, store = prepare_corpus(synth.heterogeneous_length_corpus(n_docs=4), "none", max_chars, 10000)
+def ragged_docs(max_chars, n_docs=4):
+    vocab, store = prepare_corpus(synth.heterogeneous_length_corpus(n_docs=n_docs), "none", max_chars,
+                                  10000)
     return len(vocab), list(store)
 
 
-def walk(name, vocab_size, docs):
+def walk(name, vocab_size, docs, kind="han", task="classify"):
     rng = np.random.default_rng(0)
-    model = md.build_model(md.default_model_config("han", "classify", vocab_size=vocab_size), rng)
+    config = tr.default_train_config(task, md.default_model_config(kind, task, vocab_size=vocab_size))
+    model = md.build_model(config.model, rng)
     optimizer = ad.Adam(model.params)
-    batch = tr.make_batches(docs, "classify", len(docs))[0]
+    batch = tr.make_batches(docs, task, len(docs))[0]
     rows = []   # [op, shape, peak, held after], held filled in when the next node starts
 
     def measured(op, shape, fn):
@@ -85,7 +93,7 @@ def walk(name, vocab_size, docs):
     try:
         with ad.Tape() as tape:
             result = model.forward(batch, training=True, rng=rng)
-            loss = tr.compute_loss(result.output, batch.labels, "cross-entropy")
+            loss = tr.compute_loss(result.output, batch.labels, config.loss)
             held, forward_peak = tracemalloc.get_traced_memory()
             for node in tape.nodes:
                 op = node.backward_fn.__qualname__.split(".")[0]
@@ -95,7 +103,8 @@ def walk(name, vocab_size, docs):
         optimizer.step()
     finally:
         tracemalloc.stop()
-    print(f"{name}: batch {batch.ids.shape}, {len(rows)} tape nodes run by backward")
+    print(f"{name}: batch {batch.ids.shape} holding {int(batch.token_lengths.sum())} tokens, "
+          f"{len(rows)} tape nodes run by backward")
     print(f"  {'forward':<32}  peak {forward_peak / MIB:8.1f} MiB  held {held / MIB:8.1f} MiB")
     for op, shape, peak, after in rows:
         print(f"  {op:<16}{str(shape):<16}  peak {peak / MIB:8.1f} MiB  held {after / MIB:8.1f} MiB")
@@ -107,6 +116,10 @@ def main():
     walk("han-paper", *han_paper_docs())
     walk("ragged", *ragged_docs(4000))
     walk("20k", *ragged_docs(20000))
+    vocab_size, docs = ragged_docs(4000, n_docs=16)
+    docs = [dataclasses.replace(doc, label={"citation_count": i}) for i, doc in enumerate(docs)]
+    for kind in md.MODEL_KINDS:
+        walk(f"regress {kind}", vocab_size, docs, kind, "regress")
 
 
 if __name__ == "__main__":

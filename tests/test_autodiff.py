@@ -488,12 +488,12 @@ class TestBackward:
         rng = np.random.default_rng(0)
         lstm = tuple(ad.Tensor(rng.normal(size=s)) for s in ((5, 16), (4, 16), 16, 16))
         pool = [ad.Tensor(rng.normal(size=s)) for s in ((8, 8), 8, (8, 1))]
-        mask = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+        lengths = [3, 1]
         with ad.Tape() as tape:
             w = ad.Tensor(np.array([1.0, -2.0]))
             unused = tanh(w)
             xs = ad.Tensor(rng.normal(size=(2, 3, 5)))
-            states = ad.lstm_sequence(xs, lstm, lstm, mask)
+            states = ad.lstm_sequence(xs, lstm, lstm, lengths)
             # beside its output and a view of its input, lstm_sequence saves
             # one gates array per direction and nothing else: no cells, no
             # separate projection. A padded cell's gates are 0.
@@ -504,7 +504,7 @@ class TestBackward:
                 assert (gate[1, 1:] == 0).all() and (gate[0] != 0).all() and (gate[1, 0] != 0).all()
             assert all(a is states.values or np.shares_memory(a, xs.values)
                        for a in lstm_held if a.ndim > 1 and a.shape != (2, 3, 16))
-            pooled, _ = ad.attention_pool(states, *pool, mask)
+            pooled, _ = ad.attention_pool(states, *pool, lengths)
             loss = add(sum_all(mul(tanh(w), w)), sum_all(pooled))
             nodes = list(tape.nodes)
             values = [node.values for node in nodes]
@@ -636,7 +636,7 @@ class TestStructuralOps:
             ad.weighted_sum(ad.Tensor(np.ones((2, 4, 3))), np.ones((2, 5)))
 
 
-# (rows, positions, state width, mask rows' lengths or None for random):
+# (rows, positions, state width, row lengths or None for random):
 # the word level pools ragged sentences gathered longest first, the
 # sentence level pools documents of a few sentences each
 ATTENTION_CASES = {
@@ -652,12 +652,12 @@ ATTENTION_CASES = {
 
 class TestAttentionPool:
     @staticmethod
-    def pooled_and_grads(pool, states_values, params, mask, upstream):
+    def pooled_and_grads(pool, states_values, params, lengths, upstream):
         for p in params:
             p.grad = None
         with ad.Tape():
             states = ad.Tensor(states_values)
-            pooled, alpha = pool(states, *params, mask)
+            pooled, alpha = pool(states, *params, lengths)
             ad.backward(sum_all(mul(pooled, ad.Tensor(upstream))))
         return pooled.values, alpha.values, [states.grad] + [p.grad for p in params]
 
@@ -667,17 +667,16 @@ class TestAttentionPool:
         rng = np.random.default_rng(sorted(ATTENTION_CASES).index(case))
         if lengths is None:
             lengths = np.sort(rng.integers(1, t + 1, size=b))[::-1]
-        mask = (np.arange(t) < np.asarray(lengths)[:, None]).astype(np.float64)
         params = [ad.Parameter(ad.xavier_init((d, d), "uniform", rng)),
                   ad.Parameter(rng.normal(size=d) * 0.1),
                   ad.Parameter(ad.xavier_init((d, 1), "uniform", rng))]
         states = rng.normal(size=(b, t, d))
         upstream = rng.normal(size=(b, d))
-        want = self.pooled_and_grads(composed_attention_pool, states, params, mask, upstream)
-        got = self.pooled_and_grads(ad.attention_pool, states, params, mask, upstream)
+        want = self.pooled_and_grads(composed_attention_pool, states, params, lengths, upstream)
+        got = self.pooled_and_grads(ad.attention_pool, states, params, lengths, upstream)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
-        assert (got[1][mask == 0] == 0.0).all()
+        assert (got[1][np.arange(t) >= np.asarray(lengths)[:, None]] == 0.0).all()
         for name, g, w in zip(("states", "w", "b", "u"), got[2], want[2]):
             np.testing.assert_array_equal(g, w, err_msg=name)
 
@@ -685,28 +684,32 @@ class TestAttentionPool:
         rng = np.random.default_rng(1)
         params = [ad.Tensor(rng.normal(size=s)) for s in ((3, 3), 3, (3, 1))]
         with ad.Tape() as tape:
-            pooled, alpha = ad.attention_pool(ad.Tensor(rng.normal(size=(2, 4, 3))), *params,
-                                              np.ones((2, 4)))
+            pooled, alpha = ad.attention_pool(ad.Tensor(rng.normal(size=(2, 4, 3))), *params, [4, 4])
             assert tape.nodes == [pooled]
         assert alpha.backward_fn is None and alpha.tape is None
 
     def test_all_masked_row_rejected(self):
         params = [ad.Tensor(np.ones(s)) for s in ((3, 3), 3, (3, 1))]
+        # a row of length 0 has no position to attend to
         with pytest.raises(DegenerateInputError, match="all positions masked"):
-            ad.attention_pool(ad.Tensor(np.ones((2, 4, 3))), *params,
-                              np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+            ad.attention_pool(ad.Tensor(np.ones((2, 4, 3))), *params, [2, 0])
 
     def test_shape_checks(self):
         states = ad.Tensor(np.ones((2, 4, 3)))
         w, b, u = (ad.Tensor(np.ones(s)) for s in ((3, 3), 3, (3, 1)))
-        for args in ((states, w, b, u, np.ones((2, 5))),
-                     (states, ad.Tensor(np.ones((4, 3))), b, u, np.ones((2, 4))),
+        for args in ((states, w, b, u, [4, 4, 4]),
+                     # one integer length per row, each in 0..T
+                     (states, w, b, u, [[4, 4]]),
+                     (states, w, b, u, [5, 4]),
+                     (states, w, b, u, [4, -1]),
+                     (states, w, b, u, np.array([4.0, 4.0])),
+                     (states, ad.Tensor(np.ones((4, 3))), b, u, [4, 4]),
                      # a consistent but non-square w [D,A]: w must be square
                      (states, ad.Tensor(np.ones((3, 4))), ad.Tensor(np.ones(4)),
-                      ad.Tensor(np.ones((4, 1))), np.ones((2, 4))),
-                     (states, w, ad.Tensor(np.ones(4)), u, np.ones((2, 4))),
-                     (states, w, b, ad.Tensor(np.ones(3)), np.ones((2, 4))),
-                     (ad.Tensor(np.ones((8, 3))), w, b, u, np.ones((2, 4)))):
+                      ad.Tensor(np.ones((4, 1))), [4, 4]),
+                     (states, w, ad.Tensor(np.ones(4)), u, [4, 4]),
+                     (states, w, b, ad.Tensor(np.ones(3)), [4, 4]),
+                     (ad.Tensor(np.ones((8, 3))), w, b, u, [4, 4])):
             with pytest.raises(ShapeMismatchError):
                 ad.attention_pool(*args)
 

@@ -11,6 +11,8 @@ concatenation of two of them, one per direction.
 
 Most cases test one direction: `one_direction` runs the op with the same
 weights both ways and keeps the half of the output the direction writes.
+Every op here takes each row's length; the step oracle and the mask blend
+read the prefix mask those lengths make.
 """
 
 import numpy as np
@@ -69,13 +71,13 @@ def bilstm_oracle(layer, xs, mask):
     return stack(per_pos, axis=1), final_fw, final_bw
 
 
-def one_direction(xs, w_ih, w_hh, b_ih, b_hh, mask, reverse=False):
+def one_direction(xs, w_ih, w_hh, b_ih, b_hh, lengths, reverse=False):
     """The half of `ad.lstm_sequence` that one direction writes, with these
     weights in both directions. The other half takes no gradient, so its
     direction adds only zeros to each gradient."""
     weights = (w_ih, w_hh, b_ih, b_hh)
     n = w_hh.shape[0]
-    both = ad.lstm_sequence(xs, weights, weights, mask)
+    both = ad.lstm_sequence(xs, weights, weights, lengths)
     return slice_last(both, n, 2 * n) if reverse else slice_last(both, 0, n)
 
 
@@ -99,14 +101,12 @@ def make_cell(dim, hidden, seed):
     return cell, params
 
 
-def masks(b, t):
-    full = np.ones((b, t))
-    ragged = np.ones((b, t))
-    for row in range(b):
-        ragged[row, 1 + row % t:] = 0.0
+def all_lengths(b, t):
+    full = np.full(b, t)
+    ragged = 1 + np.arange(b) % t
     # a full-length row of zero inputs (the test zeroes them)
     dummy = ragged.copy()
-    dummy[-1] = 1.0
+    dummy[-1] = t
     return {"full": full, "ragged": ragged, "dummy": dummy}
 
 
@@ -131,15 +131,15 @@ def test_matches_step_oracle(kind, reverse, t):
     cell, params = make_cell(dim, hidden, seed=t + 7 * reverse)
     rng = np.random.default_rng(100 + t)
     xs = rng.normal(size=(b, t, dim))
-    mask = masks(b, t)[kind]
+    lengths = all_lengths(b, t)[kind]
     if kind == "dummy":
         xs[-1] = 0.0
     upstream = rng.normal(size=(b, t, hidden))
 
     def fused(x):
-        return one_direction(x, *weights_of(cell), mask, reverse=reverse)
+        return one_direction(x, *weights_of(cell), lengths, reverse=reverse)
 
-    want, want_grads = grads_of(lambda x: sequence_oracle(cell, x, mask, reverse),
+    want, want_grads = grads_of(lambda x: sequence_oracle(cell, x, prefix_mask(lengths, t), reverse),
                                 cell, params, xs, upstream)
     got, got_grads = grads_of(fused, cell, params, xs, upstream)
     assert rel(got, want) <= TOL
@@ -151,8 +151,7 @@ def test_matches_step_oracle(kind, reverse, t):
 def test_masked_rows_carry_state():
     cell, _ = make_cell(3, 4, seed=1)
     xs = np.random.default_rng(2).normal(size=(2, 4, 3))
-    mask = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
-    both = ad.lstm_sequence(ad.Tensor(xs), weights_of(cell), weights_of(cell), mask).values
+    both = ad.lstm_sequence(ad.Tensor(xs), weights_of(cell), weights_of(cell), [2, 4]).values
     out, rev = both[..., :4], both[..., 4:]
     np.testing.assert_array_equal(out[0, 2], out[0, 1])
     np.testing.assert_array_equal(out[0, 3], out[0, 1])
@@ -166,11 +165,11 @@ def test_no_tape_path_is_bit_identical(reverse):
     other, _ = make_cell(3, 4, seed=13)
     rng = np.random.default_rng(4)
     xs = rng.normal(size=(3, 6, 3))
-    mask = masks(3, 6)["ragged"]
+    lengths = all_lengths(3, 6)["ragged"]
     pair = (weights_of(other), weights_of(cell)) if reverse else (weights_of(cell), weights_of(other))
-    plain = ad.lstm_sequence(ad.Tensor(xs), *pair, mask)
+    plain = ad.lstm_sequence(ad.Tensor(xs), *pair, lengths)
     with ad.Tape() as tape:
-        taped = ad.lstm_sequence(ad.Tensor(xs), *pair, mask)
+        taped = ad.lstm_sequence(ad.Tensor(xs), *pair, lengths)
         assert tape.nodes == [taped]
     assert plain.tape is None
     np.testing.assert_array_equal(plain.values, taped.values)
@@ -183,7 +182,7 @@ def test_bilstm_layer_matches_composition():
     for p in params.values():
         p.values = p.values + rng.normal(size=p.shape) * 0.5
     xs = rng.normal(size=(3, 5, 3))
-    mask = masks(3, 5)["ragged"]
+    lengths = all_lengths(3, 5)["ragged"]
     up = [rng.normal(size=(3, 5, 8)), rng.normal(size=(3, 4)), rng.normal(size=(3, 4))]
 
     def run(fn):
@@ -199,11 +198,11 @@ def test_bilstm_layer_matches_composition():
         return [o.values for o in outs], [x.grad] + [p.grad for p in params.values()]
 
     def layer_outputs(x):
-        both = layer.run(x, mask)
+        both = layer.run(x, lengths)
         return (both, index_axis(slice_last(both, 0, 4), x.shape[1] - 1, axis=1),
                 index_axis(slice_last(both, 4, 8), 0, axis=1))
 
-    want_vals, want_grads = run(lambda x: bilstm_oracle(layer, x, mask))
+    want_vals, want_grads = run(lambda x: bilstm_oracle(layer, x, prefix_mask(lengths, 5)))
     got_vals, got_grads = run(layer_outputs)
     for got, want in zip(got_vals + got_grads, want_vals + want_grads):
         assert rel(got, want) <= TOL
@@ -214,25 +213,33 @@ def test_shape_checks():
     wide, _ = make_cell(3, 5, seed=6)
     args = (weights_of(cell), weights_of(cell))
     with pytest.raises(ShapeMismatchError):
-        ad.lstm_sequence(ad.Tensor(np.ones((2, 3))), *args, np.ones((2, 3)))
+        ad.lstm_sequence(ad.Tensor(np.ones((2, 3))), *args, [3, 3])
     with pytest.raises(ShapeMismatchError):
-        ad.lstm_sequence(ad.Tensor(np.ones((2, 3, 5))), *args, np.ones((2, 3)))
-    with pytest.raises(ShapeMismatchError):
-        ad.lstm_sequence(ad.Tensor(np.ones((2, 3, 3))), *args, np.ones((2, 4)))
+        ad.lstm_sequence(ad.Tensor(np.ones((2, 3, 5))), *args, [3, 3])
+    # one length per row, each an integer in 0..T
+    for bad in ([3, 3, 3], [[3, 3]], [3, 4], [-1, 2], [3.0, 1.0]):
+        with pytest.raises(ShapeMismatchError, match="lengths must be 2 integers in 0..3"):
+            ad.lstm_sequence(ad.Tensor(np.ones((2, 3, 3))), *args, bad)
     # the two directions must have one hidden size
     with pytest.raises(ShapeMismatchError):
-        ad.lstm_sequence(ad.Tensor(np.ones((2, 3, 3))), weights_of(cell), weights_of(wide),
-                         np.ones((2, 3)))
+        ad.lstm_sequence(ad.Tensor(np.ones((2, 3, 3))), weights_of(cell), weights_of(wide), [3, 3])
 
 
-def test_mask_with_a_hole_rejected():
-    cell, _ = make_cell(3, 4, seed=6)
-    args = (weights_of(cell), weights_of(cell))
-    xs = ad.Tensor(np.ones((2, 3, 3)))
-    for bad in ([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]], [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]],
-                [[1.0, 0.5, 0.0], [1.0, 1.0, 1.0]]):
-        with pytest.raises(ShapeMismatchError):
-            ad.lstm_sequence(xs, *args, np.array(bad))
+def test_zero_length_row_keeps_the_zero_state():
+    # a row of length 0 takes no step: its states and every gradient it
+    # passes back are 0, and the other rows are as they are alone
+    cell, params = make_cell(3, 4, seed=8)
+    rng = np.random.default_rng(9)
+    xs = rng.normal(size=(3, 5, 3))
+    upstream = rng.normal(size=(3, 5, 4))
+    for reverse in (False, True):
+        def fused(x, lengths):
+            return one_direction(x, *weights_of(cell), lengths, reverse=reverse)
+
+        out, grads = grads_of(lambda x: fused(x, [5, 0, 2]), cell, params, xs, upstream)
+        assert (out[1] == 0.0).all() and (grads["xs"][1] == 0.0).all()
+        alone, _ = grads_of(lambda x: fused(x, [5, 2]), cell, params, xs[[0, 2]], upstream[[0, 2]])
+        np.testing.assert_array_equal(out[[0, 2]], alone)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +252,13 @@ def where_logistic(x):
     return np.where(x >= 0, 1.0 / d, e / d)
 
 
-def mask_blend_lstm_sequence(xs, w_ih, w_hh, b_ih, b_hh, mask, reverse=False):
+def mask_blend_lstm_sequence(xs, w_ih, w_hh, b_ih, b_hh, lengths, reverse=False):
     """One direction of `ad.lstm_sequence` as it was before packing: every
-    row runs every step and the mask blends new * m + old * (1 - m)."""
+    row runs every step, and the prefix mask m of the lengths blends
+    new * m + old * (1 - m)."""
     b, t, d = xs.shape
     n = w_hh.shape[0]
-    m = np.asarray(mask, dtype=ad.DTYPE)
+    m = prefix_mask(lengths, t)
     keep = 1.0 - m
     steps = range(t - 1, -1, -1) if reverse else range(t)
     x_flat = xs.values.reshape(b * t, d)
@@ -343,10 +351,10 @@ def test_bitwise_equal_to_mask_blend(case, reverse):
     for hidden in (5, 16):
         cell, params = make_cell(3, hidden, seed=seed)
         for _ in range(3):
-            mask = prefix_mask(random_lengths(rng, b, t) if lengths is None else lengths, t)
+            row_lengths = random_lengths(rng, b, t) if lengths is None else lengths
             xs = rng.normal(size=(b, t, 3))
             upstream = rng.normal(size=(b, t, hidden))
-            args = (cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask)
+            args = (cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, row_lengths)
             want, want_grads = grads_of(lambda x: mask_blend_lstm_sequence(x, *args, reverse=reverse),
                                         cell, params, xs, upstream)
             got, got_grads = grads_of(lambda x: one_direction(x, *args, reverse=reverse),
@@ -378,7 +386,6 @@ def test_bidirectional_bitwise_equal_to_two_mask_blends(case):
     bw_cell, bw_params = make_cell(3, 5, seed=22)
     params = list(fw_params.values()) + list(bw_params.values())
     fw, bw = weights_of(fw_cell), weights_of(bw_cell)
-    mask = prefix_mask(lengths, t)
     xs = rng.normal(size=(b, t, 3))
     upstream = rng.normal(size=(b, t, 10))
 
@@ -392,13 +399,13 @@ def test_bidirectional_bitwise_equal_to_two_mask_blends(case):
             ad.backward(sum_all(mul(out, ad.Tensor(upstream))))
         return recorded == [out], [out.values, x.grad] + [p.grad for p in params]
 
-    _, want = run(lambda x: concat([mask_blend_lstm_sequence(x, *fw, mask),
-                                    mask_blend_lstm_sequence(x, *bw, mask, reverse=True)], axis=2))
-    one_node, got = run(lambda x: ad.lstm_sequence(x, fw, bw, mask))
+    _, want = run(lambda x: concat([mask_blend_lstm_sequence(x, *fw, lengths),
+                                    mask_blend_lstm_sequence(x, *bw, lengths, reverse=True)], axis=2))
+    one_node, got = run(lambda x: ad.lstm_sequence(x, fw, bw, lengths))
     assert one_node
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
-    np.testing.assert_array_equal(ad.lstm_sequence(ad.Tensor(xs), fw, bw, mask).values, want[0])
+    np.testing.assert_array_equal(ad.lstm_sequence(ad.Tensor(xs), fw, bw, lengths).values, want[0])
 
 
 def test_where_logistic_is_bitwise_the_branch_free_form():
@@ -416,10 +423,9 @@ def test_paper_size_values_bitwise_gradients_to_rounding(reverse):
     b, t, dim, hidden = 7, 12, 50, 256
     cell, params = make_cell(dim, hidden, seed=11)
     rng = np.random.default_rng(12)
-    mask = prefix_mask([3, 12, 1, 7, 12, 5, 2], t)
     xs = rng.normal(size=(b, t, dim))
     upstream = rng.normal(size=(b, t, hidden))
-    args = (cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask)
+    args = (cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, [3, 12, 1, 7, 12, 5, 2])
     want, want_grads = grads_of(lambda x: mask_blend_lstm_sequence(x, *args, reverse=reverse),
                                 cell, params, xs, upstream)
     got, got_grads = grads_of(lambda x: one_direction(x, *args, reverse=reverse),

@@ -69,28 +69,27 @@ def dummy_mask_han_encode(model, batch):
     """`HanModel.encode` before its word level was packed.
 
     All B*S rows run the word BiLSTM and word attention; padding sentences do
-    so under an all-ones mask, and the sentence mask later drops their
-    vectors. Both levels use the mask-blend LSTM op and the composed
-    attention pool.
+    so under a dummy full length (an all-ones mask), and the sentence level
+    later drops their vectors. Both levels use the mask-blend LSTM op and the
+    composed attention pool.
     """
-    def bilstm(layer, xs, mask):
-        fw, bw = (mask_blend_lstm_sequence(xs, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask,
+    def bilstm(layer, xs, lengths):
+        fw, bw = (mask_blend_lstm_sequence(xs, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, lengths,
                                            reverse=reverse)
                   for cell, reverse in ((layer.fw, False), (layer.bw, True)))
         return concat([fw, bw], axis=2)
 
-    def attend(pool, states, mask):
-        return composed_attention_pool(states, pool.w, pool.b, pool.u, mask)
+    def attend(pool, states, lengths):
+        return composed_attention_pool(states, pool.w, pool.b, pool.u, lengths)
 
     b, s, t = batch.ids.shape
-    token_mask = batch.token_mask.reshape(b * s, t)
-    token_mask = np.where((token_mask.sum(axis=1) == 0)[:, None], 1.0, token_mask)
+    lengths = batch.token_lengths.reshape(b * s)
+    lengths = np.where(lengths == 0, t, lengths)
     words = ad.rows(model.embedding, batch.ids.reshape(b * s, t))
-    sent_vecs, word_alpha = attend(model.word_attn, bilstm(model.word_bilstm, words, token_mask),
-                                   token_mask)
+    sent_vecs, word_alpha = attend(model.word_attn, bilstm(model.word_bilstm, words, lengths), lengths)
     sent_seq = ad.reshape(sent_vecs, (b, s, 2 * model.config.bilstm_hidden))
-    doc, sent_alpha = attend(model.sent_attn, bilstm(model.sent_bilstm, sent_seq, batch.sent_mask),
-                             batch.sent_mask)
+    doc, sent_alpha = attend(model.sent_attn, bilstm(model.sent_bilstm, sent_seq, batch.sent_lengths),
+                             batch.sent_lengths)
     word_maps = word_alpha.values.reshape(b, s, t) * batch.sent_mask[:, :, None]
     return doc, word_maps, sent_alpha.values
 
@@ -104,19 +103,71 @@ def ragged_han_batch(seed=0, vocab_size=20):
     return batch_of(*docs)
 
 
+def float_mask_fill(docs):
+    """The float64 masks `pad_batch` filled and stored before it kept lengths."""
+    s = max(len(d.sentences) for d in docs)
+    t = max(len(sent) for d in docs for sent in d.sentences)
+    token_mask, sent_mask = np.zeros((len(docs), s, t)), np.zeros((len(docs), s))
+    for i, doc in enumerate(docs):
+        for j, sent in enumerate(doc.sentences):
+            token_mask[i, j, : len(sent)] = 1.0
+        sent_mask[i, : len(doc.sentences)] = 1.0
+    return token_mask, sent_mask
+
+
 class TestPadBatch:
     def test_shapes_and_masks(self):
         batch = batch_of([[2, 3], [4]], [[5, 6, 7]])
         assert batch.ids.shape == (2, 2, 3)
+        np.testing.assert_array_equal(batch.token_lengths, [[2, 1], [3, 0]])
+        np.testing.assert_array_equal(batch.sent_lengths, [2, 1])
         np.testing.assert_array_equal(batch.token_mask[0, 0], [1, 1, 0])
         np.testing.assert_array_equal(batch.token_mask[0, 1], [1, 0, 0])
         np.testing.assert_array_equal(batch.token_mask[1, 1], [0, 0, 0])
         np.testing.assert_array_equal(batch.sent_mask, [[1, 1], [1, 0]])
         assert (batch.ids[0, 1, 1:] == PAD_ID).all()
 
+    def test_ragged_documents_give_padding_sentences_length_zero(self):
+        docs = [[[2] * n for n in lengths] for lengths in ([4, 1, 3], [2], [5, 5])]
+        batch = batch_of(*docs)
+        assert batch.ids.shape == (3, 3, 5)
+        np.testing.assert_array_equal(batch.token_lengths, [[4, 1, 3], [2, 0, 0], [5, 5, 0]])
+        np.testing.assert_array_equal(batch.sent_lengths, [3, 1, 2])
+        assert batch.token_lengths.dtype == batch.sent_lengths.dtype == np.int64
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_masks_equal_the_float_fill(self, seed):
+        rng = np.random.default_rng(seed)
+        docs = [doc_of([[2] * int(n) for n in rng.integers(1, 9, size=rng.integers(1, 7))],
+                       doc_id=f"d{i}") for i in range(6)]
+        batch = md.pad_batch(docs)
+        token_mask, sent_mask = float_mask_fill(docs)
+        for got, want in ((batch.token_mask, token_mask), (batch.sent_mask, sent_mask)):
+            assert got.dtype == want.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+        assert not any(isinstance(v, np.ndarray) and v.dtype == np.float64 for v in vars(batch).values())
+
     def test_empty_batch_rejected(self):
         with pytest.raises(DegenerateInputError):
             md.pad_batch([])
+
+
+@pytest.mark.parametrize("kind", md.MODEL_KINDS)
+def test_batch_of_lengths_with_extra_padding_keeps_doc_vectors(kind):
+    # a Batch built by hand from lengths, padded past pad_batch's shape in
+    # both sentences and tokens, encodes each document as pad_batch's does
+    m = md.build_model(tiny_config(kind), np.random.default_rng(0))
+    batch = ragged_han_batch(seed=3)
+    b, s, t = batch.ids.shape
+    ids = np.full((b, s + 2, t + 3), PAD_ID, dtype=np.int64)
+    ids[:, :s, :t] = batch.ids
+    token_lengths = np.pad(batch.token_lengths, ((0, 0), (0, 2)))
+    padded = md.Batch(ids=ids, token_lengths=token_lengths, sent_lengths=batch.sent_lengths)
+    np.testing.assert_array_equal(padded.token_mask[:, :s, :t], batch.token_mask)
+    assert not padded.token_mask[:, s:].any() and not padded.token_mask[:, :, t:].any()
+    want, _, _ = m.encode(batch)
+    got, _, _ = m.encode(padded)
+    assert np.abs(got.values - want.values).max() < 1e-9
 
 
 class TestModelConfig:
@@ -221,7 +272,7 @@ class TestSentAvgBilstm:
             b, s, t = batch.ids.shape
             sent_vecs = md._masked_mean_rows(model.embedding, batch.ids.reshape(b * s, t),
                                              batch.token_mask.reshape(b * s, t))
-            states = model.sent_bilstm.run(ad.reshape(sent_vecs, (b, s, 4)), batch.sent_mask)
+            states = model.sent_bilstm.run(ad.reshape(sent_vecs, (b, s, 4)), batch.sent_lengths)
             final = [index_axis(slice_last(states, 0, 5), s - 1, axis=1),
                      index_axis(slice_last(states, 5, 10), 0, axis=1)]
             return concat(final, axis=1), None, None
@@ -326,12 +377,10 @@ class TestHan:
 
         b, s, t = batch.ids.shape
         ids = np.full((b, s + 2, t + 3), PAD_ID, dtype=np.int64)
-        token_mask = np.zeros((b, s + 2, t + 3))
-        sent_mask = np.zeros((b, s + 2))
+        token_lengths = np.zeros((b, s + 2), dtype=np.int64)
         ids[:, :s, :t] = batch.ids
-        token_mask[:, :s, :t] = batch.token_mask
-        sent_mask[:, :s] = batch.sent_mask
-        padded = md.Batch(ids=ids, token_mask=token_mask, sent_mask=sent_mask,
+        token_lengths[:, :s] = batch.token_lengths
+        padded = md.Batch(ids=ids, token_lengths=token_lengths, sent_lengths=batch.sent_lengths,
                           doc_ids=batch.doc_ids)
         doc_b, _, _ = m.encode(padded)
         assert np.abs(doc_a.values - doc_b.values).max() < 1e-9

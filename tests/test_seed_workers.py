@@ -3,7 +3,8 @@
 `hanst train` trains every seed in its own worker process with one BLAS
 thread, so the bytes it writes depend neither on OPENBLAS_NUM_THREADS nor on
 how many seeds train together, and it leaves no process behind, whether it
-ends normally or by Ctrl-C.
+ends normally, by Ctrl-C or killed. The workers fork from a server that has
+the package imported, however the caller found it.
 """
 
 import contextlib
@@ -112,6 +113,15 @@ def start_train(cfg: str, data: str) -> subprocess.Popen:
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
 
 
+def wait_for_workers(proc: subprocess.Popen) -> None:
+    """Until the group holds the command, the forkserver, multiprocessing's
+    resource tracker and three seed workers."""
+    deadline = time.monotonic() + 120
+    while len(group_members(proc.pid)) < 6 and proc.poll() is None:
+        assert time.monotonic() < deadline, "the seed workers never started"
+        time.sleep(0.05)
+
+
 def test_train_leaves_no_process_behind(tmp_path):
     data, cfg = prepared(tmp_path, seeds=[1, 2, 3])
     proc = start_train(cfg, data)
@@ -126,11 +136,7 @@ def test_ctrl_c_stops_every_seed_worker(tmp_path):
     data, cfg = prepared(tmp_path, seeds=[1, 2, 3], epochs=1000)
     proc = start_train(cfg, data)
     try:
-        # the command, the forkserver, multiprocessing's resource tracker and three workers
-        deadline = time.monotonic() + 120
-        while len(group_members(proc.pid)) < 6 and proc.poll() is None:
-            assert time.monotonic() < deadline, "the seed workers never started"
-            time.sleep(0.05)
+        wait_for_workers(proc)
         os.killpg(proc.pid, signal.SIGINT)   # what a terminal sends on Ctrl-C
         _, err = proc.communicate(timeout=60)
     finally:
@@ -140,3 +146,35 @@ def test_ctrl_c_stops_every_seed_worker(tmp_path):
     assert proc.returncode != 0 and "KeyboardInterrupt" in err
     assert group_ends_within(proc.pid, 5.0)
     assert not os.path.exists(os.path.join(data, "manifest.json"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process groups from /proc")
+@pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM])
+def test_killed_train_leaves_no_process_behind(tmp_path, signum):
+    # the command alone is killed, as the OOM killer or a scheduler kills it;
+    # its workers, the forkserver and the resource tracker must go too
+    data, cfg = prepared(tmp_path, seeds=[1, 2, 3], epochs=1000)
+    proc = start_train(cfg, data)
+    try:
+        wait_for_workers(proc)
+        os.kill(proc.pid, signum)
+        # not communicate: the workers hold the stderr pipe while they live
+        assert proc.wait(timeout=60) == -signum
+        assert group_ends_within(proc.pid, 5.0), group_members(proc.pid)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+
+
+def test_workers_preload_the_package_found_through_sys_path(tmp_path):
+    # a caller that finds hanst through sys.path alone, without PYTHONPATH,
+    # as tests/line_coverage.py does; the job is `eval`, so unpickling it
+    # imports nothing of hanst, and only the server's preload imports cli
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from hanst.training import run_seeds; "
+            "print(run_seeds(eval, [(\"'hanst.cli' in __import__('sys').modules\",)]))")
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, "-c", code, os.path.dirname(os.path.dirname(hanst.__file__))],
+                          env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[True]\n"

@@ -4,8 +4,10 @@ import multiprocessing
 import os
 import re
 import signal
+import threading
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -365,6 +367,17 @@ class TestSelectBest:
         assert all(v < history[chosen] for v in history[chosen + 1:])
 
 
+def history(record, key):
+    """One value per epoch from a run's log: "train_loss" or "valid_metric"."""
+    return [event[key] for event in record.log if key in event]
+
+
+def selected_epoch(record):
+    """The epoch of the run's snapshot, from the last event of its log."""
+    assert record.log[-1]["event"] == "selected"
+    return record.log[-1]["epoch"]
+
+
 class TestTrainSingleRun:
     def run_once(self, seed=1, epochs=12):
         docs = classify_corpus(n_pos=8, n_neg=8)
@@ -373,19 +386,19 @@ class TestTrainSingleRun:
 
     def test_record_shapes(self):
         config, record = self.run_once()
-        assert len(record.train_losses) == config.epochs
-        assert len(record.valid_metrics) == config.epochs
+        assert len(history(record, "train_loss")) == config.epochs
+        assert len(history(record, "valid_metric")) == config.epochs
         assert record.seed == 1
         assert len(record.test_predictions) == 16
         assert all(r.seed == 1 for r in record.test_predictions)
 
     def test_selected_epoch_is_last_argmax(self):
         _, record = self.run_once()
-        assert record.selected_epoch == tr.select_best(record.valid_metrics)
+        assert selected_epoch(record) == tr.select_best(history(record, "valid_metric"))
 
     def test_learns_separable_task(self):
         _, record = self.run_once(epochs=25)
-        assert max(record.valid_metrics) == 1.0
+        assert max(history(record, "valid_metric")) == 1.0
 
     def test_best_snapshot_reproduces_selection_metric(self):
         docs = classify_corpus(n_pos=8, n_neg=8)
@@ -394,13 +407,13 @@ class TestTrainSingleRun:
         assert all(p.grad is None for p in record.model.params.values())
         metric = tr.validation_metric(
             tr.predict(record.model, docs, "classify", config.batch_size), "classify")
-        assert metric == record.valid_metrics[record.selected_epoch]
+        assert metric == history(record, "valid_metric")[selected_epoch(record)]
 
     def test_deterministic(self):
         _, a = self.run_once(seed=5)
         _, b = self.run_once(seed=5)
-        assert a.train_losses == b.train_losses
-        assert a.valid_metrics == b.valid_metrics
+        for key in ("train_loss", "valid_metric"):
+            assert history(a, key) == history(b, key)
         assert [r.pred for r in a.test_predictions] == [r.pred for r in b.test_predictions]
 
     def test_empty_split_rejected(self):
@@ -417,7 +430,7 @@ class TestTrainSingleRun:
         record = tr.train_single_run(config, docs, docs, docs, seed=2)
         golds = [tr.gold_value(d.label, "regress") for d in docs]
         preds = [r.pred for r in tr.predict(record.model, docs, "regress", 4)]
-        assert record.valid_metrics[record.selected_epoch] == -mae(golds, preds) < 0
+        assert history(record, "valid_metric")[selected_epoch(record)] == -mae(golds, preds) < 0
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_non_finite_gradient_names_the_head(self, monkeypatch):
@@ -439,11 +452,15 @@ class TestTrainSingleRun:
 
     def test_log_has_one_stamped_event_per_epoch(self):
         _, record = self.run_once(epochs=3)
-        assert [(e["seed"], e["epoch"]) for e in record.log] == [(1, 0), (1, 1), (1, 2)]
-        assert [e["train_loss"] for e in record.log] == record.train_losses
-        assert [e["valid_metric"] for e in record.log] == record.valid_metrics
+        # then one event naming the selected epoch: the log is the run's whole history
+        *epochs, selected = record.log
+        assert [(e["seed"], e["epoch"]) for e in epochs] == [(1, 0), (1, 1), (1, 2)]
+        assert all(isinstance(e["train_loss"], float) and isinstance(e["valid_metric"], float)
+                   for e in epochs)
         assert all(re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", e["timestamp"])
-                   for e in record.log)
+                   for e in epochs)
+        best = tr.select_best([e["valid_metric"] for e in epochs])
+        assert selected == {"seed": 1, "event": "selected", "epoch": best}
 
 
 class TestRunExperiment:
@@ -492,9 +509,9 @@ class TestRunExperiment:
         result = tr.run_experiment(config, docs, docs, docs)
         for run, seed in zip(result.runs, (3, 1)):
             alone = tr.train_single_run(config, docs, docs, docs, seed)
-            assert run.seed == seed and run.train_losses == alone.train_losses
-            assert [(e["epoch"], e["train_loss"]) for e in run.log] == \
-                [(e["epoch"], e["train_loss"]) for e in alone.log]
+            assert run.seed == seed
+            assert [{k: v for k, v in e.items() if k != "timestamp"} for e in run.log] == \
+                [{k: v for k, v in e.items() if k != "timestamp"} for e in alone.log]
             for name, p in alone.model.params.items():
                 np.testing.assert_array_equal(run.model.params[name].values, p.values)
 
@@ -504,6 +521,29 @@ class ExitsWhenUnpickled:
 
     def __reduce__(self):
         return os._exit, (70,)
+
+
+@pytest.fixture
+def orphan_watch(monkeypatch):
+    """A parent sentinel for `_start_worker` in this process: the read end of
+    a pipe whose write end the test holds. `os._exit` sets the event instead.
+    Teardown closes the write end and waits for the watcher thread to exit."""
+    read_end, write_end = os.pipe()
+    monkeypatch.setattr(multiprocessing, "parent_process",
+                        lambda: types.SimpleNamespace(sentinel=read_end))
+    exited = threading.Event()
+    monkeypatch.setattr(os, "_exit", lambda code: exited.set())
+    closed = []
+
+    def close_write_end():
+        if not closed:
+            os.close(write_end)
+            closed.append(write_end)
+
+    yield close_write_end, exited
+    close_write_end()
+    assert exited.wait(5)
+    os.close(read_end)
 
 
 class TestRunSeeds:
@@ -521,7 +561,7 @@ class TestRunSeeds:
         with np.errstate(over="ignore", divide="raise", invalid="warn", under="print"):
             assert tr.run_seeds(np.geterr, [()]) == [np.geterr()]
 
-    def test_worker_start_takes_errstate_and_leaves_ctrl_c_to_the_caller(self):
+    def test_worker_start_takes_errstate_and_leaves_ctrl_c_to_the_caller(self, orphan_watch):
         handler, errstate = signal.getsignal(signal.SIGINT), np.geterr()
         try:
             tr._start_worker(dict(errstate, over="raise"))
@@ -530,6 +570,19 @@ class TestRunSeeds:
         finally:
             signal.signal(signal.SIGINT, handler)
             np.seterr(**errstate)
+
+    def test_worker_exits_once_its_caller_is_gone(self, orphan_watch):
+        # the caller holds the write end of the worker's parent sentinel until
+        # it exits, however it exits; then the sentinel reads end of file
+        close_write_end, exited = orphan_watch
+        handler, errstate = signal.getsignal(signal.SIGINT), np.geterr()
+        try:
+            tr._start_worker(errstate)
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        assert not exited.wait(0.2)
+        close_write_end()
+        assert exited.wait(5)
 
     def test_first_failing_job_in_order_raises_and_stops_the_rest(self):
         start = time.monotonic()
