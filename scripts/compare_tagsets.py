@@ -27,13 +27,13 @@ def run(argv: list[str]) -> None:
         raise SystemExit(rc)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", default="tagset-comparison")
     parser.add_argument("--n-docs", type=int, default=300)
     parser.add_argument("--epochs", type=int, default=10)
     parser.add_argument("--seeds", default="1,2,3")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     os.makedirs(args.workdir, exist_ok=True)
     corpus = os.path.join(args.workdir, "corpus.jsonl")

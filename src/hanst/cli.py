@@ -49,6 +49,7 @@ MANIFEST_KIND = "hanst-manifest"
 _KIND_NAMES = {PREPARED_KIND: "a prepared dataset", MANIFEST_KIND: "an experiment manifest"}
 FORMAT_VERSION = 1
 PREDICT_BATCH = 32
+PREDICT_JOB_DOCS = 1024   # the documents one predict worker is given
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +131,11 @@ def load_config_file(path: str) -> dict:
 
 def _parse_seed_list(text: str) -> tuple[int, ...]:
     try:
-        seeds = tuple(int(part) for part in text.split(",") if part.strip())
+        return tr.check_seeds(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise ConfigurationError(f"--seed-list must be comma-separated integers, got {text!r}") from exc
-    if not seeds:
-        raise ConfigurationError("--seed-list must name at least one seed")
-    if len(set(seeds)) < len(seeds):
-        raise ConfigurationError(f"--seed-list repeats a seed, got {text!r}")
-    return seeds
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"--seed-list: {exc}") from None
 
 
 def make_train_config(raw: dict, vocab_size: int, seed_list: str | None = None,
@@ -150,7 +148,7 @@ def make_train_config(raw: dict, vocab_size: int, seed_list: str | None = None,
     model_over = {k: raw[k] for k in _MODEL_OVERRIDES if k in raw}
     model_over["vocab_size"] = vocab_size   # the prepared size, not the config's cap
     train_over = {k: raw[k] for k in _TRAIN_OVERRIDES if k in raw}
-    if seed_list:
+    if seed_list is not None:
         train_over["seeds"] = _parse_seed_list(seed_list)
     try:
         model = dataclasses.replace(
@@ -400,10 +398,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _predict_checkpoint(path: str, meta: dict, docs: list[TaggedDocument], task: str,
-                        batch_size: int, seed: int) -> list[PredictionRecord]:
+                        batch_size: int, seed: int | None) -> list[PredictionRecord]:
     """The predictions of the checkpoint at `path`, refused unless it was
-    trained on the prepared dataset `meta` heads. `evaluate --manifest` runs
-    it in a seed worker, so it predicts with the bits `train` did."""
+    trained on the prepared dataset `meta` heads. `evaluate` runs it in a
+    seed worker, so a manifest's runs predict with the bits `train` did."""
     model = md.load_checkpoint(path, meta["vocab_sha256"])
     _check_preparation(model.config, meta, CheckpointMismatchError)
     return tr.predict(model, docs, task, batch_size, seed=seed)
@@ -419,8 +417,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         manifest = _load_manifest(args.manifest)
         task = manifest["config"]["task"]
     else:
-        model = md.load_checkpoint(args.checkpoint, vocab.sha256())
-        task = model.config.task
+        task = md.load_checkpoint(args.checkpoint, vocab.sha256()).config.task
     meta, by_split = load_prepared(data_dir, task)
     _check_vocab(vocab, meta)
     docs = by_split[args.split]
@@ -430,14 +427,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.manifest:
         config = _manifest_config(manifest, args.manifest, meta, len(vocab))
         base = os.path.dirname(os.path.abspath(args.manifest))
-        runs = tr.run_seeds(_predict_checkpoint, [
-            (os.path.join(base, checkpoint_name(seed)), meta, docs, task, config.batch_size, seed)
-            for seed in config.seeds])
-        per_run, _ = tr.summarize_runs(runs, task)
+        jobs = [(os.path.join(base, checkpoint_name(seed)), meta, docs, task, config.batch_size, seed)
+                for seed in config.seeds]
     else:
-        _check_preparation(model.config, meta, CheckpointMismatchError)
-        records = tr.predict(model, docs, task, PREDICT_BATCH)
-        per_run = {name: [value] for name, value in tr.run_metrics(records, task).items()}
+        jobs = [(args.checkpoint, meta, docs, task, PREDICT_BATCH, None)]
+    runs = tr.run_seeds(_predict_checkpoint, jobs)
+    per_run = (tr.summarize_runs(runs, task)[0] if args.manifest
+               else {name: [value] for name, value in tr.run_metrics(runs[0], task).items()})
 
     print(json.dumps(build_report(task, per_run), indent=2, sort_keys=True))
     return 0
@@ -466,17 +462,18 @@ def _load_predict_docs(path: str) -> list[RawDocument]:
     return docs
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    vocab = _load_vocab(data_dir_from(args))
-    model = md.load_checkpoint(args.checkpoint, vocab.sha256())
+def _predict_rows(checkpoint: str, vocab: Vocabulary, docs: list[RawDocument],
+                  attention: bool) -> list[str]:
+    """`predict`'s output lines for `docs`, which the command computes in a seed worker."""
+    model = md.load_checkpoint(checkpoint, vocab.sha256())
     task = model.config.task
-    if args.attention and model.config.model_kind != "han":
+    if attention and model.config.model_kind != "han":
         raise ConfigurationError(
             f"model kind {model.config.model_kind!r} produces no attention maps")
 
-    docs = _load_predict_docs(args.docs)
     encoded = [encode_document(doc, vocab, model.config.tagset, model.config.max_chars)
                for doc in docs]
+    rows = []
     for start in range(0, len(encoded), PREDICT_BATCH):
         chunk = encoded[start:start + PREDICT_BATCH]
         result = model.forward(md.pad_batch(chunk), training=False)
@@ -485,13 +482,24 @@ def cmd_predict(args: argparse.Namespace) -> int:
             pred, prob = tr.prediction(out[i], task)
             row = ({"id": doc.id, "class": int(pred), "prob": prob} if task == "classify"
                    else {"id": doc.id, "score": pred, "citations": inverse_citation_score(pred)})
-            if args.attention:
+            if attention:
                 row["sentence_attention"] = [
                     float(v) for v in result.sent_attention[i, :len(doc.sentences)]]
                 row["word_attention"] = [
                     [float(v) for v in result.word_attention[i, j, :len(sent)]]
                     for j, sent in enumerate(doc.sentences)]
-            print(json.dumps(row, sort_keys=True))
+            rows.append(json.dumps(row, sort_keys=True))
+    return rows
+
+
+def cmd_predict(args: argparse.Namespace) -> int:
+    vocab = _load_vocab(data_dir_from(args))
+    docs = _load_predict_docs(args.docs)
+    # one worker at a time; a file without documents still loads the checkpoint
+    for start in range(0, max(len(docs), 1), PREDICT_JOB_DOCS):
+        job = (args.checkpoint, vocab, docs[start:start + PREDICT_JOB_DOCS], args.attention)
+        for row in tr.run_seeds(_predict_rows, [job])[0]:
+            print(row)
     return 0
 
 

@@ -40,6 +40,18 @@ _TASK_SCHEDULE = {"classify": (360, 4), "regress": (60, 64)}
 DEFAULT_SEEDS = (1, 2, 3)
 
 
+def check_seeds(seeds) -> tuple[int, ...]:
+    """`seeds` as a tuple of ints: at least one, distinct and non-negative."""
+    seeds = tuple(int(s) for s in seeds)
+    if not seeds:
+        raise ConfigurationError("at least one seed required")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigurationError(f"seeds must be distinct, got {list(seeds)}")
+    if min(seeds) < 0:   # numpy's generators take no negative seed
+        raise ConfigurationError(f"seeds must be non-negative, got {list(seeds)}")
+    return seeds
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     task: str
@@ -62,13 +74,7 @@ class TrainConfig:
             raise ConfigurationError(f"resample applies to the classify task only, not {self.task!r}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigurationError(f"lr must be a finite number > 0, got {self.lr}")
-        if not self.seeds:
-            raise ConfigurationError("at least one seed required")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if len(set(self.seeds)) < len(self.seeds):
-            raise ConfigurationError(f"seeds must be distinct, got {list(self.seeds)}")
-        if min(self.seeds) < 0:   # numpy's generators take no negative seed
-            raise ConfigurationError(f"seeds must be non-negative, got {list(self.seeds)}")
+        object.__setattr__(self, "seeds", check_seeds(self.seeds))
 
     @property
     def loss(self) -> str:
@@ -277,7 +283,7 @@ def _seed_context():
     import multiprocessing.forkserver   # on first use: the other commands start no worker
 
     context = multiprocessing.get_context("forkserver")
-    # cli for evaluate's workers; numpy imports random and ma lazily, on a
+    # cli for evaluate's and predict's workers; numpy imports random and ma lazily, on a
     # seed's first default_rng and unique
     context.set_forkserver_preload(["hanst.cli", "numpy.random", "numpy.ma"])
     # the server ignores this process's sys.path: it finds the package through PYTHONPATH

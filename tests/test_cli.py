@@ -15,8 +15,9 @@ import hanst
 from hanst import cli
 from hanst import models as md
 from hanst import synth
+from hanst import training as tr
 from hanst.corpus import load_corpus, save_corpus
-from hanst.errors import CheckpointMismatchError
+from hanst.errors import CheckpointMismatchError, ConfigurationError
 from hanst.textprep import Vocabulary, tag_tokens
 
 
@@ -286,15 +287,17 @@ def test_train_force_with_even_seed_count_removes_the_old_vote(tmp_path, capsys,
 
 @pytest.mark.parametrize("seed_list, message", [
     ("1,x", "--seed-list must be comma-separated integers, got '1,x'"),
-    (" , ", "--seed-list must name at least one seed"),
-    # ended in numpy's "expected non-negative integer" traceback
-    ("-1", "{cfg}: seeds must be non-negative, got [-1]"),
+    (" , ", "--seed-list: at least one seed required"),
+    # trained the config's seeds and exited 0
+    ("", "--seed-list: at least one seed required"),
+    # ended in numpy's "expected non-negative integer" traceback, then blamed the config
+    ("-1", "--seed-list: seeds must be non-negative, got [-1]"),
 ])
 def test_train_bad_seed_list_one_line(tmp_path, capsys, probe_corpus, seed_list, message):
     data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
     rc, out, err = run_cli(capsys, "train", "--config", cfg, "--out", data, "--seed-list", seed_list)
     assert rc == 1 and out == ""
-    assert err == f"error: config-error: {message.format(cfg=cfg)}\n"
+    assert err == f"error: config-error: {message}\n"
 
 
 def test_repeated_seeds_one_line(tmp_path, capsys, probe_corpus):
@@ -311,7 +314,7 @@ def test_repeated_seeds_one_line(tmp_path, capsys, probe_corpus):
                           (["train", "--config", negative],
                            f"{negative}: seeds must be non-negative, got [2, -1]"),
                           (["train", "--config", cfg, "--seed-list", "2,1,2"],
-                           "--seed-list repeats a seed, got '2,1,2'")):
+                           "--seed-list: seeds must be distinct, got [2, 1, 2]")):
         rc, out, err = run_cli(capsys, *argv, "--out", data)
         assert rc == 1 and out == ""
         assert err == f"error: config-error: {message}\n"
@@ -1124,6 +1127,8 @@ def test_predict_zero_score_zero_citations(tmp_path, capsys, cites_corpus):
     assert rc == 0
     rows = [json.loads(line) for line in out.splitlines()]
     assert all(row["score"] == 0.0 and row["citations"] == 0 for row in rows)
+    # the seed worker printed what predict's job computes in this process
+    assert cli._predict_rows(ckpt, vocab, cli._load_predict_docs(cites_corpus), False) == out.splitlines()
 
 
 def test_predict_attention_rows_normalized(tmp_path, capsys, probe_corpus):
@@ -1148,22 +1153,61 @@ def test_predict_attention_matches_dummy_mask_oracle(tmp_path, capsys, probe_cor
     data, cfg = prepared_dir(tmp_path, capsys, probe_corpus, model_kind="han",
                              bilstm_hidden=6, tagset="full")
     assert run_cli(capsys, "train", "--config", cfg, "--out", data)[0] == 0
-    argv = ["predict", probe_corpus, "--checkpoint", os.path.join(data, "run-1.ckpt"),
-            "--out", data, "--attention"]
-    rc, packed, _ = run_cli(capsys, *argv)
+    ckpt = os.path.join(data, "run-1.ckpt")
+    rc, packed, _ = run_cli(capsys, "predict", probe_corpus, "--checkpoint", ckpt,
+                            "--out", data, "--attention")
     assert rc == 0
-    monkeypatch.setattr(md.HanModel, "encode", dummy_mask_han_encode)
-    rc, oracle, _ = run_cli(capsys, *argv)
-    assert rc == 0
-    assert packed == oracle
+    # a patch reaches no seed worker, so the oracle side runs predict's job here
+    encoded = []
+
+    def oracle_encode(model, batch):
+        encoded.append(batch.doc_ids)
+        return dummy_mask_han_encode(model, batch)
+
+    monkeypatch.setattr(md.HanModel, "encode", oracle_encode)
+    vocab = Vocabulary.load(os.path.join(data, "vocab.json"))
+    oracle = cli._predict_rows(ckpt, vocab, cli._load_predict_docs(probe_corpus), True)
+    assert sum(len(ids) for ids in encoded) == 60
+    assert packed == "".join(row + "\n" for row in oracle)
 
 
 def test_predict_attention_unsupported_model(tmp_path, capsys, probe_corpus):
     data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
     assert run_cli(capsys, "train", "--config", cfg, "--out", data)[0] == 0
-    rc, _, err = run_cli(capsys, "predict", probe_corpus, "--checkpoint",
-                         os.path.join(data, "run-1.ckpt"), "--out", data, "--attention")
-    assert rc == 1 and "no attention" in err
+    ckpt = os.path.join(data, "run-1.ckpt")
+    rc, _, err = run_cli(capsys, "predict", probe_corpus, "--checkpoint", ckpt, "--out", data,
+                         "--attention")
+    assert rc == 1 and err == "error: config-error: model kind 'awe' produces no attention maps\n"
+    vocab = Vocabulary.load(os.path.join(data, "vocab.json"))
+    with pytest.raises(ConfigurationError, match="^model kind 'awe' produces no attention maps$"):
+        cli._predict_rows(ckpt, vocab, [], True)
+
+
+def test_predict_runs_one_worker_per_job_of_documents(tmp_path, capsys, probe_corpus,
+                                                      monkeypatch):
+    # more documents than one job holds: each job runs alone, and the rows are
+    # those one pass over every document computes, batch for batch
+    assert cli.PREDICT_JOB_DOCS % cli.PREDICT_BATCH == 0
+    data = _trained_dir(tmp_path, capsys, probe_corpus)
+    ckpt = os.path.join(data, "run-1.ckpt")
+    docs = tmp_path / "docs.jsonl"
+    n_docs = cli.PREDICT_JOB_DOCS + 40
+    docs.write_text("".join(json.dumps({"id": f"d{i}", "title": f"Tok{i % 40} tok{i % 7}."}) + "\n"
+                            for i in range(n_docs)))
+    jobs = []
+    run_seeds = tr.run_seeds
+
+    def one_call(fn, job_list):
+        jobs.append(len(job_list))
+        return run_seeds(fn, job_list)
+
+    monkeypatch.setattr(tr, "run_seeds", one_call)
+    rc, out, err = run_cli(capsys, "predict", str(docs), "--checkpoint", ckpt, "--out", data)
+    assert rc == 0, err
+    assert jobs == [1, 1]
+    vocab = Vocabulary.load(os.path.join(data, "vocab.json"))
+    assert out.splitlines() == cli._predict_rows(ckpt, vocab, cli._load_predict_docs(str(docs)), False)
+    assert [json.loads(line)["id"] for line in out.splitlines()] == [f"d{i}" for i in range(n_docs)]
 
 
 def test_predict_rejects_empty_document(tmp_path, capsys, probe_corpus):
@@ -1361,7 +1405,10 @@ def test_malformed_checkpoint_header_one_line(tmp_path, capsys, probe_corpus, ed
     data = _trained_dir(tmp_path, capsys, probe_corpus)
     ckpt = os.path.join(data, "run-1.ckpt")
     _edit_checkpoint_header(ckpt, ckpt, edit)
-    for argv in (["evaluate"], ["predict", probe_corpus]):
+    # a documents file without documents still loads the checkpoint
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n")
+    for argv in (["evaluate"], ["predict", probe_corpus], ["predict", str(empty)]):
         rc, out, err = run_cli(capsys, *argv, "--checkpoint", ckpt, "--out", data)
         assert rc == 1 and out == ""
         vocab = Vocabulary.load(os.path.join(data, "vocab.json")).sha256()[:12]

@@ -3,8 +3,9 @@
 `hanst train` trains every seed in its own worker process with one BLAS
 thread, so the bytes it writes depend neither on OPENBLAS_NUM_THREADS nor on
 how many seeds train together, and it leaves no process behind, whether it
-ends normally, by Ctrl-C or killed. The workers fork from a server that has
-the package imported, however the caller found it.
+ends normally, by Ctrl-C or killed. `evaluate` and `predict` compute in such
+workers too. The workers fork from a server that has the package imported,
+however the caller found it.
 """
 
 import contextlib
@@ -18,11 +19,14 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 import hanst
 from hanst import cli, synth
+from hanst import models as md
 from hanst.corpus import save_corpus
+from hanst.textprep import Vocabulary
 
 # the tag study's config, one epoch: trained in the calling process, its
 # run-1.ckpt differed between one and two OpenBLAS threads
@@ -68,6 +72,33 @@ def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
         outs.append(out)
     names = ["run-1.ckpt", "predictions-1.jsonl", "report.json"]
     assert filecmp.cmpfiles(*outs, names, shallow=False) == (names, [], [])
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="OpenBLAS caps its thread count at the core count")
+def test_predict_and_evaluate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # an untrained HAN at 2H = 600, where `x @ w` with K = 600 rounds otherwise
+    # under one and two OpenBLAS threads: run in the calling process, predict
+    # printed other attention maps from line 1 on
+    corpus, cfg, data = tmp_path / "corpus.jsonl", tmp_path / "cfg.json", str(tmp_path / "data")
+    save_corpus(synth.heterogeneous_length_corpus(n_docs=2), corpus)
+    raw = {"task": "classify", "model_kind": "han", "embedding_dim": 8, "bilstm_hidden": 300,
+           "max_chars": 500, "seeds": [1]}
+    cfg.write_text(json.dumps(raw))
+    assert quiet_main("prepare", str(corpus), "--config", str(cfg), "--out", data) == 0
+    vocab = Vocabulary.load(os.path.join(data, "vocab.json"))
+    model = md.build_model(cli.make_train_config(raw, len(vocab)).model, np.random.default_rng(0))
+    ckpt = str(tmp_path / "untrained.ckpt")
+    md.save_checkpoint(model, vocab.sha256(), ckpt)
+    for argv in (["predict", str(corpus), "--attention"], ["evaluate", "--split", "train"]):
+        outs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-m", "hanst", *argv, "--checkpoint", ckpt,
+                                   "--out", data], env=hanst_env(OPENBLAS_NUM_THREADS=threads),
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], argv[0]
 
 
 def test_seeds_train_as_they_would_alone(tmp_path):
