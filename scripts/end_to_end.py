@@ -9,10 +9,12 @@ work directory and with relative paths, so no output names the directory:
   (prepare, train and McNemar, with full tags and with none);
 - for each tagset, `evaluate --manifest`, `evaluate --checkpoint` and
   `predict --attention`;
+- `predict --attention` of the full-tags HAN over 2,100 further tag-probe
+  documents, three of predict's jobs;
 - a regress run of han, sent_avg_bilstm and awe on the 120-document
   `synth.citation_corpus` (tagset full, 2 seeds), each through `evaluate
-  --manifest` and `predict` (han with `--attention`), then Wilcoxon between
-  han and awe, and `stats`.
+  --manifest` and `predict` (han with `--attention`), then `evaluate
+  --checkpoint` of han's seed 1, Wilcoxon between han and awe, and `stats`.
 
 Each command's stdout is kept as `<step>.out`. Train-log timestamps are
 blanked, then one `<sha256>  <path>` line per file is printed, sorted by
@@ -65,6 +67,9 @@ def tag_study() -> None:
                                               "--out", data])
         run(f"predict-attention-{tagset}", ["predict", "tags/corpus.jsonl", "--checkpoint",
                                             f"{data}/run-1.ckpt", "--attention", "--out", data])
+    save_corpus(synth.tag_probe_corpus(n_docs=2100, seed=7), "tags/predict-2100.jsonl")
+    run("predict-attention-2100", ["predict", "tags/predict-2100.jsonl", "--checkpoint",
+                                   "tags/full/run-1.ckpt", "--attention", "--out", "tags/full"])
 
 
 def citation_study() -> None:
@@ -80,6 +85,8 @@ def citation_study() -> None:
         attention = ["--attention"] if kind == "han" else []
         run(f"predict-{kind}", ["predict", "cites/corpus.jsonl", "--checkpoint",
                                 f"{data}/run-1.ckpt", *attention, "--out", data])
+    run("evaluate-checkpoint-han", ["evaluate", "--checkpoint", "cites/han/run-1.ckpt",
+                                    "--out", "cites/han"])
     run("wilcoxon", ["significance", "cites/han/predictions-vote.jsonl",
                      "cites/awe/predictions-vote.jsonl", "--test", "wilcoxon",
                      "--name-a", "han", "--name-b", "awe"])

@@ -12,12 +12,13 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import os
 import pathlib
 import sys
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -399,12 +400,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _predict_checkpoint(path: str, meta: dict, docs: list[TaggedDocument], task: str,
                         batch_size: int, seed: int | None) -> list[PredictionRecord]:
-    """The predictions of the checkpoint at `path`, refused unless it was
-    trained on the prepared dataset `meta` heads. `evaluate` runs it in a
-    seed worker, so a manifest's runs predict with the bits `train` did."""
-    model = md.load_checkpoint(path, meta["vocab_sha256"])
-    _check_preparation(model.config, meta, CheckpointMismatchError)
-    return tr.predict(model, docs, task, batch_size, seed=seed)
+    """The predictions of the checkpoint at `path`, which `evaluate` computes
+    in a seed worker, so a manifest's runs predict with the bits `train` did."""
+    return tr.predict(md.load_checkpoint(path, meta["vocab_sha256"]), docs, task, batch_size, seed=seed)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -417,7 +415,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         manifest = _load_manifest(args.manifest)
         task = manifest["config"]["task"]
     else:
-        task = md.load_checkpoint(args.checkpoint, vocab.sha256()).config.task
+        task = md.checkpoint_config(args.checkpoint, vocab.sha256()).task
     meta, by_split = load_prepared(data_dir, task)
     _check_vocab(vocab, meta)
     docs = by_split[args.split]
@@ -431,6 +429,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 for seed in config.seeds]
     else:
         jobs = [(args.checkpoint, meta, docs, task, PREDICT_BATCH, None)]
+    for path, *_ in jobs:   # each checkpoint is refused on its header here, before any worker starts
+        model_config = md.checkpoint_config(path, meta["vocab_sha256"])
+        if model_config.task != task:   # only a manifest's can differ
+            raise CheckpointMismatchError(
+                f"{path}: a {model_config.task} model, but the task is {task!r}")
+        _check_preparation(model_config, meta, CheckpointMismatchError)
     runs = tr.run_seeds(_predict_checkpoint, jobs)
     per_run = (tr.summarize_runs(runs, task)[0] if args.manifest
                else {name: [value] for name, value in tr.run_metrics(runs[0], task).items()})
@@ -443,9 +447,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # predict
 # ---------------------------------------------------------------------------
 
-def _load_predict_docs(path: str) -> list[RawDocument]:
-    """Documents for inference; labels are optional and never read."""
-    docs = []
+def _load_predict_docs(path: str) -> Iterator[RawDocument]:
+    """Yield the documents for inference as the file is read; labels are
+    optional and never read."""
     with open_text(path) as fh:
         for n, line in enumerate(fh, start=1):
             if not line.strip():
@@ -456,49 +460,43 @@ def _load_predict_docs(path: str) -> list[RawDocument]:
             title, abstract, body = (obj.get(key, "") for key in TEXT_FIELDS)
             if not (title or abstract or body):
                 raise DegenerateInputError(f"{where}: document {obj['id']!r} has no text")
-            # a fixed label: RawDocument needs one, and whatever the line holds is not read
-            docs.append(RawDocument(id=obj["id"], title=title, abstract=abstract,
-                                    body_text=body, label={"accepted": False}, split="test"))
-    return docs
+            # a fixed label that either task reads: RawDocument needs one, and
+            # whatever the line holds is not read
+            yield RawDocument(id=obj["id"], title=title, abstract=abstract, body_text=body,
+                              label={"accepted": False, "citation_count": 0}, split="test")
 
 
-def _predict_rows(checkpoint: str, vocab: Vocabulary, docs: list[RawDocument],
+def _predict_rows(checkpoint: str, vocab: Vocabulary, docs: Iterable[RawDocument],
                   attention: bool) -> list[str]:
     """`predict`'s output lines for `docs`, which the command computes in a seed worker."""
     model = md.load_checkpoint(checkpoint, vocab.sha256())
-    task = model.config.task
-    if attention and model.config.model_kind != "han":
-        raise ConfigurationError(
-            f"model kind {model.config.model_kind!r} produces no attention maps")
-
-    encoded = [encode_document(doc, vocab, model.config.tagset, model.config.max_chars)
-               for doc in docs]
+    config = model.config
+    encoded = [encode_document(doc, vocab, config.tagset, config.max_chars) for doc in docs]
+    found = tr.predict(model, encoded, config.task, PREDICT_BATCH, attention=attention)
+    records, maps = found if attention else (found, None)
     rows = []
-    for start in range(0, len(encoded), PREDICT_BATCH):
-        chunk = encoded[start:start + PREDICT_BATCH]
-        result = model.forward(md.pad_batch(chunk), training=False)
-        out = result.output.values
-        for i, doc in enumerate(chunk):
-            pred, prob = tr.prediction(out[i], task)
-            row = ({"id": doc.id, "class": int(pred), "prob": prob} if task == "classify"
-                   else {"id": doc.id, "score": pred, "citations": inverse_citation_score(pred)})
-            if attention:
-                row["sentence_attention"] = [
-                    float(v) for v in result.sent_attention[i, :len(doc.sentences)]]
-                row["word_attention"] = [
-                    [float(v) for v in result.word_attention[i, j, :len(sent)]]
-                    for j, sent in enumerate(doc.sentences)]
-            rows.append(json.dumps(row, sort_keys=True))
+    for i, rec in enumerate(records):
+        row = ({"id": rec.id, "class": int(rec.pred), "prob": rec.prob} if config.task == "classify"
+               else {"id": rec.id, "score": rec.pred, "citations": inverse_citation_score(rec.pred)})
+        if attention:
+            row["sentence_attention"], row["word_attention"] = maps[i]
+        rows.append(json.dumps(row, sort_keys=True))
     return rows
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     vocab = _load_vocab(data_dir_from(args))
+    # a first pass checks every line and keeps none, so a bad line prints no row
+    n_docs = sum(1 for _ in _load_predict_docs(args.docs))
+    config = md.checkpoint_config(args.checkpoint, vocab.sha256())
+    if args.attention and config.model_kind != "han":
+        raise ConfigurationError(f"model kind {config.model_kind!r} produces no attention maps")
     docs = _load_predict_docs(args.docs)
     # one worker at a time; a file without documents still loads the checkpoint
-    for start in range(0, max(len(docs), 1), PREDICT_JOB_DOCS):
-        job = (args.checkpoint, vocab, docs[start:start + PREDICT_JOB_DOCS], args.attention)
-        for row in tr.run_seeds(_predict_rows, [job])[0]:
+    for _ in range(0, max(n_docs, 1), PREDICT_JOB_DOCS):
+        # no name holds a job's documents, so they are freed before the next are read
+        for row in tr.run_seeds(_predict_rows, [(args.checkpoint, vocab, list(
+                itertools.islice(docs, PREDICT_JOB_DOCS)), args.attention)])[0]:
             print(row)
     return 0
 

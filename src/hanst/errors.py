@@ -57,6 +57,10 @@ class TrainingAbortedError(HanstError):
     code = "training-aborted"
 
 
+class WorkerDiedError(HanstError):
+    code = "worker-died"
+
+
 class OutputExistsError(HanstError):
     code = "output-exists"
 

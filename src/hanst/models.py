@@ -355,7 +355,7 @@ def save_checkpoint(model: Model, vocab_sha256: str, path) -> None:
             fh.write(np.ascontiguousarray(model.params[n].values, dtype="<f8").tobytes())
 
 
-def _read_header(fh, path) -> dict:
+def _read_header(fh, path, vocab_sha256: str) -> tuple[ModelConfig, list]:
     magic = fh.read(len(CHECKPOINT_MAGIC))
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointMismatchError(f"{path}: not a model checkpoint")
@@ -365,36 +365,43 @@ def _read_header(fh, path) -> dict:
     if not 0 <= length <= os.fstat(fh.fileno()).st_size:
         raise CheckpointMismatchError(f"{path}: truncated header")
     try:
-        return json.loads(fh.read(length).decode("utf-8"))
+        header = json.loads(fh.read(length).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise CheckpointMismatchError(f"{path}: unreadable header") from None
+    check_fields(header, _HEADER_KEYS, str(path), error=CheckpointMismatchError)
+    if header.get("format_version") != CHECKPOINT_VERSION:
+        raise CheckpointMismatchError(
+            f"{path}: unsupported checkpoint version {header.get('format_version')!r}")
+    schema = {f.name: f.type for f in fields(ModelConfig)}   # "int", "float" or "str"
+    unknown = sorted(set(header["model_config"]) - set(schema))
+    if unknown:
+        raise CheckpointMismatchError(f"{path}: model_config has unknown keys {unknown}")
+    check_fields(header["model_config"], schema, f"{path}: model_config", error=CheckpointMismatchError)
+    try:
+        config = ModelConfig(**header["model_config"])
+    except ConfigurationError as exc:
+        raise CheckpointMismatchError(f"{path}: model_config: {exc}") from None
+    if header["vocab_sha256"] != vocab_sha256:
+        raise CheckpointMismatchError(
+            f"{path}: checkpoint vocabulary hash {header['vocab_sha256'][:12]}... does not match "
+            f"session vocabulary {vocab_sha256[:12]}...")
+    return config, header["params"]   # and fh is at the first parameter's values
+
+
+def checkpoint_config(path, vocab_sha256: str) -> ModelConfig:
+    """The config of a checkpoint, checked as load_checkpoint checks it, from its header alone."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path, vocab_sha256)[0]
 
 
 def load_checkpoint(path, vocab_sha256: str) -> Model:
     """Rebuild a model from a checkpoint, verifying its header and that it was
     trained on the vocabulary whose hash is ``vocab_sha256``."""
     with open(path, "rb") as fh:
-        header = check_fields(_read_header(fh, path), _HEADER_KEYS, str(path),
-                              error=CheckpointMismatchError)
-        if header.get("format_version") != CHECKPOINT_VERSION:
-            raise CheckpointMismatchError(
-                f"{path}: unsupported checkpoint version {header.get('format_version')!r}")
-        schema = {f.name: f.type for f in fields(ModelConfig)}   # "int", "float" or "str"
-        unknown = sorted(set(header["model_config"]) - set(schema))
-        if unknown:
-            raise CheckpointMismatchError(f"{path}: model_config has unknown keys {unknown}")
-        check_fields(header["model_config"], schema, f"{path}: model_config", error=CheckpointMismatchError)
-        try:
-            config = ModelConfig(**header["model_config"])
-        except ConfigurationError as exc:
-            raise CheckpointMismatchError(f"{path}: model_config: {exc}") from None
-        if header["vocab_sha256"] != vocab_sha256:
-            raise CheckpointMismatchError(
-                f"{path}: checkpoint vocabulary hash {header['vocab_sha256'][:12]}... does not match "
-                f"session vocabulary {vocab_sha256[:12]}...")
+        config, entries = _read_header(fh, path, vocab_sha256)
         model = build_model(config, np.random.default_rng(0))
         missing = set(model.params)
-        for entry in header["params"]:
+        for entry in entries:
             check_fields(entry, {"name": "str", "shape": "list[int]"}, f"{path}: params",
                          error=CheckpointMismatchError)
             name, shape = entry["name"], tuple(entry["shape"])

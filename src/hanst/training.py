@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import os
 import signal
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -19,6 +20,7 @@ from .errors import (
     ConfigurationError,
     DegenerateInputError,
     TrainingAbortedError,
+    WorkerDiedError,
 )
 from .evalstats import (
     PredictionRecord,
@@ -182,18 +184,24 @@ def train_epoch(model: md.Model, batches: list[md.Batch], optimizer: ad.Adam,
     return float(np.mean(losses)) if losses else 0.0
 
 
-def predict(model: md.Model, docs: list[TaggedDocument], task: str,
-            batch_size: int, seed: int | None = None) -> list[PredictionRecord]:
-    """Eval-mode predictions over a document list."""
-    records = []
-    for batch in make_batches(docs, task, batch_size):
-        result = model.forward(batch, training=False)
-        out = result.output.values
-        for i, doc_id in enumerate(batch.doc_ids):
-            pred, prob = prediction(out[i], task)
-            records.append(PredictionRecord(id=doc_id, gold=float(batch.labels[i]),
-                                            pred=pred, prob=prob, seed=seed))
-    return records
+def predict(model: md.Model, docs: list[TaggedDocument], task: str, batch_size: int,
+            seed: int | None = None, attention: bool = False):
+    """Eval-mode predictions over `docs`, in order. With `attention` (a HAN
+    only), returns (records, maps): each document's sentence weights and its
+    sentences' word weights, cut to its real lengths."""
+    records, maps = [], []
+    for start in range(0, len(docs), batch_size):
+        chunk = docs[start:start + batch_size]
+        result = model.forward(md.pad_batch(chunk), training=False)
+        for i, doc in enumerate(chunk):
+            pred, prob = prediction(result.output.values[i], task)
+            records.append(PredictionRecord(id=doc.id, gold=gold_value(doc.label, task), pred=pred,
+                                            prob=prob, seed=seed))
+            if attention:
+                maps.append((result.sent_attention[i, :len(doc.sentences)].tolist(),
+                             [row[:len(sent)].tolist()
+                              for row, sent in zip(result.word_attention[i], doc.sentences)]))
+    return (records, maps) if attention else records
 
 
 def validation_metric(records: list[PredictionRecord], task: str) -> float:
@@ -324,25 +332,38 @@ def run_seeds(fn, jobs: list[tuple]) -> list:
 
     A worker's BLAS runs one thread whatever this process's environment, so
     what a call computes depends neither on the thread count nor on how many
-    calls run together. It runs under the caller's numpy error state. The
+    calls run together. It runs under the caller's numpy error state. A
+    worker imports the caller's main module from its file, so a main module
+    read from stdin raises ConfigurationError before any worker starts. The
     error of the first failing job in order is raised as that job raised it;
-    a worker that dies raises TrainingAbortedError. On any error, Ctrl-C
-    included, the workers still running are stopped before this returns.
-    Peak memory is the sum over the workers.
+    a worker that dies raises WorkerDiedError, naming its exit code or
+    signal. On any error, Ctrl-C included, the workers still running are
+    stopped before this returns. Peak memory is the sum over the workers.
     """
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    main = sys.modules["__main__"]
+    path = getattr(main, "__file__", None)
+    if getattr(main, "__spec__", None) is None and path is not None and not os.path.isfile(path):
+        raise ConfigurationError(
+            f"a worker process cannot import the main module {path!r}; run the script from a file")
     pool = ProcessPoolExecutor(max_workers=len(jobs), mp_context=_seed_context(),
                                initializer=_start_worker, initargs=(np.geterr(),))
+    workers = pool._processes   # shutdown drops this name, not the dict
     try:
         futures = [pool.submit(fn, *job) for job in jobs]
         return [future.result() for future in futures]
-    except BrokenProcessPool as exc:   # the pool has stopped every worker
-        raise TrainingAbortedError(f"a worker process died: {exc}") from None
+    except BrokenProcessPool:
+        pool.shutdown()   # joins every worker, so each has its exit code
+        # the first that died: the pool stops the rest by SIGTERM once one dies
+        code = next((w.exitcode for w in workers.values() if w.exitcode != -signal.SIGTERM),
+                    -signal.SIGTERM)
+        raise WorkerDiedError("a worker process died: " + (
+            f"signal {signal.Signals(-code).name}" if code < 0 else f"exit code {code}")) from None
     except BaseException:
         # no public way to stop a running call before Python 3.14
-        for worker in list(pool._processes.values()):
+        for worker in list(workers.values()):
             worker.terminate()
         raise
     finally:

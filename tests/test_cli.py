@@ -374,8 +374,7 @@ def test_dead_seed_worker_is_one_line(tmp_path, capsys, probe_corpus, monkeypatc
     monkeypatch.setattr(cli, "load_embeddings", lambda *args: ExitsWhenUnpickled())
     rc, out, err = run_cli(capsys, "train", "--config", cfg, "--out", data)
     assert rc == 1 and out == ""
-    assert err.startswith("error: training-aborted: a worker process died: ")
-    assert err.count("\n") == 1
+    assert err == "error: worker-died: a worker process died: exit code 70\n"
     assert not os.path.exists(os.path.join(data, "manifest.json"))
 
 
@@ -693,8 +692,12 @@ def test_evaluate_manifest_seed_without_checkpoint_one_line(tmp_path, capsys, pr
     assert os.path.join(data, "run-2.ckpt") in err
 
 
+def _no_worker(fn, jobs):
+    raise AssertionError("a seed worker was started")
+
+
 def test_predict_checkpoint_predicts_with_the_checkpoint_train_wrote(tmp_path, capsys,
-                                                                   probe_corpus):
+                                                                   probe_corpus, monkeypatch):
     # what evaluate --manifest runs in each seed worker
     data = _trained_dir(tmp_path, capsys, probe_corpus)
     meta, by_split = cli.load_prepared(data, "classify")
@@ -702,8 +705,29 @@ def test_predict_checkpoint_predicts_with_the_checkpoint_train_wrote(tmp_path, c
     got = cli._predict_checkpoint(path, meta, by_split["test"], "classify", 8, 1)
     want = [json.loads(line) for line in open(os.path.join(data, "predictions-1.jsonl"))]
     assert [dataclasses.asdict(r) for r in got] == want
-    with pytest.raises(CheckpointMismatchError, match="tagset 'full'"):
-        cli._predict_checkpoint(path, dict(meta, tagset="full"), by_split["test"], "classify", 8, 1)
+    # a checkpoint of another tagset is refused on its header, before any worker starts
+    full = str(tmp_path / "full.ckpt")
+    _edit_checkpoint_header(path, full, lambda h: h["model_config"].update(tagset="full"))
+    monkeypatch.setattr(tr, "run_seeds", _no_worker)
+    rc, out, err = run_cli(capsys, "evaluate", "--checkpoint", full, "--out", data)
+    assert rc == 1 and out == ""
+    assert err == ("error: checkpoint-mismatch: prepared dataset uses tagset 'none' "
+                   "but the model wants 'full'; rerun prepare\n")
+
+
+def test_evaluate_manifest_refuses_a_checkpoint_of_another_task(tmp_path, capsys, probe_corpus,
+                                                               monkeypatch):
+    # a regress checkpoint beside a classify manifest ended in an IndexError traceback
+    data = _trained_dir(tmp_path, capsys, probe_corpus)
+    path = os.path.join(data, "run-1.ckpt")
+    vocab = Vocabulary.load(os.path.join(data, "vocab.json")).sha256()
+    config = dataclasses.replace(md.checkpoint_config(path, vocab), head_kind="regress-1")
+    md.save_checkpoint(md.build_model(config, np.random.default_rng(0)), vocab, path)
+    monkeypatch.setattr(tr, "run_seeds", _no_worker)
+    rc, out, err = run_cli(capsys, "evaluate", "--manifest", os.path.join(data, "manifest.json"),
+                           "--out", data)
+    assert rc == 1 and out == ""
+    assert err == f"error: checkpoint-mismatch: {path}: a regress model, but the task is 'classify'\n"
 
 
 def test_evaluate_manifest_reads_seeds_from_its_config(tmp_path, capsys, probe_corpus):
@@ -1171,16 +1195,17 @@ def test_predict_attention_matches_dummy_mask_oracle(tmp_path, capsys, probe_cor
     assert packed == "".join(row + "\n" for row in oracle)
 
 
-def test_predict_attention_unsupported_model(tmp_path, capsys, probe_corpus):
+def test_predict_attention_unsupported_model(tmp_path, capsys, probe_corpus, monkeypatch):
     data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
     assert run_cli(capsys, "train", "--config", cfg, "--out", data)[0] == 0
     ckpt = os.path.join(data, "run-1.ckpt")
     rc, _, err = run_cli(capsys, "predict", probe_corpus, "--checkpoint", ckpt, "--out", data,
                          "--attention")
     assert rc == 1 and err == "error: config-error: model kind 'awe' produces no attention maps\n"
-    vocab = Vocabulary.load(os.path.join(data, "vocab.json"))
-    with pytest.raises(ConfigurationError, match="^model kind 'awe' produces no attention maps$"):
-        cli._predict_rows(ckpt, vocab, [], True)
+    # refused on the checkpoint's header, before any worker starts
+    monkeypatch.setattr(tr, "run_seeds", _no_worker)
+    assert run_cli(capsys, "predict", probe_corpus, "--checkpoint", ckpt, "--out", data,
+                   "--attention") == (1, "", err)
 
 
 def test_predict_runs_one_worker_per_job_of_documents(tmp_path, capsys, probe_corpus,
@@ -1194,20 +1219,69 @@ def test_predict_runs_one_worker_per_job_of_documents(tmp_path, capsys, probe_co
     n_docs = cli.PREDICT_JOB_DOCS + 40
     docs.write_text("".join(json.dumps({"id": f"d{i}", "title": f"Tok{i % 40} tok{i % 7}."}) + "\n"
                             for i in range(n_docs)))
-    jobs = []
-    run_seeds = tr.run_seeds
+    jobs, read = [], []   # read: the documents each pass over the file has yielded so far
+    run_seeds, load = tr.run_seeds, cli._load_predict_docs
+
+    def counted(path):
+        read.append(0)
+        for doc in load(path):
+            read[-1] += 1
+            yield doc
 
     def one_call(fn, job_list):
-        jobs.append(len(job_list))
+        jobs.append((len(job_list), len(job_list[0][2]), read[-1]))
         return run_seeds(fn, job_list)
 
+    monkeypatch.setattr(cli, "_load_predict_docs", counted)
     monkeypatch.setattr(tr, "run_seeds", one_call)
     rc, out, err = run_cli(capsys, "predict", str(docs), "--checkpoint", ckpt, "--out", data)
     assert rc == 0, err
-    assert jobs == [1, 1]
+    # a checking pass, then a second pass read one job's documents at a time
+    assert len(read) == 2 and read[0] == n_docs
+    assert jobs == [(1, cli.PREDICT_JOB_DOCS, cli.PREDICT_JOB_DOCS), (1, 40, n_docs)]
     vocab = Vocabulary.load(os.path.join(data, "vocab.json"))
     assert out.splitlines() == cli._predict_rows(ckpt, vocab, cli._load_predict_docs(str(docs)), False)
     assert [json.loads(line)["id"] for line in out.splitlines()] == [f"d{i}" for i in range(n_docs)]
+
+
+def test_predict_bad_line_past_the_first_job_prints_no_row(tmp_path, capsys, probe_corpus,
+                                                          monkeypatch):
+    # the checking pass reads the whole file before the first job starts
+    data = _trained_dir(tmp_path, capsys, probe_corpus)
+    docs = tmp_path / "docs.jsonl"
+    n_docs = cli.PREDICT_JOB_DOCS + 5
+    docs.write_text("".join(json.dumps({"id": f"d{i}", "title": f"Tok{i % 40}."}) + "\n"
+                            for i in range(n_docs)) + '{"id": "bad", "title": 7}\n')
+    monkeypatch.setattr(tr, "run_seeds", _no_worker)
+    rc, out, err = run_cli(capsys, "predict", str(docs), "--checkpoint",
+                           os.path.join(data, "run-1.ckpt"), "--out", data)
+    assert rc == 1 and out == ""
+    assert err == f"error: corpus-format: {docs}: line {n_docs + 1}: 'title' must be str, got 7\n"
+
+
+@pytest.mark.parametrize("model_kind, tagset", [("han", "full"), ("awe", "none")])
+def test_predict_and_evaluate_checkpoint_agree_bit_for_bit(tmp_path, capsys, probe_corpus,
+                                                           monkeypatch, model_kind, tagset):
+    # the same checkpoint on the same documents in the same order: both commands
+    # run training.predict at PREDICT_BATCH, the split more than one batch
+    data = _trained_dir(tmp_path, capsys, probe_corpus, model_kind=model_kind, tagset=tagset,
+                        bilstm_hidden=6)
+    ckpt = os.path.join(data, "run-1.ckpt")
+    train = [doc for doc in load_corpus(probe_corpus) if doc.split == "train"]
+    assert len(train) > cli.PREDICT_BATCH
+    docs = tmp_path / "train.jsonl"
+    save_corpus(train, docs)
+    rc, out, err = run_cli(capsys, "predict", str(docs), "--checkpoint", ckpt, "--out", data)
+    assert rc == 0, err
+    scored = []
+    run_metrics = tr.run_metrics
+    monkeypatch.setattr(tr, "run_metrics", lambda records, task: scored.extend(records) or
+                        run_metrics(records, task))
+    rc, _, err = run_cli(capsys, "evaluate", "--checkpoint", ckpt, "--split", "train", "--out", data)
+    assert rc == 0, err
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(r["id"], r["class"], r["prob"]) for r in rows] == [(r.id, int(r.pred), r.prob)
+                                                                for r in scored]
 
 
 def test_predict_rejects_empty_document(tmp_path, capsys, probe_corpus):

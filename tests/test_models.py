@@ -658,14 +658,34 @@ class TestCheckpoints:
     ])
     def test_header_model_config_checked(self, tmp_path, edit, match):
         _, path = self.roundtrip(tmp_path, tiny_config())
+        self.edit_header(path, lambda header: edit(header["model_config"]))
+        with pytest.raises(CheckpointMismatchError, match=match):
+            md.load_checkpoint(path, "hash-abc")
+
+    @staticmethod
+    def edit_header(path, edit):
         raw = path.read_bytes()
         start = len(md.CHECKPOINT_MAGIC)
         (length,) = struct.unpack("<Q", raw[start:start + 8])
         header = json.loads(raw[start + 8:start + 8 + length])
-        edit(header["model_config"])
+        edit(header)
         blob = json.dumps(header).encode("utf-8")
         path.write_bytes(raw[:start] + struct.pack("<Q", len(blob)) + blob
                          + raw[start + 8 + length:])
+
+    @pytest.mark.parametrize("edit, match", [
+        pytest.param(lambda params: params[0].update(name="extra"),
+                     "unknown or repeated parameter 'extra'", id="unknown"),
+        pytest.param(lambda params: params.insert(1, dict(params[0])),
+                     "unknown or repeated parameter 'embedding'", id="repeated"),
+        pytest.param(lambda params: params[0].update(shape=[1]),
+                     "parameter 'embedding': checkpoint shape \\(1,\\) != model shape", id="misshaped"),
+    ])
+    def test_header_parameter_list_checked(self, tmp_path, edit, match):
+        # checkpoint_config reads the header alone; load_checkpoint checks each entry
+        model, path = self.roundtrip(tmp_path, tiny_config())
+        self.edit_header(path, lambda header: edit(header["params"]))
+        assert md.checkpoint_config(path, "hash-abc") == model.config
         with pytest.raises(CheckpointMismatchError, match=match):
             md.load_checkpoint(path, "hash-abc")
 

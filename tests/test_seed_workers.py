@@ -209,3 +209,24 @@ def test_workers_preload_the_package_found_through_sys_path(tmp_path):
                           env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[True]\n"
+
+
+def test_commands_from_a_script_on_stdin_end_in_one_line(tmp_path):
+    # a worker imports the caller's main module from its file, and `python -`
+    # has none: each command is refused before it starts a worker
+    data, cfg = prepared(tmp_path)
+    vocab = Vocabulary.load(os.path.join(data, "vocab.json"))
+    raw = json.loads(open(cfg, encoding="utf-8").read())
+    model = md.build_model(cli.make_train_config(raw, len(vocab)).model, np.random.default_rng(0))
+    ckpt = str(tmp_path / "untrained.ckpt")
+    md.save_checkpoint(model, vocab.sha256(), ckpt)
+    docs = str(tmp_path / "corpus.jsonl")
+    for argv in (["train", "--config", cfg, "--out", data],
+                 ["predict", docs, "--checkpoint", ckpt, "--out", data]):
+        script = f"import sys\nfrom hanst import cli\nsys.exit(cli.main({argv!r}))\n"
+        proc = subprocess.run([sys.executable, "-"], input=script, env=hanst_env(), cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == ("error: config-error: a worker process cannot import the main "
+                               "module '<stdin>'; run the script from a file\n"), argv[0]
+    assert not os.path.exists(os.path.join(data, "manifest.json"))

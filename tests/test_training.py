@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -19,7 +20,7 @@ from hanst import synth
 from hanst import training as tr
 from hanst.autodiff import Adam, Tensor
 from hanst.errors import (ConfigurationError, DegenerateInputError, NonFiniteGradientError,
-                          TrainingAbortedError)
+                          TrainingAbortedError, WorkerDiedError)
 from hanst.evalstats import PredictionRecord, mae
 from hanst.textprep import TaggedDocument, prepare_corpus
 
@@ -523,6 +524,13 @@ class ExitsWhenUnpickled:
         return os._exit, (70,)
 
 
+class KilledWhenUnpickled:
+    """Kills the process that unpickles it by SIGKILL."""
+
+    def __reduce__(self):
+        return signal.raise_signal, (signal.SIGKILL,)
+
+
 @pytest.fixture
 def orphan_watch(monkeypatch):
     """A parent sentinel for `_start_worker` in this process: the read end of
@@ -596,9 +604,22 @@ class TestRunSeeds:
         assert time.monotonic() - start < 30
         assert multiprocessing.active_children() == []
 
-    def test_dead_worker_raises_training_aborted(self):
-        with pytest.raises(TrainingAbortedError, match="^a worker process died: "):
+    def test_main_module_from_stdin_is_refused_before_any_worker(self, monkeypatch):
+        # a worker would import it from its file, as `python - <<EOF` has none
+        main = types.ModuleType("__main__")
+        main.__file__, main.__spec__ = "<stdin>", None
+        monkeypatch.setitem(sys.modules, "__main__", main)
+        monkeypatch.setattr(tr, "_seed_context", lambda: pytest.fail("a worker was started"))
+        with pytest.raises(ConfigurationError, match="^a worker process cannot import the main "
+                                                     "module '<stdin>'; run the script from a file$"):
+            tr.run_seeds(len, [([1, 2],)])
+
+    def test_dead_worker_raises_worker_died(self):
+        # its own code, not training-aborted, with the exit code or signal of the worker that died
+        with pytest.raises(WorkerDiedError, match="^a worker process died: exit code 70$"):
             tr.run_seeds(len, [(ExitsWhenUnpickled(),), ([1, 2],)])
+        with pytest.raises(WorkerDiedError, match="^a worker process died: signal SIGKILL$"):
+            tr.run_seeds(len, [([1, 2],), (KilledWhenUnpickled(),)])
         assert multiprocessing.active_children() == []
 
 
