@@ -1,9 +1,11 @@
 """Command-line surface: prepare | train | evaluate | predict | stats | significance.
 
 Artifacts live in one data directory chosen by --out, then the
-HANST_DATA_DIR environment variable, then ./hanst-data. Every file is
-written atomically (temp file + rename) and every failure exits 1 with a
-single stderr line of the form ``error: <code>: <message>``.
+HANST_DATA_DIR environment variable, then ./hanst-data. Every file but a
+train log is written atomically (temp file + rename); each seed's worker
+writes its own train log, an event a line as it trains, then its checkpoint
+and predictions. Every failure exits 1 with a single stderr line of the form
+``error: <code>: <message>``.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ PREPARED_NAME = "prepared.jsonl"
 VOCAB_NAME = "vocab.json"
 MANIFEST_NAME = "manifest.json"
 REPORT_NAME = "report.json"
+VOTE_NAME = "predictions-vote.jsonl"
 HISTOGRAM_NAME = "citation-histogram.csv"
 PREPARED_KIND = "hanst-prepared"
 MANIFEST_KIND = "hanst-manifest"
@@ -335,6 +338,22 @@ def _manifest_config(manifest: dict, path: str, meta: dict, vocab_size: int,
     return make_train_config(manifest["config"], vocab_size, seed_list, where=f"{path}: config")
 
 
+def _train_seed(data_dir: str, vocab_sha256: str, config: tr.TrainConfig,
+                train: list[TaggedDocument], valid: list[TaggedDocument],
+                test: list[TaggedDocument], seed: int,
+                embeddings: np.ndarray | None) -> list[PredictionRecord]:
+    """Train `seed` and write its files, which `train` runs in a seed worker:
+    the log as training goes, then the checkpoint and test predictions.
+    Returns only the test predictions."""
+    with open(os.path.join(data_dir, f"train-log-{seed}.jsonl"), "w", encoding="utf-8") as log:
+        model, records = tr.train_single_run(config, train, valid, test, seed, log, embeddings)
+    _atomic_via(os.path.join(data_dir, checkpoint_name(seed)),
+                lambda p: md.save_checkpoint(model, vocab_sha256, p))
+    _atomic_via(os.path.join(data_dir, f"predictions-{seed}.jsonl"),
+                lambda p: save_predictions(records, p))
+    return records
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     if bool(args.config) == bool(args.from_manifest):
         raise ConfigurationError("pass exactly one of --config or --from-manifest")
@@ -360,23 +379,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     embeddings = load_embeddings(embeddings_path, vocab, config.model.embedding_dim,
                                  np.random.default_rng(0)) if embeddings_path else None
 
-    result = tr.run_experiment(config, by_split["train"], by_split["valid"],
-                               by_split["test"], embeddings=embeddings)
+    # only a --force run finds them; gone before any seed's files change, so a
+    # directory with a manifest is always complete
+    for name in (MANIFEST_NAME, REPORT_NAME, VOTE_NAME):
+        pathlib.Path(data_dir, name).unlink(missing_ok=True)
+    runs = tr.run_seeds(_train_seed, [(data_dir, meta["vocab_sha256"], config, by_split["train"],
+                                       by_split["valid"], by_split["test"], seed, embeddings)
+                                      for seed in config.seeds])
+    per_run, vote = tr.summarize_runs([records for records in runs if records], config.task)
+    if vote:
+        _atomic_via(os.path.join(data_dir, VOTE_NAME), lambda p: save_predictions(vote, p))
 
-    for run in result.runs:
-        _atomic_via(os.path.join(data_dir, checkpoint_name(run.seed)),
-                    lambda p, m=run.model: md.save_checkpoint(m, meta["vocab_sha256"], p))
-        _atomic_write_text(os.path.join(data_dir, f"train-log-{run.seed}.jsonl"),
-                           "".join(json.dumps(e, sort_keys=True) + "\n" for e in run.log))
-        _atomic_via(os.path.join(data_dir, f"predictions-{run.seed}.jsonl"),
-                    lambda p, r=run: save_predictions(r.test_predictions, p))
-    vote_path = os.path.join(data_dir, "predictions-vote.jsonl")
-    if result.vote_predictions:
-        _atomic_via(vote_path, lambda p: save_predictions(result.vote_predictions, p))
-    elif os.path.exists(vote_path):
-        os.unlink(vote_path)
-
-    report = build_report(config.task, result.per_run_metrics)
+    report = build_report(config.task, per_run)
     _atomic_write_text(os.path.join(data_dir, REPORT_NAME),
                        json.dumps(report, indent=2, sort_keys=True) + "\n")
     manifest = {"kind": MANIFEST_KIND, "format_version": FORMAT_VERSION,

@@ -1,15 +1,16 @@
-"""Optimization loops, class-imbalance resampling, model selection, and
-multi-run experiment orchestration."""
+"""Optimization loops, class-imbalance resampling, model selection, seed
+worker processes, and metrics over seeded runs."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import signal
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -225,21 +226,17 @@ def select_best(history: list[float]) -> int:
 # single run
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunRecord:
-    seed: int
-    test_predictions: list[PredictionRecord]
-    log: list[dict] = field(repr=False)   # the train log: each epoch's event, then the selected one
-    model: md.Model = field(repr=False)   # the selected snapshot, without gradients
-
-
 def train_single_run(config: TrainConfig, train_docs: list[TaggedDocument],
                      valid_docs: list[TaggedDocument], test_docs: list[TaggedDocument],
-                     seed: int, embeddings: np.ndarray | None = None) -> RunRecord:
+                     seed: int, log, embeddings: np.ndarray | None = None
+                     ) -> tuple[md.Model, list[PredictionRecord]]:
     """One seeded training: resample/shuffle per epoch, validate on the
     natural split, keep the snapshot of the last best epoch, then test it.
+    Returns that snapshot, without gradients, and its test predictions.
 
-    A non-finite train loss raises TrainingAbortedError."""
+    Each event goes to the text file `log` as it happens, one sort-keyed
+    JSON line, flushed: each epoch's, then the one naming the selected
+    epoch. A non-finite train loss raises TrainingAbortedError."""
     if not train_docs or not valid_docs:
         raise ConfigurationError("train and valid splits must be non-empty")
     rng = np.random.default_rng(seed)
@@ -247,8 +244,11 @@ def train_single_run(config: TrainConfig, train_docs: list[TaggedDocument],
     optimizer = ad.Adam(model.params, lr=config.lr)
     labels = [gold_value(d.label, config.task) for d in train_docs]
 
+    def write(event: dict) -> None:
+        log.write(json.dumps(event, sort_keys=True) + "\n")
+        log.flush()
+
     valid_metrics: list[float] = []
-    log: list[dict] = []
     best_params: dict[str, np.ndarray] = {}
     for epoch in range(config.epochs):
         if config.resample:
@@ -263,16 +263,15 @@ def train_single_run(config: TrainConfig, train_docs: list[TaggedDocument],
         valid_metrics.append(metric)
         if select_best(valid_metrics) == epoch:
             best_params = {n: p.values.copy() for n, p in model.params.items()}
-        log.append({"seed": seed, "epoch": epoch, "train_loss": train_loss,
-                    "valid_metric": metric,
-                    "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())})
+        write({"seed": seed, "epoch": epoch, "train_loss": train_loss, "valid_metric": metric,
+               "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())})
 
     for name, values in best_params.items():
         model.params[name].values = values
-    log.append({"seed": seed, "event": "selected", "epoch": select_best(valid_metrics)})
+    write({"seed": seed, "event": "selected", "epoch": select_best(valid_metrics)})
     test_predictions = predict(model, test_docs, config.task, config.batch_size,
                                seed=seed) if test_docs else []
-    return RunRecord(seed=seed, test_predictions=test_predictions, log=log, model=model)
+    return model, test_predictions
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +370,8 @@ def run_seeds(fn, jobs: list[tuple]) -> list:
 
 
 # ---------------------------------------------------------------------------
-# experiment orchestration
+# metrics over runs
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ExperimentResult:
-    runs: list[RunRecord]
-    per_run_metrics: dict[str, list[float]]
-    vote_predictions: list[PredictionRecord]
-
 
 def run_metrics(records: list[PredictionRecord], task: str) -> dict[str, float]:
     golds = [r.gold for r in records]
@@ -407,17 +399,3 @@ def summarize_runs(runs: list[list[PredictionRecord]], task: str
         name, metric = ("vote_accuracy", accuracy) if task == "classify" else ("run_mean_mae", mae)
         per_run[name] = [metric([r.gold for r in vote], [r.pred for r in vote])]
     return per_run, vote
-
-
-def run_experiment(config: TrainConfig, train_docs, valid_docs, test_docs,
-                   embeddings: np.ndarray | None = None) -> ExperimentResult:
-    """Train every seed at once, each in its own worker (see run_seeds);
-    aggregate test metrics and vote predictions.
-
-    The error of the first failing seed in config order propagates.
-    """
-    runs = run_seeds(train_single_run, [(config, train_docs, valid_docs, test_docs, seed,
-                                         embeddings) for seed in config.seeds])
-    per_run, vote = summarize_runs(
-        [r.test_predictions for r in runs if r.test_predictions], config.task)
-    return ExperimentResult(runs=runs, per_run_metrics=per_run, vote_predictions=vote)

@@ -5,6 +5,7 @@ Each test prints one ``criterion NN PASS/FAIL`` line (visible with
 scoreboard position of the failure.
 """
 
+import io
 import json
 import math
 import os
@@ -51,13 +52,14 @@ def run_classifier(encoded, vocab, *, model_kind, tagset, dim, hidden, dropout,
                                tagset=tagset)
     cfg = tr.TrainConfig(task="classify", model=model_cfg, epochs=epochs,
                          batch_size=batch, lr=lr, seeds=(seed,), resample=resample)
-    return tr.train_single_run(cfg, encoded["train"], encoded["valid"],
-                               encoded["test"], seed=seed)
+    _, test_predictions = tr.train_single_run(cfg, encoded["train"], encoded["valid"],
+                                              encoded["test"], seed=seed, log=io.StringIO())
+    return test_predictions
 
 
-def accuracy_of(run):
-    golds = [r.gold for r in run.test_predictions]
-    preds = [r.pred for r in run.test_predictions]
+def accuracy_of(records):
+    golds = [r.gold for r in records]
+    preds = [r.pred for r in records]
     return es.accuracy(golds, preds)
 
 
@@ -195,8 +197,8 @@ def test_criterion_04_structure_tags_enable_title_rule():
 # 5. balanced resampling rescues the minority class
 # ---------------------------------------------------------------------------
 
-def minority_recall(run):
-    recs = [r for r in run.test_predictions if r.gold == 1.0]
+def minority_recall(records):
+    recs = [r for r in records if r.gold == 1.0]
     return sum(r.pred == 1.0 for r in recs) / len(recs)
 
 

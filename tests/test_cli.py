@@ -1,6 +1,7 @@
 """End-to-end command-line tests on bundled synthetic corpora."""
 
 import dataclasses
+import io
 import json
 import os
 import shutil
@@ -17,7 +18,7 @@ from hanst import models as md
 from hanst import synth
 from hanst import training as tr
 from hanst.corpus import load_corpus, save_corpus
-from hanst.errors import CheckpointMismatchError, ConfigurationError
+from hanst.errors import CheckpointMismatchError, ConfigurationError, TrainingAbortedError
 from hanst.textprep import Vocabulary, tag_tokens
 
 
@@ -211,12 +212,20 @@ def prepared_dir(tmp_path, capsys, corpus, **cfg_overrides):
 
 
 def test_train_twice_same_config_identical_report(tmp_path, capsys, probe_corpus):
-    reports = []
+    outputs = []
     for sub in ("a", "b"):
         data, cfg = prepared_dir(tmp_path / sub, capsys, probe_corpus, seeds=[1, 2, 3])
         assert run_cli(capsys, "train", "--config", cfg, "--out", data)[0] == 0
-        reports.append(open(os.path.join(data, "report.json"), "rb").read())
-    assert reports[0] == reports[1]
+        outputs.append([open(os.path.join(data, name), "rb").read()
+                        for name in ("report.json", "predictions-vote.jsonl")])
+    assert outputs[0] == outputs[1]
+    # three runs' metrics, and the vote of three runs over every test document
+    report, vote = outputs[0]
+    metrics = json.loads(report)["metrics"]
+    assert {name: len(entry["per_run"]) for name, entry in metrics.items()} == \
+        {"accuracy": 3, "auc": 3, "vote_accuracy": 1}
+    n_test = len(cli.load_prepared(data)[1]["test"])
+    assert n_test > 0 and vote.count(b"\n") == n_test
 
 
 def test_train_refuses_overwrite_then_force(tmp_path, capsys, probe_corpus):
@@ -361,6 +370,29 @@ def test_seed_worker_failure_is_one_line(tmp_path, capsys, probe_corpus):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == "error: training-aborted: non-finite loss nan at epoch 0, batch 0\n"
     assert not os.path.exists(os.path.join(data, "manifest.json"))
+
+
+def test_train_seeds_match_single_runs_in_this_process(tmp_path, capsys, probe_corpus):
+    # seed workers write the checkpoints and logs that training here gives, at
+    # these sizes (where one and two BLAS threads round alike)
+    data, cfg = prepared_dir(tmp_path, capsys, probe_corpus, epochs=4)
+    assert run_cli(capsys, "train", "--config", cfg, "--out", data, "--seed-list", "3,1")[0] == 0
+    meta, by_split = cli.load_prepared(data)
+    config = cli.make_train_config(cli.load_config_file(cfg), meta["vocab_size"], "3,1")
+
+    def events(text):
+        return [{k: v for k, v in json.loads(line).items() if k != "timestamp"}
+                for line in text.splitlines()]
+
+    for seed in (3, 1):
+        log = io.StringIO()
+        model, _ = tr.train_single_run(config, by_split["train"], by_split["valid"],
+                                       by_split["test"], seed, log)
+        alone = str(tmp_path / f"alone-{seed}.ckpt")
+        md.save_checkpoint(model, meta["vocab_sha256"], alone)
+        assert open(alone, "rb").read() == open(os.path.join(data, f"run-{seed}.ckpt"), "rb").read()
+        with open(os.path.join(data, f"train-log-{seed}.jsonl"), encoding="utf-8") as fh:
+            assert events(fh.read()) == events(log.getvalue())
 
 
 def test_dead_seed_worker_is_one_line(tmp_path, capsys, probe_corpus, monkeypatch):
@@ -603,6 +635,51 @@ def test_train_abort_is_one_line_and_writes_no_results(tmp_path, capsys, probe_c
     left = os.listdir(data)
     assert "manifest.json" not in left and "report.json" not in left
     assert not [name for name in left if name.endswith(".ckpt")]
+    # the seed's worker opened its log, and no epoch ended
+    with open(os.path.join(data, "train-log-1.jsonl"), encoding="utf-8") as fh:
+        assert fh.read() == ""
+
+
+def _in_this_process(fn, jobs):
+    """run_seeds' stand-in: each job in this process, in order."""
+    return [fn(*job) for job in jobs]
+
+
+def test_failed_run_keeps_each_seeds_log(tmp_path, capsys, probe_corpus, monkeypatch):
+    data, cfg = prepared_dir(tmp_path, capsys, probe_corpus, epochs=3, seeds=[1, 2, 3])
+    monkeypatch.setattr(tr, "run_seeds", _in_this_process)
+    train_epoch, epochs = tr.train_epoch, []
+
+    def aborts_at_seed_2_epoch_2(*args, epoch):
+        epochs.append(epoch)
+        if epochs.count(2) == 2:   # the seeds train in order: this is seed 2's
+            raise TrainingAbortedError("stopped at epoch 2")
+        return train_epoch(*args, epoch=epoch)
+
+    monkeypatch.setattr(tr, "train_epoch", aborts_at_seed_2_epoch_2)
+    rc, out, err = run_cli(capsys, "train", "--config", cfg, "--out", data)
+    assert rc == 1 and out == ""
+    assert err == "error: training-aborted: stopped at epoch 2\n"
+    with open(os.path.join(data, "train-log-2.jsonl"), encoding="utf-8") as fh:
+        events = [json.loads(line) for line in fh]
+    assert [(e["seed"], e["epoch"]) for e in events] == [(2, 0), (2, 1)]
+    assert not [e for e in events if "event" in e]
+    left = set(os.listdir(data))
+    assert {"train-log-1.jsonl", "run-1.ckpt", "predictions-1.jsonl"} <= left
+    assert not left & {"run-2.ckpt", "predictions-2.jsonl", "train-log-3.jsonl",
+                       "manifest.json", "report.json", "predictions-vote.jsonl"}
+
+
+def test_failed_force_run_leaves_no_manifest_report_or_vote(tmp_path, capsys, probe_corpus):
+    # its seeds' checkpoints may be overwritten, so the old manifest would no longer describe them
+    data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
+    assert run_cli(capsys, "train", "--config", cfg, "--out", data)[0] == 0
+    names = ("manifest.json", "report.json", "predictions-vote.jsonl")
+    assert all(os.path.exists(os.path.join(data, name)) for name in names)
+    bad = write_config(tmp_path / "bad.json", lr=1e200)
+    rc, _, err = run_cli(capsys, "train", "--config", bad, "--out", data, "--force")
+    assert rc == 1 and err.startswith("error: training-aborted: ")
+    assert not [name for name in names if os.path.exists(os.path.join(data, name))]
 
 
 def test_train_abort_is_one_line_with_warnings_shown(tmp_path, capsys, probe_corpus):
@@ -1096,7 +1173,8 @@ def test_evaluate_regression_reports_table_columns(tmp_path, capsys, cites_corpu
                          os.path.join(data, "manifest.json"), "--out", data)
     assert rc == 0
     metrics = json.loads(out)["metrics"]
-    assert {"r2", "mse", "mae", "run_mean_mae"} <= set(metrics)
+    assert set(metrics) == {"r2", "mse", "mae", "run_mean_mae"}
+    assert len(metrics["mae"]["per_run"]) == 2 and len(metrics["run_mean_mae"]["per_run"]) == 1
 
 
 @pytest.mark.parametrize("corpus_name, cfg", [

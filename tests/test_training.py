@@ -1,4 +1,6 @@
 import gc
+import io
+import json
 import math
 import multiprocessing
 import os
@@ -15,6 +17,7 @@ import pytest
 
 from oracles import TwoPassAdam
 from hanst import autodiff as ad
+from hanst import cli
 from hanst import models as md
 from hanst import synth
 from hanst import training as tr
@@ -368,6 +371,27 @@ class TestSelectBest:
         assert all(v < history[chosen] for v in history[chosen + 1:])
 
 
+class FlushCountingLog(io.StringIO):
+    """A text log that records, at each flush, how many lines it holds."""
+
+    def __init__(self):
+        super().__init__()
+        self.flushed_at: list[int] = []
+
+    def flush(self):
+        self.flushed_at.append(self.getvalue().count("\n"))
+        super().flush()
+
+
+def single_run(config, docs, seed, log=None):
+    """train_single_run with `docs` as every split: its model, its test
+    predictions and the events of the log it wrote, read back."""
+    log = io.StringIO() if log is None else log
+    model, test_predictions = tr.train_single_run(config, docs, docs, docs, seed, log)
+    return types.SimpleNamespace(model=model, test_predictions=test_predictions,
+                                 log=[json.loads(line) for line in log.getvalue().splitlines()])
+
+
 def history(record, key):
     """One value per epoch from a run's log: "train_loss" or "valid_metric"."""
     return [event[key] for event in record.log if key in event]
@@ -380,16 +404,16 @@ def selected_epoch(record):
 
 
 class TestTrainSingleRun:
-    def run_once(self, seed=1, epochs=12):
+    def run_once(self, seed=1, epochs=12, log=None):
         docs = classify_corpus(n_pos=8, n_neg=8)
         config = tiny_train_config(epochs=epochs, batch_size=4, resample=True)
-        return config, tr.train_single_run(config, docs, docs, docs, seed=seed)
+        return config, single_run(config, docs, seed, log)
 
     def test_record_shapes(self):
         config, record = self.run_once()
         assert len(history(record, "train_loss")) == config.epochs
         assert len(history(record, "valid_metric")) == config.epochs
-        assert record.seed == 1
+        assert all(e["seed"] == 1 for e in record.log)
         assert len(record.test_predictions) == 16
         assert all(r.seed == 1 for r in record.test_predictions)
 
@@ -404,7 +428,7 @@ class TestTrainSingleRun:
     def test_best_snapshot_reproduces_selection_metric(self):
         docs = classify_corpus(n_pos=8, n_neg=8)
         config = tiny_train_config(epochs=12, batch_size=4, resample=True)
-        record = tr.train_single_run(config, docs, docs, docs, seed=3)
+        record = single_run(config, docs, seed=3)
         assert all(p.grad is None for p in record.model.params.values())
         metric = tr.validation_metric(
             tr.predict(record.model, docs, "classify", config.batch_size), "classify")
@@ -420,7 +444,7 @@ class TestTrainSingleRun:
     def test_empty_split_rejected(self):
         config = tiny_train_config()
         with pytest.raises(ConfigurationError):
-            tr.train_single_run(config, [], classify_corpus(), [], seed=1)
+            tr.train_single_run(config, [], classify_corpus(), [], seed=1, log=io.StringIO())
 
     def test_regression_selects_on_negated_mae(self):
         rng = np.random.default_rng(0)
@@ -428,7 +452,7 @@ class TestTrainSingleRun:
                            {"citation_count": int(rng.integers(0, 50))})
                 for i in range(12)]
         config = tiny_train_config("regress", epochs=3, batch_size=4)
-        record = tr.train_single_run(config, docs, docs, docs, seed=2)
+        record = single_run(config, docs, seed=2)
         golds = [tr.gold_value(d.label, "regress") for d in docs]
         preds = [r.pred for r in tr.predict(record.model, docs, "regress", 4)]
         assert history(record, "valid_metric")[selected_epoch(record)] == -mae(golds, preds) < 0
@@ -449,10 +473,11 @@ class TestTrainSingleRun:
         docs = classify_corpus()
         with pytest.raises(NonFiniteGradientError,
                            match=r"^non-finite gradient for parameter 'head\.w'$"):
-            tr.train_single_run(tiny_train_config(), docs, docs, docs, seed=1)
+            single_run(tiny_train_config(), docs, seed=1)
 
     def test_log_has_one_stamped_event_per_epoch(self):
-        _, record = self.run_once(epochs=3)
+        log = FlushCountingLog()
+        _, record = self.run_once(epochs=3, log=log)
         # then one event naming the selected epoch: the log is the run's whole history
         *epochs, selected = record.log
         assert [(e["seed"], e["epoch"]) for e in epochs] == [(1, 0), (1, 1), (1, 2)]
@@ -462,59 +487,9 @@ class TestTrainSingleRun:
                    for e in epochs)
         best = tr.select_best([e["valid_metric"] for e in epochs])
         assert selected == {"seed": 1, "event": "selected", "epoch": best}
-
-
-class TestRunExperiment:
-    def test_aggregates_and_vote(self):
-        docs = classify_corpus(n_pos=10, n_neg=10)
-        config = tiny_train_config(epochs=10, batch_size=4, resample=True,
-                                   seeds=(1, 2, 3))
-        result = tr.run_experiment(config, docs, docs, docs)
-        assert len(result.runs) == 3
-        assert len(result.per_run_metrics["accuracy"]) == 3
-        assert len(result.per_run_metrics["auc"]) == 3
-        assert len(result.per_run_metrics["vote_accuracy"]) == 1
-        assert len(result.vote_predictions) == 20
-
-    def test_regression_metrics(self):
-        rng = np.random.default_rng(0)
-        docs = [tagged_doc(f"d{i}", [[int(t) for t in rng.integers(2, 12, size=3)]],
-                           {"citation_count": int(rng.integers(0, 50))})
-                for i in range(12)]
-        config = tiny_train_config("regress", epochs=3, batch_size=4, seeds=(1, 2))
-        result = tr.run_experiment(config, docs, docs, docs)
-        assert set(result.per_run_metrics) == {"r2", "mse", "mae", "run_mean_mae"}
-        assert len(result.per_run_metrics["mae"]) == 2
-
-    def test_rerun_identical(self):
-        docs = classify_corpus()
-        config = tiny_train_config(epochs=6, seeds=(4, 5, 6), resample=True)
-        a = tr.run_experiment(config, docs, docs, docs)
-        b = tr.run_experiment(config, docs, docs, docs)
-        assert a.per_run_metrics == b.per_run_metrics
-        assert [r.pred for r in a.vote_predictions] == [r.pred for r in b.vote_predictions]
-
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-    def test_aborted_run_raises(self):
-        # the absurd learning rate overflows the second forward pass
-        docs = classify_corpus()
-        config = tiny_train_config(epochs=4, seeds=(1, 2, 3), lr=1e200, resample=True)
-        with pytest.raises(TrainingAbortedError, match="non-finite loss"):
-            tr.run_experiment(config, docs, docs, docs)
-
-    def test_runs_match_single_runs_in_this_process(self):
-        # seed workers give the runs that training here gives, at these sizes
-        # (where one and two BLAS threads round alike)
-        docs = classify_corpus()
-        config = tiny_train_config(epochs=4, seeds=(3, 1), resample=True)
-        result = tr.run_experiment(config, docs, docs, docs)
-        for run, seed in zip(result.runs, (3, 1)):
-            alone = tr.train_single_run(config, docs, docs, docs, seed)
-            assert run.seed == seed
-            assert [{k: v for k, v in e.items() if k != "timestamp"} for e in run.log] == \
-                [{k: v for k, v in e.items() if k != "timestamp"} for e in alone.log]
-            for name, p in alone.model.params.items():
-                np.testing.assert_array_equal(run.model.params[name].values, p.values)
+        # one sort-keyed line per event, flushed as it is written
+        assert log.getvalue() == "".join(json.dumps(e, sort_keys=True) + "\n" for e in record.log)
+        assert log.flushed_at == [1, 2, 3, 4]
 
 
 class ExitsWhenUnpickled:
@@ -621,6 +596,67 @@ class TestRunSeeds:
         with pytest.raises(WorkerDiedError, match="^a worker process died: signal SIGKILL$"):
             tr.run_seeds(len, [([1, 2],), (KilledWhenUnpickled(),)])
         assert multiprocessing.active_children() == []
+
+
+def run_experiment(config, docs, data_dir):
+    """What `hanst train` runs once its checks pass, with `docs` as every
+    split: each seed's `cli._train_seed` in a seed worker, which writes that
+    seed's files to `data_dir`, then the per-run metrics and vote of the test
+    predictions the workers return."""
+    jobs = [(str(data_dir), "0" * 64, config, docs, docs, docs, seed, None)
+            for seed in config.seeds]
+    runs = tr.run_seeds(cli._train_seed, jobs)
+    return (runs, *tr.summarize_runs(runs, config.task))
+
+
+def seed_files(seeds):
+    return {name for s in seeds
+            for name in (f"run-{s}.ckpt", f"predictions-{s}.jsonl", f"train-log-{s}.jsonl")}
+
+
+class TestRunExperiment:
+    def test_aggregates_and_vote(self, tmp_path):
+        docs = classify_corpus(n_pos=10, n_neg=10)
+        config = tiny_train_config(epochs=10, batch_size=4, resample=True,
+                                   seeds=(1, 2, 3))
+        runs, per_run, vote = run_experiment(config, docs, tmp_path)
+        assert len(runs) == 3
+        assert len(per_run["accuracy"]) == 3
+        assert len(per_run["auc"]) == 3
+        assert len(per_run["vote_accuracy"]) == 1
+        assert len(vote) == 20
+        assert {p.name for p in tmp_path.iterdir()} == seed_files((1, 2, 3))
+
+    def test_regression_metrics(self, tmp_path):
+        rng = np.random.default_rng(0)
+        docs = [tagged_doc(f"d{i}", [[int(t) for t in rng.integers(2, 12, size=3)]],
+                           {"citation_count": int(rng.integers(0, 50))})
+                for i in range(12)]
+        config = tiny_train_config("regress", epochs=3, batch_size=4, seeds=(1, 2))
+        _, per_run, _ = run_experiment(config, docs, tmp_path)
+        assert set(per_run) == {"r2", "mse", "mae", "run_mean_mae"}
+        assert len(per_run["mae"]) == 2
+
+    def test_rerun_identical(self, tmp_path):
+        docs = classify_corpus()
+        config = tiny_train_config(epochs=6, seeds=(4, 5, 6), resample=True)
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        _, a_metrics, a_vote = run_experiment(config, docs, tmp_path / "a")
+        _, b_metrics, b_vote = run_experiment(config, docs, tmp_path / "b")
+        assert a_metrics == b_metrics
+        assert [r.pred for r in a_vote] == [r.pred for r in b_vote]
+        for seed in config.seeds:
+            name = f"run-{seed}.ckpt"
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_aborted_run_raises(self, tmp_path):
+        # the absurd learning rate overflows the second forward pass
+        docs = classify_corpus()
+        config = tiny_train_config(epochs=4, seeds=(1, 2, 3), lr=1e200, resample=True)
+        with pytest.raises(TrainingAbortedError, match="non-finite loss"):
+            run_experiment(config, docs, tmp_path)
 
 
 class TestSummarizeRuns:
