@@ -10,7 +10,7 @@ work directory and with relative paths, so no output names the directory:
 - for each tagset, `evaluate --manifest`, `evaluate --checkpoint` and
   `predict --attention`;
 - `predict --attention` of the full-tags HAN over 2,100 further tag-probe
-  documents, three of predict's jobs;
+  documents: 65 batches of 32 and a short last one of 20;
 - a regress run of han, sent_avg_bilstm and awe on the 120-document
   `synth.citation_corpus` (tagset full, 2 seeds), each through `evaluate
   --manifest` and `predict` (han with `--attention`), then `evaluate

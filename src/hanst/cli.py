@@ -53,7 +53,6 @@ MANIFEST_KIND = "hanst-manifest"
 _KIND_NAMES = {PREPARED_KIND: "a prepared dataset", MANIFEST_KIND: "an experiment manifest"}
 FORMAT_VERSION = 1
 PREDICT_BATCH = 32
-PREDICT_JOB_DOCS = 1024   # the documents one predict worker is given
 
 
 # ---------------------------------------------------------------------------
@@ -480,38 +479,36 @@ def _load_predict_docs(path: str) -> Iterator[RawDocument]:
                               label={"accepted": False, "citation_count": 0}, split="test")
 
 
-def _predict_rows(checkpoint: str, vocab: Vocabulary, docs: Iterable[RawDocument],
-                  attention: bool) -> list[str]:
-    """`predict`'s output lines for `docs`, which the command computes in a seed worker."""
+def _predict_rows(checkpoint: str, vocab: Vocabulary, docs_path: str, rows_path: str,
+                  attention: bool) -> None:
+    """Write `predict`'s lines for the documents file `docs_path` to `rows_path`,
+    a batch at a time as the file is read; the command runs this in a seed worker."""
     model = md.load_checkpoint(checkpoint, vocab.sha256())
     config = model.config
-    encoded = [encode_document(doc, vocab, config.tagset, config.max_chars) for doc in docs]
-    found = tr.predict(model, encoded, config.task, PREDICT_BATCH, attention=attention)
-    records, maps = found if attention else (found, None)
-    rows = []
-    for i, rec in enumerate(records):
-        row = ({"id": rec.id, "class": int(rec.pred), "prob": rec.prob} if config.task == "classify"
-               else {"id": rec.id, "score": rec.pred, "citations": inverse_citation_score(rec.pred)})
-        if attention:
-            row["sentence_attention"], row["word_attention"] = maps[i]
-        rows.append(json.dumps(row, sort_keys=True))
-    return rows
+    encoded = (encode_document(doc, vocab, config.tagset, config.max_chars)
+               for doc in _load_predict_docs(docs_path))
+    with open(rows_path, "w", encoding="utf-8") as out:
+        while docs := list(itertools.islice(encoded, PREDICT_BATCH)):
+            found = tr.predict(model, docs, config.task, PREDICT_BATCH, attention=attention)
+            records, maps = found if attention else (found, None)
+            for i, rec in enumerate(records):
+                row = ({"id": rec.id, "class": int(rec.pred), "prob": rec.prob} if config.task == "classify"
+                       else {"id": rec.id, "score": rec.pred, "citations": inverse_citation_score(rec.pred)})
+                if attention:
+                    row["sentence_attention"], row["word_attention"] = maps[i]
+                out.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    vocab = _load_vocab(data_dir_from(args))
-    # a first pass checks every line and keeps none, so a bad line prints no row
-    n_docs = sum(1 for _ in _load_predict_docs(args.docs))
+    data_dir = data_dir_from(args)
+    vocab = _load_vocab(data_dir)
     config = md.checkpoint_config(args.checkpoint, vocab.sha256())
     if args.attention and config.model_kind != "han":
         raise ConfigurationError(f"model kind {config.model_kind!r} produces no attention maps")
-    docs = _load_predict_docs(args.docs)
-    # one worker at a time; a file without documents still loads the checkpoint
-    for _ in range(0, max(n_docs, 1), PREDICT_JOB_DOCS):
-        # no name holds a job's documents, so they are freed before the next are read
-        for row in tr.run_seeds(_predict_rows, [(args.checkpoint, vocab, list(
-                itertools.islice(docs, PREDICT_JOB_DOCS)), args.attention)])[0]:
-            print(row)
+    # the worker reads the documents; its rows wait on disk, so a bad line prints no row
+    with tempfile.NamedTemporaryFile("r", encoding="utf-8", dir=data_dir, prefix=".tmp-") as rows:
+        tr.run_seeds(_predict_rows, [(args.checkpoint, vocab, args.docs, rows.name, args.attention)])
+        sys.stdout.writelines(rows)
     return 0
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class Batch:
     ids: np.ndarray             # [B, S, T] int64
     token_lengths: np.ndarray   # [B, S] int64: tokens per sentence, 0 for a padding sentence
     sent_lengths: np.ndarray    # [B] int64: sentences per document
-    doc_ids: list[str] = field(default_factory=list)
     labels: np.ndarray | None = None
 
     @property
@@ -104,7 +103,6 @@ def pad_batch(docs: list[TaggedDocument], labels=None) -> Batch:
             token_lengths[i, j] = len(sent)
     return Batch(ids=ids, token_lengths=token_lengths,
                  sent_lengths=np.array([len(d.sentences) for d in docs], dtype=np.int64),
-                 doc_ids=[d.id for d in docs],
                  labels=None if labels is None else np.asarray(labels))
 
 

@@ -18,7 +18,8 @@ from hanst import models as md
 from hanst import synth
 from hanst import training as tr
 from hanst.corpus import load_corpus, save_corpus
-from hanst.errors import CheckpointMismatchError, ConfigurationError, TrainingAbortedError
+from hanst.errors import (CheckpointMismatchError, ConfigurationError, DegenerateInputError,
+                          TrainingAbortedError)
 from hanst.textprep import Vocabulary, tag_tokens
 
 
@@ -1229,8 +1230,10 @@ def test_predict_zero_score_zero_citations(tmp_path, capsys, cites_corpus):
     assert rc == 0
     rows = [json.loads(line) for line in out.splitlines()]
     assert all(row["score"] == 0.0 and row["citations"] == 0 for row in rows)
-    # the seed worker printed what predict's job computes in this process
-    assert cli._predict_rows(ckpt, vocab, cli._load_predict_docs(cites_corpus), False) == out.splitlines()
+    # the seed worker printed what predict's job writes in this process
+    written = tmp_path / "rows.jsonl"
+    cli._predict_rows(ckpt, vocab, cites_corpus, str(written), False)
+    assert written.read_text(encoding="utf-8") == out
 
 
 def test_predict_attention_rows_normalized(tmp_path, capsys, probe_corpus):
@@ -1263,14 +1266,15 @@ def test_predict_attention_matches_dummy_mask_oracle(tmp_path, capsys, probe_cor
     encoded = []
 
     def oracle_encode(model, batch):
-        encoded.append(batch.doc_ids)
+        encoded.append(batch.size)
         return dummy_mask_han_encode(model, batch)
 
     monkeypatch.setattr(md.HanModel, "encode", oracle_encode)
     vocab = Vocabulary.load(os.path.join(data, "vocab.json"))
-    oracle = cli._predict_rows(ckpt, vocab, cli._load_predict_docs(probe_corpus), True)
-    assert sum(len(ids) for ids in encoded) == 60
-    assert packed == "".join(row + "\n" for row in oracle)
+    oracle = tmp_path / "oracle.jsonl"
+    cli._predict_rows(ckpt, vocab, probe_corpus, str(oracle), True)
+    assert sum(encoded) == 60
+    assert packed == oracle.read_text(encoding="utf-8")
 
 
 def test_predict_attention_unsupported_model(tmp_path, capsys, probe_corpus, monkeypatch):
@@ -1286,55 +1290,58 @@ def test_predict_attention_unsupported_model(tmp_path, capsys, probe_corpus, mon
                    "--attention") == (1, "", err)
 
 
-def test_predict_runs_one_worker_per_job_of_documents(tmp_path, capsys, probe_corpus,
-                                                      monkeypatch):
-    # more documents than one job holds: each job runs alone, and the rows are
-    # those one pass over every document computes, batch for batch
-    assert cli.PREDICT_JOB_DOCS % cli.PREDICT_BATCH == 0
+def test_predict_one_worker_reads_the_documents(tmp_path, capsys, probe_corpus, monkeypatch):
+    # many batches with a short last one: the caller never opens the documents
+    # file, and one worker writes the rows of one pass over it, batch for batch
     data = _trained_dir(tmp_path, capsys, probe_corpus)
     ckpt = os.path.join(data, "run-1.ckpt")
     docs = tmp_path / "docs.jsonl"
-    n_docs = cli.PREDICT_JOB_DOCS + 40
+    n_docs = 1064
+    assert n_docs > cli.PREDICT_BATCH and n_docs % cli.PREDICT_BATCH
     docs.write_text("".join(json.dumps({"id": f"d{i}", "title": f"Tok{i % 40} tok{i % 7}."}) + "\n"
                             for i in range(n_docs)))
-    jobs, read = [], []   # read: the documents each pass over the file has yielded so far
-    run_seeds, load = tr.run_seeds, cli._load_predict_docs
+    calls, run_seeds = [], tr.run_seeds
 
-    def counted(path):
-        read.append(0)
-        for doc in load(path):
-            read[-1] += 1
-            yield doc
+    def recorded(fn, jobs):
+        calls.append((fn, jobs))
+        return run_seeds(fn, jobs)
 
-    def one_call(fn, job_list):
-        jobs.append((len(job_list), len(job_list[0][2]), read[-1]))
-        return run_seeds(fn, job_list)
+    def not_here(path):
+        raise AssertionError("the calling process read the documents file")
 
-    monkeypatch.setattr(cli, "_load_predict_docs", counted)
-    monkeypatch.setattr(tr, "run_seeds", one_call)
+    monkeypatch.setattr(cli, "_load_predict_docs", not_here)   # a patch reaches no seed worker
+    monkeypatch.setattr(tr, "run_seeds", recorded)
     rc, out, err = run_cli(capsys, "predict", str(docs), "--checkpoint", ckpt, "--out", data)
     assert rc == 0, err
-    # a checking pass, then a second pass read one job's documents at a time
-    assert len(read) == 2 and read[0] == n_docs
-    assert jobs == [(1, cli.PREDICT_JOB_DOCS, cli.PREDICT_JOB_DOCS), (1, 40, n_docs)]
-    vocab = Vocabulary.load(os.path.join(data, "vocab.json"))
-    assert out.splitlines() == cli._predict_rows(ckpt, vocab, cli._load_predict_docs(str(docs)), False)
+    [(fn, [job])] = calls
+    assert fn is cli._predict_rows
+    assert [type(arg) for arg in job] == [str, Vocabulary, str, str, bool] and job[2] == str(docs)
+    monkeypatch.undo()
+    rows = tmp_path / "rows.jsonl"
+    cli._predict_rows(ckpt, Vocabulary.load(os.path.join(data, "vocab.json")), str(docs), str(rows), False)
+    assert out == rows.read_text(encoding="utf-8")
     assert [json.loads(line)["id"] for line in out.splitlines()] == [f"d{i}" for i in range(n_docs)]
 
 
-def test_predict_bad_line_past_the_first_job_prints_no_row(tmp_path, capsys, probe_corpus,
-                                                          monkeypatch):
-    # the checking pass reads the whole file before the first job starts
+def test_predict_bad_line_prints_no_row_and_leaves_no_file(tmp_path, capsys, probe_corpus):
+    # the worker has written many batches of rows when it meets the bad last
+    # line: none of them prints, and their file is gone with the error
     data = _trained_dir(tmp_path, capsys, probe_corpus)
+    ckpt = os.path.join(data, "run-1.ckpt")
     docs = tmp_path / "docs.jsonl"
-    n_docs = cli.PREDICT_JOB_DOCS + 5
-    docs.write_text("".join(json.dumps({"id": f"d{i}", "title": f"Tok{i % 40}."}) + "\n"
-                            for i in range(n_docs)) + '{"id": "bad", "title": 7}\n')
-    monkeypatch.setattr(tr, "run_seeds", _no_worker)
-    rc, out, err = run_cli(capsys, "predict", str(docs), "--checkpoint",
-                           os.path.join(data, "run-1.ckpt"), "--out", data)
+    n_docs = 3 * cli.PREDICT_BATCH + 5
+    good = "".join(json.dumps({"id": f"d{i}", "title": f"Tok{i % 40}."}) + "\n" for i in range(n_docs))
+    docs.write_text(good + '{"id": "bad", "title": 7}\n')
+    left = sorted(os.listdir(data))
+    rc, out, err = run_cli(capsys, "predict", str(docs), "--checkpoint", ckpt, "--out", data)
     assert rc == 1 and out == ""
     assert err == f"error: corpus-format: {docs}: line {n_docs + 1}: 'title' must be str, got 7\n"
+    assert sorted(os.listdir(data)) == left
+    # nor does a predict that succeeds leave its rows' file
+    docs.write_text(good)
+    rc, out, err = run_cli(capsys, "predict", str(docs), "--checkpoint", ckpt, "--out", data)
+    assert rc == 0 and len(out.splitlines()) == n_docs, err
+    assert sorted(os.listdir(data)) == left
 
 
 @pytest.mark.parametrize("model_kind, tagset", [("han", "full"), ("awe", "none")])
@@ -1371,6 +1378,11 @@ def test_predict_rejects_empty_document(tmp_path, capsys, probe_corpus):
                          os.path.join(data, "run-1.ckpt"), "--out", data)
     assert rc == 1
     assert err == f"error: degenerate-input: {bad}: line 1: document 'x' has no text\n"
+    # the worker reads the file; here the same reader runs in this process, and
+    # skips a blank line
+    bad.write_text("\n" + bad.read_text())
+    with pytest.raises(DegenerateInputError, match="line 2: document 'x' has no text"):
+        list(cli._load_predict_docs(str(bad)))
 
 
 @pytest.mark.parametrize("doc", [

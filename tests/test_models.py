@@ -380,8 +380,7 @@ class TestHan:
         token_lengths = np.zeros((b, s + 2), dtype=np.int64)
         ids[:, :s, :t] = batch.ids
         token_lengths[:, :s] = batch.token_lengths
-        padded = md.Batch(ids=ids, token_lengths=token_lengths, sent_lengths=batch.sent_lengths,
-                          doc_ids=batch.doc_ids)
+        padded = md.Batch(ids=ids, token_lengths=token_lengths, sent_lengths=batch.sent_lengths)
         doc_b, _, _ = m.encode(padded)
         assert np.abs(doc_a.values - doc_b.values).max() < 1e-9
 
