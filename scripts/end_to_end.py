@@ -18,7 +18,10 @@ work directory and with relative paths, so no output names the directory:
 
 Each command's stdout is kept as `<step>.out`. Train-log timestamps are
 blanked, then one `<sha256>  <path>` line per file is printed, sorted by
-path. Two trees that compute the same bytes print the same listing:
+path: 93 files. Each of the 12 checkpoints gets a second line,
+`<sha256>  <path>:params`, the hash of its bytes after the header, so a
+change to the header format alone leaves those lines as they were. Two
+trees that compute the same bytes print the same 105 lines:
 
     PYTHONPATH=src python scripts/end_to_end.py --workdir e2e > hashes.txt
 
@@ -33,11 +36,13 @@ import io
 import json
 import os
 import re
+import struct
 
 import compare_tagsets
 from hanst import synth
 from hanst.cli import main as hanst
 from hanst.corpus import save_corpus
+from hanst.models import CHECKPOINT_MAGIC
 
 TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 REGRESS = {"task": "regress", "tagset": "full", "embedding_dim": 16, "bilstm_hidden": 16,
@@ -101,6 +106,16 @@ def digest(path: str) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
+def params_digest(path: str) -> str:
+    """The sha256 of a checkpoint's parameter values: its bytes after the
+    magic, the header's `<Q` length and the header."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    start = len(CHECKPOINT_MAGIC)
+    (length,) = struct.unpack("<Q", raw[start:start + 8])
+    return hashlib.sha256(raw[start + 8 + length:]).hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -113,6 +128,8 @@ def main() -> int:
     for path in sorted(os.path.relpath(os.path.join(root, name))
                        for root, _, names in os.walk(".") for name in names):
         print(f"{digest(path)}  {path}")
+        if path.endswith(".ckpt"):
+            print(f"{params_digest(path)}  {path}:params")
     return 0
 
 

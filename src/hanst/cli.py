@@ -28,7 +28,8 @@ from . import __version__
 from . import models as md
 from . import training as tr
 from .corpus import (DOCUMENT_FIELDS, SPLITS, TEXT_FIELDS, RawDocument, check_fields,
-                     check_label, check_task_label, json_object, load_corpus, open_text)
+                     check_label, check_task_label, json_lines, json_object, load_corpus,
+                     open_text)
 from .errors import (AlignmentError, CheckpointMismatchError, ConfigurationError,
                      CorpusFormatError, DegenerateInputError, HanstError,
                      OutputExistsError)
@@ -411,11 +412,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _predict_checkpoint(path: str, meta: dict, docs: list[TaggedDocument], task: str,
+def _predict_checkpoint(path: str, vocab_sha256: str, docs: list[TaggedDocument],
                         batch_size: int, seed: int | None) -> list[PredictionRecord]:
-    """The predictions of the checkpoint at `path`, which `evaluate` computes
-    in a seed worker, so a manifest's runs predict with the bits `train` did."""
-    return tr.predict(md.load_checkpoint(path, meta["vocab_sha256"]), docs, task, batch_size, seed=seed)
+    """The predictions of the checkpoint at `path` for its task, which `evaluate`
+    computes in a seed worker, so a manifest's runs predict with the bits `train` did."""
+    model = md.load_checkpoint(path, vocab_sha256)
+    return tr.predict(model, docs, model.config.task, batch_size, seed=seed)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -438,10 +440,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.manifest:
         config = _manifest_config(manifest, args.manifest, meta, len(vocab))
         base = os.path.dirname(os.path.abspath(args.manifest))
-        jobs = [(os.path.join(base, checkpoint_name(seed)), meta, docs, task, config.batch_size, seed)
-                for seed in config.seeds]
+        jobs = [(os.path.join(base, checkpoint_name(seed)), meta["vocab_sha256"], docs,
+                 config.batch_size, seed) for seed in config.seeds]
     else:
-        jobs = [(args.checkpoint, meta, docs, task, PREDICT_BATCH, None)]
+        jobs = [(args.checkpoint, meta["vocab_sha256"], docs, PREDICT_BATCH, None)]
     for path, *_ in jobs:   # each checkpoint is refused on its header here, before any worker starts
         model_config = md.checkpoint_config(path, meta["vocab_sha256"])
         if model_config.task != task:   # only a manifest's can differ
@@ -463,20 +465,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _load_predict_docs(path: str) -> Iterator[RawDocument]:
     """Yield the documents for inference as the file is read; labels are
     optional and never read."""
-    with open_text(path) as fh:
-        for n, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {n}"
-            obj = json_object(line, where, {"id": "str"}, error=CorpusFormatError)
-            check_fields(obj, DOCUMENT_FIELDS, where, optional=True, error=CorpusFormatError)
-            title, abstract, body = (obj.get(key, "") for key in TEXT_FIELDS)
-            if not (title or abstract or body):
-                raise DegenerateInputError(f"{where}: document {obj['id']!r} has no text")
-            # a fixed label that either task reads: RawDocument needs one, and
-            # whatever the line holds is not read
-            yield RawDocument(id=obj["id"], title=title, abstract=abstract, body_text=body,
-                              label={"accepted": False, "citation_count": 0}, split="test")
+    for where, obj in json_lines(path, {"id": "str"}, error=CorpusFormatError):
+        check_fields(obj, DOCUMENT_FIELDS, where, optional=True, error=CorpusFormatError)
+        title, abstract, body = (obj.get(key, "") for key in TEXT_FIELDS)
+        if not (title or abstract or body):
+            raise DegenerateInputError(f"{where}: document {obj['id']!r} has no text")
+        # a fixed label that either task reads: RawDocument needs one, and
+        # whatever the line holds is not read
+        yield RawDocument(id=obj["id"], title=title, abstract=abstract, body_text=body,
+                          label={"accepted": False, "citation_count": 0}, split="test")
 
 
 def _predict_rows(checkpoint: str, vocab: Vocabulary, docs_path: str, rows_path: str,

@@ -67,6 +67,16 @@ def json_object(text: str, where: str, schema: dict[str, str] | None = None,
     return check_fields(obj, schema or {}, where, error=error)
 
 
+def json_lines(path, schema: dict[str, str], error=ConfigurationError) -> Iterator[tuple[str, dict]]:
+    """Yield ("<path>: line N", object) for each non-blank line of a JSON-lines
+    file as it is read; each line is a JSON object with `schema`'s keys."""
+    with open_text(path) as fh:
+        for n, line in enumerate(fh, start=1):
+            if line.strip():
+                where = f"{path}: line {n}"
+                yield where, json_object(line, where, schema, error=error)
+
+
 def check_label(label: dict, where: str, error) -> None:
     """Raise `error`, starting with `where`, unless `label` holds `accepted` (a
     bool) and/or `citation_count` (a non-negative int) and no other key."""
@@ -122,24 +132,19 @@ def load_corpus(path, task: str | None = None) -> Iterator[RawDocument]:
     "<path>: line N", and come only when iteration reaches that line. Given a
     task, every label must hold the key that task trains on."""
     seen: set[str] = set()
-    with open_text(path) as fh:
-        for n, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {n}"
-            obj = json_object(line, where, _CORPUS_FIELDS, error=CorpusFormatError)
-            try:
-                doc = RawDocument(id=obj["id"], title=obj["title"], abstract=obj["abstract"],
-                                  body_text=obj["body_text"], label=obj["label"],
-                                  split=obj.get("split", "train"))
-            except CorpusFormatError as exc:
-                raise CorpusFormatError(f"{where}: {exc}") from None
-            if task is not None:
-                check_task_label(doc.label, task, where)
-            if doc.id in seen:
-                raise CorpusFormatError(f"{where}: duplicate document id {doc.id!r}")
-            seen.add(doc.id)
-            yield doc
+    for where, obj in json_lines(path, _CORPUS_FIELDS, error=CorpusFormatError):
+        try:
+            doc = RawDocument(id=obj["id"], title=obj["title"], abstract=obj["abstract"],
+                              body_text=obj["body_text"], label=obj["label"],
+                              split=obj.get("split", "train"))
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"{where}: {exc}") from None
+        if task is not None:
+            check_task_label(doc.label, task, where)
+        if doc.id in seen:
+            raise CorpusFormatError(f"{where}: duplicate document id {doc.id!r}")
+        seen.add(doc.id)
+        yield doc
 
 
 def save_corpus(docs: list[RawDocument], path) -> None:

@@ -11,7 +11,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .corpus import check_fields, json_object, open_text
+from .corpus import check_fields, json_lines
 from .errors import (
     AlignmentError,
     ConfigurationError,
@@ -53,19 +53,15 @@ def save_predictions(records: list[PredictionRecord], path) -> None:
 
 def load_predictions(path) -> list[PredictionRecord]:
     records = []
-    with open_text(path) as fh:
-        for n, line in enumerate(fh, start=1):
-            if line.strip():
-                where = f"{path}: line {n}"
-                obj = json_object(line, where, {"id": "str", "gold": "float", "pred": "float"})
-                check_fields(obj, {"prob": "float | None", "seed": "int | None"}, where, optional=True)
-                for key in ("gold", "pred"):   # json reads NaN and Infinity
-                    if not math.isfinite(obj[key]):
-                        raise ConfigurationError(f"{where}: {key!r} must be finite, got {obj[key]}")
-                try:
-                    records.append(PredictionRecord.from_json(obj))
-                except ConfigurationError as exc:   # a prob outside [0, 1]
-                    raise ConfigurationError(f"{where}: {exc}") from None
+    for where, obj in json_lines(path, {"id": "str", "gold": "float", "pred": "float"}):
+        check_fields(obj, {"prob": "float | None", "seed": "int | None"}, where, optional=True)
+        for key in ("gold", "pred"):   # json reads NaN and Infinity
+            if not math.isfinite(obj[key]):
+                raise ConfigurationError(f"{where}: {key!r} must be finite, got {obj[key]}")
+        try:
+            records.append(PredictionRecord.from_json(obj))
+        except ConfigurationError as exc:   # a prob outside [0, 1]
+            raise ConfigurationError(f"{where}: {exc}") from None
     if not records:
         raise ConfigurationError(f"{path}: no predictions")
     return records

@@ -21,19 +21,21 @@ from .errors import (
 from .textprep import PAD_ID, TaggedDocument, check_settings
 
 MODEL_KINDS = ("awe", "sent_avg_bilstm", "han")
-# each head kind and the task it serves
-HEAD_TASKS = {"classify-2": "classify", "regress-1": "regress"}
-HEAD_KINDS = tuple(HEAD_TASKS)
+# the tasks, each with its defaults: (embedding_dim, bilstm_hidden, dropout_p)
+TASK_DEFAULTS = {
+    "classify": (50, 256, 0.5),
+    "regress": (300, 100, 0.2),
+}
 
 CHECKPOINT_MAGIC = b"HANSTCKPT1\n"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _HEADER_KEYS = {"model_config": "dict", "vocab_sha256": "str", "params": "list"}
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     model_kind: str
-    head_kind: str
+    task: str   # "classify" through a 2-class head, "regress" through one score
     vocab_size: int
     embedding_dim: int = 50
     bilstm_hidden: int = 256
@@ -44,8 +46,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
             raise ConfigurationError(f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}")
-        if self.head_kind not in HEAD_KINDS:
-            raise ConfigurationError(f"head_kind must be one of {HEAD_KINDS}, got {self.head_kind!r}")
+        if self.task not in TASK_DEFAULTS:
+            raise ConfigurationError(f"task must be one of {sorted(TASK_DEFAULTS)}, got {self.task!r}")
         if self.vocab_size < 2:
             raise ConfigurationError(f"vocab_size must include the specials, got {self.vocab_size}")
         if self.embedding_dim < 1 or self.bilstm_hidden < 1:
@@ -53,10 +55,6 @@ class ModelConfig:
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigurationError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         check_settings(self.tagset, self.max_chars)
-
-    @property
-    def task(self) -> str:
-        return HEAD_TASKS[self.head_kind]
 
     @property
     def n_outputs(self) -> int:
@@ -305,20 +303,13 @@ class HanModel(Model):
 
 _MODEL_CLASSES = {"awe": AweModel, "sent_avg_bilstm": SentAvgBilstmModel, "han": HanModel}
 
-# per-task defaults: (embedding_dim, bilstm_hidden, dropout_p)
-TASK_DEFAULTS = {
-    "classify": (50, 256, 0.5),
-    "regress": (300, 100, 0.2),
-}
-
 
 def default_model_config(model_kind: str, task: str, vocab_size: int,
                          tagset: str = "none") -> ModelConfig:
     if task not in TASK_DEFAULTS:
         raise ConfigurationError(f"task must be one of {sorted(TASK_DEFAULTS)}, got {task!r}")
     dim, hidden, p = TASK_DEFAULTS[task]
-    head = next(h for h, t in HEAD_TASKS.items() if t == task)
-    return ModelConfig(model_kind=model_kind, head_kind=head, vocab_size=vocab_size,
+    return ModelConfig(model_kind=model_kind, task=task, vocab_size=vocab_size,
                        embedding_dim=dim, bilstm_hidden=hidden, dropout_p=p, tagset=tagset)
 
 

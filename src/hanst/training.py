@@ -57,7 +57,6 @@ def check_seeds(seeds) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    task: str
     model: md.ModelConfig
     epochs: int
     batch_size: int
@@ -66,9 +65,6 @@ class TrainConfig:
     seeds: tuple[int, ...] = DEFAULT_SEEDS
 
     def __post_init__(self):
-        if self.model.task != self.task:
-            raise ConfigurationError(
-                f"task {self.task!r} does not match the model's {self.model.head_kind!r} head")
         if self.batch_size < 1:
             raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -80,13 +76,20 @@ class TrainConfig:
         object.__setattr__(self, "seeds", check_seeds(self.seeds))
 
     @property
+    def task(self) -> str:
+        return self.model.task
+
+    @property
     def loss(self) -> str:
         return _TASK_LOSS[self.task]
 
 
 def default_train_config(task: str, model: md.ModelConfig, **overrides) -> TrainConfig:
+    """`model`'s task defaults, updated by `overrides`; `task` must be `model`'s."""
+    if task != model.task:
+        raise ConfigurationError(f"task {task!r} does not match the model's task {model.task!r}")
     epochs, batch_size = _TASK_SCHEDULE[task]
-    base = dict(task=task, model=model, epochs=epochs, batch_size=batch_size,
+    base = dict(model=model, epochs=epochs, batch_size=batch_size,
                 resample=task == "classify")
     base.update(overrides)
     return TrainConfig(**base)

@@ -25,13 +25,23 @@
   every parameter's ``grad`` for finiteness, then updated each in turn with
   whole-array temporaries. `ad.Adam.update` applies the same expressions
   inside backward and must match it bit for bit.
+- Exact enumeration oracles for the statistics, which criterion 07 and
+  `test_evalstats` compare `evalstats` against: `auc_brute_force` over
+  every positive-negative pair, `mcnemar_binomial_oracle` in exact
+  fractions, `wilcoxon_sign_enumeration` over every sign pattern, and
+  `spearman_permutation_oracle`, the d-squared rho and its two-sided
+  p-value over every permutation.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
+import scipy.stats
 
 from hanst import autodiff as ad
 from hanst import textprep as tp
@@ -314,3 +324,52 @@ def split_corpus(docs: list[RawDocument]) -> dict[str, list[RawDocument]]:
     for doc in docs:
         out[doc.split].append(doc)
     return out
+
+
+# ---------------------------------------------------------------------------
+# exact enumeration oracles for the statistics
+# ---------------------------------------------------------------------------
+
+def auc_brute_force(golds, probs):
+    pos = [p for g, p in zip(golds, probs) if g == 1]
+    neg = [p for g, p in zip(golds, probs) if g == 0]
+    wins = sum(1.0 if pp > pn else 0.5 if pp == pn else 0.0
+               for pp in pos for pn in neg)
+    return wins / (len(pos) * len(neg))
+
+
+def mcnemar_binomial_oracle(b, c):
+    if b + c == 0:
+        return 1.0
+    m, k = b + c, min(b, c)
+    tail = Fraction(sum(math.comb(m, i) for i in range(k + 1)), 2 ** m)
+    return float(min(Fraction(1), 2 * tail))
+
+
+def wilcoxon_sign_enumeration(diffs):
+    diffs = np.asarray([d for d in diffs if d != 0.0])
+    ranks = scipy.stats.rankdata(np.abs(diffs))
+    total = ranks.sum()
+    observed = min(ranks[diffs > 0].sum(), ranks[diffs < 0].sum())
+    count = 0
+    for signs in product((1, -1), repeat=len(diffs)):
+        w_pos = sum(r for r, s in zip(ranks, signs) if s > 0)
+        if min(w_pos, total - w_pos) <= observed + 1e-9:
+            count += 1
+    return count / 2 ** len(diffs)
+
+
+def spearman_permutation_oracle(x, y):
+    # d-squared formula; valid only for tie-free data
+    rx = scipy.stats.rankdata(x)
+    ry = scipy.stats.rankdata(y)
+    n = len(x)
+
+    def rho_of(r2):
+        return 1.0 - 6.0 * float(((rx - r2) ** 2).sum()) / (n * (n * n - 1))
+
+    rho = rho_of(ry)
+    threshold = abs(rho) - 1e-12
+    hits = sum(1 for perm in permutations(ry)
+               if abs(rho_of(np.array(perm))) >= threshold)
+    return rho, hits / math.factorial(n)

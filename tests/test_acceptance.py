@@ -7,17 +7,14 @@ scoreboard position of the failure.
 
 import io
 import json
-import math
 import os
 import time
-from fractions import Fraction
-from itertools import permutations, product
 
 import numpy as np
-import scipy.stats
 
 from gradcheck import fd_grad
-from oracles import inject_tags, strip_tags
+from oracles import (auc_brute_force, inject_tags, mcnemar_binomial_oracle,
+                     spearman_permutation_oracle, strip_tags, wilcoxon_sign_enumeration)
 from hanst import autodiff as ad
 from hanst import cli
 from hanst import evalstats as es
@@ -46,11 +43,11 @@ def encode_splits(docs, tagset, vocab_cap=200):
 
 def run_classifier(encoded, vocab, *, model_kind, tagset, dim, hidden, dropout,
                    epochs, batch, lr, resample, seed):
-    model_cfg = md.ModelConfig(model_kind=model_kind, head_kind="classify-2",
+    model_cfg = md.ModelConfig(model_kind=model_kind, task="classify",
                                vocab_size=len(vocab), embedding_dim=dim,
                                bilstm_hidden=hidden, dropout_p=dropout,
                                tagset=tagset)
-    cfg = tr.TrainConfig(task="classify", model=model_cfg, epochs=epochs,
+    cfg = tr.TrainConfig(model=model_cfg, epochs=epochs,
                          batch_size=batch, lr=lr, seeds=(seed,), resample=resample)
     _, test_predictions = tr.train_single_run(cfg, encoded["train"], encoded["valid"],
                                               encoded["test"], seed=seed, log=io.StringIO())
@@ -70,11 +67,11 @@ def accuracy_of(records):
 def test_criterion_01_parameter_counts():
     t0 = time.monotonic()
     classify = md.build_model(
-        md.ModelConfig(model_kind="awe", head_kind="classify-2",
+        md.ModelConfig(model_kind="awe", task="classify",
                        vocab_size=10002, embedding_dim=50),
         np.random.default_rng(0))
     regress = md.build_model(
-        md.ModelConfig(model_kind="awe", head_kind="regress-1",
+        md.ModelConfig(model_kind="awe", task="regress",
                        vocab_size=10002, embedding_dim=300),
         np.random.default_rng(0))
     n_classify = md.count_parameters(classify)
@@ -106,7 +103,7 @@ def test_criterion_02_gradients_match_finite_differences():
     golds = np.array([1])
     worst = {}
     for kind in md.MODEL_KINDS:
-        config = md.ModelConfig(model_kind=kind, head_kind="classify-2",
+        config = md.ModelConfig(model_kind=kind, task="classify",
                                 vocab_size=50, embedding_dim=8, bilstm_hidden=6,
                                 dropout_p=0.0)
         model = md.build_model(config, np.random.default_rng(3))
@@ -143,7 +140,7 @@ def test_criterion_02_gradients_match_finite_differences():
 def test_criterion_03_tagged_untagged_equivalence():
     docs = synth.tag_probe_corpus(n_docs=30)
     vocab, _ = encode_splits(docs, "full")
-    kwargs = dict(model_kind="han", head_kind="classify-2", vocab_size=len(vocab),
+    kwargs = dict(model_kind="han", task="classify", vocab_size=len(vocab),
                   embedding_dim=8, bilstm_hidden=6, dropout_p=0.0)
     plain = md.build_model(md.ModelConfig(tagset="none", **kwargs),
                            np.random.default_rng(7))
@@ -255,49 +252,6 @@ def test_criterion_06_character_cutoff_lower_variation():
 # 7. metrics and tests agree with brute-force enumeration
 # ---------------------------------------------------------------------------
 
-def auc_brute_force(golds, probs):
-    pos = [p for g, p in zip(golds, probs) if g == 1]
-    neg = [p for g, p in zip(golds, probs) if g == 0]
-    wins = sum(1.0 if pp > pn else 0.5 if pp == pn else 0.0
-               for pp in pos for pn in neg)
-    return wins / (len(pos) * len(neg))
-
-
-def mcnemar_binomial_oracle(b, c):
-    if b + c == 0:
-        return 1.0
-    m, k = b + c, min(b, c)
-    tail = Fraction(sum(math.comb(m, i) for i in range(k + 1)), 2 ** m)
-    return float(min(Fraction(1), 2 * tail))
-
-
-def wilcoxon_sign_enumeration(diffs):
-    diffs = np.asarray([d for d in diffs if d != 0.0])
-    ranks = scipy.stats.rankdata(np.abs(diffs))
-    total = ranks.sum()
-    observed = min(ranks[diffs > 0].sum(), ranks[diffs < 0].sum())
-    count = 0
-    for signs in product((1, -1), repeat=len(diffs)):
-        w_pos = sum(r for r, s in zip(ranks, signs) if s > 0)
-        if min(w_pos, total - w_pos) <= observed + 1e-9:
-            count += 1
-    return count / 2 ** len(diffs)
-
-
-def spearman_permutation_p(x, y):
-    rx = scipy.stats.rankdata(x)
-    ry = scipy.stats.rankdata(y)
-    n = len(x)
-
-    def rho_of(r2):
-        return 1.0 - 6.0 * float(((rx - r2) ** 2).sum()) / (n * (n * n - 1))
-
-    threshold = abs(rho_of(ry)) - 1e-12
-    hits = sum(1 for perm in permutations(ry)
-               if abs(rho_of(np.array(perm))) >= threshold)
-    return hits / math.factorial(n)
-
-
 def mcnemar_from_counts(b, c):
     golds = [1.0] * (b + c)
     preds_a = [1.0] * b + [0.0] * c
@@ -336,7 +290,7 @@ def test_criterion_07_oracle_equivalence():
         x = rng.permutation(n).astype(float)
         y = rng.permutation(n).astype(float)
         worst = max(worst, abs(es.spearman_rho(x, y)[1]
-                               - spearman_permutation_p(x, y)))
+                               - spearman_permutation_oracle(x, y)[1]))
 
     ok = worst <= 1e-12 and mcnemar_exact_case == 0.0 and wilcoxon_case == 0.0
     assert report(7, ok, f"metrics vs enumeration oracles, worst gap {worst:.2e}")

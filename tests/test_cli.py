@@ -780,7 +780,7 @@ def test_predict_checkpoint_predicts_with_the_checkpoint_train_wrote(tmp_path, c
     data = _trained_dir(tmp_path, capsys, probe_corpus)
     meta, by_split = cli.load_prepared(data, "classify")
     path = os.path.join(data, "run-1.ckpt")
-    got = cli._predict_checkpoint(path, meta, by_split["test"], "classify", 8, 1)
+    got = cli._predict_checkpoint(path, meta["vocab_sha256"], by_split["test"], 8, 1)
     want = [json.loads(line) for line in open(os.path.join(data, "predictions-1.jsonl"))]
     assert [dataclasses.asdict(r) for r in got] == want
     # a checkpoint of another tagset is refused on its header, before any worker starts
@@ -799,7 +799,7 @@ def test_evaluate_manifest_refuses_a_checkpoint_of_another_task(tmp_path, capsys
     data = _trained_dir(tmp_path, capsys, probe_corpus)
     path = os.path.join(data, "run-1.ckpt")
     vocab = Vocabulary.load(os.path.join(data, "vocab.json")).sha256()
-    config = dataclasses.replace(md.checkpoint_config(path, vocab), head_kind="regress-1")
+    config = dataclasses.replace(md.checkpoint_config(path, vocab), task="regress")
     md.save_checkpoint(md.build_model(config, np.random.default_rng(0)), vocab, path)
     monkeypatch.setattr(tr, "run_seeds", _no_worker)
     rc, out, err = run_cli(capsys, "evaluate", "--manifest", os.path.join(data, "manifest.json"),
@@ -1218,7 +1218,7 @@ def test_predict_deterministic_across_invocations(tmp_path, capsys, probe_corpus
 def test_predict_zero_score_zero_citations(tmp_path, capsys, cites_corpus):
     data, cfg = prepared_dir(tmp_path, capsys, cites_corpus, task="regress")
     vocab = Vocabulary.load(os.path.join(data, "vocab.json"))
-    config = md.ModelConfig(model_kind="awe", head_kind="regress-1",
+    config = md.ModelConfig(model_kind="awe", task="regress",
                             vocab_size=len(vocab), embedding_dim=8)
     model = md.build_model(config, np.random.default_rng(0))
     for param in model.params.values():
@@ -1513,7 +1513,7 @@ def test_evaluate_refuses_a_dataset_prepared_at_another_cutoff(tmp_path, capsys,
                        "but the model wants 60; rerun prepare\n")
 
 
-def test_version_1_checkpoint_is_refused(tmp_path, capsys, probe_corpus):
+def test_version_1_checkpoint_is_refused(tmp_path, capsys, probe_corpus, monkeypatch):
     data = _trained_dir(tmp_path, capsys, probe_corpus)
     ckpt = os.path.join(data, "run-1.ckpt")
 
@@ -1521,11 +1521,19 @@ def test_version_1_checkpoint_is_refused(tmp_path, capsys, probe_corpus):
         header["format_version"] = 1
         del header["model_config"]["max_chars"]
 
-    _edit_checkpoint_header(ckpt, ckpt, as_version_1)
-    for argv in (["evaluate"], ["predict", probe_corpus]):
-        rc, out, err = run_cli(capsys, *argv, "--checkpoint", ckpt, "--out", data)
-        assert rc == 1 and out == ""
-        assert err == f"error: checkpoint-mismatch: {ckpt}: unsupported checkpoint version 1\n"
+    def as_version_2(header):   # version 2 wrote the task as its head kind
+        header["format_version"] = 2
+        header["model_config"]["head_kind"] = "classify-2"
+        del header["model_config"]["task"]
+
+    monkeypatch.setattr(tr, "run_seeds", _no_worker)   # refused before any worker starts
+    for version, edit in ((1, as_version_1), (2, as_version_2)):
+        old = os.path.join(data, f"run-v{version}.ckpt")
+        _edit_checkpoint_header(ckpt, old, edit)
+        for argv in (["evaluate"], ["predict", probe_corpus]):
+            rc, out, err = run_cli(capsys, *argv, "--checkpoint", old, "--out", data)
+            assert rc == 1 and out == ""
+            assert err == f"error: checkpoint-mismatch: {old}: unsupported checkpoint version {version}\n"
 
 
 def _param_entry(header, name):

@@ -1,7 +1,6 @@
 import json
 import math
 from fractions import Fraction
-from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -9,6 +8,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (auc_brute_force, mcnemar_binomial_oracle, spearman_permutation_oracle,
+                     wilcoxon_sign_enumeration)
 from hanst import evalstats as es
 from hanst.errors import (
     AlignmentError,
@@ -17,55 +18,6 @@ from hanst.errors import (
     UndefinedMetricError,
     UndefinedTestError,
 )
-
-
-# ---------------------------------------------------------------------------
-# independent oracles
-# ---------------------------------------------------------------------------
-
-def auc_brute_force(golds, probs):
-    pos = [p for g, p in zip(golds, probs) if g == 1]
-    neg = [p for g, p in zip(golds, probs) if g == 0]
-    wins = sum(1.0 if pp > pn else 0.5 if pp == pn else 0.0
-               for pp in pos for pn in neg)
-    return wins / (len(pos) * len(neg))
-
-
-def mcnemar_binomial_oracle(b, c):
-    if b + c == 0:
-        return 1.0
-    m, k = b + c, min(b, c)
-    tail = Fraction(sum(math.comb(m, i) for i in range(k + 1)), 2 ** m)
-    return float(min(Fraction(1), 2 * tail))
-
-
-def wilcoxon_sign_enumeration(diffs):
-    diffs = np.asarray([d for d in diffs if d != 0.0])
-    ranks = scipy.stats.rankdata(np.abs(diffs))
-    total = ranks.sum()
-    observed = min(ranks[diffs > 0].sum(), ranks[diffs < 0].sum())
-    count = 0
-    for signs in product((1, -1), repeat=len(diffs)):
-        w_pos = sum(r for r, s in zip(ranks, signs) if s > 0)
-        if min(w_pos, total - w_pos) <= observed + 1e-9:
-            count += 1
-    return count / 2 ** len(diffs)
-
-
-def spearman_permutation_oracle(x, y):
-    # d-squared formula; valid only for tie-free data
-    rx = scipy.stats.rankdata(x)
-    ry = scipy.stats.rankdata(y)
-    n = len(x)
-
-    def rho_of(r2):
-        return 1.0 - 6.0 * float(((rx - r2) ** 2).sum()) / (n * (n * n - 1))
-
-    rho = rho_of(ry)
-    threshold = abs(rho) - 1e-12
-    hits = sum(1 for perm in permutations(ry)
-               if abs(rho_of(np.array(perm))) >= threshold)
-    return rho, hits / math.factorial(n)
 
 
 class TestCitationScore:

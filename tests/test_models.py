@@ -20,9 +20,9 @@ from hanst.errors import (
 from hanst.textprep import PAD_ID, TaggedDocument
 
 
-def tiny_config(model_kind="han", vocab_size=20, dim=4, hidden=3, head="classify-2",
+def tiny_config(model_kind="han", vocab_size=20, dim=4, hidden=3, task="classify",
                 dropout=0.0, tagset="none"):
-    return md.ModelConfig(model_kind=model_kind, head_kind=head, vocab_size=vocab_size,
+    return md.ModelConfig(model_kind=model_kind, task=task, vocab_size=vocab_size,
                           embedding_dim=dim, bilstm_hidden=hidden, dropout_p=dropout,
                           tagset=tagset)
 
@@ -174,17 +174,17 @@ class TestModelConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             tiny_config(model_kind="cnn")
-        with pytest.raises(ConfigurationError):
-            tiny_config(head="classify-3")
+        with pytest.raises(ConfigurationError,
+                           match=re.escape("task must be one of ['classify', 'regress'], got 'classify-3'")):
+            tiny_config(task="classify-3")
         with pytest.raises(ConfigurationError):
             tiny_config(dropout=1.0)
         with pytest.raises(ConfigurationError):
             tiny_config(tagset="positional")
 
     def test_task_follows_head(self):
-        assert tiny_config(head="classify-2").task == "classify"
-        assert tiny_config(head="regress-1").task == "regress"
-        for task in ("classify", "regress"):
+        for task, n_outputs in (("classify", 2), ("regress", 1)):
+            assert md.ModelConfig(model_kind="awe", task=task, vocab_size=10).n_outputs == n_outputs
             assert md.default_model_config("awe", task, 10).task == task
 
     def test_task_defaults(self):
@@ -442,7 +442,7 @@ class TestHeadForward:
         np.testing.assert_allclose(result.output.values, expected, atol=1e-12)
 
     def test_regression_head_single_output(self):
-        m = md.build_model(tiny_config("han", head="regress-1"), np.random.default_rng(0))
+        m = md.build_model(tiny_config("han", task="regress"), np.random.default_rng(0))
         out = m.forward(batch_of([[2, 3]]))
         assert out.output.shape == (1, 1)
 
@@ -461,7 +461,7 @@ class TestHeadForward:
     def unit_head_model(p):
         """A 1-d AWE regressor whose every document vector is 1 and whose head
         is the identity, so its outputs are the dropout mask itself."""
-        m = md.build_model(tiny_config("awe", vocab_size=4, dim=1, head="regress-1", dropout=p),
+        m = md.build_model(tiny_config("awe", vocab_size=4, dim=1, task="regress", dropout=p),
                            np.random.default_rng(0))
         m.embedding.values[:] = 1.0
         m.head_w.values[:] = 1.0
@@ -494,10 +494,12 @@ class TestHeadForward:
         np.testing.assert_allclose(m.embedding.grad[2], kept.sum() / 100, rtol=1e-12)
         np.testing.assert_allclose(m.head_w.grad, [[kept.sum() / 100]], rtol=1e-12)
 
-    @pytest.mark.parametrize("head,loss_kind,loss_op", [("classify-2", "cross-entropy", "cross_entropy"),
-                                                        ("regress-1", "mae", "l1_loss")])
-    def test_han_step_records_one_node_per_layer(self, head, loss_kind, loss_op):
-        m = md.build_model(tiny_config("han", head=head, dropout=0.5), np.random.default_rng(0))
+    # each id: the task and its head's output count
+    @pytest.mark.parametrize("task,loss_kind,loss_op", [("classify", "cross-entropy", "cross_entropy"),
+                                                        ("regress", "mae", "l1_loss")],
+                             ids=["classify-2-cross-entropy-cross_entropy", "regress-1-mae-l1_loss"])
+    def test_han_step_records_one_node_per_layer(self, task, loss_kind, loss_op):
+        m = md.build_model(tiny_config("han", task=task, dropout=0.5), np.random.default_rng(0))
         batch = ragged_han_batch()
         with ad.Tape() as tape:
             out = m.forward(batch, training=True, rng=np.random.default_rng(1)).output
@@ -576,7 +578,7 @@ class TestGradients:
             assert rel_err(analytic, numeric) < 1e-3, name
 
     def test_baseline_finite_difference(self):
-        config = tiny_config("sent_avg_bilstm", vocab_size=9, dim=3, hidden=2, head="regress-1")
+        config = tiny_config("sent_avg_bilstm", vocab_size=9, dim=3, hidden=2, task="regress")
         model = md.build_model(config, np.random.default_rng(4))
         batch = batch_of([[2, 3], [4, 5, 6]])
         target = np.array([[1.5]])
@@ -688,10 +690,11 @@ class TestCheckpoints:
         with pytest.raises(CheckpointMismatchError, match=match):
             md.load_checkpoint(path, "hash-abc")
 
-    @pytest.mark.parametrize("head", ["classify-2", "regress-1"])
+    # each id: the task and its head's output count
+    @pytest.mark.parametrize("task", ["classify", "regress"], ids=["classify-2", "regress-1"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_parameter_rejected(self, tmp_path, head, bad):
-        model = md.build_model(tiny_config("awe", head=head), np.random.default_rng(0))
+    def test_non_finite_parameter_rejected(self, tmp_path, task, bad):
+        model = md.build_model(tiny_config("awe", task=task), np.random.default_rng(0))
         model.params["head.w"].values[-1, -1] = bad
         path = tmp_path / "model.ckpt"
         md.save_checkpoint(model, "hash-abc", path)

@@ -47,11 +47,10 @@ def classify_corpus(n_pos=8, n_neg=8, marker=5, vocab=12, seed=0):
 
 
 def tiny_train_config(task="classify", vocab=12, **overrides):
-    model = md.ModelConfig(model_kind="awe",
-                           head_kind="classify-2" if task == "classify" else "regress-1",
+    model = md.ModelConfig(model_kind="awe", task=task,
                            vocab_size=vocab, embedding_dim=4, bilstm_hidden=2,
                            dropout_p=0.0)
-    base = dict(task=task, model=model, epochs=5, batch_size=4, seeds=(1,))
+    base = dict(model=model, epochs=5, batch_size=4, seeds=(1,))
     base.update(overrides)
     return tr.TrainConfig(**base)
 
@@ -62,9 +61,11 @@ class TestTrainConfig:
         assert tiny_train_config("regress").loss == "mae"
 
     def test_head_task_mismatch_rejected(self):
-        model = md.ModelConfig(model_kind="awe", head_kind="regress-1", vocab_size=12)
-        with pytest.raises(ConfigurationError, match="head"):
-            tr.TrainConfig(task="classify", model=model, epochs=1, batch_size=1)
+        model = md.ModelConfig(model_kind="awe", task="regress", vocab_size=12)
+        assert tiny_train_config("regress").task == "regress"
+        with pytest.raises(ConfigurationError,
+                           match=r"^task 'classify' does not match the model's task 'regress'$"):
+            tr.default_train_config("classify", model)
 
     def test_schedule_defaults(self):
         model = md.default_model_config("han", "classify", 10002, tagset="full")
@@ -318,8 +319,7 @@ class TestAdamInBackward:
                                      for _ in range(rng.integers(1, 5))],
                            {"accepted": i % 2 == 0, "citation_count": int(rng.integers(0, 40))})
                 for i in range(12)]
-        head = "classify-2" if task == "classify" else "regress-1"
-        config = md.ModelConfig(model_kind=kind, head_kind=head, vocab_size=30,
+        config = md.ModelConfig(model_kind=kind, task=task, vocab_size=30,
                                 embedding_dim=6, bilstm_hidden=5, dropout_p=0.3)
         loss_kind = "cross-entropy" if task == "classify" else "mae"
         batches = tr.make_batches(docs, task, 4)
