@@ -204,47 +204,47 @@ def _check_kind(obj: dict, kind: str, path: str, where: str | None = None) -> No
         raise ConfigurationError(f"{where or path}: format_version {version!r} is not {FORMAT_VERSION}")
 
 
-def _prepared_line(path: str, n: int, line: str, keys: dict[str, str]) -> dict:
-    """Parse line n of a prepared dataset: a JSON object with `keys`."""
-    where = f"{path}: line {n}"
-    obj = json_object(line, where)
-    if n == 1:
-        _check_kind(obj, PREPARED_KIND, path, where)
-    return check_fields(obj, keys, where)
+def prepared_header(data_dir: str) -> dict:
+    """The checked header of the prepared dataset in `data_dir`; no document line is read."""
+    path = os.path.join(data_dir, PREPARED_NAME)
+    if not os.path.exists(path):
+        raise ConfigurationError(f"no prepared dataset at {path}; run the prepare command first")
+    where = f"{path}: line 1"
+    with open_text(path) as fh:
+        meta = json_object(fh.readline(), where)
+    _check_kind(meta, PREPARED_KIND, path, where)
+    return check_fields(meta, _META_KEYS, where)
 
 
 def load_prepared(data_dir: str, task: str | None = None
                   ) -> tuple[dict, dict[str, list[TaggedDocument]]]:
     """The prepared dataset's header and its documents by split. Given a task,
     every label must hold the key that task trains on."""
+    meta = prepared_header(data_dir)
     path = os.path.join(data_dir, PREPARED_NAME)
-    if not os.path.exists(path):
-        raise ConfigurationError(f"no prepared dataset at {path}; run the prepare command first")
     by_split: dict[str, list[TaggedDocument]] = {name: [] for name in SPLITS}
     seen: set[str] = set()
-    with open_text(path) as fh:
-        meta = _prepared_line(path, 1, fh.readline(), _META_KEYS)
-        for n, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            obj = _prepared_line(path, n, line, _DOC_KEYS)
-            if obj["split"] not in SPLITS:
-                raise ConfigurationError(f"{path}: line {n}: unknown split {obj['split']!r}")
-            if obj["id"] in seen:
-                raise ConfigurationError(f"{path}: line {n}: duplicate document id {obj['id']!r}")
-            seen.add(obj["id"])
-            try:
-                check_label(obj["label"], f"document {obj['id']!r}", ConfigurationError)
-                doc = TaggedDocument(id=obj["id"], sentences=obj["sentences"],
-                                     roles=obj["roles"], label=obj["label"])
-                if not all(type(t) is int and 0 <= t < meta["vocab_size"]
-                           for sent in doc.sentences for t in sent):
-                    raise ConfigurationError(f"token ids must be ints in [0, {meta['vocab_size']})")
-            except (ConfigurationError, TypeError) as exc:
-                raise ConfigurationError(f"{path}: line {n}: {exc}") from None
-            if task is not None:
-                check_task_label(doc.label, task, f"{path}: line {n}")
-            by_split[obj["split"]].append(doc)
+    lines = json_lines(path, {})
+    next(lines)   # the header, checked above
+    for where, obj in lines:
+        check_fields(obj, _DOC_KEYS, where)
+        if obj["split"] not in SPLITS:
+            raise ConfigurationError(f"{where}: unknown split {obj['split']!r}")
+        if obj["id"] in seen:
+            raise ConfigurationError(f"{where}: duplicate document id {obj['id']!r}")
+        seen.add(obj["id"])
+        try:
+            check_label(obj["label"], f"document {obj['id']!r}", ConfigurationError)
+            doc = TaggedDocument(id=obj["id"], sentences=obj["sentences"],
+                                 roles=obj["roles"], label=obj["label"])
+            if not all(type(t) is int and 0 <= t < meta["vocab_size"]
+                       for sent in doc.sentences for t in sent):
+                raise ConfigurationError(f"token ids must be ints in [0, {meta['vocab_size']})")
+        except (ConfigurationError, TypeError) as exc:
+            raise ConfigurationError(f"{where}: {exc}") from None
+        if task is not None:
+            check_task_label(doc.label, task, where)
+        by_split[obj["split"]].append(doc)
     if len(seen) != meta["n_docs"]:
         raise ConfigurationError(f"{path}: header says {meta['n_docs']} documents, found {len(seen)}")
     return meta, by_split
@@ -338,17 +338,23 @@ def _manifest_config(manifest: dict, path: str, meta: dict, vocab_size: int,
     return make_train_config(manifest["config"], vocab_size, seed_list, where=f"{path}: config")
 
 
-def _train_seed(data_dir: str, vocab_sha256: str, config: tr.TrainConfig,
-                train: list[TaggedDocument], valid: list[TaggedDocument],
-                test: list[TaggedDocument], seed: int,
+def _train_seed(data_dir: str, config: tr.TrainConfig, seed: int,
                 embeddings: np.ndarray | None) -> list[PredictionRecord]:
-    """Train `seed` and write its files, which `train` runs in a seed worker:
-    the log as training goes, then the checkpoint and test predictions.
-    Returns only the test predictions."""
+    """Train `seed` on the prepared dataset in `data_dir` and write its files,
+    which `train` runs in a seed worker: the log as training goes, then the
+    checkpoint and test predictions. Returns only the test predictions."""
+    meta, by_split = load_prepared(data_dir, config.task)
+    train, valid, test = (by_split[name] for name in SPLITS)
+    if not train or not valid:   # refused here, while the last run's files are whole
+        raise ConfigurationError("train and valid splits must be non-empty")
+    # only a --force run finds them; gone before this seed's files change, so a
+    # directory with a manifest is always complete
+    for name in (MANIFEST_NAME, REPORT_NAME, VOTE_NAME):
+        pathlib.Path(data_dir, name).unlink(missing_ok=True)
     with open(os.path.join(data_dir, f"train-log-{seed}.jsonl"), "w", encoding="utf-8") as log:
         model, records = tr.train_single_run(config, train, valid, test, seed, log, embeddings)
     _atomic_via(os.path.join(data_dir, checkpoint_name(seed)),
-                lambda p: md.save_checkpoint(model, vocab_sha256, p))
+                lambda p: md.save_checkpoint(model, meta["vocab_sha256"], p))
     _atomic_via(os.path.join(data_dir, f"predictions-{seed}.jsonl"),
                 lambda p: save_predictions(records, p))
     return records
@@ -360,7 +366,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     data_dir = data_dir_from(args)
     manifest_in = _load_manifest(args.from_manifest) if args.from_manifest else None
     raw = manifest_in["config"] if manifest_in else load_config_file(args.config)
-    meta, by_split = load_prepared(data_dir, raw["task"])
+    meta = prepared_header(data_dir)
     vocab = _check_vocab(_load_vocab(data_dir), meta)
     if manifest_in:
         config = _manifest_config(manifest_in, args.from_manifest, meta, len(vocab), args.seed_list)
@@ -379,13 +385,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     embeddings = load_embeddings(embeddings_path, vocab, config.model.embedding_dim,
                                  np.random.default_rng(0)) if embeddings_path else None
 
-    # only a --force run finds them; gone before any seed's files change, so a
-    # directory with a manifest is always complete
-    for name in (MANIFEST_NAME, REPORT_NAME, VOTE_NAME):
-        pathlib.Path(data_dir, name).unlink(missing_ok=True)
-    runs = tr.run_seeds(_train_seed, [(data_dir, meta["vocab_sha256"], config, by_split["train"],
-                                       by_split["valid"], by_split["test"], seed, embeddings)
-                                      for seed in config.seeds])
+    # each worker reads the documents, refuses them or trains its seed
+    runs = tr.run_seeds(_train_seed, [(data_dir, config, seed, embeddings) for seed in config.seeds])
     per_run, vote = tr.summarize_runs([records for records in runs if records], config.task)
     if vote:
         _atomic_via(os.path.join(data_dir, VOTE_NAME), lambda p: save_predictions(vote, p))
@@ -412,11 +413,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _predict_checkpoint(path: str, vocab_sha256: str, docs: list[TaggedDocument],
-                        batch_size: int, seed: int | None) -> list[PredictionRecord]:
-    """The predictions of the checkpoint at `path` for its task, which `evaluate`
-    computes in a seed worker, so a manifest's runs predict with the bits `train` did."""
-    model = md.load_checkpoint(path, vocab_sha256)
+def _predict_checkpoint(path: str, data_dir: str, split: str, batch_size: int,
+                        seed: int | None) -> list[PredictionRecord]:
+    """The predictions of the checkpoint at `path` for its task on `split` of the
+    prepared dataset in `data_dir`, which `evaluate` computes in a seed worker,
+    so a manifest's runs predict with the bits `train` did."""
+    model = md.load_checkpoint(path, prepared_header(data_dir)["vocab_sha256"])
+    docs = load_prepared(data_dir, model.config.task)[1][split]
+    if not docs:
+        raise DegenerateInputError(f"split {split!r} has no documents")
     return tr.predict(model, docs, model.config.task, batch_size, seed=seed)
 
 
@@ -424,28 +429,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if bool(args.manifest) == bool(args.checkpoint):
         raise ConfigurationError("pass exactly one of --manifest or --checkpoint")
     data_dir = data_dir_from(args)
-    # the task comes first, so that load_prepared checks every label against it
-    vocab = _load_vocab(data_dir)
-    if args.manifest:
-        manifest = _load_manifest(args.manifest)
-        task = manifest["config"]["task"]
-    else:
-        task = md.checkpoint_config(args.checkpoint, vocab.sha256()).task
-    meta, by_split = load_prepared(data_dir, task)
+    vocab = _load_vocab(data_dir)   # first, as predict reads it
+    meta = prepared_header(data_dir)
     _check_vocab(vocab, meta)
-    docs = by_split[args.split]
-    if not docs:
-        raise DegenerateInputError(f"split {args.split!r} has no documents")
-
     if args.manifest:
-        config = _manifest_config(manifest, args.manifest, meta, len(vocab))
+        config = _manifest_config(_load_manifest(args.manifest), args.manifest, meta, len(vocab))
         base = os.path.dirname(os.path.abspath(args.manifest))
-        jobs = [(os.path.join(base, checkpoint_name(seed)), meta["vocab_sha256"], docs,
+        jobs = [(os.path.join(base, checkpoint_name(seed)), data_dir, args.split,
                  config.batch_size, seed) for seed in config.seeds]
+        task = config.task
     else:
-        jobs = [(args.checkpoint, meta["vocab_sha256"], docs, PREDICT_BATCH, None)]
+        jobs = [(args.checkpoint, data_dir, args.split, PREDICT_BATCH, None)]
+        task = None
     for path, *_ in jobs:   # each checkpoint is refused on its header here, before any worker starts
         model_config = md.checkpoint_config(path, meta["vocab_sha256"])
+        task = task or model_config.task   # --checkpoint's task is its model's
         if model_config.task != task:   # only a manifest's can differ
             raise CheckpointMismatchError(
                 f"{path}: a {model_config.task} model, but the task is {task!r}")
@@ -476,10 +474,11 @@ def _load_predict_docs(path: str) -> Iterator[RawDocument]:
                           label={"accepted": False, "citation_count": 0}, split="test")
 
 
-def _predict_rows(checkpoint: str, vocab: Vocabulary, docs_path: str, rows_path: str,
+def _predict_rows(checkpoint: str, data_dir: str, docs_path: str, rows_path: str,
                   attention: bool) -> None:
     """Write `predict`'s lines for the documents file `docs_path` to `rows_path`,
     a batch at a time as the file is read; the command runs this in a seed worker."""
+    vocab = _load_vocab(data_dir)
     model = md.load_checkpoint(checkpoint, vocab.sha256())
     config = model.config
     encoded = (encode_document(doc, vocab, config.tagset, config.max_chars)
@@ -504,7 +503,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"model kind {config.model_kind!r} produces no attention maps")
     # the worker reads the documents; its rows wait on disk, so a bad line prints no row
     with tempfile.NamedTemporaryFile("r", encoding="utf-8", dir=data_dir, prefix=".tmp-") as rows:
-        tr.run_seeds(_predict_rows, [(args.checkpoint, vocab, args.docs, rows.name, args.attention)])
+        tr.run_seeds(_predict_rows, [(args.checkpoint, data_dir, args.docs, rows.name, args.attention)])
         sys.stdout.writelines(rows)
     return 0
 

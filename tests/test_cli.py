@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import pickle
 import shutil
 import struct
 import subprocess
@@ -482,6 +483,14 @@ def _line_repeated(lines):
     return len(lines)
 
 
+def _refused_here_as_printed(data, err):
+    """A seed worker read the prepared dataset and refused it with `err`:
+    load_prepared refuses it in this process with that line."""
+    with pytest.raises(ConfigurationError) as refused:
+        cli.load_prepared(data, "classify")
+    assert err == f"error: config-error: {refused.value}\n"
+
+
 @pytest.mark.parametrize("corrupt", [_bad_json, _unknown_split, _missing_keys,
                                      _other_format_version, _roles_not_one_per_sentence,
                                      _empty_sentence, _no_sentences, _label_not_boolean,
@@ -498,6 +507,7 @@ def test_malformed_prepared_file_one_line_error(tmp_path, capsys, probe_corpus, 
     assert rc == 1
     assert err.startswith(f"error: config-error: {path}: line {line}: ")
     assert err.count("\n") == 1
+    _refused_here_as_printed(data, err)
 
 
 def test_prepared_file_of_another_kind_one_line_error(tmp_path, capsys, probe_corpus):
@@ -527,6 +537,7 @@ def test_prepared_file_short_of_its_header_count_one_line_error(tmp_path, capsys
     rc, out, err = run_cli(capsys, "train", "--config", cfg, "--out", data)
     assert rc == 1 and out == ""
     assert err == f"error: config-error: {path}: header says {n_docs} documents, found {n_docs - 5}\n"
+    _refused_here_as_printed(data, err)
 
 
 @pytest.mark.parametrize("token_id, ok", [("a", False), (10 ** 6, False), (-3, False),
@@ -550,6 +561,7 @@ def test_prepared_token_ids_checked(tmp_path, capsys, probe_corpus, token_id, ok
     else:
         assert rc == 1
         assert err == f"error: config-error: {path}: line 2: token ids must be ints in [0, {size})\n"
+        _refused_here_as_printed(data, err)
 
 
 @pytest.mark.parametrize("key, value", [("epochs", "x"), ("max_chars", "x"), ("epochs", 1.5),
@@ -683,6 +695,88 @@ def test_failed_force_run_leaves_no_manifest_report_or_vote(tmp_path, capsys, pr
     assert not [name for name in names if os.path.exists(os.path.join(data, name))]
 
 
+def _snapshot(data):
+    return {name: open(os.path.join(data, name), "rb").read() for name in os.listdir(data)}
+
+
+@pytest.mark.parametrize("runner", ["workers", "in-process"])
+def test_refused_force_run_leaves_every_file_as_it_was(tmp_path, capsys, probe_corpus,
+                                                       monkeypatch, runner):
+    # the workers find a damaged line or an empty split before any of them
+    # removes the last run's results or opens its log
+    data, cfg = prepared_dir(tmp_path, capsys, probe_corpus)
+    assert run_cli(capsys, "train", "--config", cfg, "--out", data)[0] == 0
+    if runner == "in-process":
+        monkeypatch.setattr(tr, "run_seeds", _in_this_process)
+    path = os.path.join(data, "prepared.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        header, *lines = fh.readlines()
+    all_train = [line.replace('"split": "valid"', '"split": "train"') for line in lines]
+    assert all_train != lines
+    damaged = [lines[0], "{not json\n", *lines[2:]]
+    for edited, message in ((damaged, f"{path}: line 3: invalid JSON: "),
+                            (all_train, "train and valid splits must be non-empty")):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines([header, *edited])
+        before = _snapshot(data)
+        rc, out, err = run_cli(capsys, "train", "--config", cfg, "--out", data, "--force")
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: config-error: {message}") and err.count("\n") == 1
+        assert _snapshot(data) == before
+    # evaluate's workers refuse the empty split they are asked for
+    rc, out, err = run_cli(capsys, "evaluate", "--manifest", os.path.join(data, "manifest.json"),
+                           "--split", "valid", "--out", data)
+    assert (rc, out, err) == (1, "", "error: degenerate-input: split 'valid' has no documents\n")
+
+
+def test_evaluate_reads_each_checkpoint_header_once(tmp_path, capsys, probe_corpus, monkeypatch):
+    # the caller reads a header to refuse its checkpoint; the worker reads it again to load it
+    data = _trained_dir(tmp_path, capsys, probe_corpus, seeds=[1, 2, 3])
+    calls, checkpoint_config = [], md.checkpoint_config
+
+    def counted(path, vocab_sha256):
+        calls.append(path)
+        return checkpoint_config(path, vocab_sha256)
+
+    monkeypatch.setattr(md, "checkpoint_config", counted)   # a patch reaches no seed worker
+    checkpoints = [os.path.join(data, f"run-{seed}.ckpt") for seed in (1, 2, 3)]
+    for argv, read in ((["--checkpoint", checkpoints[0]], checkpoints[:1]),
+                       (["--manifest", os.path.join(data, "manifest.json")], checkpoints)):
+        calls.clear()
+        rc, _, err = run_cli(capsys, "evaluate", *argv, "--out", data)
+        assert rc == 0, err
+        assert calls == read
+
+
+def test_train_and_evaluate_jobs_hold_no_documents(tmp_path, capsys, monkeypatch):
+    # a job carries the data directory, so it is no larger for four times the documents
+    jobs, run_seeds = [], tr.run_seeds
+
+    def recorded(fn, fn_jobs):
+        jobs.append(fn_jobs)
+        return run_seeds(fn, fn_jobs)
+
+    sizes = []
+    for name, n_docs in (("a", 40), ("b", 160)):
+        corpus = tmp_path / f"{name}.jsonl"
+        save_corpus(synth.tag_probe_corpus(n_docs=n_docs), corpus)
+        data, cfg = prepared_dir(tmp_path / name, capsys, str(corpus), vocab_size=30,
+                                 seeds=[1, 2, 3])
+        header = cli.prepared_header(data)
+        assert header["n_docs"] == n_docs
+        jobs.clear()
+        monkeypatch.setattr(tr, "run_seeds", recorded)
+        assert run_cli(capsys, "train", "--config", cfg, "--out", data)[0] == 0
+        assert run_cli(capsys, "evaluate", "--manifest", os.path.join(data, "manifest.json"),
+                       "--out", data)[0] == 0
+        monkeypatch.undo()
+        assert [len(fn_jobs) for fn_jobs in jobs] == [3, 3]
+        pickled = [pickle.dumps(job) for fn_jobs in jobs for job in fn_jobs]
+        assert not [blob for blob in pickled if b"TaggedDocument" in blob]
+        sizes.append((header["vocab_size"], [len(blob) for blob in pickled]))
+    assert sizes[0] == sizes[1]   # both vocabularies at the cap, so the configs pickle alike
+
+
 def test_train_abort_is_one_line_with_warnings_shown(tmp_path, capsys, probe_corpus):
     # outside pytest nothing captures numpy's RuntimeWarnings; they must not print
     data, cfg = prepared_dir(tmp_path, capsys, probe_corpus, lr=1e200)
@@ -778,9 +872,8 @@ def test_predict_checkpoint_predicts_with_the_checkpoint_train_wrote(tmp_path, c
                                                                    probe_corpus, monkeypatch):
     # what evaluate --manifest runs in each seed worker
     data = _trained_dir(tmp_path, capsys, probe_corpus)
-    meta, by_split = cli.load_prepared(data, "classify")
     path = os.path.join(data, "run-1.ckpt")
-    got = cli._predict_checkpoint(path, meta["vocab_sha256"], by_split["test"], 8, 1)
+    got = cli._predict_checkpoint(path, data, "test", 8, 1)
     want = [json.loads(line) for line in open(os.path.join(data, "predictions-1.jsonl"))]
     assert [dataclasses.asdict(r) for r in got] == want
     # a checkpoint of another tagset is refused on its header, before any worker starts
@@ -1148,7 +1241,7 @@ def test_vocab_not_an_array_of_strings_is_one_line(tmp_path, capsys, probe_corpu
 
 
 def test_commands_before_prepare_name_the_missing_file(tmp_path, capsys):
-    # evaluate reads the vocabulary first, to load the checkpoint that gives its task
+    # evaluate reads the vocabulary first, as predict does
     cfg = write_config(tmp_path / "cfg.json")
     data = str(tmp_path / "data")
     for argv, name in ((["train", "--config", cfg], "prepared dataset at {data}/prepared.jsonl"),
@@ -1232,7 +1325,7 @@ def test_predict_zero_score_zero_citations(tmp_path, capsys, cites_corpus):
     assert all(row["score"] == 0.0 and row["citations"] == 0 for row in rows)
     # the seed worker printed what predict's job writes in this process
     written = tmp_path / "rows.jsonl"
-    cli._predict_rows(ckpt, vocab, cites_corpus, str(written), False)
+    cli._predict_rows(ckpt, data, cites_corpus, str(written), False)
     assert written.read_text(encoding="utf-8") == out
 
 
@@ -1270,9 +1363,8 @@ def test_predict_attention_matches_dummy_mask_oracle(tmp_path, capsys, probe_cor
         return dummy_mask_han_encode(model, batch)
 
     monkeypatch.setattr(md.HanModel, "encode", oracle_encode)
-    vocab = Vocabulary.load(os.path.join(data, "vocab.json"))
     oracle = tmp_path / "oracle.jsonl"
-    cli._predict_rows(ckpt, vocab, probe_corpus, str(oracle), True)
+    cli._predict_rows(ckpt, data, probe_corpus, str(oracle), True)
     assert sum(encoded) == 60
     assert packed == oracle.read_text(encoding="utf-8")
 
@@ -1315,10 +1407,10 @@ def test_predict_one_worker_reads_the_documents(tmp_path, capsys, probe_corpus, 
     assert rc == 0, err
     [(fn, [job])] = calls
     assert fn is cli._predict_rows
-    assert [type(arg) for arg in job] == [str, Vocabulary, str, str, bool] and job[2] == str(docs)
+    assert [type(arg) for arg in job] == [str, str, str, str, bool] and job[:3] == (ckpt, data, str(docs))
     monkeypatch.undo()
     rows = tmp_path / "rows.jsonl"
-    cli._predict_rows(ckpt, Vocabulary.load(os.path.join(data, "vocab.json")), str(docs), str(rows), False)
+    cli._predict_rows(ckpt, data, str(docs), str(rows), False)
     assert out == rows.read_text(encoding="utf-8")
     assert [json.loads(line)["id"] for line in out.splitlines()] == [f"d{i}" for i in range(n_docs)]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import json
@@ -22,6 +23,7 @@ from hanst import models as md
 from hanst import synth
 from hanst import training as tr
 from hanst.autodiff import Adam, Tensor
+from hanst.corpus import SPLITS
 from hanst.errors import (ConfigurationError, DegenerateInputError, NonFiniteGradientError,
                           TrainingAbortedError, WorkerDiedError)
 from hanst.evalstats import PredictionRecord, mae
@@ -600,11 +602,20 @@ class TestRunSeeds:
 
 def run_experiment(config, docs, data_dir):
     """What `hanst train` runs once its checks pass, with `docs` as every
-    split: each seed's `cli._train_seed` in a seed worker, which writes that
-    seed's files to `data_dir`, then the per-run metrics and vote of the test
-    predictions the workers return."""
-    jobs = [(str(data_dir), "0" * 64, config, docs, docs, docs, seed, None)
-            for seed in config.seeds]
+    split: `docs` written to `data_dir` as a prepared dataset, once a split
+    with the split's name before each id, then each seed's `cli._train_seed`
+    in a seed worker, which reads that dataset and writes that seed's files
+    to `data_dir`, then the per-run metrics and vote of the test predictions
+    the workers return."""
+    splits = [split for split in SPLITS for _ in docs]
+    meta = {"kind": cli.PREPARED_KIND, "format_version": cli.FORMAT_VERSION,
+            "tagset": config.model.tagset, "max_chars": config.model.max_chars,
+            "vocab_size": config.model.vocab_size, "corpus_sha256": "0" * 64,
+            "vocab_sha256": "0" * 64, "n_docs": len(splits)}
+    cli.write_prepared(os.path.join(data_dir, cli.PREPARED_NAME), meta,
+                       [dataclasses.replace(doc, id=f"{split}/{doc.id}")
+                        for split, doc in zip(splits, docs * len(SPLITS))], splits)
+    jobs = [(str(data_dir), config, seed, None) for seed in config.seeds]
     runs = tr.run_seeds(cli._train_seed, jobs)
     return (runs, *tr.summarize_runs(runs, config.task))
 
@@ -625,7 +636,7 @@ class TestRunExperiment:
         assert len(per_run["auc"]) == 3
         assert len(per_run["vote_accuracy"]) == 1
         assert len(vote) == 20
-        assert {p.name for p in tmp_path.iterdir()} == seed_files((1, 2, 3))
+        assert {p.name for p in tmp_path.iterdir()} == seed_files((1, 2, 3)) | {"prepared.jsonl"}
 
     def test_regression_metrics(self, tmp_path):
         rng = np.random.default_rng(0)
