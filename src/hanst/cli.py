@@ -20,6 +20,7 @@ import os
 import pathlib
 import sys
 import tempfile
+import uuid
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -66,13 +67,15 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 def _atomic_via(path: str, write_fn) -> None:
     """Run a path-taking writer against a temp file, then rename over path.
+    The file takes the mode a plain `open` would give it under the umask.
 
     The directory is made here, so a command that fails before it writes
     leaves no directory behind."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    os.close(fd)
+    tmp = os.path.join(directory, ".tmp-" + uuid.uuid4().hex)
+    # created only if the name is free, with the mode the umask gives 0o666
+    os.close(os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666))
     try:
         write_fn(tmp)
         os.replace(tmp, path)
@@ -216,10 +219,12 @@ def prepared_header(data_dir: str) -> dict:
     return check_fields(meta, _META_KEYS, where)
 
 
-def load_prepared(data_dir: str, task: str | None = None
+def load_prepared(data_dir: str, task: str | None = None, split: str | None = None
                   ) -> tuple[dict, dict[str, list[TaggedDocument]]]:
     """The prepared dataset's header and its documents by split. Given a task,
-    every label must hold the key that task trains on."""
+    every label must hold the key that task trains on. Given a split, the
+    other splits' lines are checked only for their keys, split and id, and
+    their lists are left empty."""
     meta = prepared_header(data_dir)
     path = os.path.join(data_dir, PREPARED_NAME)
     by_split: dict[str, list[TaggedDocument]] = {name: [] for name in SPLITS}
@@ -233,6 +238,8 @@ def load_prepared(data_dir: str, task: str | None = None
         if obj["id"] in seen:
             raise ConfigurationError(f"{where}: duplicate document id {obj['id']!r}")
         seen.add(obj["id"])
+        if split is not None and obj["split"] != split:
+            continue
         try:
             check_label(obj["label"], f"document {obj['id']!r}", ConfigurationError)
             doc = TaggedDocument(id=obj["id"], sentences=obj["sentences"],
@@ -419,7 +426,7 @@ def _predict_checkpoint(path: str, data_dir: str, split: str, batch_size: int,
     prepared dataset in `data_dir`, which `evaluate` computes in a seed worker,
     so a manifest's runs predict with the bits `train` did."""
     model = md.load_checkpoint(path, prepared_header(data_dir)["vocab_sha256"])
-    docs = load_prepared(data_dir, model.config.task)[1][split]
+    docs = load_prepared(data_dir, model.config.task, split)[1][split]
     if not docs:
         raise DegenerateInputError(f"split {split!r} has no documents")
     return tr.predict(model, docs, model.config.task, batch_size, seed=seed)

@@ -10,6 +10,7 @@ import signal
 import sys
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,13 +144,24 @@ def resample_balanced(examples: list, labels, rng: np.random.Generator) -> list:
     return [examples[i] for i in chosen]
 
 
-def make_batches(docs: list[TaggedDocument], task: str, batch_size: int) -> list[md.Batch]:
-    batches = []
-    for start in range(0, len(docs), batch_size):
-        chunk = docs[start: start + batch_size]
-        labels = [gold_value(d.label, task) for d in chunk]
-        batches.append(md.pad_batch(chunk, labels=labels))
-    return batches
+class Batches(Sequence):
+    """`docs` cut into `batch_size` slices in order; item i is the i-th slice,
+    padded with its labels each time it is read, and no padded batch is kept."""
+
+    def __init__(self, docs: list[TaggedDocument], task: str, batch_size: int):
+        self.docs, self.task, self.batch_size = docs, task, batch_size
+        self.starts = range(0, len(docs), batch_size)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, index: int) -> md.Batch:
+        start = self.starts[index]   # an index out of range raises IndexError here
+        chunk = self.docs[start: start + self.batch_size]
+        return md.pad_batch(chunk, labels=[gold_value(d.label, self.task) for d in chunk])
+
+
+make_batches = Batches
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +179,7 @@ def compute_loss(output: ad.Tensor, golds: np.ndarray, kind: str) -> ad.Tensor:
 # epoch loop
 # ---------------------------------------------------------------------------
 
-def train_epoch(model: md.Model, batches: list[md.Batch], optimizer: ad.Adam,
+def train_epoch(model: md.Model, batches: Sequence[md.Batch], optimizer: ad.Adam,
                 loss_kind: str, rng: np.random.Generator, epoch: int = 0) -> float:
     """One optimizer step per batch, its updates applied inside backward;
     returns the mean train loss."""
@@ -194,12 +206,13 @@ def predict(model: md.Model, docs: list[TaggedDocument], task: str, batch_size: 
     only), returns (records, maps): each document's sentence weights and its
     sentences' word weights, cut to its real lengths."""
     records, maps = [], []
-    for start in range(0, len(docs), batch_size):
-        chunk = docs[start:start + batch_size]
-        result = model.forward(md.pad_batch(chunk), training=False)
-        for i, doc in enumerate(chunk):
+    batches = make_batches(docs, task, batch_size)
+    for start, batch in zip(batches.starts, batches):
+        result = model.forward(batch, training=False)
+        for i in range(batch.size):
+            doc = docs[start + i]
             pred, prob = prediction(result.output.values[i], task)
-            records.append(PredictionRecord(id=doc.id, gold=gold_value(doc.label, task), pred=pred,
+            records.append(PredictionRecord(id=doc.id, gold=float(batch.labels[i]), pred=pred,
                                             prob=prob, seed=seed))
             if attention:
                 maps.append((result.sent_attention[i, :len(doc.sentences)].tolist(),

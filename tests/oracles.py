@@ -25,6 +25,9 @@
   every parameter's ``grad`` for finiteness, then updated each in turn with
   whole-array temporaries. `ad.Adam.update` applies the same expressions
   inside backward and must match it bit for bit.
+- `eager_batches`, `training.make_batches` as it was when it padded a whole
+  epoch's batches up front and returned them as a list; each batch it
+  builds must equal, bit for bit, the item the lazy sequence pads when read.
 - Exact enumeration oracles for the statistics, which criterion 07 and
   `test_evalstats` compare `evalstats` against: `auc_brute_force` over
   every positive-negative pair, `mcnemar_binomial_oracle` in exact
@@ -44,7 +47,9 @@ import numpy as np
 import scipy.stats
 
 from hanst import autodiff as ad
+from hanst import models as md
 from hanst import textprep as tp
+from hanst import training as tr
 from hanst.autodiff import DTYPE, Tensor, _accum, _logistic, _record
 from hanst.corpus import SPLITS, RawDocument
 from hanst.errors import (ConfigurationError, DegenerateInputError, NonFiniteGradientError,
@@ -324,6 +329,19 @@ def split_corpus(docs: list[RawDocument]) -> dict[str, list[RawDocument]]:
     for doc in docs:
         out[doc.split].append(doc)
     return out
+
+
+# ---------------------------------------------------------------------------
+# batching
+# ---------------------------------------------------------------------------
+
+def eager_batches(docs: list[tp.TaggedDocument], task: str, batch_size: int) -> list[md.Batch]:
+    batches = []
+    for start in range(0, len(docs), batch_size):
+        chunk = docs[start: start + batch_size]
+        labels = [tr.gold_value(d.label, task) for d in chunk]
+        batches.append(md.pad_batch(chunk, labels=labels))
+    return batches
 
 
 # ---------------------------------------------------------------------------

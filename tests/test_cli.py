@@ -619,23 +619,19 @@ def test_task_label_missing_is_one_line(tmp_path, capsys, cites_corpus, probe_co
                            "--out", str(tmp_path / "cites"))
     assert rc == 1 and out == ""
     assert err == f"error: config-error: {cites_corpus}: line 1: task 'classify' needs the label 'accepted'\n"
-    # train and both forms of evaluate name the line of a hand-edited prepared dataset
+    # train and both forms of evaluate name the line of a hand-edited prepared
+    # dataset, here of the test split, which evaluate scores by default
     data, cfg = prepared_dir(tmp_path / "probe", capsys, probe_corpus)
     assert run_cli(capsys, "train", "--config", cfg, "--out", data)[0] == 0
-    path = os.path.join(data, "prepared.jsonl")
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    doc = json.loads(lines[2])
-    doc["label"] = {"citation_count": 3}
-    lines[2] = json.dumps(doc) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    path, line = _damage_first_line_of(data, "test",
+                                       lambda doc: doc.update(label={"citation_count": 3}))
     for argv in (["train", "--config", cfg, "--force"],
                  ["evaluate", "--manifest", os.path.join(data, "manifest.json")],
                  ["evaluate", "--checkpoint", os.path.join(data, "run-1.ckpt")]):
         rc, out, err = run_cli(capsys, *argv, "--out", data)
         assert rc == 1 and out == ""
-        assert err == f"error: config-error: {path}: line 3: task 'classify' needs the label 'accepted'\n"
+        assert err == (f"error: config-error: {path}: line {line}: "
+                       "task 'classify' needs the label 'accepted'\n")
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -1033,6 +1029,28 @@ def test_failed_write_leaves_no_temp_file_and_the_target_untouched(tmp_path):
     assert target.read_text(encoding="utf-8") == "old"
 
 
+@pytest.mark.parametrize("umask, mode", [(0o027, 0o640), (0o077, 0o600)], ids=["027", "077"])
+def test_written_files_take_the_mode_the_umask_gives(tmp_path, umask, mode):
+    # every file, the atomically written ones too, takes the mode a plain open
+    # gives it under the umask; each command runs in a child process under it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hanst.__file__)))
+    corpus, data = tmp_path / "corpus.jsonl", tmp_path / "data"
+    save_corpus(synth.tag_probe_corpus(n_docs=40), corpus)
+    cfg = write_config(tmp_path / "cfg.json", seeds=[1, 2, 3])
+    for argv in (["prepare", str(corpus)], ["train"]):
+        done = subprocess.run([sys.executable, "-m", "hanst", *argv, "--config", cfg,
+                               "--out", str(data)], env=env, umask=umask,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+    names = ["vocab.json", "prepared.jsonl", "predictions-vote.jsonl", "report.json",
+             "manifest.json"] + [f"{kind}-{seed}.{ext}" for seed in (1, 2, 3)
+                                 for kind, ext in (("run", "ckpt"), ("predictions", "jsonl"),
+                                                   ("train-log", "jsonl"))]
+    assert sorted(os.listdir(data)) == sorted(names)
+    assert {name: oct(os.stat(data / name).st_mode & 0o777) for name in names} == \
+        {name: oct(mode) for name in names}
+
+
 def test_blank_lines_skipped_in_corpus_prepared_embeddings_and_documents(tmp_path, capsys,
                                                                          probe_corpus):
     with open(probe_corpus, encoding="utf-8") as fh:
@@ -1192,6 +1210,88 @@ def test_evaluate_empty_split_errors(tmp_path, capsys):
                          "--out", data)
     assert rc == 1
     assert err.startswith("error: degenerate-input:")
+
+
+def _first_line_of(lines, split):
+    """The index in `lines`, a prepared.jsonl's, of the first document of `split`."""
+    return next(i for i, line in enumerate(lines[1:], 1) if json.loads(line)["split"] == split)
+
+
+def _damage_first_line_of(data, split, damage):
+    """Apply `damage` to the JSON of the first document line of `split` in
+    prepared.jsonl; returns the file's path and that line's number."""
+    path = os.path.join(data, "prepared.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    index = _first_line_of(lines, split)
+    doc = json.loads(lines[index])
+    damage(doc)
+    lines[index] = json.dumps(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path, index + 1
+
+
+def test_evaluate_checks_only_the_split_it_scores(tmp_path, capsys, probe_corpus):
+    data = _trained_dir(tmp_path, capsys, probe_corpus)
+    ckpt = os.path.join(data, "run-1.ckpt")
+    rc, before, _ = run_cli(capsys, "evaluate", "--checkpoint", ckpt, "--split", "test", "--out", data)
+    assert rc == 0
+    full = cli.load_prepared(data, "classify")
+    size = full[0]["vocab_size"]
+    path, line = _damage_first_line_of(data, "train",
+                                       lambda doc: doc["sentences"][0].__setitem__(0, 10 ** 6))
+    message = f"error: config-error: {path}: line {line}: token ids must be ints in [0, {size})\n"
+    for argv in (["train", "--force", "--config", str(tmp_path / "cfg.json")],
+                 ["evaluate", "--checkpoint", ckpt, "--split", "train"]):
+        rc, _, err = run_cli(capsys, *argv, "--out", data)
+        assert (rc, err) == (1, message), argv
+    rc, after, err = run_cli(capsys, "evaluate", "--checkpoint", ckpt, "--split", "test", "--out", data)
+    assert (rc, err) == (0, "")
+    assert after == before
+    meta, by_split = cli.load_prepared(data, "classify", "test")
+    assert meta == full[0]
+    assert by_split == {"train": [], "valid": [], "test": full[1]["test"]}
+
+
+def _train_line_in_split_dev(lines):
+    index = _first_line_of(lines, "train")
+    lines[index] = json.dumps(dict(json.loads(lines[index]), split="dev"))
+    return f"line {index + 1}: unknown split 'dev'"
+
+
+def _train_line_without_roles(lines):
+    index = _first_line_of(lines, "train")
+    doc = json.loads(lines[index])
+    del doc["roles"]
+    lines[index] = json.dumps(doc)
+    return f"line {index + 1}: missing keys ['roles']"
+
+
+def _train_line_repeated(lines):
+    lines.append(lines[_first_line_of(lines, "train")])
+    return f"line {len(lines)}: duplicate document id"
+
+
+def _train_line_removed(lines):
+    del lines[_first_line_of(lines, "train")]
+    return f"header says {len(lines)} documents, found {len(lines) - 1}"
+
+
+@pytest.mark.parametrize("damage", [_train_line_in_split_dev, _train_line_without_roles,
+                                    _train_line_repeated, _train_line_removed])
+def test_a_split_load_still_checks_every_line_for_keys_split_id_and_count(tmp_path, capsys,
+                                                                          probe_corpus, damage):
+    data, _ = prepared_dir(tmp_path, capsys, probe_corpus)
+    path = os.path.join(data, "prepared.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    message = damage(lines)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError) as refused:
+        cli.load_prepared(data, "classify", "test")
+    assert str(refused.value).startswith(f"{path}: {message}")
 
 
 def test_evaluate_vocab_mismatch(tmp_path, capsys, probe_corpus):
