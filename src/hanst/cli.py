@@ -67,22 +67,17 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 def _atomic_via(path: str, write_fn) -> None:
     """Run a path-taking writer against a temp file, then rename over path.
-    The file takes the mode a plain `open` would give it under the umask.
+    The file takes the mode a plain `open` would give it under the umask. The
+    temp file is removed if the writer fails, and by an orphaned seed worker
+    before it exits.
 
     The directory is made here, so a command that fails before it writes
     leaves no directory behind."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, ".tmp-" + uuid.uuid4().hex)
-    # created only if the name is free, with the mode the umask gives 0o666
-    os.close(os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666))
-    try:
+    with tr.temp_file(os.path.join(directory, ".tmp-" + uuid.uuid4().hex)) as tmp:
         write_fn(tmp)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def file_sha256(path: str) -> str:

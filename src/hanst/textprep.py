@@ -10,7 +10,7 @@ from array import array
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -56,8 +56,10 @@ _ABBREVIATIONS = {
     "dr.", "prof.", "mr.", "mrs.", "ms.", "st.",
 }
 
-_BOUNDARY_RE = re.compile(r"[.!?]+")
-_NON_SPACE_RE = re.compile(r"\S")
+# a run of sentence-final punctuation followed by whitespace, capturing the
+# first character after that whitespace; a match never starts inside a run,
+# so a long run is scanned once
+_BOUNDARY_RE = re.compile(r"[.!?](?<![.!?]{2})[.!?]*(?=\s+(\S))")
 
 
 def _is_abbreviation(text: str, end: int) -> bool:
@@ -84,15 +86,10 @@ def segment_sentences(text: str) -> Iterator[str]:
     """
     start = 0
     for m in _BOUNDARY_RE.finditer(text):
-        end = m.end()
-        if end == len(text) or not text[end].isspace():
-            continue
-        following = _NON_SPACE_RE.search(text, end)
-        if following is None:
-            break
-        first = following.group()
+        first = m.group(1)
         if not (first.isupper() or first.isdigit()):
             continue
+        end = m.end()
         if "." in m.group() and _is_abbreviation(text, end):
             continue
         # never empty: the slice holds the punctuation that ends it
@@ -152,7 +149,14 @@ def tokenize(sentence: str) -> list[str]:
     token starts with an alphanumeric character, so `<` is always a token of
     its own. Tags enter a document only as ids (see TokenStore.__iter__).
     """
-    return _TOKEN_RE.findall(sentence.lower())
+    tokens = []
+    # no token spans whitespace, and an all-alphanumeric chunk is one token
+    for chunk in sentence.lower().split():
+        if chunk.isalnum():
+            tokens.append(chunk)
+        else:
+            tokens += _TOKEN_RE.findall(chunk)
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +347,13 @@ class TokenStore:
         kept = kept_sentences(doc, max_chars)
         sentences = [tokenize(sent) for _, sent in kept]
         first_seen = self.first_seen
-        ids = [first_seen.setdefault(t, len(first_seen)) for t in chain.from_iterable(sentences)]
+        ids = array("i", [first_seen.setdefault(t, len(first_seen))
+                          for t in chain.from_iterable(sentences)])
         if doc.split == "train":
             if len(first_seen) > len(self.counts):   # at least doubles: amortized O(1) per id
                 self.counts = np.pad(self.counts, (0, len(first_seen)))
-            np.add.at(self.counts, ids, 1)
-        self.ids.extend(ids)
+            np.add.at(self.counts, np.frombuffer(ids, dtype=np.intc), 1)
+        self.ids += ids
         self.lengths.extend(map(len, sentences))
         self.splits.append(doc.split)
         self.docs.append((doc.id, doc.label, bytes(_ROLES.index(role) for role, _ in kept),
@@ -364,21 +369,23 @@ class TokenStore:
         single UNK sentence so downstream batching never sees an empty one."""
         vocab, merge = self.vocab, _ROLE_MERGE.get(self.tagset, {})
         names = [merge.get(role, role) for role in _ROLES]
+        tags = [(vocab.encode(open_tag(name)), vocab.encode(close_tag(name))) for name in names]
         remap = np.array([vocab.token_to_id.get(t, UNK_ID) for t in self.first_seen],
                          dtype=np.intc)
         ids, start, first = np.frombuffer(self.ids, dtype=np.intc), 0, 0
         for doc_id, label, codes, n_tokens in self.docs:
             # a take per document: take casts int32 indices to intp, which for
             # the whole store would hold 8 more bytes per token
-            flat = iter(remap.take(ids[start:start + n_tokens]).tolist())
+            flat = remap.take(ids[start:start + n_tokens]).tolist()
+            lengths = self.lengths[first:first + len(codes)]
+            start, first = start + n_tokens, first + len(codes)
             # no sentence is empty: a kept sentence is stripped and non-empty, and
             # tokenize keeps every character that is not whitespace
-            sentences = [list(islice(flat, n)) for n in self.lengths[first:first + len(codes)]]
-            roles = [names[code] for code in codes]
-            start, first = start + n_tokens, first + len(codes)
+            sentences = [flat[end - n:end] for n, end in zip(lengths, accumulate(lengths))]
             if self.tagset != "none":
-                sentences = [[vocab.encode(open_tag(role))] + sent + [vocab.encode(close_tag(role))]
-                             for role, sent in zip(roles, sentences)]
+                sentences = [[tags[code][0], *sent, tags[code][1]]
+                             for code, sent in zip(codes, sentences)]
+            roles = [names[code] for code in codes]
             if not sentences:
                 sentences, roles = [[UNK_ID]], ["BODY_TEXT"]
             yield TaggedDocument(id=doc_id, sentences=sentences, roles=roles, label=dict(label))

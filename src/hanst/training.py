@@ -3,6 +3,7 @@ worker processes, and metrics over seeded runs."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -323,10 +324,34 @@ def _seed_context():
     return context
 
 
+_unfinished: set[str] = set()        # the temp files this process is writing
+_unfinished_lock = threading.Lock()  # held while one is created, and from orphaning to exit
+
+
+@contextlib.contextmanager
+def temp_file(path: str):
+    """Create `path` empty, only if the name is free and with the mode the
+    umask gives 0o666, and yield it for the block to write and rename. It is
+    removed if the block raises, and by a worker orphaned before the block
+    ends, before that worker exits (see _start_worker)."""
+    with _unfinished_lock:
+        os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666))
+        _unfinished.add(path)
+    try:
+        yield path
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        raise
+    finally:
+        _unfinished.discard(path)
+
+
 def _start_worker(errstate: dict) -> None:
     """First call in each seed worker: the caller's numpy error state,
     Ctrl-C left to the caller, which stops its workers itself, and a thread
-    that ends the worker once the caller is gone, however it went."""
+    that ends the worker once the caller is gone, however it went, removing
+    the temp files it was writing first."""
     import multiprocessing
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -336,7 +361,11 @@ def _start_worker(errstate: dict) -> None:
 
     def exit_when_orphaned():
         os.read(sentinel, 1)   # returns at end of file: the caller is gone
-        os._exit(1)
+        with _unfinished_lock:   # no temp file is created from here on
+            for path in _unfinished.copy():
+                with contextlib.suppress(FileNotFoundError):   # renamed meanwhile
+                    os.unlink(path)
+            os._exit(1)
 
     threading.Thread(target=exit_when_orphaned, daemon=True).start()
 

@@ -20,6 +20,10 @@
   tags and `strip_tags` removes what `TAG_RE` matches. hanst tags token ids
   instead (`textprep.TokenStore`), and `tokenize` never reads a tag out
   of text; the text form is the reference for criterion 03.
+- `tokenize_oracle`, the original tokenizer: `str.split`, then `_split_word`
+  peels punctuation off both edges of each chunk one character at a time.
+  `textprep.tokenize` must give the same tokens, and the prepare-level
+  oracle of `test_bounded_prepare` tokenizes with it.
 - `split_corpus`, the train split the old prepare built its vocabulary from.
 - `TwoPassAdam`, Adam's step as it ran after a whole backward: it checked
   every parameter's ``grad`` for finiteness, then updated each in turn with
@@ -318,6 +322,32 @@ def inject_tags(doc: RawDocument, tagset: str) -> list[tuple[str, str]]:
 
 def strip_tags(sentence: str) -> str:
     return TAG_RE.sub("", sentence).strip()
+
+
+# ---------------------------------------------------------------------------
+# tokenization
+# ---------------------------------------------------------------------------
+
+def _split_word(chunk: str) -> list[str]:
+    """Peel punctuation off both edges of a whitespace-delimited chunk."""
+    lead = []
+    while chunk and not chunk[0].isalnum():
+        lead.append(chunk[0])
+        chunk = chunk[1:]
+    trail = []
+    while chunk and not chunk[-1].isalnum():
+        trail.append(chunk[-1])
+        chunk = chunk[:-1]
+    tokens = lead
+    if chunk:
+        tokens.append(chunk)
+    tokens.extend(reversed(trail))
+    return tokens
+
+
+def tokenize_oracle(sentence: str) -> list[str]:
+    """The original tokenizer: str.split, then _split_word on each chunk."""
+    return [tok for chunk in sentence.lower().split() for tok in _split_word(chunk)]
 
 
 # ---------------------------------------------------------------------------

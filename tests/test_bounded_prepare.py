@@ -12,6 +12,7 @@ import dataclasses
 import gc
 import io
 import json
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import split_corpus
+from oracles import split_corpus, tokenize_oracle
 from hanst import cli, synth
 from hanst import textprep as tp
 from hanst.corpus import RawDocument, save_corpus
@@ -32,9 +33,23 @@ from hanst.errors import DegenerateInputError
 # oracles
 # ---------------------------------------------------------------------------
 
+_PUNCTUATION_RUN_RE = re.compile(r"[.!?]+")
+
+
+def oracle_is_abbreviation(text: str, end: int) -> bool:
+    """The word ending at `end`, found by walking back to whitespace, is on
+    the stop-list or is a single-capital initial such as "J."."""
+    start = end
+    while start > 0 and not text[start - 1].isspace():
+        start -= 1
+    word = text[start:end]
+    return word.lower() in tp._ABBREVIATIONS or (
+        len(word) == 2 and word[0].isupper() and word[0].isalpha() and word[1] == ".")
+
+
 def oracle_segment_sentences(text: str) -> list[str]:
     boundaries = []
-    for m in tp._BOUNDARY_RE.finditer(text):
+    for m in _PUNCTUATION_RUN_RE.finditer(text):
         end = m.end()
         rest = text[end:]
         if not rest or not rest[0].isspace():
@@ -45,7 +60,7 @@ def oracle_segment_sentences(text: str) -> list[str]:
         first = stripped[0]
         if not (first.isupper() or first.isdigit()):
             continue
-        if "." in m.group() and tp._is_abbreviation(text, end):
+        if "." in m.group() and oracle_is_abbreviation(text, end):
             continue
         boundaries.append(end)
     pieces = []
@@ -77,7 +92,7 @@ def oracle_encode_document(doc, vocab, tagset, max_chars) -> tp.TaggedDocument:
     sentences, roles = [], []
     for role, sent in oracle_kept(doc, max_chars):
         role = merge.get(role, role)
-        ids = [vocab.encode(t) for t in tp.tokenize(sent)]
+        ids = [vocab.encode(t) for t in tokenize_oracle(sent)]
         if tagset != "none":
             ids = [vocab.encode(tp.open_tag(role))] + ids + [vocab.encode(tp.close_tag(role))]
         if ids:
@@ -90,7 +105,7 @@ def oracle_encode_document(doc, vocab, tagset, max_chars) -> tp.TaggedDocument:
 
 def oracle_prepare(docs, tagset, max_chars, vocab_size):
     counts = Counter(token for doc in split_corpus(docs)["train"]
-                     for _, sent in oracle_kept(doc, max_chars) for token in tp.tokenize(sent))
+                     for _, sent in oracle_kept(doc, max_chars) for token in tokenize_oracle(sent))
     vocab = tp.build_vocabulary(counts, max_size=vocab_size,
                                 forced_tokens=tp.tag_tokens(tagset))
     return vocab, [oracle_encode_document(doc, vocab, tagset, max_chars) for doc in docs]
@@ -102,7 +117,8 @@ def oracle_prepare(docs, tagset, max_chars, vocab_size):
 
 WORDS = ["Fig.", "fig.", "al.", "et", "e.g.", "i.e.", "J.", "Smith", "cat", "dog.",
          "Dog", "ran?!", "Why?", "Stop!", "...", "3", "42.", "v1.2", "É", "Über",
-         "ünder", "Ωmega.", "x.", "A.", "<TITLE>", "</B", "(a).", "3.5", "Σ", "ß."]
+         "ünder", "Ωmega.", "x.", "A.", "<TITLE>", "</B", "(a).", "3.5", "Σ", "ß.",
+         "snake_case", "--", "İstanbul."]
 SPACES = [" ", "  ", "\n", "\t", " ", " ", "　", "\x1c", " ", " \n "]
 
 texts = st.lists(st.tuples(st.sampled_from(WORDS), st.sampled_from(SPACES)),
@@ -226,6 +242,20 @@ def test_prepare_corpus_matches_old_composition(corpus, tagset, max_chars, vocab
     assert vocab.to_json_array() == want_vocab.to_json_array()
     assert list(encoded) == want_encoded
     assert [tp.encode_document(d, vocab, tagset, max_chars) for d in docs] == want_encoded
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(texts, edged_texts, edged_texts, st.sampled_from(["train", "valid"])),
+                max_size=4),
+       st.sampled_from(tp.TAGSETS), st.integers(1, 250), st.integers(6, 30))
+def test_prepare_corpus_matches_oracle_on_generated_text(fields, tagset, max_chars, vocab_size):
+    # a titled train document first, so the train split always has text
+    docs = [dataclasses.replace(make_raw(*parts[:3], split=parts[3]), id=f"d{i}")
+            for i, parts in enumerate([("Title", "", "", "train"), *fields])]
+    vocab, encoded = tp.prepare_corpus(docs, tagset, max_chars, vocab_size)
+    want_vocab, want_encoded = oracle_prepare(docs, tagset, max_chars, vocab_size)
+    assert vocab.to_json_array() == want_vocab.to_json_array()
+    assert list(encoded) == want_encoded
 
 
 def test_prepare_corpus_needs_train_text():

@@ -1,5 +1,7 @@
 import json
 import re
+import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import inject_tags, split_corpus, strip_tags
+from oracles import inject_tags, split_corpus, strip_tags, tokenize_oracle
 from hanst import textprep as tp
 from hanst.corpus import RawDocument, load_corpus, save_corpus
 from hanst.errors import ConfigurationError, CorpusFormatError, EmbeddingFormatError
@@ -49,6 +51,19 @@ class TestSegmentSentences:
     def test_digit_starts_sentence(self):
         out = list(tp.segment_sentences("We ran trials. 30 of them failed."))
         assert out == ["We ran trials.", "30 of them failed."]
+
+    @pytest.mark.parametrize("tail", ["", " ", " \n\t", "!!! "])
+    def test_punctuation_at_the_end_of_the_text_closes_no_sentence(self, tail):
+        # nothing but whitespace follows, so no sentence starts after it
+        out = list(tp.segment_sentences("One ends. Two ends." + tail))
+        assert out == ["One ends.", "Two ends." + tail.strip()]
+
+    def test_long_punctuation_runs_are_scanned_once(self):
+        # a run followed by a letter, then one followed by whitespace to the end
+        text = "A" + "!" * 20_000 + "b " + "?" * 20_000 + " " * 20_000
+        start = time.perf_counter()
+        assert list(tp.segment_sentences(text)) == [text.strip()]
+        assert time.perf_counter() - start < 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(st.text(alphabet=st.characters(codec="ascii", exclude_categories=("Cc",)), max_size=120))
@@ -157,28 +172,6 @@ class TestApplyCutoff:
         assert small == sents[: len(small)]
 
 
-def _split_word(chunk: str) -> list[str]:
-    """Peel punctuation off both edges of a whitespace-delimited chunk."""
-    lead = []
-    while chunk and not chunk[0].isalnum():
-        lead.append(chunk[0])
-        chunk = chunk[1:]
-    trail = []
-    while chunk and not chunk[-1].isalnum():
-        trail.append(chunk[-1])
-        chunk = chunk[:-1]
-    tokens = lead
-    if chunk:
-        tokens.append(chunk)
-    tokens.extend(reversed(trail))
-    return tokens
-
-
-def tokenize_oracle(sentence: str) -> list[str]:
-    """The original tokenizer: str.split, then _split_word on each chunk."""
-    return [tok for chunk in sentence.lower().split() for tok in _split_word(chunk)]
-
-
 # underscore (\w but not alnum), combining marks, İ (lowercases to i + U+0307),
 # non-ASCII digits and letters, NBSP, \x1c and U+2028 (str.isspace), the
 # text forms of tags and reserved tokens
@@ -213,6 +206,18 @@ class TestTokenize:
 
     def test_lowercasing(self):
         assert tp.tokenize("The BiLSTM Model") == ["the", "bilstm", "model"]
+
+    def test_regex_classes_are_the_str_predicates(self):
+        # the fast path splits with str.split and keeps str.isalnum chunks whole,
+        # the regex path reads \s, \S and [^\W_]: they must agree on every code point
+        chars = "".join(map(chr, range(sys.maxunicode + 1)))
+        spaces = "".join(c for c in chars if c.isspace())
+        assert "".join(re.findall(r"\s", chars)) == spaces
+        assert "".join(re.findall(r"\S", chars)) == "".join(c for c in chars if not c.isspace())
+        assert "".join(re.findall(r"[^\W_]", chars)) == "".join(c for c in chars if c.isalnum())
+        assert ("x" + "x".join(spaces) + "x").split() == ["x"] * (len(spaces) + 1)
+        assert "".join(c for c in chars if not c.isspace()).split() == [
+            "".join(c for c in chars if not c.isspace())]
 
     @settings(max_examples=400, deadline=None)
     @given(_TOKENIZE_TEXTS)

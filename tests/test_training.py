@@ -670,6 +670,41 @@ class TestRunSeeds:
         close_write_end()
         assert exited.wait(5)
 
+    def test_orphaned_worker_removes_the_temp_file_it_is_writing(self, orphan_watch, tmp_path):
+        # os._exit skips _atomic_via's own cleanup, so the watcher removes the file
+        close_write_end, exited = orphan_watch
+        handler, errstate = signal.getsignal(signal.SIGINT), np.geterr()
+        try:
+            tr._start_worker(errstate)
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        writing, release, raised = threading.Event(), threading.Event(), []
+
+        def write(path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("{}\n")
+            writing.set()
+            release.wait(5)
+
+        def writer():
+            try:
+                cli._atomic_via(str(tmp_path / "predictions-1.jsonl"), write)
+            except FileNotFoundError as exc:   # the rename finds the temp file gone
+                raised.append(exc)
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        try:
+            assert writing.wait(5)
+            assert [p.name[:5] for p in tmp_path.iterdir()] == [".tmp-"]
+            close_write_end()
+            assert exited.wait(5)
+            assert list(tmp_path.iterdir()) == []
+        finally:
+            release.set()
+            thread.join(5)
+        assert len(raised) == 1 and list(tmp_path.iterdir()) == []
+
     def test_first_failing_job_in_order_raises_and_stops_the_rest(self):
         start = time.monotonic()
         with pytest.raises(ConfigurationError, match="needs the label 'accepted'"):
