@@ -553,7 +553,7 @@ class Adam:
     with all-zero gradients leaves parameters bit-identical (fixed point).
     """
 
-    def __init__(self, params: dict[str, Parameter], lr: float = 0.005):
+    def __init__(self, params: dict[str, Parameter], lr: float):
         self.lr = lr
         self.step_count = 0
         self.m = {name: np.zeros_like(p.values) for name, p in params.items()}

@@ -100,14 +100,15 @@ def _one_line(message: str) -> str:
 # experiment configuration files
 # ---------------------------------------------------------------------------
 
-# The config schema: each key with its JSON type. Model keys are ModelConfig
-# fields and train keys TrainConfig fields of the same name; `vocab_size` caps
-# the vocabulary at prepare time and records its size in a manifest.
-_MODEL_OVERRIDES = {"model_kind": "str", "tagset": "str", "max_chars": "int", "vocab_size": "int",
-                    "embedding_dim": "int", "bilstm_hidden": "int", "dropout_p": "float"}
-_TRAIN_OVERRIDES = {"task": "str", "epochs": "int", "batch_size": "int", "lr": "float",
-                    "resample": "bool", "seeds": "list[int]"}
-_CONFIG_KEYS = {**_MODEL_OVERRIDES, **_TRAIN_OVERRIDES, "embeddings": "str | None"}
+# The config schema: each key with its JSON type. Model keys are ModelConfig fields and
+# train keys TrainConfig fields of the same name; `vocab_size` is the cap on content tokens
+# that prepare builds the vocabulary to, not the prepared size that a model is built with.
+_MODEL_OVERRIDES = {"tagset": "str", "max_chars": "int", "embedding_dim": "int",
+                    "bilstm_hidden": "int", "dropout_p": "float"}
+_TRAIN_OVERRIDES = {"epochs": "int", "batch_size": "int", "lr": "float", "resample": "bool",
+                    "seeds": "list[int]"}
+_CONFIG_KEYS = {"task": "str", "model_kind": "str", **_MODEL_OVERRIDES, **_TRAIN_OVERRIDES,
+                "vocab_size": "int", "embeddings": "str | None"}
 
 
 def _check_config(where: str, raw) -> dict:
@@ -131,6 +132,13 @@ def load_config_file(path: str) -> dict:
     return _check_config(path, raw)
 
 
+def _vocab_cap(raw: dict, where: str = "config") -> int:
+    cap = raw.get("vocab_size", DEFAULT_VOCAB_SIZE)
+    if cap < 1:
+        raise ConfigurationError(f"{where}: vocab_size must be >= 1, got {cap}")
+    return cap
+
+
 def _parse_seed_list(text: str) -> tuple[int, ...]:
     try:
         return tr.check_seeds(int(part) for part in text.split(",") if part.strip())
@@ -142,32 +150,29 @@ def _parse_seed_list(text: str) -> tuple[int, ...]:
 
 def make_train_config(raw: dict, vocab_size: int, seed_list: str | None = None,
                       where: str = "config") -> tr.TrainConfig:
-    """Resolve a config dict against task defaults into a TrainConfig; a value
-    out of range raises a ConfigurationError that starts with `where`."""
-    cap = raw.get("vocab_size", DEFAULT_VOCAB_SIZE)   # the config's cap, which prepare reads
-    if cap < 1:
-        raise ConfigurationError(f"{where}: vocab_size must be >= 1, got {cap}")
+    """Resolve a config dict against task defaults into a TrainConfig for a prepared vocabulary
+    of `vocab_size`; a value out of range raises a ConfigurationError that starts with `where`."""
+    cap = _vocab_cap(raw, where)
     model_over = {k: raw[k] for k in _MODEL_OVERRIDES if k in raw}
-    model_over["vocab_size"] = vocab_size   # the prepared size, not the config's cap
     train_over = {k: raw[k] for k in _TRAIN_OVERRIDES if k in raw}
     if seed_list is not None:
         train_over["seeds"] = _parse_seed_list(seed_list)
     try:
-        model = dataclasses.replace(
-            md.default_model_config(raw["model_kind"], raw["task"], vocab_size), **model_over)
+        model = md.default_model_config(raw["model_kind"], raw["task"], vocab_size, **model_over)
         forced = len(tag_tokens(model.tagset))
         if forced > cap:
             raise ConfigurationError(f"{forced} forced tokens exceed vocabulary cap {cap}")
-        return tr.default_train_config(model=model, **train_over)
+        return tr.default_train_config(raw["task"], model, **train_over)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{where}: {exc}") from None
 
 
-def resolved_config(config: tr.TrainConfig, embeddings_path: str | None) -> dict:
-    """Fully explicit snapshot; feeding it back rebuilds the same configs."""
-    return {**{k: getattr(config.model, k) for k in _MODEL_OVERRIDES},
+def resolved_config(config: tr.TrainConfig, raw: dict) -> dict:
+    """Fully explicit snapshot of `config`, with `raw`'s cap; feeding it back rebuilds the same configs."""
+    return {"task": config.task, "model_kind": config.model.model_kind,
+            **{k: getattr(config.model, k) for k in _MODEL_OVERRIDES},
             **{k: getattr(config, k) for k in _TRAIN_OVERRIDES},
-            "embeddings": embeddings_path}
+            "vocab_size": _vocab_cap(raw), "embeddings": raw.get("embeddings")}
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +294,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     tagset, max_chars = config.model.tagset, config.model.max_chars
     data_dir = data_dir_from(args)
     vocab, store = prepare_corpus(load_corpus(args.corpus, config.task), tagset, max_chars,
-                                  raw.get("vocab_size", DEFAULT_VOCAB_SIZE))
+                                  _vocab_cap(raw))
     meta = {"kind": PREPARED_KIND, "format_version": FORMAT_VERSION,
             "tagset": tagset, "max_chars": max_chars, "vocab_size": len(vocab),
             "corpus_sha256": file_sha256(args.corpus),
@@ -398,7 +403,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                        json.dumps(report, indent=2, sort_keys=True) + "\n")
     manifest = {"kind": MANIFEST_KIND, "format_version": FORMAT_VERSION,
                 "tool_version": __version__,
-                "config": resolved_config(config, embeddings_path),
+                "config": resolved_config(config, raw),
                 "corpus_sha256": meta["corpus_sha256"],
                 "vocab_sha256": meta["vocab_sha256"]}
     if embeddings_sha256:

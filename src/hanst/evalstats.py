@@ -129,17 +129,9 @@ def r2_score(golds, preds) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the mean of their rank range."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i: j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)   # each group of equal values ends at this rank
+    return (ends - (counts - 1) / 2.0)[group]
 
 
 def auc_roc(golds, probs) -> float:
@@ -358,8 +350,7 @@ class CitationStats:
     histogram: list[tuple[int, int, int, str]]   # (bin_start, bin_end, count, group)
 
 
-def corpus_citation_stats(labels: list[dict], truncate_at: int = 100,
-                          bin_width: int = 5) -> CitationStats:
+def corpus_citation_stats(labels: list[dict], truncate_at: int, bin_width: int) -> CitationStats:
     """Group citation means/stds, right-truncated histograms, and the rank
     correlation between acceptance and citation count, from the documents' labels.
 

@@ -21,10 +21,10 @@ from .errors import (
 from .textprep import PAD_ID, TaggedDocument, check_settings
 
 MODEL_KINDS = ("awe", "sent_avg_bilstm", "han")
-# the tasks, each with its defaults: (embedding_dim, bilstm_hidden, dropout_p)
+# the tasks, each with its model sizes: the only defaults of these ModelConfig fields
 TASK_DEFAULTS = {
-    "classify": (50, 256, 0.5),
-    "regress": (300, 100, 0.2),
+    "classify": {"embedding_dim": 50, "bilstm_hidden": 256, "dropout_p": 0.5},
+    "regress": {"embedding_dim": 300, "bilstm_hidden": 100, "dropout_p": 0.2},
 }
 
 CHECKPOINT_MAGIC = b"HANSTCKPT1\n"
@@ -36,10 +36,10 @@ _HEADER_KEYS = {"model_config": "dict", "vocab_sha256": "str", "params": "list"}
 class ModelConfig:
     model_kind: str
     task: str   # "classify" through a 2-class head, "regress" through one score
-    vocab_size: int
-    embedding_dim: int = 50
-    bilstm_hidden: int = 256
-    dropout_p: float = 0.5
+    vocab_size: int   # the prepared vocabulary's size, specials and tags included
+    embedding_dim: int
+    bilstm_hidden: int
+    dropout_p: float
     tagset: str = "none"
     max_chars: int = 20000   # the character cutoff the model's inputs were prepared at
 
@@ -304,13 +304,13 @@ class HanModel(Model):
 _MODEL_CLASSES = {"awe": AweModel, "sent_avg_bilstm": SentAvgBilstmModel, "han": HanModel}
 
 
-def default_model_config(model_kind: str, task: str, vocab_size: int,
-                         tagset: str = "none") -> ModelConfig:
+def default_model_config(model_kind: str, task: str, vocab_size: int, **overrides) -> ModelConfig:
+    """`task`'s TASK_DEFAULTS sizes, updated by `overrides`, which may set any
+    other ModelConfig field."""
     if task not in TASK_DEFAULTS:
         raise ConfigurationError(f"task must be one of {sorted(TASK_DEFAULTS)}, got {task!r}")
-    dim, hidden, p = TASK_DEFAULTS[task]
     return ModelConfig(model_kind=model_kind, task=task, vocab_size=vocab_size,
-                       embedding_dim=dim, bilstm_hidden=hidden, dropout_p=p, tagset=tagset)
+                       **{**TASK_DEFAULTS[task], **overrides})
 
 
 def build_model(config: ModelConfig, rng: np.random.Generator,

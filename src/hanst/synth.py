@@ -10,6 +10,10 @@ from .corpus import RawDocument
 _WORDS = [f"tok{i}" for i in range(40)]
 KEYWORD = "zkeyword"
 MINORITY_MARKER = "qmarker"
+_NOISE_P = 0.25   # the share of tag_probe_corpus's non-first sentences that carry the keyword
+_MINORITY_FRAC = 0.078   # imbalanced_corpus's share of accepted documents
+_DENSITY = 0.35   # the chance that a word of a minority sentence is the marker
+_STYLES = (4, 8, 16, 32)   # heterogeneous_length_corpus's words per sentence, by document
 
 
 def _split_for(index: int, total: int) -> str:
@@ -29,8 +33,7 @@ def _sentence(rng: np.random.Generator, keyword: str | None = None) -> str:
     return " ".join(words).capitalize() + "."
 
 
-def tag_probe_corpus(n_docs: int = 500, seed: int = 20240901,
-                     noise_p: float = 0.25) -> list[RawDocument]:
+def tag_probe_corpus(n_docs: int = 500, seed: int = 20240901) -> list[RawDocument]:
     """Corpus where the positive label means the keyword sits in the title.
 
     Three document types share one sentence distribution:
@@ -39,7 +42,7 @@ def tag_probe_corpus(n_docs: int = 500, seed: int = 20240901,
         carries the keyword
       negative B (1/4): no title; first body sentence carries the keyword
 
-    Every non-first sentence carries the keyword with ``noise_p`` in all
+    Every non-first sentence carries the keyword with ``_NOISE_P`` in all
     types, so keyword presence alone is uninformative. Without tags,
     positives and negative-B docs have identically distributed token
     streams; with tags the classes are exactly separable.
@@ -55,7 +58,7 @@ def tag_probe_corpus(n_docs: int = 500, seed: int = 20240901,
         for i in range(count):
             if i == 0 and first_keyword:
                 sents.append(_sentence(rng, KEYWORD))
-            elif rng.random() < noise_p:
+            elif rng.random() < _NOISE_P:
                 sents.append(_sentence(rng, KEYWORD))
             else:
                 sents.append(_sentence(rng))
@@ -89,16 +92,15 @@ def tag_probe_corpus(n_docs: int = 500, seed: int = 20240901,
     return docs
 
 
-def _marked_sentence(rng: np.random.Generator, density: float) -> str:
-    words = [MINORITY_MARKER if rng.random() < density else str(rng.choice(_WORDS))
+def _marked_sentence(rng: np.random.Generator) -> str:
+    words = [MINORITY_MARKER if rng.random() < _DENSITY else str(rng.choice(_WORDS))
              for _ in range(int(rng.integers(5, 10)))]
     if MINORITY_MARKER not in words:
         words[int(rng.integers(0, len(words)))] = MINORITY_MARKER
     return " ".join(words).capitalize() + "."
 
 
-def imbalanced_corpus(n_docs: int = 500, minority_frac: float = 0.078,
-                      seed: int = 20240902, density: float = 0.35) -> list[RawDocument]:
+def imbalanced_corpus(n_docs: int = 500, seed: int = 20240902) -> list[RawDocument]:
     """Separable accept/reject task with a strong 92/8 class imbalance.
 
     Minority (accepted) documents are dense in a marker token; majority
@@ -106,11 +108,11 @@ def imbalanced_corpus(n_docs: int = 500, minority_frac: float = 0.078,
     to learn the minority class come from the imbalance alone.
     """
     rng = np.random.default_rng(seed)
-    n_minority = max(1, round(n_docs * minority_frac))
+    n_minority = max(1, round(n_docs * _MINORITY_FRAC))
     n_majority = n_docs - n_minority
     docs = []
     for i in range(n_minority):
-        sents = [_marked_sentence(rng, density) for _ in range(int(rng.integers(2, 5)))]
+        sents = [_marked_sentence(rng) for _ in range(int(rng.integers(2, 5)))]
         docs.append(RawDocument(id=f"min{i}", title=_sentence(rng)[:-1], abstract="",
                                 body_text=" ".join(sents),
                                 label={"accepted": True},
@@ -125,7 +127,6 @@ def imbalanced_corpus(n_docs: int = 500, minority_frac: float = 0.078,
 
 
 def heterogeneous_length_corpus(n_docs: int = 40, seed: int = 20240903,
-                                styles: tuple[int, ...] = (4, 8, 16, 32),
                                 n_sentences: int = 1100) -> list[RawDocument]:
     """Documents with author-specific words-per-sentence styles.
 
@@ -136,7 +137,7 @@ def heterogeneous_length_corpus(n_docs: int = 40, seed: int = 20240903,
     rng = np.random.default_rng(seed)
     docs = []
     for i in range(n_docs):
-        k = int(styles[i % len(styles)])
+        k = _STYLES[i % len(_STYLES)]
         words = rng.choice(_WORDS, size=(n_sentences, k))
         sents = [" ".join(row).capitalize() + "." for row in words]
         docs.append(RawDocument(id=f"doc{i}", title="", abstract="",

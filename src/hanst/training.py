@@ -62,8 +62,8 @@ class TrainConfig:
     model: md.ModelConfig
     epochs: int
     batch_size: int
+    resample: bool
     lr: float = 0.005
-    resample: bool = False
     seeds: tuple[int, ...] = DEFAULT_SEEDS
 
     def __post_init__(self):
@@ -216,9 +216,10 @@ def predict(model: md.Model, docs: list[TaggedDocument], task: str, batch_size: 
             records.append(PredictionRecord(id=doc.id, gold=float(batch.labels[i]), pred=pred,
                                             prob=prob, seed=seed))
             if attention:
-                maps.append((result.sent_attention[i, :len(doc.sentences)].tolist(),
-                             [row[:len(sent)].tolist()
-                              for row, sent in zip(result.word_attention[i], doc.sentences)]))
+                n = batch.sent_lengths[i]
+                maps.append((result.sent_attention[i, :n].tolist(),
+                             [row[:length].tolist() for row, length
+                              in zip(result.word_attention[i], batch.token_lengths[i, :n])]))
     return (records, maps) if attention else records
 
 

@@ -38,6 +38,9 @@
   fractions, `wilcoxon_sign_enumeration` over every sign pattern, and
   `spearman_permutation_oracle`, the d-squared rho and its two-sided
   p-value over every permutation.
+- `average_ranks_loop`, `evalstats._average_ranks` as a loop over the
+  stable sort, which walked each run of equal values to find its rank
+  range; the vectorised form must give the same float64 bytes.
 """
 
 from __future__ import annotations
@@ -259,7 +262,7 @@ class TwoPassAdam(ad.Adam):
     """`ad.Adam` whose step reads the gradients a plain ``ad.backward(loss)``
     left on ``grad``, then clears them."""
 
-    def __init__(self, params: dict[str, ad.Parameter], lr: float = 0.005):
+    def __init__(self, params: dict[str, ad.Parameter], lr: float):
         super().__init__(params, lr)
         self.params = params
 
@@ -421,3 +424,18 @@ def spearman_permutation_oracle(x, y):
     hits = sum(1 for perm in permutations(ry)
                if abs(rho_of(np.array(perm))) >= threshold)
     return rho, hits / math.factorial(n)
+
+
+def average_ranks_loop(values) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their rank range."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i: j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks

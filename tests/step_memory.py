@@ -73,7 +73,7 @@ def walk(name, vocab_size, docs, kind="han", task="classify"):
     rng = np.random.default_rng(0)
     config = tr.default_train_config(task, md.default_model_config(kind, task, vocab_size=vocab_size))
     model = md.build_model(config.model, rng)
-    optimizer = ad.Adam(model.params)
+    optimizer = ad.Adam(model.params, lr=config.lr)
     batch = tr.make_batches(docs, task, len(docs))[0]
     rows = []   # [op, shape, peak, held after], held filled in when the next node starts
 

@@ -68,11 +68,11 @@ def test_criterion_01_parameter_counts():
     t0 = time.monotonic()
     classify = md.build_model(
         md.ModelConfig(model_kind="awe", task="classify",
-                       vocab_size=10002, embedding_dim=50),
+                       vocab_size=10002, embedding_dim=50, bilstm_hidden=256, dropout_p=0.5),
         np.random.default_rng(0))
     regress = md.build_model(
         md.ModelConfig(model_kind="awe", task="regress",
-                       vocab_size=10002, embedding_dim=300),
+                       vocab_size=10002, embedding_dim=300, bilstm_hidden=256, dropout_p=0.5),
         np.random.default_rng(0))
     n_classify = md.count_parameters(classify)
     n_regress = md.count_parameters(regress)

@@ -325,7 +325,7 @@ class TestAdam:
         # checked before w_out changes
         a = ad.Parameter(np.array([1.0]))
         w = ad.Parameter(np.array([1.0]))
-        opt = ad.Adam({"a": a, "w_out": w})
+        opt = ad.Adam({"a": a, "w_out": w}, lr=0.005)
         with ad.Tape():
             loss = sum_all(add(mul(w, ad.Tensor([np.inf])), mul(a, ad.Tensor([1.0]))))
             with pytest.raises(NonFiniteGradientError, match="'w_out'"):
@@ -336,7 +336,7 @@ class TestAdam:
     def test_skips_parameters_without_grad(self):
         a = ad.Parameter(np.array(1.0))
         b = ad.Parameter(np.array(5.0))
-        opt = ad.Adam({"a": a, "b": b})
+        opt = ad.Adam({"a": a, "b": b}, lr=0.005)
         adam_step(opt, (a, 1.0))
         assert float(b.values) == 5.0
         assert float(a.values) != 1.0
@@ -368,7 +368,7 @@ class TestAdam:
     def test_second_gradient_in_one_step_raises(self):
         # w feeds two nodes, so backward hands it two gradients
         w = ad.Parameter(np.array([2.0]))
-        opt = ad.Adam({"w": w})
+        opt = ad.Adam({"w": w}, lr=0.005)
         with ad.Tape():
             loss = sum_all(add(mul_const(w, 3.0), w))
             with pytest.raises(ConfigurationError, match="'w' took a second gradient in one step"):

@@ -250,6 +250,60 @@ def test_train_from_manifest_reproduces_report_bytes(tmp_path, capsys, probe_cor
     assert open(os.path.join(data, "report.json"), "rb").read() == first
 
 
+def test_manifest_config_re_prepares_the_same_vocabulary(tmp_path, capsys, probe_corpus):
+    # the manifest records the cap it was given: written back as the prepared
+    # size (22), it re-prepared a 24-entry vocabulary that the manifest refused
+    data, cfg = prepared_dir(tmp_path, capsys, probe_corpus, tagset="full", vocab_size=20)
+    vocab = open(os.path.join(data, "vocab.json"), "rb").read()
+    assert len(Vocabulary.load(os.path.join(data, "vocab.json"))) == 22   # the cap binds
+    assert run_cli(capsys, "train", "--config", cfg, "--out", data)[0] == 0
+    manifest = os.path.join(data, "manifest.json")
+    with open(manifest, encoding="utf-8") as fh:
+        config = json.load(fh)["config"]
+    assert config["vocab_size"] == 20
+    again = str(tmp_path / "again")
+    cfg_again = write_config(tmp_path / "manifest-config.json", **config)
+    assert run_cli(capsys, "prepare", probe_corpus, "--config", cfg_again, "--out", again)[0] == 0
+    assert open(os.path.join(again, "vocab.json"), "rb").read() == vocab
+    rc, _, err = run_cli(capsys, "train", "--from-manifest", manifest, "--out", again)
+    assert rc == 0, err
+    for name in ("report.json", "manifest.json"):
+        assert (open(os.path.join(again, name), "rb").read()
+                == open(os.path.join(data, name), "rb").read())
+
+
+def _readme_default(cell: str, task: str):
+    """The default that a cell of the README's config table gives `task`: one
+    value, or one per task as `<value> classify / <value> regress`; a value is
+    JSON or a string, either maybe in backticks, and a bare `none` is null."""
+    values = dict(part.split()[::-1] for part in cell.split(" / ")) if " / " in cell else {task: cell}
+    value = values[task]
+    if value == "none":
+        return None
+    try:
+        return json.loads(value.strip("`"))
+    except json.JSONDecodeError:
+        return value.strip("`")
+
+
+@pytest.mark.parametrize("task", ["classify", "regress"])
+def test_readme_config_defaults_are_the_resolved_ones(task):
+    readme = open(os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md"),
+                  encoding="utf-8").read()
+    table = readme.split("## Config keys\n", 1)[1].strip().split("\n\n")[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in table.splitlines()[2:]]
+    raw = {"task": task, "model_kind": "awe"}
+    resolved = json.loads(json.dumps(cli.resolved_config(cli.make_train_config(raw, 12), raw)))
+    assert sorted(key.strip("`") for key, *_ in rows) == sorted(resolved)
+    for key, default, _ in rows:
+        key = key.strip("`")
+        if default == "required":
+            assert key in raw
+        else:
+            assert resolved[key] == _readme_default(default, task), key
+
+
 def test_train_classify_with_mae_rejected(tmp_path, capsys, probe_corpus):
     # the loss follows the task, so `loss` is no config key whatever its value
     data, _ = prepared_dir(tmp_path, capsys, probe_corpus)
@@ -1411,8 +1465,8 @@ def test_predict_deterministic_across_invocations(tmp_path, capsys, probe_corpus
 def test_predict_zero_score_zero_citations(tmp_path, capsys, cites_corpus):
     data, cfg = prepared_dir(tmp_path, capsys, cites_corpus, task="regress")
     vocab = Vocabulary.load(os.path.join(data, "vocab.json"))
-    config = md.ModelConfig(model_kind="awe", task="regress",
-                            vocab_size=len(vocab), embedding_dim=8)
+    config = md.ModelConfig(model_kind="awe", task="regress", vocab_size=len(vocab),
+                            embedding_dim=8, bilstm_hidden=256, dropout_p=0.5)
     model = md.build_model(config, np.random.default_rng(0))
     for param in model.params.values():
         param.values = np.zeros_like(param.values)

@@ -8,8 +8,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (auc_brute_force, mcnemar_binomial_oracle, spearman_permutation_oracle,
-                     wilcoxon_sign_enumeration)
+from oracles import (auc_brute_force, average_ranks_loop, mcnemar_binomial_oracle,
+                     spearman_permutation_oracle, wilcoxon_sign_enumeration)
 from hanst import evalstats as es
 from hanst.errors import (
     AlignmentError,
@@ -110,6 +110,21 @@ class TestAccuracy:
     def test_empty(self):
         with pytest.raises(UndefinedMetricError):
             es.accuracy([], [])
+
+
+class TestAverageRanks:
+    # few distinct values, so most draws tie; -0.0 ties with 0.0
+    @given(st.lists(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 3.0]), max_size=60))
+    def test_matches_the_loop_bytes(self, values):
+        ranks = es._average_ranks(values)
+        assert ranks.dtype == np.float64
+        assert ranks.tobytes() == average_ranks_loop(values).tobytes()
+
+    def test_matches_the_loop_on_long_tied_vectors(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 1000, 20000):
+            values = rng.integers(-3, 4, size=n) * 0.5
+            assert es._average_ranks(values).tobytes() == average_ranks_loop(values).tobytes()
 
 
 class TestAucRoc:
@@ -387,7 +402,7 @@ class TestCorpusCitationStats:
         rng = np.random.default_rng(10)
         labels = [stats_label(True, 10 + int(rng.integers(0, 4))) for _ in range(30)]
         labels += [stats_label(False, int(rng.integers(0, 4))) for _ in range(30)]
-        stats = es.corpus_citation_stats(labels)
+        stats = es.corpus_citation_stats(labels, truncate_at=100, bin_width=5)
         assert stats.rho > 0.5
         assert stats.group_means["accepted"] > stats.group_means["rejected"]
         assert stats.group_sizes == {"accepted": 30, "rejected": 30}
@@ -395,17 +410,17 @@ class TestCorpusCitationStats:
     def test_all_zero_citations_surfaces_undefined(self):
         labels = [stats_label(i % 2 == 0, 0) for i in range(10)]
         with pytest.raises(UndefinedMetricError):
-            es.corpus_citation_stats(labels)
+            es.corpus_citation_stats(labels, truncate_at=100, bin_width=5)
 
     def test_one_group_empty(self):
         labels = [stats_label(True, i) for i in range(5)]
         with pytest.raises(DegenerateInputError):
-            es.corpus_citation_stats(labels)
+            es.corpus_citation_stats(labels, truncate_at=100, bin_width=5)
 
     def test_missing_label_kind(self):
         labels = [stats_label(True, 3), {"accepted": False}]
         with pytest.raises(DegenerateInputError):
-            es.corpus_citation_stats(labels)
+            es.corpus_citation_stats(labels, truncate_at=100, bin_width=5)
 
     def test_histogram_truncation_and_csv(self):
         labels = [stats_label(True, 2), stats_label(True, 250),
@@ -455,5 +470,5 @@ class TestCorpusCitationStats:
     def test_truncated_docs_still_in_group_stats(self):
         labels = [stats_label(True, 2), stats_label(True, 250),
                 stats_label(False, 0), stats_label(False, 4)]
-        stats = es.corpus_citation_stats(labels, truncate_at=10)
+        stats = es.corpus_citation_stats(labels, truncate_at=10, bin_width=5)
         assert stats.group_means["accepted"] == 126.0

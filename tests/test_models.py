@@ -184,7 +184,8 @@ class TestModelConfig:
 
     def test_task_follows_head(self):
         for task, n_outputs in (("classify", 2), ("regress", 1)):
-            assert md.ModelConfig(model_kind="awe", task=task, vocab_size=10).n_outputs == n_outputs
+            assert md.ModelConfig(model_kind="awe", task=task, vocab_size=10, embedding_dim=50,
+                                  bilstm_hidden=256, dropout_p=0.5).n_outputs == n_outputs
             assert md.default_model_config("awe", task, 10).task == task
 
     def test_task_defaults(self):
@@ -194,6 +195,18 @@ class TestModelConfig:
         assert (r.embedding_dim, r.bilstm_hidden, r.dropout_p, r.n_outputs) == (300, 100, 0.2, 1)
         with pytest.raises(ConfigurationError):
             md.default_model_config("awe", "rank", 10002)
+
+    def test_sizes_have_no_default_outside_the_task_table(self):
+        with pytest.raises(TypeError):
+            md.ModelConfig(model_kind="awe", task="regress", vocab_size=12)
+
+    @pytest.mark.parametrize("task", sorted(md.TASK_DEFAULTS))
+    def test_default_model_config_takes_the_task_table_sizes(self, task):
+        config = md.default_model_config("awe", task, 12)
+        assert {key: getattr(config, key) for key in md.TASK_DEFAULTS[task]} == md.TASK_DEFAULTS[task]
+        assert (config.tagset, config.max_chars) == ("none", 20000)
+        over = md.default_model_config("han", task, 12, tagset="full", dropout_p=0.1)
+        assert (over.tagset, over.dropout_p, over.embedding_dim) == ("full", 0.1, config.embedding_dim)
 
     def test_build_model_checks_embeddings_shape(self):
         with pytest.raises(ShapeMismatchError,

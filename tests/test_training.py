@@ -52,7 +52,7 @@ def tiny_train_config(task="classify", vocab=12, **overrides):
     model = md.ModelConfig(model_kind="awe", task=task,
                            vocab_size=vocab, embedding_dim=4, bilstm_hidden=2,
                            dropout_p=0.0)
-    base = dict(model=model, epochs=5, batch_size=4, seeds=(1,))
+    base = dict(model=model, epochs=5, batch_size=4, resample=False, seeds=(1,))
     base.update(overrides)
     return tr.TrainConfig(**base)
 
@@ -63,7 +63,8 @@ class TestTrainConfig:
         assert tiny_train_config("regress").loss == "mae"
 
     def test_head_task_mismatch_rejected(self):
-        model = md.ModelConfig(model_kind="awe", task="regress", vocab_size=12)
+        model = md.ModelConfig(model_kind="awe", task="regress", vocab_size=12,
+                               embedding_dim=50, bilstm_hidden=256, dropout_p=0.5)
         assert tiny_train_config("regress").task == "regress"
         with pytest.raises(ConfigurationError,
                            match=r"^task 'classify' does not match the model's task 'regress'$"):
@@ -326,7 +327,7 @@ class TestTrainEpoch:
         config = md.default_model_config("han", "classify", vocab_size=10002)
         rng = np.random.default_rng(0)
         model = md.build_model(config, rng)
-        optimizer = Adam(model.params)
+        optimizer = Adam(model.params, lr=0.005)
         docs = [tagged_doc(f"d{i}", [[int(t) for t in rng.integers(2, 10002, size=25)]
                                      for _ in range(20)], {"accepted": i % 2 == 0})
                 for i in range(8)]
@@ -365,7 +366,7 @@ class TestTrainEpoch:
         config = md.default_model_config("han", "classify", vocab_size=10002)
         rng = np.random.default_rng(0)
         model = md.build_model(config, rng)
-        optimizer = Adam(model.params)
+        optimizer = Adam(model.params, lr=0.005)
         docs = [tagged_doc(f"d{i}", [[int(t) for t in rng.integers(2, 10002, size=25)]
                                      for _ in range(20)], {"accepted": i % 2 == 0})
                 for i in range(4)]
@@ -403,7 +404,7 @@ class TestTrainEpoch:
         gc.disable()
         tracemalloc.start()
         try:
-            tr.train_epoch(model, batches, Adam(model.params), "cross-entropy", rng)
+            tr.train_epoch(model, batches, Adam(model.params, lr=0.005), "cross-entropy", rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -430,7 +431,7 @@ class TestAdamInBackward:
         for fused in (True, False):
             rng = np.random.default_rng(1)
             model = md.build_model(config, rng)
-            opt = Adam(model.params) if fused else TwoPassAdam(model.params)
+            opt = Adam(model.params, lr=0.005) if fused else TwoPassAdam(model.params, lr=0.005)
             losses = []
             for batch in batches:
                 if fused:
