@@ -181,14 +181,27 @@ def resolved_config(config: tr.TrainConfig, raw: dict) -> dict:
 
 def write_prepared(path: str, meta: dict, docs: Iterable[TaggedDocument],
                    splits: Iterable[str]) -> None:
-    """Write the meta line, then each document's line as `docs` yields it."""
+    """Write the meta line, then each document's line as `docs` yields it.
+
+    A document's line is the one json.dumps(sort_keys=True) writes for its id,
+    label, roles, sentences and split; the id lists are joined from a table of
+    id strings, and an id outside [0, meta["vocab_size"]) raises."""
+    id_strings = {i: str(i) for i in range(meta["vocab_size"])}
+
     def write(tmp: str) -> None:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(meta, sort_keys=True) + "\n")
             for doc, split in zip(docs, splits):
-                fh.write(json.dumps({"id": doc.id, "split": split, "label": doc.label,
-                                     "roles": doc.roles, "sentences": doc.sentences},
-                                    sort_keys=True) + "\n")
+                try:
+                    ids = "], [".join([", ".join(map(id_strings.__getitem__, sent))
+                                       for sent in doc.sentences])
+                except KeyError as exc:
+                    raise ConfigurationError(f"document {doc.id!r}: token id {exc.args[0]!r} "
+                                             f"is not in [0, {len(id_strings)})") from None
+                fh.write(f'{{"id": {json.dumps(doc.id)}, '
+                         f'"label": {json.dumps(doc.label, sort_keys=True)}, '
+                         f'"roles": {json.dumps(doc.roles)}, "sentences": [[{ids}]], '
+                         f'"split": {json.dumps(split)}}}\n')
     _atomic_via(path, write)
 
 
@@ -495,8 +508,12 @@ def _predict_rows(checkpoint: str, data_dir: str, docs_path: str, rows_path: str
             found = tr.predict(model, docs, config.task, PREDICT_BATCH, attention=attention)
             records, maps = found if attention else (found, None)
             for i, rec in enumerate(records):
-                row = ({"id": rec.id, "class": int(rec.pred), "prob": rec.prob} if config.task == "classify"
-                       else {"id": rec.id, "score": rec.pred, "citations": inverse_citation_score(rec.pred)})
+                try:
+                    row = ({"id": rec.id, "class": int(rec.pred), "prob": rec.prob}
+                           if config.task == "classify" else
+                           {"id": rec.id, "score": rec.pred, "citations": inverse_citation_score(rec.pred)})
+                except DegenerateInputError as exc:   # a score with no citation count
+                    raise DegenerateInputError(f"document {rec.id!r}: {exc}") from None
                 if attention:
                     row["sentence_attention"], row["word_attention"] = maps[i]
                 out.write(json.dumps(row, sort_keys=True) + "\n")

@@ -52,16 +52,21 @@ def save_predictions(records: list[PredictionRecord], path) -> None:
 
 
 def load_predictions(path) -> list[PredictionRecord]:
-    records = []
+    """Each line's record; a run (a seed) predicts each id once."""
+    records, seen = [], set()
     for where, obj in json_lines(path, {"id": "str", "gold": "float", "pred": "float"}):
         check_fields(obj, {"prob": "float | None", "seed": "int | None"}, where, optional=True)
         for key in ("gold", "pred"):   # json reads NaN and Infinity
             if not math.isfinite(obj[key]):
                 raise ConfigurationError(f"{where}: {key!r} must be finite, got {obj[key]}")
         try:
-            records.append(PredictionRecord.from_json(obj))
+            rec = PredictionRecord.from_json(obj)
         except ConfigurationError as exc:   # a prob outside [0, 1]
             raise ConfigurationError(f"{where}: {exc}") from None
+        if (rec.seed, rec.id) in seen:
+            raise ConfigurationError(f"{where}: seed {rec.seed!r} already predicted id {rec.id!r}")
+        seen.add((rec.seed, rec.id))
+        records.append(rec)
     if not records:
         raise ConfigurationError(f"{path}: no predictions")
     return records
@@ -80,7 +85,10 @@ def citation_score(n: int) -> float:
 
 def inverse_citation_score(score: float) -> int:
     """Round-trips citation_score exactly on integers up to 10**6."""
-    return max(0, round(math.expm1(score)))
+    try:
+        return max(0, round(math.expm1(score)))
+    except (OverflowError, ValueError):   # expm1 overflows past about 709.78; NaN has no int
+        raise DegenerateInputError(f"score {score} has no citation count") from None
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +102,9 @@ def _aligned(golds, preds) -> tuple[np.ndarray, np.ndarray]:
         raise AlignmentError(f"golds {g.shape} vs preds {p.shape}")
     if g.size == 0:
         raise UndefinedMetricError("empty inputs")
+    # a NaN compares false, so a rank or a count would quietly leave it out
+    if not (np.isfinite(g).all() and np.isfinite(p).all()):
+        raise UndefinedMetricError("inputs hold NaN or inf")
     return g, p
 
 

@@ -7,10 +7,10 @@ import hashlib
 import json
 import re
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count
 
 import numpy as np
 
@@ -60,15 +60,17 @@ _ABBREVIATIONS = {
 # first character after that whitespace; a match never starts inside a run,
 # so a long run is scanned once
 _BOUNDARY_RE = re.compile(r"[.!?](?<![.!?]{2})[.!?]*(?=\s+(\S))")
+_LOOK_BACK = 1 + max(map(len, _ABBREVIATIONS))
 
 
 def _is_abbreviation(text: str, end: int) -> bool:
     """True when the word ending at `end` (inclusive of punctuation) must not
     close a sentence."""
-    start = end
-    while start > 0 and not text[start - 1].isspace():
-        start -= 1
-    word = text[start:end]
+    # a stop-list entry or an initial is shorter than _LOOK_BACK, and lowercasing
+    # never shortens a string, so a longer word cut to its last _LOOK_BACK
+    # characters matches nothing, and neither does the whole word;
+    # text[end - 1] is punctuation, so the split is never empty
+    word = text[max(0, end - _LOOK_BACK):end].split()[-1]
     # or a single-capital initial such as "J." in author names
     return word.lower() in _ABBREVIATIONS or (
         len(word) == 2 and word[0].isupper() and word[0].isalpha() and word[1] == ".")
@@ -150,10 +152,14 @@ def tokenize(sentence: str) -> list[str]:
     its own. Tags enter a document only as ids (see TokenStore.__iter__).
     """
     tokens = []
-    # no token spans whitespace, and an all-alphanumeric chunk is one token
+    # no token spans whitespace, and an all-alphanumeric chunk is one token;
+    # an alphanumeric run before one last character that is not alphanumeric
+    # (`word,`) is the two tokens _TOKEN_RE finds in it
     for chunk in sentence.lower().split():
         if chunk.isalnum():
             tokens.append(chunk)
+        elif chunk[:-1].isalnum():
+            tokens += (chunk[:-1], chunk[-1])
         else:
             tokens += _TOKEN_RE.findall(chunk)
     return tokens
@@ -337,7 +343,8 @@ class TokenStore:
         self.tagset = tagset
         self.vocab: Vocabulary | None = None
         self.counts = np.zeros(0, dtype=np.int64)   # train count by provisional id
-        self.first_seen: dict[str, int] = {}
+        # looking up a new token gives it the next provisional id
+        self.first_seen: dict[str, int] = defaultdict(count().__next__)
         self.ids = array("i")
         self.lengths = array("i")
         self.splits: list[str] = []
@@ -347,8 +354,8 @@ class TokenStore:
         kept = kept_sentences(doc, max_chars)
         sentences = [tokenize(sent) for _, sent in kept]
         first_seen = self.first_seen
-        ids = array("i", [first_seen.setdefault(t, len(first_seen))
-                          for t in chain.from_iterable(sentences)])
+        # from a list, which array reads faster than an iterator
+        ids = array("i", list(map(first_seen.__getitem__, chain.from_iterable(sentences))))
         if doc.split == "train":
             if len(first_seen) > len(self.counts):   # at least doubles: amortized O(1) per id
                 self.counts = np.pad(self.counts, (0, len(first_seen)))

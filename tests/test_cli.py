@@ -18,10 +18,10 @@ from hanst import cli
 from hanst import models as md
 from hanst import synth
 from hanst import training as tr
-from hanst.corpus import load_corpus, save_corpus
+from hanst.corpus import RawDocument, load_corpus, save_corpus
 from hanst.errors import (CheckpointMismatchError, ConfigurationError, DegenerateInputError,
                           TrainingAbortedError)
-from hanst.textprep import Vocabulary, tag_tokens
+from hanst.textprep import UNK_ID, TaggedDocument, Vocabulary, prepare_corpus, tag_tokens
 
 
 def write_config(path, **overrides):
@@ -105,6 +105,38 @@ def test_prepare_rerun_byte_identical(tmp_path, capsys, probe_corpus):
     assert run_cli(capsys, "prepare", probe_corpus, "--config", cfg, "--out", data)[0] == 0
     for name, blob in first.items():
         assert open(os.path.join(data, name), "rb").read() == blob
+
+
+@pytest.mark.parametrize("tagset", ["full", "reduced", "none"])
+def test_prepared_lines_are_the_json_dumps_lines(tmp_path, tagset):
+    docs = [RawDocument(id="d0", title="A Title", abstract="First point. Second one.",
+                        body_text="Body (one), two. See Fig. 2, e.g. here!", split="train",
+                        label={"accepted": True, "citation_count": 3}),
+            RawDocument(id="dé-文書", title="Ünïcode títle", abstract="", body_text="Ça va? Oui.",
+                        label={"accepted": False}, split="valid"),
+            RawDocument(id="no-text", title="", abstract="", body_text="",
+                        label={"citation_count": 0}, split="test")]
+    vocab, store = prepare_corpus(docs, tagset, 20000, 50)
+    meta = {"kind": cli.PREPARED_KIND, "tagset": tagset, "vocab_size": len(vocab)}
+    path = tmp_path / "prepared.jsonl"
+    cli.write_prepared(str(path), meta, store, store.splits)
+    tagged = list(store)
+    assert tagged[2].sentences == [[UNK_ID]]
+    assert path.read_text(encoding="utf-8").splitlines() == [json.dumps(meta, sort_keys=True)] + [
+        json.dumps({"id": doc.id, "split": split, "label": doc.label, "roles": doc.roles,
+                    "sentences": doc.sentences}, sort_keys=True)
+        for doc, split in zip(tagged, store.splits)]
+
+
+@pytest.mark.parametrize("token_id", [-1, 5])
+def test_prepared_lines_refuse_an_id_outside_the_vocabulary(tmp_path, token_id):
+    doc = TaggedDocument(id="d0", sentences=[[2, 4], [token_id]], roles=["TITLE", "BODY_TEXT"],
+                         label={"accepted": True})
+    path = tmp_path / "prepared.jsonl"
+    with pytest.raises(ConfigurationError) as caught:
+        cli.write_prepared(str(path), {"vocab_size": 5}, [doc], ["train"])
+    assert str(caught.value) == f"document 'd0': token id {token_id} is not in [0, 5)"
+    assert os.listdir(tmp_path) == []
 
 
 def test_prepare_reports_per_split_rows(tmp_path, capsys, probe_corpus):
@@ -1483,6 +1515,39 @@ def test_predict_zero_score_zero_citations(tmp_path, capsys, cites_corpus):
     assert written.read_text(encoding="utf-8") == out
 
 
+def _score_past_every_count(model):
+    model.params["head.w"].values[:] = 0.0
+    model.params["head.b"].values[:] = 1000.0
+    return "1000.0"
+
+
+def _nan_score(model):
+    # two products overflow, to inf and to -inf, and their sum is NaN
+    model.params["embedding"].values[:] = 10.0
+    model.params["head.w"].values[:] = 0.0
+    model.params["head.w"].values[:2, 0] = 1e308, -1e308
+    return "nan"
+
+
+@pytest.mark.parametrize("edit", [_score_past_every_count, _nan_score], ids=["overflow", "nan"])
+def test_predict_score_without_a_citation_count_is_one_line(tmp_path, capsys, cites_corpus, edit):
+    data = _trained_dir(tmp_path, capsys, cites_corpus, task="regress")
+    ckpt = os.path.join(data, "run-1.ckpt")
+    vocab = Vocabulary.load(os.path.join(data, "vocab.json")).sha256()
+    model = md.load_checkpoint(ckpt, vocab)
+    shown = edit(model)   # finite values, so the checkpoint loads
+    md.save_checkpoint(model, vocab, ckpt)
+    result = run_python("-m", "hanst", "predict", cites_corpus, "--checkpoint", ckpt, "--out", data)
+    message = f"document 'cit0': score {shown} has no citation count"
+    assert result.returncode == 1 and result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr == f"error: degenerate-input: {message}\n"
+    # the job the seed worker ran, in this process and under cli.main's error state
+    with pytest.raises(DegenerateInputError) as caught, np.errstate(over="ignore", invalid="ignore"):
+        cli._predict_rows(ckpt, data, cites_corpus, str(tmp_path / "rows.jsonl"), False)
+    assert str(caught.value) == message
+
+
 def test_predict_attention_rows_normalized(tmp_path, capsys, probe_corpus):
     data, cfg = prepared_dir(tmp_path, capsys, probe_corpus, model_kind="han",
                              bilstm_hidden=6, tagset="full")
@@ -1976,6 +2041,8 @@ def test_significance_votes_across_seeds(tmp_path, capsys):
     # json reads both; McNemar then ended in a ValueError traceback
     ('{"id": "d1", "gold": NaN, "pred": 1.0, "seed": 1}', "'gold' must be finite, got nan"),
     ('{"id": "d1", "gold": 1.0, "pred": -Infinity, "seed": 1}', "'pred' must be finite, got -inf"),
+    # a second row of one seed and id was counted as one more vote
+    ('{"id": "d0", "gold": 1.0, "pred": 0.0, "seed": 1}', "seed 1 already predicted id 'd0'"),
 ])
 def test_significance_malformed_predictions_name_the_line(tmp_path, capsys, row, message):
     good = [{"id": f"d{i}", "gold": 1.0, "pred": 1.0, "seed": 1} for i in range(3)]

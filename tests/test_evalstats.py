@@ -39,6 +39,14 @@ class TestCitationScore:
         with pytest.raises(DegenerateInputError):
             es.citation_score(-1)
 
+    @pytest.mark.parametrize("score", [710.0, math.inf, math.nan])
+    def test_score_past_every_count_rejected(self, score):
+        with pytest.raises(DegenerateInputError, match=f"score {score} has no citation count"):
+            es.inverse_citation_score(score)
+
+    def test_largest_score_with_a_count(self):
+        assert es.inverse_citation_score(709.78) == round(math.expm1(709.78))
+
 
 class TestRegressionMetrics:
     def test_r2_perfect(self):
@@ -95,6 +103,23 @@ class TestRegressionMetrics:
             es.mse([1.0, 2.0], [1.0])
         with pytest.raises(UndefinedMetricError):
             es.mae([], [])
+
+
+class TestNonFiniteInputs:
+    """A NaN compares false, so each metric would quietly drop or misrank it."""
+
+    @pytest.mark.parametrize("metric, golds, preds", [
+        (es.mse, [1.0, 2.0, 3.0], [1.0, math.nan, 3.0]),
+        (es.mae, [1.0, math.inf, 3.0], [1.0, 2.0, 3.0]),
+        (es.accuracy, [0, 1, 0, 1], [0, 1, math.nan, 1]),
+        (es.r2_score, [1.0, 2.0, 3.0], [1.0, 2.0, -math.inf]),
+        (es.auc_roc, [0, 1, 0, 1], [math.nan, 0.5, math.nan, 0.2]),
+        (es.spearman_rho, [1, 2, 3, 4, math.nan], [1, 2, 3, 4, 5]),
+        (es.wilcoxon_signed_rank, [1.0] * 5 + [math.nan] * 3, [2.0] * 8),
+    ], ids=["mse", "mae", "accuracy", "r2", "auc", "spearman", "wilcoxon"])
+    def test_refused(self, metric, golds, preds):
+        with pytest.raises(UndefinedMetricError, match="inputs hold NaN or inf"):
+            metric(golds, preds)
 
 
 class TestAccuracy:

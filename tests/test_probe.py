@@ -1,10 +1,12 @@
 """perfbench/probe.py installed on the live package, as a benchmark worker
 installs it, around `hanst prepare` and one `train_epoch`.
 
-Installing fails when a name the probe patches is renamed, and a probed run
-whose loss differs from a plain one shows a wrapper that changes what it
-wraps (the `train_epoch` wrapper iterates `batches` before the call, so a
-generator of batches would reach training empty).
+Installing fails when a name the probe patches is renamed. A prepare that
+stops calling `tokenize` or `write_prepared` where the probe wraps them leaves
+a span or the prepared byte count empty. A probed run whose loss differs from
+a plain one shows a wrapper that changes what it wraps (the `train_epoch`
+wrapper iterates `batches` before the call, so a generator of batches would
+reach training empty).
 """
 
 import contextlib
@@ -64,10 +66,11 @@ def test_probe_counts_and_traces_prepare_and_a_train_epoch(tmp_path):
         assert counters[name] > 0, name
     layers = probe.layers(1.0)
     assert layers["textprep.segment_sentences.chars_in"] > 0
+    assert layers["cli.prepared_bytes"] > 0
     assert layers["training.steps"] == probe.backward_calls > 0
     traced = {span[0] for span in probe.spans}
     assert {"cli.cmd_prepare", "corpus.load_corpus", "textprep.segment_sentences",
-            "cli.write_prepared", "cli.load_prepared", "training.make_batches",
-            "training.train_epoch", "models.pad_batch", "models.forward",
+            "textprep.tokenize", "cli.write_prepared", "cli.load_prepared",
+            "training.make_batches", "training.train_epoch", "models.pad_batch", "models.forward",
             "models.word_bilstm.fwd", "models.sent_attn.fwd", "autodiff.backward",
             "autodiff.adam_step"} <= traced

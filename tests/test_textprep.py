@@ -48,6 +48,17 @@ class TestSegmentSentences:
         out = list(tp.segment_sentences("This is v1.2 of the tool. it continues here. Done."))
         assert out[0] == "This is v1.2 of the tool. it continues here."
 
+    def test_abbreviation_read_within_the_look_back(self):
+        # "approx." fills all but one character of the look-back; "(approx." fills it
+        out = list(tp.segment_sentences("Fig. 2 is approx. 3 cm. Not (approx. It ends."))
+        assert out == ["Fig. 2 is approx. 3 cm.", "Not (approx.", "It ends."]
+
+    def test_word_longer_than_the_look_back_is_cut_and_closes(self):
+        # the last 7 characters of "reapprox." are a stop-list entry
+        for word in ("Bhattacharya.", "reapprox."):
+            out = list(tp.segment_sentences(f"Cited by {word} Then more."))
+            assert out == [f"Cited by {word}", "Then more."]
+
     def test_digit_starts_sentence(self):
         out = list(tp.segment_sentences("We ran trials. 30 of them failed."))
         assert out == ["We ran trials.", "30 of them failed."]
@@ -196,6 +207,12 @@ class TestTokenize:
 
     def test_edge_punctuation(self):
         assert tp.tokenize("(hello),") == ["(", "hello", ")", ","]
+
+    def test_one_trailing_mark(self):
+        assert tp.tokenize("word, it_ ok. !") == ["word", ",", "it", "_", "ok", ".", "!"]
+
+    def test_two_trailing_marks_or_a_leading_one_take_the_regex(self):
+        assert tp.tokenize("word.) (word x-y.") == ["word", ".", ")", "(", "word", "x-y", "."]
 
     def test_interior_punctuation_kept(self):
         assert tp.tokenize("cross-task don't 3.5") == ["cross-task", "don't", "3.5"]
